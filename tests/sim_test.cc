@@ -2,13 +2,18 @@
  * @file
  * Tests for the lockstep simulator: the NCYCLE decomposition of §2.2,
  * zero-stall execution when latencies are honoured, stalls from cache
- * misses, the effect of binding prefetching, and stat consistency.
+ * misses, the effect of binding prefetching, stat consistency, and a
+ * pin of every SimResult field over the builtin corpus.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cme/solver.hh"
+#include "common/strutil.hh"
 #include "ddg/ddg.hh"
+#include "harness/experiment.hh"
 #include "ir/builder.hh"
 #include "machine/presets.hh"
 #include "sched/scheduler.hh"
@@ -203,6 +208,42 @@ TEST(Simulator, StatsCarryAcrossExecutions)
     const auto all = simulateLoop(g, r.schedule, machine);
     EXPECT_EQ(first.memStats.value("local_misses"),
               all.memStats.value("local_misses"));
+}
+
+TEST(Simulator, WholeResultFingerprintIsPinned)
+{
+    // Every field of SimResult — cycles, counts and the full memory
+    // counter dump (names and values) — over the 32 builtin loops on
+    // the three Table-1 machines, both heuristics, two thresholds. The
+    // table1 fingerprint covers only compute + stall; this pins the
+    // rest, so a simulator or memory-system rewrite must reproduce it
+    // bit for bit.
+    harness::Workbench bench;
+    std::string fold;
+    for (const auto &machine :
+         {makeUnified(), makeTwoCluster(), makeFourCluster()})
+        for (const char *backend : {"baseline", "rmca"})
+            for (const double thr : {1.0, 0.0}) {
+                harness::RunConfig cfg;
+                cfg.machine = machine;
+                cfg.backend = backend;
+                cfg.threshold = thr;
+                for (const auto &entry : bench.entries()) {
+                    const auto run = harness::runLoop(*entry, cfg);
+                    ASSERT_TRUE(run.sched.ok) << run.loop;
+                    const SimResult &r = run.sim;
+                    fold += run.loop + ' ' +
+                            std::to_string(r.computeCycles) + ' ' +
+                            std::to_string(r.stallCycles) + ' ' +
+                            std::to_string(r.iterations) + ' ' +
+                            std::to_string(r.executions) + ' ' +
+                            std::to_string(r.opsExecuted) + ' ' +
+                            std::to_string(r.memAccesses) + '\n' +
+                            r.memStats.dump("  ");
+                }
+            }
+    EXPECT_EQ(fnv1a(fold), 0x4188fc591caca180ULL)
+        << std::hex << "0x" << fnv1a(fold);
 }
 
 } // namespace
