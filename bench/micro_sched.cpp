@@ -100,7 +100,7 @@ BM_StreamMaterialise(benchmark::State &state)
     for (auto _ : state) {
         cme::StreamCache cache(nest);
         for (OpId op : mem)
-            benchmark::DoNotOptimize(cache.lines(op, 32).lines.data());
+            benchmark::DoNotOptimize(cache.lines(op, 32).offsets.data());
     }
 }
 BENCHMARK(BM_StreamMaterialise);

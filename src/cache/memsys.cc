@@ -1,18 +1,48 @@
 #include "cache/memsys.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace mvp::cache
 {
 
-MemorySystem::MemorySystem(const MachineConfig &machine)
-    : machine_(machine), geom_(machine.clusterCacheGeom())
+namespace
 {
+
+/** StatGroup names of the counters, indexed by MemorySystem::Counter. */
+constexpr const char *COUNTER_NAMES[] = {
+    "loads",
+    "stores",
+    "local_hits",
+    "local_misses",
+    "mshr_merges",
+    "mshr_full_stall_cycles",
+    "upgrades",
+    "remote_hits",
+    "dirty_supplies",
+    "memory_fills",
+    "writebacks",
+    "invalidations",
+    "bus_wait_cycles",
+    "bus_transactions",
+};
+
+} // namespace
+
+MemorySystem::MemorySystem(const MachineConfig &machine)
+    : machine_(machine), geom_(machine.clusterCacheGeom()),
+      numSets_(geom_.numSets())
+{
+    static_assert(std::size(COUNTER_NAMES) == NumCounters &&
+                  NumCounters <= 32);
+    mvp_assert(geom_.lineBytes >= 1 && geom_.assoc >= 1 && numSets_ >= 1,
+               "degenerate cache geometry (MachineConfig::validate "
+               "rejects it)");
     clusters_.resize(static_cast<std::size_t>(machine.nClusters));
     for (auto &cl : clusters_) {
-        cl.ways.assign(static_cast<std::size_t>(geom_.numSets()) *
+        cl.ways.assign(static_cast<std::size_t>(numSets_) *
                            static_cast<std::size_t>(geom_.assoc),
                        Way{});
         cl.mshrBusyUntil.assign(
@@ -31,7 +61,18 @@ MemorySystem::reset()
         cl.inflight.clear();
     }
     std::fill(busFreeAt_.begin(), busFreeAt_.end(), 0);
-    stats_.reset();
+    counts_.fill(0);   // touched counters keep their names, like StatGroup
+}
+
+StatGroup
+MemorySystem::stats() const
+{
+    StatGroup group;
+    group.reserve(static_cast<std::size_t>(std::popcount(touched_)));
+    for (unsigned c = 0; c < NumCounters; ++c)
+        if (touched_ & (1u << c))
+            group.set(COUNTER_NAMES[c], counts_[c]);
+    return group;
 }
 
 Cycle
@@ -46,8 +87,8 @@ MemorySystem::acquireBus(Cycle ready)
             best = b;
     const Cycle grant = std::max(ready, busFreeAt_[best]);
     busFreeAt_[best] = grant + machine_.memBusLatency;
-    stats_.counter("bus_wait_cycles") += grant - ready;
-    stats_.counter("bus_transactions") += 1;
+    bump(BusWaitCycles, grant - ready);
+    bump(BusTransactions);
     return grant;
 }
 
@@ -55,14 +96,10 @@ int
 MemorySystem::findWay(const Cluster &cl, std::int64_t set,
                       std::int64_t line) const
 {
-    const auto base =
-        static_cast<std::size_t>(set) * static_cast<std::size_t>(
-                                            geom_.assoc);
-    for (int w = 0; w < geom_.assoc; ++w) {
-        const auto &way = cl.ways[base + static_cast<std::size_t>(w)];
-        if (way.state != LineState::Invalid && way.line == line)
+    const Way *ways = &cl.ways[wayIndex(set, 0)];
+    for (int w = 0; w < geom_.assoc; ++w)
+        if (ways[w].line == line && ways[w].state != LineState::Invalid)
             return w;
-    }
     return -1;
 }
 
@@ -70,33 +107,24 @@ MemorySystem::Way
 MemorySystem::installLine(Cluster &cl, std::int64_t set, std::int64_t line,
                           LineState state)
 {
-    const auto base =
-        static_cast<std::size_t>(set) * static_cast<std::size_t>(
-                                            geom_.assoc);
-    const Way victim = cl.ways[base + static_cast<std::size_t>(
-                                          geom_.assoc - 1)];
-    for (int w = geom_.assoc - 1; w > 0; --w)
-        cl.ways[base + static_cast<std::size_t>(w)] =
-            cl.ways[base + static_cast<std::size_t>(w - 1)];
-    cl.ways[base] = Way{line, state};
+    Way *ways = &cl.ways[wayIndex(set, 0)];
+    const Way victim = ways[geom_.assoc - 1];
+    std::copy_backward(ways, ways + geom_.assoc - 1, ways + geom_.assoc);
+    ways[0] = Way{line, state};
     return victim;
 }
 
 void
 MemorySystem::invalidateRemote(std::int64_t line, ClusterId except)
 {
-    const std::int64_t set = line % geom_.numSets();
+    const std::int64_t set = line % numSets_;
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
         if (static_cast<ClusterId>(c) == except)
             continue;
         const int w = findWay(clusters_[c], set, line);
         if (w >= 0) {
-            clusters_[c]
-                .ways[static_cast<std::size_t>(set) *
-                          static_cast<std::size_t>(geom_.assoc) +
-                      static_cast<std::size_t>(w)]
-                .state = LineState::Invalid;
-            stats_.counter("invalidations") += 1;
+            clusters_[c].ways[wayIndex(set, w)].state = LineState::Invalid;
+            bump(Invalidations);
         }
     }
 }
@@ -106,15 +134,9 @@ MemorySystem::probe(ClusterId cluster, Addr addr) const
 {
     const auto &cl = clusters_[static_cast<std::size_t>(cluster)];
     const std::int64_t line = geom_.lineOf(addr);
-    const std::int64_t set = line % geom_.numSets();
+    const std::int64_t set = line % numSets_;
     const int w = findWay(cl, set, line);
-    if (w < 0)
-        return LineState::Invalid;
-    return cl
-        .ways[static_cast<std::size_t>(set) *
-                  static_cast<std::size_t>(geom_.assoc) +
-              static_cast<std::size_t>(w)]
-        .state;
+    return w < 0 ? LineState::Invalid : cl.ways[wayIndex(set, w)].state;
 }
 
 MemAccessResult
@@ -123,72 +145,61 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
 {
     auto &cl = clusters_[static_cast<std::size_t>(cluster)];
     const std::int64_t line = geom_.lineOf(addr);
-    const std::int64_t set = line % geom_.numSets();
+    const std::int64_t set = line % numSets_;
     MemAccessResult res;
-    stats_.counter(is_store ? "stores" : "loads") += 1;
+    bump(is_store ? Stores : Loads);
 
     // A fill for this line still in flight? Merge before probing tags
     // (the tag was installed eagerly when the fill was initiated, so the
     // probe alone would mis-report an instant hit).
-    if (auto it = cl.inflight.find(line); it != cl.inflight.end()) {
-        if (it->second > issue) {
+    const auto fill = std::find_if(
+        cl.inflight.begin(), cl.inflight.end(),
+        [line](const auto &entry) { return entry.first == line; });
+    if (fill != cl.inflight.end()) {
+        if (fill->second > issue) {
             res.mergedInFlight = true;
-            stats_.counter("mshr_merges") += 1;
-            stats_.counter("local_misses") += 1;
+            bump(MshrMerges);
+            bump(LocalMisses);
             res.completion =
-                std::max(it->second, issue + machine_.latCacheHit);
+                std::max(fill->second, issue + machine_.latCacheHit);
             if (is_store) {
                 const int w = findWay(cl, set, line);
                 const bool shared =
-                    w < 0 ||
-                    cl.ways[static_cast<std::size_t>(set) *
-                                static_cast<std::size_t>(geom_.assoc) +
-                            static_cast<std::size_t>(w)]
-                            .state != LineState::Modified;
+                    w < 0 || cl.ways[wayIndex(set, w)].state !=
+                                 LineState::Modified;
                 if (shared) {
                     // Ownership needs an upgrade once the data arrives.
                     const Cycle grant = acquireBus(res.completion);
                     invalidateRemote(line, cluster);
                     if (w >= 0)
-                        cl.ways[static_cast<std::size_t>(set) *
-                                    static_cast<std::size_t>(
-                                        geom_.assoc) +
-                                static_cast<std::size_t>(w)]
-                            .state = LineState::Modified;
+                        cl.ways[wayIndex(set, w)].state =
+                            LineState::Modified;
                     res.completion = grant + machine_.memBusLatency;
-                    stats_.counter("upgrades") += 1;
+                    bump(Upgrades);
                 }
             }
             return res;
         }
-        cl.inflight.erase(it);
+        *fill = cl.inflight.back();
+        cl.inflight.pop_back();
     }
 
     const int way = findWay(cl, set, line);
     if (way >= 0) {
-        const auto idx = static_cast<std::size_t>(set) *
-                             static_cast<std::size_t>(geom_.assoc) +
-                         static_cast<std::size_t>(way);
-        const LineState state = cl.ways[idx].state;
         // Touch for LRU.
-        const Way touched = cl.ways[idx];
-        for (std::size_t w = idx;
-             w > static_cast<std::size_t>(set) *
-                     static_cast<std::size_t>(geom_.assoc);
-             --w)
-            cl.ways[w] = cl.ways[w - 1];
-        cl.ways[static_cast<std::size_t>(set) *
-                static_cast<std::size_t>(geom_.assoc)] = touched;
-        auto &mru = cl.ways[static_cast<std::size_t>(set) *
-                            static_cast<std::size_t>(geom_.assoc)];
+        Way *ways = &cl.ways[wayIndex(set, 0)];
+        const Way touched = ways[way];
+        std::copy_backward(ways, ways + way, ways + way + 1);
+        ways[0] = touched;
+        Way &mru = ways[0];
 
-        if (!is_store || state == LineState::Modified) {
+        if (!is_store || touched.state == LineState::Modified) {
             // Plain hit.
             if (is_store)
                 mru.state = LineState::Modified;
             res.localHit = true;
             res.completion = issue + machine_.latCacheHit;
-            stats_.counter("local_hits") += 1;
+            bump(LocalHits);
             return res;
         }
         // Store to a Shared line: upgrade (invalidation) transaction.
@@ -197,12 +208,12 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
         mru.state = LineState::Modified;
         res.localHit = true;
         res.completion = grant + machine_.memBusLatency;
-        stats_.counter("upgrades") += 1;
+        bump(Upgrades);
         return res;
     }
 
     // --- Local miss. ---
-    stats_.counter("local_misses") += 1;
+    bump(LocalMisses);
 
     // Allocate an MSHR entry; a full MSHR stalls the machine at issue.
     auto mshr = std::min_element(cl.mshrBusyUntil.begin(),
@@ -211,7 +222,7 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
     if (*mshr > issue) {
         res.issueStall = *mshr - issue;
         alloc = *mshr;
-        stats_.counter("mshr_full_stall_cycles") += res.issueStall;
+        bump(MshrFullStallCycles, res.issueStall);
     }
 
     // The local tag check discovered the miss; then arbitrate for a bus.
@@ -227,12 +238,8 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
         const int w = findWay(clusters_[c], set, line);
         if (w >= 0) {
             remote_has = true;
-            remote_dirty =
-                clusters_[c]
-                    .ways[static_cast<std::size_t>(set) *
-                              static_cast<std::size_t>(geom_.assoc) +
-                          static_cast<std::size_t>(w)]
-                    .state == LineState::Modified;
+            remote_dirty = clusters_[c].ways[wayIndex(set, w)].state ==
+                           LineState::Modified;
         }
     }
 
@@ -242,24 +249,21 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
         // cache's access time.
         fill_done = grant + machine_.memBusLatency + machine_.latCacheHit;
         res.remoteHit = true;
-        stats_.counter("remote_hits") += 1;
+        bump(RemoteHits);
         if (remote_dirty)
-            stats_.counter("dirty_supplies") += 1;
+            bump(DirtySupplies);
         // Supplier downgrades (load) or invalidates (store below).
         for (std::size_t c = 0; c < clusters_.size(); ++c) {
             if (static_cast<ClusterId>(c) == cluster)
                 continue;
             const int w = findWay(clusters_[c], set, line);
             if (w >= 0)
-                clusters_[c]
-                    .ways[static_cast<std::size_t>(set) *
-                              static_cast<std::size_t>(geom_.assoc) +
-                          static_cast<std::size_t>(w)]
-                    .state = LineState::Shared;
+                clusters_[c].ways[wayIndex(set, w)].state =
+                    LineState::Shared;
         }
     } else {
         fill_done = grant + machine_.memBusLatency + machine_.latMainMemory;
-        stats_.counter("memory_fills") += 1;
+        bump(MemoryFills);
     }
 
     if (is_store)
@@ -271,19 +275,17 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
         cl, set, line, is_store ? LineState::Modified : LineState::Shared);
     if (victim.state == LineState::Modified) {
         acquireBus(fill_done);
-        stats_.counter("writebacks") += 1;
+        bump(Writebacks);
     }
 
     *mshr = fill_done;
-    cl.inflight[line] = fill_done;
-    // Retire completed in-flight markers lazily (keeps the map tiny;
+    // The line has no in-flight entry here: a pending one merged above,
+    // a completed one was dropped.
+    cl.inflight.emplace_back(line, fill_done);
+    // Retire completed in-flight markers lazily (keeps the table tiny;
     // stale entries are also dropped on lookup).
-    for (auto it = cl.inflight.begin(); it != cl.inflight.end();) {
-        if (it->second < issue)
-            it = cl.inflight.erase(it);
-        else
-            ++it;
-    }
+    std::erase_if(cl.inflight,
+                  [issue](const auto &entry) { return entry.second < issue; });
 
     res.completion = fill_done;
     return res;

@@ -15,12 +15,19 @@
  * with MSHR merging ("an earlier miss has already started loading the
  * relevant cache line"), bus occupancy for coherence traffic (upgrades,
  * writebacks) and write-allocate stores that fetch ownership.
+ *
+ * access() is the lockstep simulator's innermost call, so its
+ * bookkeeping is flat: event counters are enum-indexed integers (the
+ * named StatGroup is only built when stats() is asked for) and the
+ * in-flight fills of a cluster live in a short vector.
  */
 
 #ifndef MVP_CACHE_MEMSYS_HH
 #define MVP_CACHE_MEMSYS_HH
 
-#include <unordered_map>
+#include <array>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -72,13 +79,40 @@ class MemorySystem
     /** Current MSI state of @p addr 's line in @p cluster (for tests). */
     LineState probe(ClusterId cluster, Addr addr) const;
 
-    /** Event counters: hits, misses, waits, coherence traffic. */
-    const StatGroup &stats() const { return stats_; }
-
-    /** Mutable counters (the simulator merges them into its result). */
-    StatGroup &stats() { return stats_; }
+    /**
+     * Event counters (hits, misses, waits, coherence traffic) by name.
+     * A counter appears once an access has bumped it, even by 0; the
+     * simulator copies this group into its SimResult.
+     */
+    StatGroup stats() const;
 
   private:
+    /** The event counters, in the order of COUNTER_NAMES. */
+    enum Counter : unsigned {
+        Loads,
+        Stores,
+        LocalHits,
+        LocalMisses,
+        MshrMerges,
+        MshrFullStallCycles,
+        Upgrades,
+        RemoteHits,
+        DirtySupplies,
+        MemoryFills,
+        Writebacks,
+        Invalidations,
+        BusWaitCycles,
+        BusTransactions,
+        NumCounters
+    };
+
+    /** Add @p n to counter @p c and mark it touched. */
+    void bump(Counter c, std::int64_t n = 1)
+    {
+        counts_[c] += n;
+        touched_ |= 1u << c;
+    }
+
     struct Way
     {
         std::int64_t line = -1;
@@ -89,8 +123,8 @@ class MemorySystem
     {
         std::vector<Way> ways;            ///< [set * assoc + way], MRU first
         std::vector<Cycle> mshrBusyUntil; ///< one per MSHR entry
-        /** In-flight fills: line -> completion cycle. */
-        std::unordered_map<std::int64_t, Cycle> inflight;
+        /** In-flight fills: (line, completion cycle), unordered. */
+        std::vector<std::pair<std::int64_t, Cycle>> inflight;
     };
 
     /** Earliest cycle a bus grant is possible at or after @p ready. */
@@ -107,11 +141,22 @@ class MemorySystem
     /** Invalidate @p line in every cluster except @p except. */
     void invalidateRemote(std::int64_t line, ClusterId except);
 
+    /** Index of way @p w of @p set in Cluster::ways. */
+    std::size_t wayIndex(std::int64_t set, int w) const
+    {
+        return static_cast<std::size_t>(set) *
+                   static_cast<std::size_t>(geom_.assoc) +
+               static_cast<std::size_t>(w);
+    }
+
     const MachineConfig &machine_;
     CacheGeom geom_;
+    std::int64_t numSets_;   ///< geom_.numSets(); MachineConfig::validate
+                             ///< guarantees >= 1
     std::vector<Cluster> clusters_;
     std::vector<Cycle> busFreeAt_;
-    StatGroup stats_;
+    std::array<std::int64_t, NumCounters> counts_{};
+    std::uint32_t touched_ = 0;   ///< bit c set once counter c is bumped
 };
 
 } // namespace mvp::cache

@@ -16,7 +16,7 @@ struct OracleScratch
 {
     std::vector<OpId> canonical;              ///< canonical-set buffer
     std::vector<OpId> subset;                 ///< parent-probe buffer
-    std::vector<const std::int64_t *> lines;  ///< per-position streams
+    std::vector<LineView> lines;              ///< per-position streams
     std::vector<const SetBuckets *> buckets;  ///< per-position buckets
     std::vector<std::int64_t> cursor;         ///< merge iterators
     std::vector<std::int64_t> last;           ///< merge end offsets
@@ -89,8 +89,8 @@ CacheOracle::simulateFresh(const std::vector<OpId> &set,
     scratch.lines.clear();
     for (OpId op : set)
         scratch.lines.push_back(
-            streams_->lines(op, geom.lineBytes).lines.data());
-    const std::int64_t *const *lines = scratch.lines.data();
+            streams_->lines(op, geom.lineBytes).view());
+    const LineView *lines = scratch.lines.data();
 
     res.perSetMisses.assign(static_cast<std::size_t>(num_sets) * m, 0);
     res.tags.assign(static_cast<std::size_t>(num_sets) * assoc, -1);
@@ -168,8 +168,8 @@ CacheOracle::simulateExtended(const std::vector<OpId> &set,
         scratch.lines.clear();
         for (OpId op : set)
             scratch.lines.push_back(
-                streams_->lines(op, geom.lineBytes).lines.data());
-        const std::int64_t *const *lines = scratch.lines.data();
+                streams_->lines(op, geom.lineBytes).view());
+        const LineView *lines = scratch.lines.data();
         const std::int64_t points = streams_->points();
         for (std::int64_t p = 0; p < points; ++p) {
             for (std::size_t j = 0; j < m; ++j) {

@@ -23,7 +23,7 @@ namespace
 struct SolverScratch
 {
     std::vector<OpId> canonical;              ///< canonical-set buffer
-    std::vector<const std::int64_t *> lines;  ///< per-position streams
+    std::vector<LineView> lines;              ///< per-position streams
     std::vector<std::int64_t> conflicts;      ///< isMiss interference
 };
 
@@ -70,7 +70,7 @@ CmeAnalysis::samplingKey(const std::vector<OpId> &set, OpId op,
 }
 
 bool
-CmeAnalysis::isMiss(const std::int64_t *const *lines, std::size_t nops,
+CmeAnalysis::isMiss(const LineView *lines, std::size_t nops,
                     std::size_t ref_pos, std::int64_t point,
                     const CacheGeom &geom,
                     std::vector<std::int64_t> &conflicts)
@@ -141,8 +141,8 @@ CmeAnalysis::solveRatio(const std::vector<OpId> &set, OpId op,
     scratch.lines.clear();
     for (OpId o : set)
         scratch.lines.push_back(
-            streams_->lines(o, geom.lineBytes).lines.data());
-    const std::int64_t *const *lines = scratch.lines.data();
+            streams_->lines(o, geom.lineBytes).view());
+    const LineView *lines = scratch.lines.data();
     const std::size_t nops = set.size();
 
     detail::RatioValue value;

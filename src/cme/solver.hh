@@ -189,10 +189,10 @@ class CmeAnalysis : public LocalityAnalysis
      * Decide hit/miss for position @p ref_pos of the set at iteration
      * point @p point under @p geom by evaluating the cold/replacement
      * equations with a bounded backward walk over the cached line
-     * streams in @p lines (one pointer per set position). @p conflicts
+     * streams in @p lines (one view per set position). @p conflicts
      * comes from the calling thread's scratch.
      */
-    bool isMiss(const std::int64_t *const *lines, std::size_t nops,
+    bool isMiss(const LineView *lines, std::size_t nops,
                 std::size_t ref_pos, std::int64_t point,
                 const CacheGeom &geom,
                 std::vector<std::int64_t> &conflicts);

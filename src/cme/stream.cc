@@ -1,5 +1,8 @@
 #include "cme/stream.hh"
 
+#include <algorithm>
+#include <climits>
+
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
@@ -18,17 +21,40 @@ StreamCache::buildLines(OpId op, std::int64_t line_bytes) const
     mvp_assert(operation.isMemory(), "line stream of a non-memory op");
     mvp_assert(line_bytes > 0, "bad cache line size");
 
+    // Feed (point, line) of every point in execution order to @p f. The
+    // strided addresses equal addressOf bit for bit, and the division is
+    // CacheGeom::lineOf's — the streams must be byte-for-byte what the
+    // un-cached analyses computed.
+    const std::int64_t inner = nest_.innerTripCount();
+    std::vector<std::int64_t> ivs(nest_.depth());
+    const auto walk = [&](auto &&f) {
+        for (std::int64_t first = 0; first < points_; first += inner) {
+            space_.at(first, ivs);
+            const ir::StridedAddress addr =
+                nest_.stridedAddressOf(*operation.memRef, ivs);
+            for (std::int64_t k = 0; k < inner; ++k)
+                f(first + k,
+                  static_cast<std::int64_t>(addr.at(k)) / line_bytes);
+        }
+    };
+
     auto stream = std::make_unique<LineStream>();
-    stream->lines.resize(static_cast<std::size_t>(points_));
-    std::vector<std::int64_t> ivs;
-    for (std::int64_t p = 0; p < points_; ++p) {
-        space_.at(p, ivs);
-        const Addr addr = nest_.addressOf(*operation.memRef, ivs);
-        // Same arithmetic as CacheGeom::lineOf — the streams must be
-        // byte-for-byte what the un-cached analyses computed.
-        stream->lines[static_cast<std::size_t>(p)] =
-            static_cast<std::int64_t>(addr) / line_bytes;
-    }
+    std::int64_t lo = INT64_MAX;
+    std::int64_t hi = INT64_MIN;
+    walk([&](std::int64_t, std::int64_t line) {
+        lo = std::min(lo, line);
+        hi = std::max(hi, line);
+    });
+    mvp_assert(static_cast<std::uint64_t>(hi) -
+                       static_cast<std::uint64_t>(lo) <=
+                   UINT32_MAX,
+               "line stream of op ", op, " spans more than 2^32 lines");
+    stream->base = lo;
+    stream->offsets.resize(static_cast<std::size_t>(points_));
+    walk([&](std::int64_t p, std::int64_t line) {
+        stream->offsets[static_cast<std::size_t>(p)] =
+            static_cast<std::uint32_t>(line - lo);
+    });
     return stream;
 }
 
@@ -74,18 +100,20 @@ StreamCache::buckets(OpId op, const CacheGeom &geom)
     // entries of one set come out chronological because the stream is
     // walked in point order both times.
     fresh->offsets.assign(static_cast<std::size_t>(num_sets) + 1, 0);
-    for (const std::int64_t line : stream.lines)
-        ++fresh->offsets[static_cast<std::size_t>(line % num_sets) + 1];
+    const auto points = static_cast<std::int64_t>(stream.size());
+    for (std::int64_t p = 0; p < points; ++p)
+        ++fresh->offsets[static_cast<std::size_t>(stream.line(p) %
+                                                  num_sets) +
+                         1];
     for (std::size_t s = 1; s < fresh->offsets.size(); ++s)
         fresh->offsets[s] += fresh->offsets[s - 1];
-    fresh->entries.resize(stream.lines.size());
+    fresh->entries.resize(stream.size());
     std::vector<std::int64_t> cursor(
         fresh->offsets.begin(), fresh->offsets.end() - 1);
-    for (std::size_t p = 0; p < stream.lines.size(); ++p) {
-        const std::int64_t line = stream.lines[p];
+    for (std::int64_t p = 0; p < points; ++p) {
+        const std::int64_t line = stream.line(p);
         const auto s = static_cast<std::size_t>(line % num_sets);
-        fresh->entries[static_cast<std::size_t>(cursor[s]++)] = {
-            static_cast<std::int64_t>(p), line};
+        fresh->entries[static_cast<std::size_t>(cursor[s]++)] = {p, line};
     }
 
     std::lock_guard<std::mutex> lock(shard.mu);

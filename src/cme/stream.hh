@@ -11,7 +11,7 @@
  * evaluating the affine reference from scratch.
  *
  * A StreamCache materialises the answer once per (op, line size): a
- * flat `lines[p]` array over the whole iteration space, in lexicographic
+ * flat line array over the whole iteration space, in lexicographic
  * execution order. Any reference set's access stream is then just the
  * point-major interleave of its ops' line arrays, so
  *
@@ -54,13 +54,42 @@ namespace mvp::cme
 {
 
 /**
+ * A line stream's storage, by value, for hot loops that read several
+ * streams at once: @c view[p] is the line touched at point p.
+ */
+struct LineView
+{
+    const std::uint32_t *offsets;
+    std::int64_t base;
+
+    std::int64_t operator[](std::int64_t p) const
+    {
+        return base + offsets[p];
+    }
+};
+
+/**
  * Materialised line stream of one memory operation: the cache line it
- * touches at every iteration point. Immutable after construction.
+ * touches at every iteration point. Lines are kept as 32-bit offsets
+ * from the stream's smallest line, half the footprint of absolute
+ * lines; LoopNest::validate() caps arrays at 4 GiB, so a stream's span
+ * always fits. Immutable after construction.
  */
 struct LineStream
 {
-    /** lines[p] = line touched at linear iteration index p. */
-    std::vector<std::int64_t> lines;
+    std::int64_t base = 0;                ///< smallest line touched
+    std::vector<std::uint32_t> offsets;   ///< line at point p, minus base
+
+    /** Line touched at linear iteration index @p p. */
+    std::int64_t line(std::int64_t p) const
+    {
+        return base + offsets[static_cast<std::size_t>(p)];
+    }
+
+    /** Number of iteration points. */
+    std::size_t size() const { return offsets.size(); }
+
+    LineView view() const { return {offsets.data(), base}; }
 };
 
 /**

@@ -28,6 +28,18 @@ fmtStatDouble(double v)
     return buf;
 }
 
+/** The first counter whose name is not less than @p name. */
+template <typename Vec>
+auto
+lowerBound(Vec &counters, const std::string &name)
+{
+    return std::lower_bound(
+        counters.begin(), counters.end(), name,
+        [](const StatGroup::Entry &e, const std::string &key) {
+            return e.first < key;
+        });
+}
+
 } // namespace
 
 void
@@ -100,27 +112,30 @@ RunningStat::reset()
 std::int64_t &
 StatGroup::counter(const std::string &name)
 {
-    return counters_[name];
+    const auto it = lowerBound(counters_, name);
+    if (it != counters_.end() && it->first == name)
+        return it->second;
+    return counters_.insert(it, Entry{name, 0})->second;
 }
 
 void
 StatGroup::set(const std::string &name, std::int64_t value)
 {
-    counters_[name] = value;
+    counter(name) = value;
 }
 
 void
 StatGroup::setMax(const std::string &name, std::int64_t value)
 {
-    auto &slot = counters_[name];
+    auto &slot = counter(name);
     slot = std::max(slot, value);
 }
 
 std::int64_t
 StatGroup::value(const std::string &name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    const auto it = lowerBound(counters_, name);
+    return it != counters_.end() && it->first == name ? it->second : 0;
 }
 
 std::string
@@ -144,7 +159,7 @@ void
 StatGroup::merge(const StatGroup &other)
 {
     for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
+        counter(name) += value;
 }
 
 void

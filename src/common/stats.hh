@@ -9,8 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mvp
@@ -76,12 +76,20 @@ class RunningStat
  * Named counter bag: a tiny stats registry for simulator components.
  *
  * Counters auto-create at first touch; dump() renders them sorted by name
- * so simulator output is stable across runs.
+ * so simulator output is stable across runs. The counters sit in one
+ * name-sorted vector: every simulated loop's result carries a group, so
+ * a map node per counter would dominate the result's footprint.
  */
 class StatGroup
 {
   public:
-    /** Mutable access to the counter named @p name (created at 0). */
+    /** A counter: name and value. */
+    using Entry = std::pair<std::string, std::int64_t>;
+
+    /**
+     * Mutable access to the counter named @p name (created at 0). The
+     * reference is invalidated by the next call that creates a counter.
+     */
     std::int64_t &counter(const std::string &name);
 
     /**
@@ -99,10 +107,7 @@ class StatGroup
     std::int64_t value(const std::string &name) const;
 
     /** All counters, sorted by name. */
-    const std::map<std::string, std::int64_t> &all() const
-    {
-        return counters_;
-    }
+    const std::vector<Entry> &all() const { return counters_; }
 
     /**
      * Render "name = value" lines. Locale-independent: values are
@@ -118,8 +123,11 @@ class StatGroup
     /** Reset all counters to zero (keeps the names). */
     void reset();
 
+    /** Make room for @p n counters. */
+    void reserve(std::size_t n) { counters_.reserve(n); }
+
   private:
-    std::map<std::string, std::int64_t> counters_;
+    std::vector<Entry> counters_;   ///< sorted by name, names unique
 };
 
 /**

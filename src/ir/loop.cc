@@ -108,8 +108,24 @@ LoopNest::addressOf(const AffineRef &ref,
     return arr.base + static_cast<Addr>(linear * arr.elemSize);
 }
 
+StridedAddress
+LoopNest::stridedAddressOf(const AffineRef &ref,
+                           std::vector<std::int64_t> &ivs) const
+{
+    mvp_assert(ivs.size() == depth(), "IV vector has wrong arity");
+    const LoopDim &inner = innerLoop();
+    std::int64_t &iv = ivs[innerDepth()];
+    iv = inner.lower;
+    const Addr start = addressOf(ref, ivs);
+    iv = inner.lower + inner.step;
+    return {start, addressOf(ref, ivs) - start};
+}
+
 namespace
 {
+
+/** Largest array validate() accepts, in bytes. */
+constexpr std::int64_t MAX_ARRAY_BYTES = std::int64_t{1} << 32;
 
 /**
  * Minimum and maximum of an affine expression over the (box) iteration
@@ -161,6 +177,14 @@ LoopNest::validate() const
                 mvp_fatal("array '", arr.name, "' has non-positive extent");
         if (arr.elemSize <= 0)
             mvp_fatal("array '", arr.name, "' has non-positive elemSize");
+        // The locality analysis keeps a reference's cache lines as
+        // 32-bit offsets (cme/stream.hh); 4 GiB arrays keep them in range.
+        std::int64_t bytes = arr.elemSize;
+        for (auto d : arr.dims) {
+            if (bytes > MAX_ARRAY_BYTES / d)
+                mvp_fatal("array '", arr.name, "' is larger than 4 GiB");
+            bytes *= d;
+        }
     }
     for (std::size_t i = 0; i < ops_.size(); ++i) {
         const Operation &o = ops_[i];

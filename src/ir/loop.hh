@@ -114,6 +114,24 @@ struct Operation
 };
 
 /**
+ * A reference's addresses along one execution of the innermost loop.
+ * An affine reference is affine in the innermost IV too, so iteration
+ * k touches start + k * stride; in Addr (mod 2^64) arithmetic this
+ * equals LoopNest::addressOf bit for bit, negative strides included.
+ */
+struct StridedAddress
+{
+    Addr start = 0;    ///< address at the innermost loop's lower bound
+    Addr stride = 0;   ///< address step per innermost iteration
+
+    /** Address at innermost iteration @p k. */
+    Addr at(std::int64_t k) const
+    {
+        return start + static_cast<Addr>(k) * stride;
+    }
+};
+
+/**
  * A perfect loop nest with a modulo-schedulable innermost body.
  */
 class LoopNest
@@ -169,10 +187,19 @@ class LoopNest
                    const std::vector<std::int64_t> &ivs) const;
 
     /**
+     * @p ref 's addresses over the innermost-loop execution whose outer
+     * induction variables are in @p ivs (one entry per loop; the
+     * innermost entry is overwritten). Built from two addressOf calls.
+     */
+    StridedAddress stridedAddressOf(const AffineRef &ref,
+                                    std::vector<std::int64_t> &ivs) const;
+
+    /**
      * Check structural invariants: operand producers exist and produce
      * values, distances are non-negative, memory ops carry references to
      * declared arrays with one index per dimension, every reference stays
-     * in bounds over the whole iteration space, loop bounds are sane.
+     * in bounds over the whole iteration space, no array exceeds 4 GiB,
+     * loop bounds are sane.
      * Calls mvp_fatal() with a diagnostic on violation.
      */
     void validate() const;

@@ -63,6 +63,17 @@ MachineConfig::validate() const
         mvp_fatal("machine '", name, "': need at least one memory bus");
     if (regBusLatency < 1 || memBusLatency < 1)
         mvp_fatal("machine '", name, "': bus latencies must be >= 1");
+    // Geometry before any arithmetic on it: a zero line size or
+    // associativity would divide by zero below, and a cache without a
+    // single set breaks every set-index computation downstream.
+    if (cacheLineBytes < 1 || cacheAssoc < 1)
+        mvp_fatal("machine '", name, "': cache line size and "
+                  "associativity must be >= 1");
+    if (totalCacheBytes < 1)
+        mvp_fatal("machine '", name, "': cache capacity must be >= 1");
+    if (clusterCacheGeom().numSets() < 1)
+        mvp_fatal("machine '", name, "': per-cluster cache holds no set "
+                  "of ", cacheAssoc, " x ", cacheLineBytes, "B lines");
     if (totalCacheBytes % nClusters != 0)
         mvp_fatal("machine '", name, "': cache capacity not divisible by "
                   "cluster count");

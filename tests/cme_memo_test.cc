@@ -173,20 +173,34 @@ TEST(StreamCache, LinesMatchDirectAddressing)
     std::vector<std::int64_t> ivs;
     for (OpId op : nest.memoryOps()) {
         const LineStream &stream = cache.lines(op, GEOM_2K.lineBytes);
-        ASSERT_EQ(stream.lines.size(),
-                  static_cast<std::size_t>(space.points()));
+        ASSERT_EQ(stream.size(), static_cast<std::size_t>(space.points()));
         for (std::int64_t p = 0; p < space.points(); ++p) {
             space.at(p, ivs);
             const Addr addr =
                 nest.addressOf(*nest.op(op).memRef, ivs);
-            EXPECT_EQ(stream.lines[static_cast<std::size_t>(p)],
-                      GEOM_2K.lineOf(addr))
+            EXPECT_EQ(stream.line(p), GEOM_2K.lineOf(addr))
                 << "op " << op << " point " << p;
         }
     }
     // Two geometries with the same line size share one stream per op.
     EXPECT_EQ(&cache.lines(nest.memoryOps()[0], GEOM_2K.lineBytes),
               &cache.lines(nest.memoryOps()[0], GEOM_4K.lineBytes));
+}
+
+TEST(StreamCache, LinesSpanningFourGiBStayExact)
+{
+    // First and last element of a 4 GiB array, one-byte lines: the
+    // stream's offsets use the full 32-bit range.
+    LoopNestBuilder b("span");
+    b.loop("i", 0, 2);
+    const auto A = b.arrayAt("A", {1 << 15, 1 << 15}, Addr{1} << 40);
+    b.load(A, {affineVar(0, (1 << 15) - 1), affineVar(0, (1 << 15) - 1)});
+    const auto nest = b.build();
+    StreamCache cache(nest);
+    const LineStream &stream = cache.lines(nest.memoryOps()[0], 1);
+    EXPECT_EQ(stream.line(0), std::int64_t{1} << 40);
+    EXPECT_EQ(stream.line(1), (std::int64_t{1} << 40) +
+                                  (std::int64_t{1} << 32) - 4);
 }
 
 TEST(StreamCache, BucketsPartitionTheStreamChronologically)
@@ -200,7 +214,7 @@ TEST(StreamCache, BucketsPartitionTheStreamChronologically)
         const SetBuckets &buckets = cache.buckets(op, GEOM_2K);
         ASSERT_EQ(buckets.offsets.size(),
                   static_cast<std::size_t>(num_sets) + 1);
-        EXPECT_EQ(buckets.entries.size(), stream.lines.size());
+        EXPECT_EQ(buckets.entries.size(), stream.size());
         std::int64_t seen = 0;
         for (std::int64_t s = 0; s < num_sets; ++s) {
             std::int64_t prev_point = -1;
@@ -211,15 +225,13 @@ TEST(StreamCache, BucketsPartitionTheStreamChronologically)
                 const auto &entry =
                     buckets.entries[static_cast<std::size_t>(e)];
                 EXPECT_EQ(entry.line % num_sets, s);
-                EXPECT_EQ(stream.lines[static_cast<std::size_t>(
-                              entry.point)],
-                          entry.line);
+                EXPECT_EQ(stream.line(entry.point), entry.line);
                 EXPECT_GT(entry.point, prev_point);   // chronological
                 prev_point = entry.point;
                 ++seen;
             }
         }
-        EXPECT_EQ(seen, static_cast<std::int64_t>(stream.lines.size()));
+        EXPECT_EQ(seen, static_cast<std::int64_t>(stream.size()));
         EXPECT_EQ(buckets.touches(0),
                   buckets.offsets[1] > buckets.offsets[0]);
     }

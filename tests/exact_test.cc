@@ -86,10 +86,11 @@ TEST(ExactVsRmcaGap, ExactNeverWorseAndAlwaysValid)
             ASSERT_TRUE(base.ok) << label;
             EXPECT_LE(ex.schedule.ii(), base.schedule.ii()) << label;
             if (ex.stats.pressureOptimal &&
-                ex.schedule.ii() == base.schedule.ii())
+                ex.schedule.ii() == base.schedule.ii()) {
                 EXPECT_LE(sumMaxLive(ex.schedule),
                           sumMaxLive(base.schedule))
                     << label;
+            }
         }
     }
     // The sweep really covered the suite (8 benchmarks x 4 loops x 3

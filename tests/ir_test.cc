@@ -179,6 +179,26 @@ TEST(LoopNestDeath, StoreWithoutValueIsFatal)
                 "no value operand");
 }
 
+TEST(LoopNest, ArraysUpToFourGiBValidate)
+{
+    LoopNestBuilder b("huge");
+    b.loop("i", 0, 2);
+    const auto A = b.array("A", {1 << 15, 1 << 15}, 4);   // exactly 4 GiB
+    b.load(A, {affineVar(0, (1 << 15) - 1), affineVar(0, (1 << 15) - 1)});
+    const LoopNest nest = b.build();
+    EXPECT_EQ(nest.array(A).sizeBytes(), std::int64_t{1} << 32);
+}
+
+TEST(LoopNestDeath, ArrayLargerThanFourGiBIsFatal)
+{
+    LoopNestBuilder b("huge");
+    b.loop("i", 0, 4);
+    const auto A = b.array("A", {1 << 15, (1 << 15) + 1}, 4);
+    b.load(A, {affineVar(0), affineVar(0)});
+    EXPECT_EXIT((void)b.build(), ::testing::ExitedWithCode(1),
+                "larger than 4 GiB");
+}
+
 TEST(LoopNest, ToStringMentionsEverything)
 {
     const std::string s = smallNest().toString();

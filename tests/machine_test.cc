@@ -133,6 +133,29 @@ TEST(MachineDeath, InvalidConfigsAreFatal)
     EXPECT_EXIT(m3.validate(), ::testing::ExitedWithCode(1), "cache");
 }
 
+TEST(MachineDeath, DegenerateCacheGeometryIsFatalNotAFault)
+{
+    auto line = makeTwoCluster();
+    line.cacheLineBytes = 0;
+    EXPECT_EXIT(line.validate(), ::testing::ExitedWithCode(1),
+                "line size and associativity");
+
+    auto assoc = makeTwoCluster();
+    assoc.cacheAssoc = 0;
+    EXPECT_EXIT(assoc.validate(), ::testing::ExitedWithCode(1),
+                "line size and associativity");
+
+    auto empty = makeTwoCluster();
+    empty.totalCacheBytes = 0;
+    EXPECT_EXIT(empty.validate(), ::testing::ExitedWithCode(1),
+                "capacity must be >= 1");
+
+    auto no_set = makeFourCluster();
+    no_set.totalCacheBytes = 64;   // 16 B per cluster, 32 B lines
+    EXPECT_EXIT(no_set.validate(), ::testing::ExitedWithCode(1),
+                "holds no set");
+}
+
 TEST(Machine, SummaryMentionsKeyParameters)
 {
     const auto s = makeTwoCluster().summary();

@@ -9,13 +9,17 @@
  *  - VLIW expansion contains exactly SC instances of every operation;
  *  - everything is bit-deterministic run-to-run;
  *  - the schedule validator catches every class of corruption
- *    (dependence, FU, bus, comm, register-pressure violations).
+ *    (dependence, FU, bus, comm, register-pressure violations);
+ *  - strided addresses (start + k * stride) equal addressOf at every
+ *    point, on the builtin corpus, generated loops and nests with
+ *    negative coefficients and non-unit steps.
  */
 
 #include <gtest/gtest.h>
 
 #include "cme/solver.hh"
 #include "ddg/ddg.hh"
+#include "gen/generator.hh"
 #include "ir/builder.hh"
 #include "machine/presets.hh"
 #include "sched/scheduler.hh"
@@ -181,6 +185,61 @@ struct Fixture
         return b.build();
     }
 };
+
+/**
+ * Check LoopNest::stridedAddressOf against addressOf for every memory
+ * op over the first, second, middle and last innermost-loop executions.
+ */
+void
+expectStridedAddressesExact(const ir::LoopNest &nest)
+{
+    const ir::IterationSpace space(nest);
+    const std::int64_t inner = nest.innerTripCount();
+    const std::int64_t execs = nest.outerExecutions();
+    std::vector<std::int64_t> ivs;
+    std::vector<std::int64_t> point;
+    for (const std::int64_t exec : {std::int64_t{0}, std::int64_t{1},
+                                    execs / 2, execs - 1}) {
+        if (exec >= execs)
+            continue;
+        for (const OpId op : nest.memoryOps()) {
+            const ir::AffineRef &ref = *nest.op(op).memRef;
+            space.at(exec * inner, ivs);
+            const ir::StridedAddress addr = nest.stridedAddressOf(ref, ivs);
+            for (std::int64_t k = 0; k < inner; ++k) {
+                space.at(exec * inner + k, point);
+                ASSERT_EQ(addr.at(k), nest.addressOf(ref, point))
+                    << nest.name() << " op " << op << " execution "
+                    << exec << " iteration " << k;
+            }
+        }
+    }
+}
+
+TEST(StridedAddress, MatchesAddressOfEverywhere)
+{
+    for (const auto &named : workloads::allLoops())
+        expectStridedAddressesExact(named.nest);
+    for (std::uint64_t i = 0; i < 200; ++i)
+        expectStridedAddressesExact(
+            gen::generateScenario(gen::deriveSeed(0xd1ff, i)).nest);
+
+    // The generator emits unit steps and positive coefficients only:
+    // cover negative coefficients (descending addresses, so a stride
+    // that wraps mod 2^64), non-unit steps, non-zero lower bounds and
+    // wide elements by hand.
+    ir::LoopNestBuilder b("negative");
+    b.loop("r", 1, 7, 2);
+    b.loop("i", 3, 61, 3);
+    const auto A = b.array("A", {8, 128});
+    const auto B = b.array("B", {200}, 8);
+    const auto l = b.load(A, {ir::AffineExpr{{-1, 0}, 6},
+                              ir::AffineExpr{{0, -2}, 125}});
+    const auto m = b.load(B, {ir::AffineExpr{{3, 1}, 0}});
+    const auto s = b.op(ir::Opcode::FAdd, {ir::use(l), ir::use(m)});
+    b.store(B, {ir::AffineExpr{{-5, -3}, 205}}, ir::use(s));
+    expectStridedAddressesExact(b.build());
+}
 
 TEST(ValidatorMutation, DependenceViolationCaught)
 {

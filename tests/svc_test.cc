@@ -482,6 +482,52 @@ TEST(SvcSession, ChunkedFramesMalformedPayloadsAndQuit)
     EXPECT_EQ(out.substr(head_end + 1, nbytes), direct.bytes());
 }
 
+TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
+{
+    // A zero line size or associativity used to divide by zero inside
+    // MachineConfig::validate and a zero capacity tripped an assertion
+    // in the locality analysis; each is now a `status error` reply and
+    // the session carries on to the next request.
+    const auto bench = workloads::benchmarkByName("tomcatv");
+    const std::string good = "config backend rmca\n\n" +
+                             text::printScenario(text::ScenarioText{
+                                 bench.loops[0], makeTwoCluster()});
+    const auto with = [&](const std::string &from, const std::string &to) {
+        const std::size_t at = good.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        std::string payload = good;
+        return payload.replace(at, from.size(), to);
+    };
+    const std::vector<std::pair<std::string, std::string>> requests = {
+        {"line0", with("cache_line 32\n", "cache_line 0\n")},
+        {"assoc0", with("cache_assoc 1\n", "cache_assoc 0\n")},
+        {"bytes0", with("cache_bytes 8192\n", "cache_bytes 0\n")},
+        {"good", good},
+    };
+
+    std::string stream;
+    for (const auto &[id, payload] : requests)
+        stream += "REQ " + id + " " + std::to_string(payload.size()) +
+                  "\n" + payload + "\n";
+    stream += "FLUSH\nQUIT\n";
+
+    SchedService service(2);
+    ServiceSession session(service);
+    std::string out;
+    EXPECT_FALSE(session.consume(stream.data(), stream.size(), out));
+
+    for (const auto &[id, payload] : requests) {
+        const std::size_t at = out.find("REP " + id + " ");
+        ASSERT_NE(at, std::string::npos) << id;
+        const std::size_t next = out.find("\nREP ", at + 1);
+        const std::string reply = out.substr(at, next - at);
+        EXPECT_EQ(reply.find("status error") != std::string::npos,
+                  id != "good")
+            << reply;
+    }
+    EXPECT_EQ(out.compare(out.size() - 4, 4, "BYE\n"), 0);
+}
+
 TEST(SvcSession, FramingErrorsCloseTheSession)
 {
     SchedService service(1);

@@ -75,8 +75,9 @@ TEST(TextRoundTrip, EveryBuiltinLoopReprintsIdentically)
                 }
                 EXPECT_EQ(got.memRef.has_value(),
                           want.memRef.has_value());
-                if (want.memRef)
+                if (want.memRef) {
                     EXPECT_TRUE(*got.memRef == *want.memRef);
+                }
             }
         }
     }
