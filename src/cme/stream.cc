@@ -1,7 +1,7 @@
 #include "cme/stream.hh"
 
 #include <algorithm>
-#include <climits>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -101,10 +101,10 @@ StreamCache::buckets(OpId op, const CacheGeom &geom)
     // walked in point order both times.
     fresh->offsets.assign(static_cast<std::size_t>(num_sets) + 1, 0);
     const auto points = static_cast<std::int64_t>(stream.size());
-    for (std::int64_t p = 0; p < points; ++p)
-        ++fresh->offsets[static_cast<std::size_t>(stream.line(p) %
-                                                  num_sets) +
-                         1];
+    for (std::int64_t p = 0; p < points; ++p) {
+        const auto s = static_cast<std::size_t>(stream.line(p) % num_sets);
+        ++fresh->offsets[s + 1];
+    }
     for (std::size_t s = 1; s < fresh->offsets.size(); ++s)
         fresh->offsets[s] += fresh->offsets[s - 1];
     fresh->entries.resize(stream.size());
