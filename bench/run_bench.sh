@@ -31,7 +31,7 @@
 #   FUZZ_SEED       differential fuzz-sweep base seed (default: the
 #                   library's fixed seed)
 #   SAT_LOOPS       engine-comparison corpus size (default 200): the
-#                   generated loops the bnb/sat/portfolio certifying
+#                   generated loops the bnb/sat certifying
 #                   engines are compared on; the per-engine
 #                   certified/unknown counts and wall clocks land
 #                   under "sat" in BENCH_sched.json
@@ -208,14 +208,14 @@ if [ "$FUZZ" = yes ]; then
     "$BUILD_DIR/fuzz_sweep" "${FUZZ_ARGS[@]}" | tee "$FUZZ_TMP"
 fi
 
-# Certifying-engine comparison: the branch and bound, the CDCL engine
-# and the portfolio racing both, over a generated corpus at the fuzz
+# Certifying-engine comparison: the branch and bound and the CDCL
+# engine over a generated corpus at the fuzz
 # sweep's fixed seed — certified/unknown counts, charged work and wall
 # clock per engine. Runs on full passes like the fuzz sweep; the
 # engine= lines land under "sat" in BENCH_sched.json.
 if [ "$FUZZ" = yes ]; then
     echo "certifying-engine comparison over ${SAT_LOOPS:-200} generated loops (jobs=$JOBS) ..."
-    "$BUILD_DIR/table_gap" --jobs "$JOBS" --engines bnb,sat,portfolio \
+    "$BUILD_DIR/table_gap" --jobs "$JOBS" --engines bnb,sat \
         --workloads "gen:seed=0xd1ff+loops=${SAT_LOOPS:-200}" \
         | tee "$SAT_TMP"
 fi
@@ -339,7 +339,7 @@ for fields in fuzz_lines:
 if fuzz:
     fresh["fuzz_sweep"] = fuzz
 
-# The certifying-engine comparison: per engine (bnb, sat, portfolio),
+# The certifying-engine comparison: per engine (bnb, sat),
 # certified/unknown counts, charged work and wall clock, summed over
 # the two clustered machines of the comparison run.
 sat_section = prev.get("sat", {})

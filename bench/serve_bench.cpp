@@ -382,7 +382,6 @@ offlineReply(const std::string &payload)
     opt.searchBudget = req.options.nodeBudget;
     opt.timeBudgetMs = req.options.timeBudgetMs;
     opt.exactBackend = req.options.exactBackend;
-    opt.searchJobs = 1;
     const auto result = sched::scheduleWithBackend(
         req.options.backend, graph, req.scenario.machine, opt);
     if (!result.ok)

@@ -9,8 +9,8 @@
  * count and the budget in force.
  *
  * With --engines the binary instead compares certifying engines — the
- * branch and bound ("bnb"/"exact"), the CDCL engine ("sat") and the
- * portfolio racing both — over the same corpus: certified/unknown
+ * branch and bound ("bnb"/"exact") and the CDCL engine ("sat") — over
+ * the same corpus: certified/unknown
  * counts, charged work and wall clock per engine. Pair it with a
  * generated corpus (e.g. --workloads gen:seed=0xd1ff+loops=200) for
  * the refutation-throughput comparison run_bench.sh records.
@@ -52,10 +52,10 @@ bool
 usesSatEngine(const std::string &backend,
               const std::vector<std::string> &engines)
 {
-    if (backend == "sat" || backend == "portfolio")
+    if (backend == "sat")
         return true;
     for (const std::string &e : engines)
-        if (e == "sat" || e == "portfolio")
+        if (e == "sat")
             return true;
     return false;
 }

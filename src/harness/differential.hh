@@ -84,9 +84,8 @@ struct DiffOptions
     std::int64_t timeBudgetMs = sched::DEFAULT_TIME_BUDGET_MS;
 
     /**
-     * Certifying engine of the cross-check: "exact" (serial) or
-     * "portfolio" (raced on the worker pool). Empty is read as
-     * "exact".
+     * Certifying engine of the cross-check: "exact"/"bnb" (branch and
+     * bound) or "sat" (CDCL). Empty is read as "exact".
      */
     std::string exactBackend = "exact";
 

@@ -142,7 +142,6 @@ tryRunLoop(Workbench::Entry &entry, const RunConfig &config,
     opt.timeBudgetMs = config.timeBudgetMs;
     opt.exactBackend = config.exactBackend.empty() ? "exact"
                                                    : config.exactBackend;
-    opt.searchJobs = config.searchJobs;
     {
         MVP_TRACE_SPAN("schedule", res.loop);
         res.sched = sched::scheduleWithBackend(backendName(config),

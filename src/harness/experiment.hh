@@ -68,14 +68,11 @@ struct RunConfig
     std::int64_t timeBudgetMs = sched::DEFAULT_TIME_BUDGET_MS;
 
     /**
-     * Certifying engine verify-mode points run ("exact" or
-     * "portfolio"); empty is read as "exact". Ignored by the
-     * heuristic backends.
+     * Certifying engine verify-mode points run ("exact"/"bnb" or
+     * "sat"); empty is read as "exact". Ignored by the heuristic
+     * backends.
      */
     std::string exactBackend = "exact";
-
-    /** Portfolio worker count (0 = default). */
-    int searchJobs = 0;
 
     /**
      * Enable the obs::Registry for this run (programmatic twin of the

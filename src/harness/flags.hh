@@ -74,9 +74,9 @@ std::int64_t parseTimeBudgetFlag(int &argc, char **argv);
 /**
  * Parse and strip an `--exact-backend NAME` / `--exact-backend=NAME`
  * flag: the certifying engine verify-mode sweeps run ("exact"/"bnb"
- * serial branch and bound, "sat" CDCL search, or "portfolio" racing
- * both on the worker pool; SchedulerOptions::exactBackend). A name not
- * in the backend registry is fatal, with the registered names listed.
+ * branch and bound or "sat" CDCL search;
+ * SchedulerOptions::exactBackend). A name not in the backend registry
+ * is fatal, with the registered names listed.
  * Returns "" when the flag is absent — downstream reads that as
  * "exact".
  */
@@ -87,9 +87,9 @@ std::string parseExactBackendFlag(int &argc, char **argv);
  * the deterministic per-II conflict cap of the sat backend
  * (SchedulerOptions::satConflictBudget); 0 = uncapped. Returns 0 when
  * the flag is absent. Suite binaries only run this parser when the
- * selected exact backend is SAT-based ("sat" or "portfolio"), so on
- * any other engine the flag survives to rejectUnknownFlags and is
- * refused instead of silently ignored.
+ * selected exact backend is "sat", so on any other engine the flag
+ * survives to rejectUnknownFlags and is refused instead of silently
+ * ignored.
  */
 std::int64_t parseSatConflictsFlag(int &argc, char **argv);
 

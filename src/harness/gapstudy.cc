@@ -73,7 +73,6 @@ runGapStudy(Workbench &bench, const MachineConfig &machine,
         opt.exactBackend = options.exactBackend.empty()
                                ? "exact"
                                : options.exactBackend;
-        opt.searchJobs = options.searchJobs;
         opt.satConflictBudget = options.satConflictBudget;
         const auto res =
             verify->schedule(*entry.ddg, machine, opt, ctx);

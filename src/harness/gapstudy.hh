@@ -47,14 +47,10 @@ struct GapOptions
     std::string locality = "cme";
 
     /**
-     * Certifying engine: "exact"/"bnb" (serial branch and bound),
-     * "sat" (CDCL), or "portfolio" (racing both on the worker pool).
-     * Empty is read as "exact".
+     * Certifying engine: "exact"/"bnb" (branch and bound) or "sat"
+     * (CDCL). Empty is read as "exact".
      */
     std::string exactBackend = "exact";
-
-    /** Worker count of the portfolio backend (0 = default). */
-    int searchJobs = 0;
 
     /**
      * Deterministic per-II conflict cap of the sat engine (0 =
@@ -136,7 +132,7 @@ std::string formatGapTable(const GapStudy &study);
 /**
  * One certifying engine's aggregate over a corpus — the
  * refutation-throughput comparison of the exact-engine families
- * (branch and bound vs. CDCL vs. the portfolio racing both).
+ * (branch and bound vs. CDCL).
  */
 struct EngineOutcome
 {

@@ -1,5 +1,6 @@
 #include "machine/machine.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -86,6 +87,9 @@ MachineConfig::validate() const
         mvp_fatal("machine '", name, "': mshrEntries must be >= 1");
     if (latCacheHit < 1 || latMainMemory < 1)
         mvp_fatal("machine '", name, "': memory latencies must be >= 1");
+    if (std::min({latInt, latIntMul, latIntDiv, latFp, latFpDiv,
+                  latStore}) < 1)
+        mvp_fatal("machine '", name, "': operation latencies must be >= 1");
 }
 
 std::string

@@ -3,9 +3,9 @@
  * Process-wide metrics registry: the "why" layer of the stack.
  *
  * Every subsystem that does interesting work — the RMCA placement
- * loop, the exact branch-and-bound, the portfolio backend, the
- * parallel driver's worker pool, the CME/locality caches — records
- * named counters, gauges, histograms (common/stats.hh) into a
+ * loop, the exact branch-and-bound and CDCL engines, the parallel
+ * driver's worker pool, the CME/locality caches — records named
+ * counters, gauges, histograms (common/stats.hh) into a
  * MetricShard. Shards are per-SchedContext: workers aggregate locally
  * with plain integer arithmetic (no atomics, no locks on the hot
  * path) and fold into the one process-wide Registry at sweep
@@ -28,10 +28,9 @@
  *
  *  - the *runtime* section holds everything interleaving- or
  *    clock-shaped: wall-time timers (RunningStat; its Chan merge is
- *    float-order-dependent), pool busy time, queue-claim latency,
- *    portfolio shard/CAS traffic, and shared-cache totals (two
- *    workers racing on one memo key legitimately both count). Useful,
- *    but never byte-compared.
+ *    float-order-dependent), pool busy time, queue-claim latency and
+ *    shared-cache totals (two workers racing on one memo key
+ *    legitimately both count). Useful, but never byte-compared.
  *
  * Cost model: recording is gated on metricsOn(), a single relaxed
  * atomic load, so the disabled path is one predictable branch. Hot
@@ -113,12 +112,6 @@ class MetricShard
         return timers_[name];
     }
     /// @}
-
-    /** Counter routed by section (probe searches record runtime). */
-    std::int64_t &counter(bool deterministic, const std::string &name)
-    {
-        return deterministic ? det(name) : rt(name);
-    }
 
     /** Fold @p other into this shard (commutative per section rules:
      * counters add, gauges max, histograms add, timers Chan-merge). */

@@ -1,13 +1,10 @@
 #include "sched/backend.hh"
 
 #include <memory>
-#include <mutex>
 
 #include "cme/provider.hh"
 #include "common/logging.hh"
-#include "harness/driver.hh"
 #include "sched/exact/bnb.hh"
-#include "sched/exact/portfolio.hh"
 #include "sched/sat/sat.hh"
 
 namespace mvp::sched
@@ -131,41 +128,6 @@ class SatBackend : public SchedulerBackend
 };
 
 /**
- * The exact engine on the persistent worker pool (exact/portfolio.hh):
- * II-probe racing plus depth-1 subtree splitting, with a final serial
- * re-derivation keeping placements byte-identical at any job count.
- *
- * The pool is process-wide and lazy: spawned on the first portfolio
- * schedule, resized when searchJobs changes, parked between calls (the
- * whole point of racing on a *persistent* pool — a gap study over
- * hundreds of loops pays thread startup once). ParallelDriver::run is
- * not reentrant, so one portfolio schedule runs at a time; concurrent
- * callers serialise on the mutex.
- */
-class PortfolioBackend : public SchedulerBackend
-{
-  public:
-    std::string_view name() const override { return "portfolio"; }
-
-    ScheduleResult schedule(const ddg::Ddg &graph,
-                            const MachineConfig &machine,
-                            const SchedulerOptions &options,
-                            SchedContext &ctx) const override
-    {
-        const int jobs = options.searchJobs > 0
-                             ? options.searchJobs
-                             : harness::defaultJobs();
-        static std::mutex mu;
-        static std::unique_ptr<harness::ParallelDriver> pool;
-        const std::lock_guard<std::mutex> lock(mu);
-        if (pool == nullptr || pool->jobs() != jobs)
-            pool = std::make_unique<harness::ParallelDriver>(jobs);
-        return exact::scheduleExactPortfolio(
-            graph, machine, exactOptionsFrom(options), *pool, ctx);
-    }
-};
-
-/**
  * Runs the rmca heuristic and the exact scheduler on the same loop and
  * reports the II optimality gap of the heuristic. The heuristic
  * schedule is the one returned (verify is a *measurement* mode, not a
@@ -187,9 +149,8 @@ class VerifyBackend : public SchedulerBackend
         ScheduleResult res =
             ClusteredModuloScheduler(graph, machine, heur_opt).run(ctx);
 
-        // The certifying engine is pluggable ("exact" serial search or
-        // "portfolio" on the worker pool); "verify" itself falls back
-        // to "exact" rather than recursing.
+        // The certifying engine is pluggable ("exact"/"bnb" or "sat");
+        // "verify" itself falls back to "exact" rather than recursing.
         const std::string &inner =
             options.exactBackend == "verify" || options.exactBackend.empty()
                 ? "exact"
@@ -226,8 +187,6 @@ BackendRegistry::BackendRegistry()
         [] { return std::make_unique<ExactBackend>("exact"); });
     add("bnb", [] { return std::make_unique<ExactBackend>("bnb"); });
     add("sat", [] { return std::make_unique<SatBackend>(); });
-    add("portfolio",
-        [] { return std::make_unique<PortfolioBackend>(); });
     add("verify", [] { return std::make_unique<VerifyBackend>(); });
 }
 

@@ -25,7 +25,7 @@ enum class Walk
 {
     Continue,   ///< subtree exhausted, keep searching siblings
     Stop,       ///< a satisfying schedule was found, unwind
-    Abort,      ///< budget exhausted or cancelled, unwind
+    Abort,      ///< budget exhausted, unwind
 };
 
 /**
@@ -136,16 +136,14 @@ class Searcher
 
     /**
      * Charge one search node against the budgets; false means the
-     * attempt must abort (node cap, wall-clock deadline, or a
-     * portfolio sibling proved the probe pointless). Every child the
-     * search considers is charged exactly once — candidate placements
-     * in tryPlace() and children pruned beforehand by an empty
-     * dependence window alike — so under a pure node cap the count at
-     * which "gap unknown" degradation triggers depends only on (loop,
-     * machine, options), never on how a sweep is sharded. The
-     * deadline and the cancel token are polled every 64 nodes,
-     * starting at the first (so a zero budget aborts deterministically
-     * before any work).
+     * attempt must abort (node cap or wall-clock deadline). Every
+     * child the search considers is charged exactly once — candidate
+     * placements in tryPlace() and children pruned beforehand by an
+     * empty dependence window alike — so under a pure node cap the
+     * count at which "gap unknown" degradation triggers depends only
+     * on (loop, machine, options). The deadline is polled every 64
+     * nodes, starting at the first (so a zero budget aborts
+     * deterministically before any work).
      */
     bool chargeNode()
     {
@@ -160,32 +158,12 @@ class Searcher
         if (found_ && tiebreak_cap_ > 0 &&
             nodes_ - found_nodes_ > tiebreak_cap_)
             return false;
-        if ((nodes_ & 63) == 1) {
-            if (deadline_on_ &&
-                std::chrono::steady_clock::now() >= deadline_) {
-                budget_hit_ = true;
-                return false;
-            }
-            if (cancel_ != nullptr &&
-                cancel_->load(std::memory_order_relaxed) <= ii_) {
-                cancelled_ = true;
-                budget_hit_ = true;
-                return false;
-            }
+        if ((nodes_ & 63) == 1 && deadline_on_ &&
+            std::chrono::steady_clock::now() >= deadline_) {
+            budget_hit_ = true;
+            return false;
         }
         return true;
-    }
-
-    /**
-     * Subtree-splitting filter: at depth 1 (the root op has exactly
-     * one candidate) each candidate belongs to one shard, so the
-     * shards' trees partition the full tree and the union of shard
-     * refutations is a complete refutation.
-     */
-    bool shardSkip(std::size_t k)
-    {
-        return k == 1 && shard_count_ > 1 &&
-               (depth1_counter_++ % shard_count_) != shard_index_;
     }
 
     /** @name Conflict-driven backjumping */
@@ -315,9 +293,9 @@ class Searcher
     /**
      * Incremental pressure tracking is maintained only when the
      * tiebreak needs its bound; with the tiebreak off (first feasible
-     * leaf wins — e.g. portfolio racing probes) leaves fall back to
-     * the one-shot computeLifetimes check and the search skips the
-     * per-placement interval bookkeeping entirely.
+     * leaf wins) leaves fall back to the one-shot computeLifetimes
+     * check and the search skips the per-placement interval
+     * bookkeeping entirely.
      */
     bool pressure_on_ = false;
     bool jump_active_ = false;
@@ -333,14 +311,7 @@ class Searcher
     bool node_cap_ = false;
     bool deadline_on_ = false;
     std::chrono::steady_clock::time_point deadline_;
-    const std::atomic<Cycle> *cancel_ = nullptr;
     bool budget_hit_ = false;
-    bool cancelled_ = false;
-
-    /** Sharding. */
-    int shard_count_ = 1;
-    int shard_index_ = 0;
-    std::int64_t depth1_counter_ = 0;
 
     bool found_ = false;
     Cycle best_pressure_ = CYCLE_MAX;
@@ -351,10 +322,9 @@ class Searcher
      * @name Observability tallies
      * Plain members bumped on the hot path (an increment is cheaper
      * than the branch that would skip it) and folded once per run()
-     * by foldMetrics(). A serial search's counts are a pure function
-     * of (loop, machine, options) and fold into the deterministic
-     * section; a portfolio probe (shared incumbent or sharded tree)
-     * races siblings, so its counts are runtime-only.
+     * by foldMetrics(). A search's counts are a pure function of
+     * (loop, machine, options) and fold into the deterministic
+     * section.
      */
     /// @{
     void foldMetrics(const ScheduleResult &result);
@@ -802,9 +772,9 @@ Searcher::dfs(std::size_t k)
         }
         // A cluster whose dependence window is empty is a pruned child:
         // charge it like any candidate so budget exhaustion triggers at
-        // a sharding-independent node count. The window was pinched by
-        // this op's placed neighbours (and any transfers consulted), so
-        // those are the conflict citations.
+        // a node count fixed by the tree alone. The window was pinched
+        // by this op's placed neighbours (and any transfers consulted),
+        // so those are the conflict citations.
         if (has_pred && has_succ && late < early) {
             ++prune_window_;
             if (cbj_)
@@ -821,10 +791,6 @@ Searcher::dfs(std::size_t k)
             const Cycle lo = hi - ii_ + 1;
             std::size_t s = mrt_.slot(hi);
             for (Cycle t = hi; t >= lo; --t) {
-                if (shardSkip(k)) {
-                    s = mrt_.prevSlot(s);
-                    continue;
-                }
                 const Walk w = tryPlace(v, c, t, s, k, conf);
                 if (w != Walk::Continue)
                     return w;
@@ -844,10 +810,6 @@ Searcher::dfs(std::size_t k)
                                  : std::min(late, early + ii_ - 1);
             std::size_t s = mrt_.slot(early);
             for (Cycle t = early; t <= hi; ++t) {
-                if (shardSkip(k)) {
-                    s = mrt_.nextSlot(s);
-                    continue;
-                }
                 const Walk w = tryPlace(v, c, t, s, k, conf);
                 if (w != Walk::Continue)
                     return w;
@@ -878,17 +840,11 @@ Searcher::foldMetrics(const ScheduleResult &result)
 {
     if (!obs::metricsOn())
         return;
-    // A probe search (shared incumbent or sharded tree) races its
-    // siblings — whoever publishes the incumbent first reshapes the
-    // others' pruning — so its counts go to the runtime section. The
-    // portfolio's final serial re-derivation, and every plain exact
-    // search, is a pure function of (loop, machine, options) within
-    // budget and byte-compares across job counts.
-    const bool probe = cancel_ != nullptr || shard_count_ > 1;
-    const char *prefix = probe ? "portfolio.shard." : "exact.";
+    // A search is a pure function of (loop, machine, options) within
+    // budget, so its counts byte-compare across job counts.
     auto &m = ctx_.metrics;
     const auto c = [&](const char *name) -> std::int64_t & {
-        return m.counter(!probe, std::string(prefix) + name);
+        return m.det(std::string("exact.") + name);
     };
     c("searches") += 1;
     c("nodes") += nodes_;
@@ -904,8 +860,6 @@ Searcher::foldMetrics(const ScheduleResult &result)
     c("prune_bus") += prune_bus_;
     c("prune_window") += prune_window_;
     c("prune_pressure") += prune_pressure_;
-    if (cancelled_)
-        c("cancelled") += 1;
     if (budget_hit_)
         c("budget_exhausted") += 1;
 }
@@ -927,8 +881,6 @@ Searcher::run()
 
     // Same placement order as the heuristic (computed once at MII):
     // the search tree then contains every heuristic run as one path.
-    // Portfolio shards and the final re-derivation compute the same
-    // ordering, so every probe explores (its slice of) the same tree.
     computeOrdering(graph_, result.stats.mii, order_, ctx_.ordering);
 
     const std::size_t n = order_.size();
@@ -940,29 +892,16 @@ Searcher::run()
             static_cast<int>(d);
 
     node_cap_ = options_.nodeBudget > 0;
-    if (options_.hasDeadline) {
-        deadline_on_ = true;
-        deadline_ = options_.deadline;
-    } else if (options_.timeBudgetMs >= 0) {
+    if (options_.timeBudgetMs >= 0) {
         deadline_on_ = true;
         deadline_ = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(options_.timeBudgetMs);
     }
-    cancel_ = options_.sharedBestII;
     tiebreak_cap_ = options_.tiebreakBudget;
-    shard_count_ = std::max(1, options_.shardCount);
-    shard_index_ = options_.shardIndex;
 
-    if (obs::metricsOn()) {
-        // Same routing rule as foldMetrics(): probe searches race
-        // siblings, so their distributions are runtime-only.
-        const bool probe = cancel_ != nullptr || shard_count_ > 1;
-        bj_hist_ = probe ? &ctx_.metrics.rtHist(
-                               "portfolio.shard.backjump_depth", 0.0,
-                               65.0, 65)
-                         : &ctx_.metrics.detHist("exact.backjump_depth",
-                                                 0.0, 65.0, 65);
-    }
+    if (obs::metricsOn())
+        bj_hist_ = &ctx_.metrics.detHist("exact.backjump_depth", 0.0,
+                                         65.0, 65);
 
     // Up to this many II attempts may burn their whole node cap
     // without settling before the search gives up; the wall-clock
@@ -971,11 +910,7 @@ Searcher::run()
     constexpr int MAX_ABORTED_ATTEMPTS = 4;
     int aborted_attempts = 0;
 
-    const Cycle first_ii =
-        options_.onlyII > 0 ? options_.onlyII : result.stats.mii;
-    const Cycle last_ii =
-        options_.onlyII > 0 ? options_.onlyII : options_.maxII;
-    for (Cycle ii = first_ii; ii <= last_ii; ++ii) {
+    for (Cycle ii = result.stats.mii; ii <= options_.maxII; ++ii) {
         MVP_TRACE_SPAN("exact-ii", graph_.loop().name(),
                        static_cast<std::int64_t>(ii));
         ++result.stats.iiAttempts;
@@ -997,7 +932,6 @@ Searcher::run()
                                           machine_.nClusters) *
                                       ir::NUM_FU_TYPES,
                                   0);
-        depth1_counter_ = 0;
         jump_active_ = false;
         attempt_start_nodes_ = nodes_;
         attempt_limit_ = nodes_ + options_.nodeBudget;
@@ -1035,12 +969,10 @@ Searcher::run()
         if (w == Walk::Abort) {
             // Budget gone with nothing found at this II: the II is
             // neither feasible-in-space nor refuted; the lower bound
-            // must not rise past it. A cancelled probe or an expired
-            // deadline ends the search outright; a node-cap abort
-            // moves on (a larger II is usually much easier) until the
-            // abort allowance is spent.
-            if (cancelled_)
-                break;
+            // must not rise past it. An expired deadline ends the
+            // search outright; a node-cap abort moves on (a larger II
+            // is usually much easier) until the abort allowance is
+            // spent.
             if (deadline_on_ &&
                 std::chrono::steady_clock::now() >= deadline_)
                 break;
@@ -1069,7 +1001,7 @@ Searcher::run()
                   "was found for loop '" +
                       graph_.loop().name() + "'"
                 : "no feasible II up to " +
-                      std::to_string(last_ii) + " for loop '" +
+                      std::to_string(options_.maxII) + " for loop '" +
                       graph_.loop().name() + "'";
         return result;
     }

@@ -57,9 +57,6 @@
 #ifndef MVP_SCHED_EXACT_BNB_HH
 #define MVP_SCHED_EXACT_BNB_HH
 
-#include <atomic>
-#include <chrono>
-
 #include "ddg/ddg.hh"
 #include "machine/machine.hh"
 #include "sched/scheduler.hh"
@@ -117,46 +114,6 @@ struct ExactOptions
 
     /** Conflict-driven backjumping (loops of <= 64 ops). */
     bool conflictLearning = true;
-
-    /**
-     * @name Portfolio-shard plumbing (sched/exact/portfolio.hh)
-     * Default values leave all of it inert; the portfolio backend uses
-     * these to race II probes and split subtrees across workers.
-     */
-    /// @{
-    /** > 0: probe exactly this II instead of scanning from MII. */
-    Cycle onlyII = 0;
-
-    /**
-     * Partition the search: this searcher explores only the depth-1
-     * candidates whose index is congruent to shardIndex mod
-     * shardCount. The union of all shards' trees is the full tree (the
-     * root op has a single candidate), so "every shard refuted" is a
-     * complete refutation.
-     */
-    int shardIndex = 0;
-    int shardCount = 1;
-
-    /**
-     * Shared incumbent II, polled on the charging path: the attempt
-     * aborts once *sharedBestII <= the II being searched (a refutation
-     * at or above a known-feasible II proves nothing more). Not owned.
-     */
-    const std::atomic<Cycle> *sharedBestII = nullptr;
-
-    /** Deadline shared across shards; overrides timeBudgetMs. */
-    std::chrono::steady_clock::time_point deadline{};
-    bool hasDeadline = false;
-
-    /**
-     * Portfolio only: race one CDCL probe (sched/sat/) next to the
-     * B&B shards of every II — first certifier (model or UNSAT proof)
-     * wins the probe. The settled II is engine-independent (both
-     * engines certify the same IIs), so reports stay byte-identical
-     * to the serial engine's; disable to time the pure-B&B portfolio.
-     */
-    bool satProbe = true;
-    /// @}
 };
 
 /** Historical name, kept for existing callers. */

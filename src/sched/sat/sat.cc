@@ -39,7 +39,6 @@ struct SatSearch
     std::int64_t lifts = 0;
     std::int64_t blocked_models = 0;
     std::int64_t too_large = 0;
-    bool cancelled = false;
     bool budget_hit = false;
 
     SatSearch(const ddg::Ddg &g, const MachineConfig &m,
@@ -52,13 +51,6 @@ struct SatSearch
     {
         return deadline_on &&
                std::chrono::steady_clock::now() >= deadline;
-    }
-
-    bool cancelledAt(Cycle ii) const
-    {
-        return options.sharedBestII != nullptr &&
-               options.sharedBestII->load(std::memory_order_relaxed) <=
-                   ii;
     }
 
     /** Same per-class FU counting refutation the B&B applies. */
@@ -79,15 +71,11 @@ struct SatSearch
     {
         if (!obs::metricsOn())
             return;
-        // Same routing rule as the B&B: a probe races the portfolio
-        // siblings (whoever publishes the incumbent first cancels the
-        // rest), so its counts are runtime-only; a plain sat search is
-        // a pure function of (loop, machine, options) within budget.
-        const bool probe = options.sharedBestII != nullptr;
-        const char *prefix = probe ? "portfolio.sat." : "sat.";
+        // A sat search is a pure function of (loop, machine, options)
+        // within budget, so its counts are deterministic.
         auto &m = ctx.metrics;
         const auto c = [&](const char *name) -> std::int64_t & {
-            return m.counter(!probe, std::string(prefix) + name);
+            return m.det(std::string("sat.") + name);
         };
         const sat::SolverStats &st = solver.stats();
         c("searches") += 1;
@@ -104,8 +92,6 @@ struct SatSearch
         c("lifts") += lifts;
         c("blocked_models") += blocked_models;
         c("encodings_too_large") += too_large;
-        if (cancelled)
-            c("cancelled") += 1;
         if (budget_hit)
             c("budget_exhausted") += 1;
     }
@@ -139,10 +125,7 @@ SatSearch::run()
         ++op_count[static_cast<int>(
             graph.loop().op(static_cast<OpId>(v)).fuType())];
 
-    if (options.hasDeadline) {
-        deadline_on = true;
-        deadline = options.deadline;
-    } else if (options.timeBudgetMs >= 0) {
+    if (options.timeBudgetMs >= 0) {
         deadline_on = true;
         deadline = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(options.timeBudgetMs);
@@ -161,11 +144,7 @@ SatSearch::run()
     bool found = false;
     ModuloSchedule best;
 
-    const Cycle first_ii =
-        options.onlyII > 0 ? options.onlyII : result.stats.mii;
-    const Cycle last_ii =
-        options.onlyII > 0 ? options.onlyII : options.maxII;
-    for (Cycle ii = first_ii; ii <= last_ii; ++ii) {
+    for (Cycle ii = result.stats.mii; ii <= options.maxII; ++ii) {
         MVP_TRACE_SPAN("sat-ii", graph.loop().name(),
                        static_cast<std::int64_t>(ii));
         ++result.stats.iiAttempts;
@@ -181,11 +160,6 @@ SatSearch::run()
             continue;
         }
         if (deadlineExpired()) {
-            budget_hit = true;
-            break;
-        }
-        if (cancelledAt(ii)) {
-            cancelled = true;
             budget_hit = true;
             break;
         }
@@ -214,8 +188,6 @@ SatSearch::run()
                 break;
             continue;
         }
-
-        solver.setCancel(options.sharedBestII, ii);
 
         // Solve/decode/validate loop: the bus and register
         // cardinalities under-approximate the checker (encode.hh), so
@@ -266,24 +238,17 @@ SatSearch::run()
                             solver.stats().conflicts, " conflicts)");
                 attempt_done = true;
             } else {
-                // Unknown: a budget fired. A cancelled probe or an
-                // expired deadline ends the search outright; a
-                // conflict-cap abort moves on (a larger II is usually
-                // much easier) until the abort allowance is spent.
-                if (cancelledAt(ii)) {
-                    cancelled = true;
-                    budget_hit = true;
+                // Unknown: a budget fired. An expired deadline ends
+                // the search outright; a conflict-cap abort moves on
+                // (a larger II is usually much easier) until the abort
+                // allowance is spent.
+                budget_hit = true;
+                if (deadlineExpired() ||
+                    ++aborted_attempts >= MAX_ABORTED_ATTEMPTS)
                     stop_search = true;
-                } else {
-                    budget_hit = true;
-                    if (deadlineExpired() ||
-                        ++aborted_attempts >= MAX_ABORTED_ATTEMPTS)
-                        stop_search = true;
-                }
                 attempt_done = true;
             }
         }
-        solver.setCancel(nullptr, 0);
         if (found || stop_search)
             break;
     }
@@ -298,7 +263,7 @@ SatSearch::run()
                   "was found for loop '" +
                       graph.loop().name() + "'"
                 : "no feasible II up to " +
-                      std::to_string(last_ii) + " for loop '" +
+                      std::to_string(options.maxII) + " for loop '" +
                       graph.loop().name() + "'";
         return result;
     }

@@ -24,9 +24,6 @@
 #ifndef MVP_SCHED_SAT_SAT_HH
 #define MVP_SCHED_SAT_SAT_HH
 
-#include <atomic>
-#include <chrono>
-
 #include "common/types.hh"
 #include "ddg/ddg.hh"
 #include "machine/machine.hh"
@@ -52,19 +49,6 @@ struct SatOptions
 
     /** Wall-clock budget (ms) for the whole search; < 0 = none. */
     std::int64_t timeBudgetMs = DEFAULT_TIME_BUDGET_MS;
-
-    /** Probe exactly this II (portfolio shards); 0 = sweep from MII. */
-    Cycle onlyII = 0;
-
-    /**
-     * Portfolio racing: abort as soon as *sharedBestII <= the II being
-     * probed (someone already certified at least as good an II).
-     */
-    const std::atomic<Cycle> *sharedBestII = nullptr;
-
-    /** Externally-imposed deadline (overrides timeBudgetMs when set). */
-    std::chrono::steady_clock::time_point deadline{};
-    bool hasDeadline = false;
 };
 
 /** Run the SAT exact scheduler with the caller's scratch context. */

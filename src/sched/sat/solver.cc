@@ -439,13 +439,8 @@ Solver::budgetExceeded(std::int64_t conflicts_at_entry)
     if (stats_.propagations - slice_mark_ < PROPAGATION_SLICE)
         return false;
     slice_mark_ = stats_.propagations;
-    if (deadline_on_ &&
-        std::chrono::steady_clock::now() >= deadline_)
-        return true;
-    if (cancel_ != nullptr &&
-        cancel_->load(std::memory_order_relaxed) <= cancel_ii_)
-        return true;
-    return false;
+    return deadline_on_ &&
+           std::chrono::steady_clock::now() >= deadline_;
 }
 
 SolveResult

@@ -18,20 +18,18 @@
  * clause/watch orders depend only on the call sequence. Two solves of
  * the same formula therefore take the same path and return the same
  * model on every machine and at any `--jobs`, *unless* a wall-clock
- * budget or portfolio cancellation fires first — exactly the caveat
- * the exact B&B documents for its own wall-clock budget.
+ * budget fires first — exactly the caveat the exact B&B documents for
+ * its own wall-clock budget.
  *
  * Budgets are polled on the propagation path: every PROPAGATION_SLICE
- * enqueued implications the solver checks the deadline, the optional
- * shared-incumbent cancellation atomic, and the conflict cap, so a
- * stuck probe notices its budget within microseconds without paying a
- * clock read per propagation.
+ * enqueued implications the solver checks the deadline and the
+ * conflict cap, so a stuck probe notices its budget within
+ * microseconds without paying a clock read per propagation.
  */
 
 #ifndef MVP_SCHED_SAT_SOLVER_HH
 #define MVP_SCHED_SAT_SOLVER_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -87,7 +85,7 @@ enum class SolveResult
 {
     Sat,     ///< model found (read it with modelValue())
     Unsat,   ///< refuted under the given assumptions
-    Unknown, ///< a budget (deadline/cancel/conflict cap) fired first
+    Unknown, ///< a budget (deadline/conflict cap) fired first
 };
 
 /** Cumulative work counters (monotone across solve() calls). */
@@ -140,17 +138,6 @@ class Solver
     }
 
     void clearDeadline() { deadline_on_ = false; }
-
-    /**
-     * Shared-incumbent cancellation (portfolio racing): abort the
-     * solve once *best <= ii — a refutation at or above a
-     * known-feasible II proves nothing more. Pass nullptr to clear.
-     */
-    void setCancel(const std::atomic<Cycle> *best, Cycle ii)
-    {
-        cancel_ = best;
-        cancel_ii_ = ii;
-    }
 
     /**
      * Deterministic conflict cap for this and subsequent solve()s;
@@ -277,8 +264,6 @@ class Solver
 
     bool deadline_on_ = false;
     std::chrono::steady_clock::time_point deadline_{};
-    const std::atomic<Cycle> *cancel_ = nullptr;
-    Cycle cancel_ii_ = 0;
     std::int64_t conflict_budget_ = 0;
     std::int64_t slice_mark_ = 0; ///< propagation count at last poll
     bool budget_hit_ = false;

@@ -131,17 +131,16 @@ struct SchedulerOptions
 
     /**
      * Exact engine the verify backend certifies the heuristic against:
-     * "exact" (serial branch and bound, the default) or "portfolio"
-     * (II-probe racing + subtree splitting on a worker pool). Any
+     * "exact" (branch and bound, the default), "bnb" or "sat". Any
      * registered backend name works; "verify" itself falls back to
      * "exact".
      */
     std::string exactBackend = "exact";
 
     /**
-     * Worker count of the portfolio backend's internal pool; 0 (the
-     * default) means harness::defaultJobs() (MVP_JOBS / hardware).
-     * Ignored by every other backend.
+     * Unused: nothing reads this field. It stays only because the
+     * benchmark's serve workload still assigns it; it goes once that
+     * assignment does.
      */
     int searchJobs = 0;
 

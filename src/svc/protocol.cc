@@ -1,5 +1,6 @@
 #include "svc/protocol.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -94,6 +95,10 @@ applyConfig(RequestOptions &opt, const std::string &key,
         if (!parseDouble(value, &opt.threshold))
             return "config threshold wants a number, got '" + value +
                    "'";
+        if (!std::isfinite(opt.threshold) || opt.threshold < 0.0 ||
+            opt.threshold > 1.0)
+            return "config threshold wants a ratio in [0, 1], got '" +
+                   value + "'";
         return "";
     }
     if (key == "time-budget-ms") {

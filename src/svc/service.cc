@@ -202,19 +202,21 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
             opt.exactBackend = request.options.exactBackend.empty()
                                    ? "exact"
                                    : request.options.exactBackend;
-            // Parallelism comes from batching across the pool; a
-            // per-request portfolio pool on top would oversubscribe.
-            opt.searchJobs = 1;
 
             const auto result = sched::scheduleWithBackend(
                 request.options.backend, graph,
                 request.scenario.machine, opt, ctx);
+            // A search that ran out of budget answered with whatever
+            // the budget allowed — a wall-clock cutoff depends on load
+            // — so neither its reply nor its error is a pure function
+            // of the cache key. Everything else is.
+            const bool deterministic = !result.stats.budgetExhausted;
             if (!result.ok) {
                 // A within-budget scheduling failure (e.g. maxII
                 // exceeded) is as deterministic as a schedule — cache
                 // it like one.
                 payload = renderErrorReply(result.error);
-                cacheable = true;
+                cacheable = deterministic;
                 is_error = true;
             } else {
                 const std::string verr = result.schedule.validate(
@@ -225,7 +227,7 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
                     is_error = true;
                 } else {
                     payload = renderReply(request, result);
-                    cacheable = true;
+                    cacheable = deterministic;
                 }
             }
         } catch (const FatalError &e) {

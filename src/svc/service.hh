@@ -30,13 +30,14 @@
  * pointer, not a copy), so warm replies are byte-identical to cold
  * ones by construction. Raw entries are published only for replies
  * that live in the canonical cache; parse errors quote the frame id
- * and therefore never enter either lane.
+ * and replies whose search ran out of budget depend on load, so
+ * neither ever enters a lane.
  *
  * Warm-state persistence (svc/state.cc): encodeState() snapshots the
  * schedule cache plus every loop's CME/oracle memo through their
  * export APIs into the binary v2 format (svc/state.hh); decodeState()
- * republishes them into a fresh service — it also still accepts the
- * v1 text format, so old snapshots migrate on first LOAD/SAVE. The
+ * republishes them into a fresh service and rejects anything else
+ * whole (a retired text v1 snapshot means a cold start). The
  * raw lane is not persisted: it repopulates on first
  * canonicalization, and raw bytes are client-specific spellings with
  * unbounded variety — the canonical cache is the durable state.
@@ -156,19 +157,14 @@ class SchedService
      */
     std::string encodeState() const;
 
-    /** The legacy v1 text encoding (svc/state.hh). Kept for the
-     * text -> binary migration tests and for producing snapshots old
-     * builds can read; new snapshots should be encodeState(). */
-    std::string encodeStateTextV1() const;
-
     /**
      * Republish a previous encodeState() snapshot into this service
      * (keep-the-winner everywhere, so loading into a non-empty
-     * service is safe). Accepts the binary v2 format and the v1 text
-     * format; any other version is rejected whole — v2 decoding
-     * stages the entire snapshot in memory before publishing a single
-     * entry. fatal() on a malformed or version-mismatched snapshot —
-     * callers serving user input wrap this in FatalScope.
+     * service is safe). Accepts only the binary v2 format; anything
+     * else (including the retired v1 text format) is rejected whole —
+     * decoding stages the entire snapshot in memory before publishing
+     * a single entry. fatal() on a malformed or version-mismatched
+     * snapshot — callers serving user input wrap this in FatalScope.
      */
     void decodeState(const std::string &bytes,
                      const std::string &origin = "<state>");

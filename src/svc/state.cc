@@ -1,17 +1,10 @@
 /**
  * @file
- * SchedService warm-state persistence (formats: svc/state.hh).
- *
- * Two codecs live here: the binary v2 writer/reader (the current
- * format — fixed-width little-endian, staged reject-whole decoding)
- * and the text v1 codec (legacy; still written by encodeStateTextV1
- * for old readers and still accepted by decodeState so existing
- * snapshots migrate to binary on their next SAVE).
+ * SchedService warm-state persistence (format: svc/state.hh): the
+ * binary v2 writer and its staged, reject-whole reader.
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -196,221 +189,6 @@ struct StagedState
 
 /// @}
 
-std::string
-fmtG(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** Token/raw-section reader over a text (v1) snapshot. Every helper
- * fatals on malformed input (callers hold a FatalScope when the bytes
- * are user input). */
-class StateReader
-{
-  public:
-    StateReader(const std::string &bytes, const std::string &origin)
-        : bytes_(bytes), origin_(origin)
-    {
-    }
-
-    bool atEnd()
-    {
-        skipSpace();
-        return pos_ >= bytes_.size();
-    }
-
-    std::string word()
-    {
-        skipSpace();
-        std::size_t j = pos_;
-        while (j < bytes_.size() && !isSpace(bytes_[j]))
-            ++j;
-        if (j == pos_)
-            mvp_fatal(origin_, ": truncated warm-state snapshot");
-        std::string out = bytes_.substr(pos_, j - pos_);
-        pos_ = j;
-        return out;
-    }
-
-    void expect(const std::string &w)
-    {
-        const std::string got = word();
-        if (got != w)
-            mvp_fatal(origin_, ": expected '", w, "', got '", got, "'");
-    }
-
-    std::int64_t int64()
-    {
-        const std::string w = word();
-        char *end = nullptr;
-        const std::int64_t v = std::strtoll(w.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0')
-            mvp_fatal(origin_, ": expected an integer, got '", w, "'");
-        return v;
-    }
-
-    double dbl()
-    {
-        const std::string w = word();
-        char *end = nullptr;
-        const double v = std::strtod(w.c_str(), &end);
-        if (end == nullptr || *end != '\0')
-            mvp_fatal(origin_, ": expected a number, got '", w, "'");
-        return v;
-    }
-
-    /** Raw section: one '\n' terminates the header line, then exactly
-     * @p n bytes, then one '\n'. */
-    std::string raw(std::int64_t n)
-    {
-        while (pos_ < bytes_.size() && bytes_[pos_] != '\n')
-            ++pos_;
-        if (pos_ >= bytes_.size())
-            mvp_fatal(origin_, ": truncated warm-state snapshot");
-        ++pos_;   // the header newline
-        return rawHere(n);
-    }
-
-    /** A raw section that starts at the cursor (the second and later
-     * sections under one header line, e.g. a cache entry's payload
-     * right after its key). */
-    std::string rawHere(std::int64_t n)
-    {
-        if (n < 0)
-            mvp_fatal(origin_, ": negative section length");
-        if (pos_ + static_cast<std::size_t>(n) > bytes_.size())
-            mvp_fatal(origin_, ": raw section overruns the snapshot");
-        std::string out = bytes_.substr(pos_, n);
-        pos_ += static_cast<std::size_t>(n);
-        if (pos_ >= bytes_.size() || bytes_[pos_] != '\n')
-            mvp_fatal(origin_, ": raw section missing terminator");
-        ++pos_;
-        return out;
-    }
-
-  private:
-    static bool isSpace(char c)
-    {
-        return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-    }
-
-    void skipSpace()
-    {
-        while (pos_ < bytes_.size() && isSpace(bytes_[pos_]))
-            ++pos_;
-    }
-
-    const std::string &bytes_;
-    const std::string origin_;
-    std::size_t pos_ = 0;
-};
-
-/** @name Text v1 provider sections */
-/// @{
-
-void
-writeCmeEntries(std::string &out,
-                const std::vector<cme::CmeMemoEntry> &entries)
-{
-    for (const auto &e : entries) {
-        out += "geom " + std::to_string(e.geom.capacityBytes) + " " +
-               std::to_string(e.geom.lineBytes) + " " +
-               std::to_string(e.geom.assoc) + " op " +
-               std::to_string(e.op) + " set " +
-               std::to_string(e.set.size());
-        for (const OpId id : e.set)
-            out += " " + std::to_string(id);
-        out += " value " + fmtG(e.value.ratio) + " " +
-               fmtG(e.value.ciHalfWidth) + "\n";
-    }
-}
-
-void
-writeOracleEntries(std::string &out,
-                   const std::vector<cme::OracleMemoEntry> &entries)
-{
-    for (const auto &e : entries) {
-        out += "geom " + std::to_string(e.geom.capacityBytes) + " " +
-               std::to_string(e.geom.lineBytes) + " " +
-               std::to_string(e.geom.assoc) + " set " +
-               std::to_string(e.set.size());
-        for (const OpId id : e.set)
-            out += " " + std::to_string(id);
-        out += " points " + std::to_string(e.points) + " misses";
-        for (const std::int64_t v : e.misses)
-            out += " " + std::to_string(v);
-        out += " psm " + std::to_string(e.perSetMisses.size());
-        for (const std::int64_t v : e.perSetMisses)
-            out += " " + std::to_string(v);
-        out += " tags " + std::to_string(e.tags.size());
-        for (const std::int64_t v : e.tags)
-            out += " " + std::to_string(v);
-        out += "\n";
-    }
-}
-
-std::vector<cme::CmeMemoEntry>
-readCmeEntries(StateReader &in, std::int64_t count)
-{
-    std::vector<cme::CmeMemoEntry> out;
-    out.reserve(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-        cme::CmeMemoEntry e;
-        in.expect("geom");
-        e.geom.capacityBytes = in.int64();
-        e.geom.lineBytes = in.int64();
-        e.geom.assoc = static_cast<int>(in.int64());
-        in.expect("op");
-        e.op = static_cast<OpId>(in.int64());
-        in.expect("set");
-        const std::int64_t n = in.int64();
-        for (std::int64_t j = 0; j < n; ++j)
-            e.set.push_back(static_cast<OpId>(in.int64()));
-        in.expect("value");
-        e.value.ratio = in.dbl();
-        e.value.ciHalfWidth = in.dbl();
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
-std::vector<cme::OracleMemoEntry>
-readOracleEntries(StateReader &in, std::int64_t count)
-{
-    std::vector<cme::OracleMemoEntry> out;
-    out.reserve(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-        cme::OracleMemoEntry e;
-        in.expect("geom");
-        e.geom.capacityBytes = in.int64();
-        e.geom.lineBytes = in.int64();
-        e.geom.assoc = static_cast<int>(in.int64());
-        in.expect("set");
-        const std::int64_t n = in.int64();
-        for (std::int64_t j = 0; j < n; ++j)
-            e.set.push_back(static_cast<OpId>(in.int64()));
-        in.expect("points");
-        e.points = in.int64();
-        in.expect("misses");
-        for (std::int64_t j = 0; j < n; ++j)
-            e.misses.push_back(in.int64());
-        in.expect("psm");
-        const std::int64_t npsm = in.int64();
-        for (std::int64_t j = 0; j < npsm; ++j)
-            e.perSetMisses.push_back(in.int64());
-        in.expect("tags");
-        const std::int64_t ntags = in.int64();
-        for (std::int64_t j = 0; j < ntags; ++j)
-            e.tags.push_back(in.int64());
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
-/// @}
-
 /** @name Binary v2 provider entry records */
 /// @{
 
@@ -516,65 +294,6 @@ takeOracleEntries(BinReader &in)
 } // namespace
 
 std::string
-SchedService::encodeStateTextV1() const
-{
-    std::string out;
-    out += "mvp-warm-state " + std::to_string(WARM_STATE_VERSION) +
-           "\n";
-
-    // Schedule cache, sorted by key for byte-stable snapshots.
-    std::vector<std::pair<std::string, std::string>> entries;
-    cache_.forEach([&](const std::string &key,
-                       const std::string &payload) {
-        entries.emplace_back(key, payload);
-    });
-    std::sort(entries.begin(), entries.end());
-    out += "cache " + std::to_string(entries.size()) + "\n";
-    for (const auto &[key, payload] : entries) {
-        out += "entry " + std::to_string(key.size()) + " " +
-               std::to_string(payload.size()) + "\n";
-        out += key + "\n";
-        out += payload + "\n";
-    }
-
-    // Loop contexts (std::map — already sorted by canonical text).
-    std::lock_guard<std::mutex> ctx_lock(ctx_mu_);
-    out += "loops " + std::to_string(contexts_.size()) + "\n";
-    for (const auto &[loopKey, lc] : contexts_) {
-        out += "loop " + std::to_string(loopKey.size()) + "\n";
-        out += loopKey + "\n";
-        std::lock_guard<std::mutex> lock(lc->mu);
-        // Only the concrete memoising analyses persist; wrappers
-        // (hybrid) rewarm from scratch.
-        std::vector<std::string> sections;
-        for (const auto &[name, analysis] : lc->bound) {
-            if (const auto *cme_a =
-                    dynamic_cast<const cme::CmeAnalysis *>(
-                        analysis.get())) {
-                const auto memo = cme_a->exportMemo();
-                std::string sec = "provider " + name + " cme " +
-                                  std::to_string(memo.size()) + "\n";
-                writeCmeEntries(sec, memo);
-                sections.push_back(std::move(sec));
-            } else if (const auto *oracle =
-                           dynamic_cast<const cme::CacheOracle *>(
-                               analysis.get())) {
-                const auto memo = oracle->exportMemo();
-                std::string sec = "provider " + name + " oracle " +
-                                  std::to_string(memo.size()) + "\n";
-                writeOracleEntries(sec, memo);
-                sections.push_back(std::move(sec));
-            }
-        }
-        out += "providers " + std::to_string(sections.size()) + "\n";
-        for (const std::string &sec : sections)
-            out += sec;
-    }
-    out += "end\n";
-    return out;
-}
-
-std::string
 SchedService::encodeState() const
 {
     // Section bodies first; the header's table needs their sizes.
@@ -653,136 +372,78 @@ SchedService::decodeState(const std::string &bytes,
 {
     StagedState staged;
 
-    if (bytes.size() >= sizeof WARM_STATE_MAGIC &&
+    // Binary v2 only: stage the whole snapshot, publish only at the
+    // end — a bad byte anywhere rejects everything.
+    if (bytes.size() < sizeof WARM_STATE_MAGIC ||
         std::memcmp(bytes.data(), WARM_STATE_MAGIC,
-                    sizeof WARM_STATE_MAGIC) == 0) {
-        // Binary v2: stage the whole snapshot, publish only at the
-        // end — a bad byte anywhere rejects everything.
-        BinReader in(bytes, origin);
-        char magic[sizeof WARM_STATE_MAGIC];
-        in.bytes(magic, sizeof magic);
-        const std::uint32_t version = in.u32();
-        if (version !=
-            static_cast<std::uint32_t>(WARM_STATE_VERSION_BINARY))
-            mvp_fatal(origin, ": warm-state version ", version,
-                      " (this build reads ", WARM_STATE_VERSION_BINARY,
-                      "); start cold instead");
-        const std::uint32_t nsections = in.u32();
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> table;
-        table.reserve(nsections);
-        for (std::uint32_t s = 0; s < nsections; ++s) {
-            const std::uint32_t tag = in.u32();
-            const std::uint64_t len = in.u64();
-            table.emplace_back(tag, len);
-        }
-        for (const auto &[tag, len] : table) {
-            const std::size_t body_end = in.pos() + len;
-            if (body_end > bytes.size())
-                mvp_fatal(origin,
-                          ": section overruns the snapshot");
-            if (tag == TAG_CACHE) {
-                const std::uint64_t count = in.count();
-                staged.cache.reserve(count);
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    std::string key = in.blob();
-                    std::string payload = in.blob();
-                    staged.cache.emplace_back(std::move(key),
-                                              std::move(payload));
-                }
-            } else if (tag == TAG_LOOPS) {
-                const std::uint64_t count = in.count();
-                staged.loops.reserve(count);
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    StagedLoop loop;
-                    loop.text = in.blob();
-                    loop.nest = text::parseLoop(loop.text, origin);
-                    const std::uint64_t nprov = in.count();
-                    loop.providers.reserve(nprov);
-                    for (std::uint64_t p = 0; p < nprov; ++p) {
-                        StagedProvider prov;
-                        prov.kind = in.u32();
-                        prov.name = in.blob();
-                        if (prov.kind == KIND_CME)
-                            prov.cme = takeCmeEntries(in);
-                        else if (prov.kind == KIND_ORACLE)
-                            prov.oracle = takeOracleEntries(in);
-                        else
-                            mvp_fatal(origin,
-                                      ": unknown provider kind ",
-                                      prov.kind,
-                                      " (known: cme=1, oracle=2)");
-                        loop.providers.push_back(std::move(prov));
-                    }
-                    staged.loops.push_back(std::move(loop));
-                }
-            } else {
-                mvp_fatal(origin, ": unknown section tag ", tag,
-                          " (known: cache=1, loops=2)");
-            }
-            if (in.pos() != body_end)
-                mvp_fatal(origin, ": section body size mismatch ",
-                          "(table says ", len, " bytes)");
-        }
-        if (!in.atEnd())
-            mvp_fatal(origin,
-                      ": trailing bytes after the last section");
-    } else {
-        // Text v1 (legacy): same staging discipline so a malformed
-        // tail can't leave a half-published load behind.
-        StateReader in(bytes, origin);
-        in.expect("mvp-warm-state");
-        const std::int64_t version = in.int64();
-        if (version != WARM_STATE_VERSION)
-            mvp_fatal(origin, ": warm-state version ", version,
-                      " (this build reads ", WARM_STATE_VERSION,
-                      " as text, ", WARM_STATE_VERSION_BINARY,
-                      " as binary); start cold instead");
-
-        in.expect("cache");
-        const std::int64_t n_cache = in.int64();
-        staged.cache.reserve(static_cast<std::size_t>(n_cache));
-        for (std::int64_t i = 0; i < n_cache; ++i) {
-            in.expect("entry");
-            const std::int64_t key_bytes = in.int64();
-            const std::int64_t payload_bytes = in.int64();
-            std::string key = in.raw(key_bytes);
-            std::string payload = in.rawHere(payload_bytes);
-            staged.cache.emplace_back(std::move(key),
-                                      std::move(payload));
-        }
-
-        in.expect("loops");
-        const std::int64_t n_loops = in.int64();
-        for (std::int64_t i = 0; i < n_loops; ++i) {
-            in.expect("loop");
-            const std::int64_t text_bytes = in.int64();
-            StagedLoop loop;
-            loop.text = in.raw(text_bytes);
-            loop.nest = text::parseLoop(loop.text, origin);
-            in.expect("providers");
-            const std::int64_t n_providers = in.int64();
-            for (std::int64_t p = 0; p < n_providers; ++p) {
-                in.expect("provider");
-                StagedProvider prov;
-                prov.name = in.word();
-                const std::string kind = in.word();
-                const std::int64_t count = in.int64();
-                if (kind == "cme") {
-                    prov.kind = KIND_CME;
-                    prov.cme = readCmeEntries(in, count);
-                } else if (kind == "oracle") {
-                    prov.kind = KIND_ORACLE;
-                    prov.oracle = readOracleEntries(in, count);
-                } else {
-                    mvp_fatal(origin, ": unknown provider kind '",
-                              kind, "' (known: cme, oracle)");
-                }
-                loop.providers.push_back(std::move(prov));
-            }
-            staged.loops.push_back(std::move(loop));
-        }
-        in.expect("end");
+                    sizeof WARM_STATE_MAGIC) != 0)
+        mvp_fatal(origin, ": not a binary v", WARM_STATE_VERSION_BINARY,
+                  " warm-state snapshot (no \"mvpwarmb\" magic); "
+                  "start cold instead");
+    BinReader in(bytes, origin);
+    char magic[sizeof WARM_STATE_MAGIC];
+    in.bytes(magic, sizeof magic);
+    const std::uint32_t version = in.u32();
+    if (version !=
+        static_cast<std::uint32_t>(WARM_STATE_VERSION_BINARY))
+        mvp_fatal(origin, ": warm-state version ", version,
+                  " (this build reads ", WARM_STATE_VERSION_BINARY,
+                  "); start cold instead");
+    const std::uint32_t nsections = in.u32();
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> table;
+    table.reserve(nsections);
+    for (std::uint32_t s = 0; s < nsections; ++s) {
+        const std::uint32_t tag = in.u32();
+        const std::uint64_t len = in.u64();
+        table.emplace_back(tag, len);
     }
+    for (const auto &[tag, len] : table) {
+        const std::size_t body_end = in.pos() + len;
+        if (body_end > bytes.size())
+            mvp_fatal(origin, ": section overruns the snapshot");
+        if (tag == TAG_CACHE) {
+            const std::uint64_t count = in.count();
+            staged.cache.reserve(count);
+            for (std::uint64_t i = 0; i < count; ++i) {
+                std::string key = in.blob();
+                std::string payload = in.blob();
+                staged.cache.emplace_back(std::move(key),
+                                          std::move(payload));
+            }
+        } else if (tag == TAG_LOOPS) {
+            const std::uint64_t count = in.count();
+            staged.loops.reserve(count);
+            for (std::uint64_t i = 0; i < count; ++i) {
+                StagedLoop loop;
+                loop.text = in.blob();
+                loop.nest = text::parseLoop(loop.text, origin);
+                const std::uint64_t nprov = in.count();
+                loop.providers.reserve(nprov);
+                for (std::uint64_t p = 0; p < nprov; ++p) {
+                    StagedProvider prov;
+                    prov.kind = in.u32();
+                    prov.name = in.blob();
+                    if (prov.kind == KIND_CME)
+                        prov.cme = takeCmeEntries(in);
+                    else if (prov.kind == KIND_ORACLE)
+                        prov.oracle = takeOracleEntries(in);
+                    else
+                        mvp_fatal(origin, ": unknown provider kind ",
+                                  prov.kind, " (known: cme=1, oracle=2)");
+                    loop.providers.push_back(std::move(prov));
+                }
+                staged.loops.push_back(std::move(loop));
+            }
+        } else {
+            mvp_fatal(origin, ": unknown section tag ", tag,
+                      " (known: cache=1, loops=2)");
+        }
+        if (in.pos() != body_end)
+            mvp_fatal(origin, ": section body size mismatch ",
+                      "(table says ", len, " bytes)");
+    }
+    if (!in.atEnd())
+        mvp_fatal(origin, ": trailing bytes after the last section");
 
     // Publish. Everything below is keep-the-winner, so loading into a
     // non-empty service merges instead of clobbering.

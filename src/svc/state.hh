@@ -1,11 +1,11 @@
 /**
  * @file
- * Warm-state persistence formats of the scheduling service.
+ * Warm-state persistence format of the scheduling service.
  *
  * encodeState()/decodeState() live on SchedService (svc/service.hh);
- * this header documents the formats and pins their versions.
+ * this header documents the format and pins its version.
  *
- * ## Binary v2 (written by encodeState(), the current format)
+ * ## Binary v2 (written by encodeState(), the only format read)
  *
  * Fixed-width little-endian throughout; doubles travel as their IEEE
  * bit pattern (lossless by construction), byte strings as a u64
@@ -39,19 +39,14 @@
  * snapshot and leaves the service untouched. Publication itself is
  * keep-the-winner everywhere, so LOAD into a non-empty service merges.
  *
- * ## Text v1 (legacy, still accepted by decodeState())
+ * SAVE and LOAD are O(bytes): no number formatting, no tokenising,
+ * one length-checked memcpy per field.
  *
- * Line-oriented text with length-framed raw sections, starting
- * `mvp-warm-state 1`; the shape is kept in svc/state.cc
- * (encodeStateTextV1). Old snapshots load transparently and become
- * binary on their next SAVE — that is the whole migration path. SAVE
- * and LOAD of v2 are O(bytes) instead of O(parse): no number
- * formatting, no tokenising, one length-checked memcpy per field.
- *
- * Versioning: the magic + version (binary) or leading version line
- * (text) is checked before anything else; any mismatch is a hard
- * error rather than a guess — warm state is a cache, so the recovery
- * from an unreadable snapshot is simply a cold start. Bump
+ * Versioning: the magic and version are checked before anything else;
+ * any mismatch is a hard error rather than a guess. A snapshot in the
+ * retired text v1 format (`mvp-warm-state 1`) has no magic and is
+ * rejected like any other foreign file — warm state is a cache, so the
+ * recovery from an unreadable snapshot is simply a cold start. Bump
  * WARM_STATE_VERSION_BINARY whenever a section's shape, order or
  * meaning changes.
  */
@@ -61,9 +56,6 @@
 
 namespace mvp::svc
 {
-
-/** Text (v1) snapshot version still accepted on load. */
-constexpr int WARM_STATE_VERSION = 1;
 
 /** Binary snapshot version written and accepted by this build. */
 constexpr int WARM_STATE_VERSION_BINARY = 2;

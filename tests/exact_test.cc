@@ -12,6 +12,11 @@
  *    schedule at the same II.
  *  - Graceful degradation: a starved budget reports "gap unknown"
  *    instead of a wrong answer.
+ *  - Refutation lifting: exhausted II probes persist as certified
+ *    lower bounds; pruning toggles never change the answer (nor, with
+ *    the tiebreak off, the first feasible leaf); the node-based
+ *    tiebreak budget is reproducible and never reads as a budget
+ *    failure.
  *  - Registry: built-in names resolve, unknown ones do not, runtime
  *    registration works, and the verify backend fills the gap stats.
  */
@@ -147,6 +152,111 @@ TEST(ExactBackend, TiebreakOffStopsAtFirstSchedule)
     EXPECT_LE(b.stats.searchNodes, a.stats.searchNodes);
     EXPECT_LE(sumMaxLive(a.schedule), sumMaxLive(b.schedule));
     EXPECT_FALSE(b.stats.pressureOptimal);
+}
+
+/** Refutation lifting: when the minimal feasible II sits above MII,
+ * the exhausted probes below it persist as a certified lower bound —
+ * the certificate is lb == II, not lb == MII. */
+TEST(ExactEngine, RefutedProbesLiftTheLowerBound)
+{
+    int lifted = 0;
+    for (const auto &wl : workloads::allLoops()) {
+        for (int nc : {2, 4}) {
+            const auto machine = makeConfig(nc);
+            const auto graph = ddg::Ddg::build(wl.nest, machine);
+            const auto r = exact::scheduleExact(graph, machine);
+            ASSERT_TRUE(r.ok) << wl.nest.name();
+            if (!r.stats.provenOptimal ||
+                r.schedule.ii() == r.stats.mii)
+                continue;
+            // Optimality above MII can only come from refutations.
+            EXPECT_EQ(r.stats.iiLowerBound, r.schedule.ii())
+                << wl.nest.name() << "/c" << nc;
+            EXPECT_GT(r.stats.iiAttempts, 1)
+                << wl.nest.name() << "/c" << nc;
+            ++lifted;
+        }
+    }
+    // The property must not hold vacuously.
+    EXPECT_GT(lifted, 0);
+}
+
+/** Pruning is invisible in the answer: conflict learning may only
+ * change node counts, never the II, the bound or the certificate.
+ * With the pressure tiebreak off (the first feasible leaf wins) the
+ * leaf itself — every placement — is identical too. */
+TEST(ExactEngine, PruningTogglesNeverChangeTheAnswer)
+{
+    for (const auto &wl : workloads::allLoops()) {
+        for (int nc : {1, 2, 4}) {
+            const auto machine = makeConfig(nc);
+            const auto graph = ddg::Ddg::build(wl.nest, machine);
+            for (const bool tiebreak : {true, false}) {
+                const std::string label =
+                    wl.benchmark + "/" + wl.nest.name() + "/c" +
+                    std::to_string(nc) + " tiebreak " +
+                    std::to_string(tiebreak);
+                exact::ExactOptions learning;
+                learning.tiebreakPressure = tiebreak;
+                exact::ExactOptions plain = learning;
+                plain.conflictLearning = false;
+                const auto a =
+                    exact::scheduleExact(graph, machine, learning);
+                const auto b =
+                    exact::scheduleExact(graph, machine, plain);
+                ASSERT_TRUE(a.ok) << label << ": " << a.error;
+                ASSERT_TRUE(b.ok) << label << ": " << b.error;
+                EXPECT_EQ(a.schedule.ii(), b.schedule.ii()) << label;
+                EXPECT_EQ(a.stats.iiLowerBound, b.stats.iiLowerBound)
+                    << label;
+                EXPECT_EQ(a.stats.provenOptimal, b.stats.provenOptimal)
+                    << label;
+                if (tiebreak)
+                    continue;
+                for (std::size_t v = 0; v < graph.size(); ++v) {
+                    const auto pa =
+                        a.schedule.placed(static_cast<OpId>(v));
+                    const auto pb =
+                        b.schedule.placed(static_cast<OpId>(v));
+                    EXPECT_EQ(pa.time, pb.time) << label << " op " << v;
+                    EXPECT_EQ(pa.cluster, pb.cluster)
+                        << label << " op " << v;
+                }
+            }
+        }
+    }
+}
+
+/** The tiebreak allowance is node-based so its outcome is a pure
+ * function of the inputs: two runs agree exactly, and running out of
+ * allowance ends the phase without reading as a budget failure. */
+TEST(ExactEngine, TiebreakBudgetIsDeterministicAndBenign)
+{
+    const auto bench = workloads::makeSwim();
+    const auto machine = makeTwoCluster();
+    const auto graph = ddg::Ddg::build(bench.loops[0], machine);
+
+    exact::ExactOptions opt;
+    opt.tiebreakBudget = 1;
+    const auto a = exact::scheduleExact(graph, machine, opt);
+    const auto b = exact::scheduleExact(graph, machine, opt);
+    ASSERT_TRUE(a.ok);
+    ASSERT_TRUE(b.ok);
+    EXPECT_FALSE(a.stats.budgetExhausted);
+    EXPECT_FALSE(a.stats.pressureOptimal);
+    EXPECT_EQ(a.stats.searchNodes, b.stats.searchNodes);
+    for (std::size_t v = 0; v < graph.size(); ++v) {
+        EXPECT_EQ(a.schedule.placed(static_cast<OpId>(v)).time,
+                  b.schedule.placed(static_cast<OpId>(v)).time);
+        EXPECT_EQ(a.schedule.placed(static_cast<OpId>(v)).cluster,
+                  b.schedule.placed(static_cast<OpId>(v)).cluster);
+    }
+
+    // The full-allowance run finds an at-least-as-lean schedule and
+    // the same II (the certificate precedes the tiebreak).
+    const auto full = exact::scheduleExact(graph, machine);
+    ASSERT_TRUE(full.ok);
+    EXPECT_EQ(full.schedule.ii(), a.schedule.ii());
 }
 
 TEST(BackendRegistry, BuiltinsResolve)

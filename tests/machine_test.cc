@@ -131,6 +131,11 @@ TEST(MachineDeath, InvalidConfigsAreFatal)
     auto m3 = makeFourCluster();
     m3.totalCacheBytes = 9000;   // not divisible by 4 clusters x lines
     EXPECT_EXIT(m3.validate(), ::testing::ExitedWithCode(1), "cache");
+
+    auto m4 = makeTwoCluster();
+    m4.latFp = -5;
+    EXPECT_EXIT(m4.validate(), ::testing::ExitedWithCode(1),
+                "operation latencies must be >= 1");
 }
 
 TEST(MachineDeath, DegenerateCacheGeometryIsFatalNotAFault)

@@ -10,8 +10,7 @@
  *    all 96 builtin loop x machine combos;
  *  - gap tables byte-identical at jobs 1, 2 and 8;
  *  - an expired wall-clock budget degrades through the exact engine's
- *    error contract, verbatim;
- *  - the portfolio answers identically with the SAT probe on or off.
+ *    error contract, verbatim.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "machine/presets.hh"
 #include "sched/backend.hh"
 #include "sched/exact/bnb.hh"
-#include "sched/exact/portfolio.hh"
 #include "sched/sat/sat.hh"
 #include "sched/sat/solver.hh"
 #include "workloads/workloads.hh"
@@ -317,55 +315,6 @@ TEST(SatBackend, ConflictCapNeverChangesTheAnswer)
         }
         EXPECT_EQ(r.schedule.ii(), ref.schedule.ii()) << "cap " << cap;
         EXPECT_EQ(r.schedule.validate(graph, machine), "");
-    }
-}
-
-/** The portfolio's answer is independent of the SAT probe: with the
- * probe on or off, every field and placement matches the serial
- * engine (first-certifier-wins only changes who proves it). */
-TEST(SatBackend, PortfolioAgreesWithAndWithoutTheSatProbe)
-{
-    harness::ParallelDriver pool(4);
-    for (const char *name : {"tomcatv", "applu"}) {
-        const auto bench = workloads::benchmarkByName(name);
-        for (const auto &nest : bench.loops) {
-            for (int nc : {2, 4}) {
-                const auto machine = makeConfig(nc);
-                const auto graph = ddg::Ddg::build(nest, machine);
-                const std::string label = std::string(name) + "/" +
-                                          nest.name() + "/c" +
-                                          std::to_string(nc);
-                const auto serial =
-                    exact::scheduleExact(graph, machine);
-                for (const bool probe : {false, true}) {
-                    exact::ExactOptions o;
-                    o.satProbe = probe;
-                    SchedContext ctx;
-                    const auto port = exact::scheduleExactPortfolio(
-                        graph, machine, o, pool, ctx);
-                    ASSERT_EQ(serial.ok, port.ok) << label;
-                    ASSERT_TRUE(port.ok) << label << ": " << port.error;
-                    EXPECT_EQ(port.schedule.ii(), serial.schedule.ii())
-                        << label << " probe " << probe;
-                    EXPECT_EQ(port.stats.iiLowerBound,
-                              serial.stats.iiLowerBound)
-                        << label << " probe " << probe;
-                    EXPECT_EQ(port.stats.provenOptimal,
-                              serial.stats.provenOptimal)
-                        << label << " probe " << probe;
-                    for (std::size_t v = 0; v < graph.size(); ++v) {
-                        const auto ps =
-                            serial.schedule.placed(static_cast<OpId>(v));
-                        const auto pp =
-                            port.schedule.placed(static_cast<OpId>(v));
-                        EXPECT_EQ(ps.time, pp.time)
-                            << label << " op " << v;
-                        EXPECT_EQ(ps.cluster, pp.cluster)
-                            << label << " op " << v;
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -15,11 +15,13 @@
  *  - A warm service replays cold replies byte for byte, and a service
  *    rebuilt from encodeState() does the same — including the
  *    encode(decode(s)) == s round trip of the binary v2 snapshot,
- *    whole-snapshot rejection of version skew and truncation, the
- *    text-v1 -> binary-v2 migration path and merge-on-LOAD.
+ *    whole-snapshot rejection of version skew, truncation and the
+ *    retired text v1 format, and merge-on-LOAD.
+ *  - Replies whose search ran out of budget never enter a cache lane.
  *  - Batches are deterministic across --jobs and arrival order.
- *  - The session survives malformed payloads (error REP, not a dead
- *    server), keeps REP ids aligned with submission order, and the
+ *  - The session survives malformed payloads and out-of-range inputs
+ *    (error REP, not a dead server), keeps REP ids aligned with
+ *    submission order, and the
  *    CME/oracle memo export/import APIs round-trip.
  *  - The TCP reactor serves interleaved connections whose frames
  *    arrive in tiny chunks split across reads (run under TSan in CI).
@@ -88,6 +90,35 @@ parseAll(const std::vector<std::string> &payloads)
         out.push_back(std::move(req));
     }
     return out;
+}
+
+/** Run @p payload through one session @p rounds times, as REQ r0, r1,
+ * ... each followed by a FLUSH, and return the REP payloads in order. */
+std::vector<std::string>
+replayAcrossFlushes(SchedService &service, const std::string &payload,
+                    int rounds)
+{
+    std::string stream;
+    for (int round = 0; round < rounds; ++round)
+        stream += "REQ r" + std::to_string(round) + " " +
+                  std::to_string(payload.size()) + "\n" + payload +
+                  "\nFLUSH\n";
+    stream += "QUIT\n";
+
+    ServiceSession session(service);
+    std::string out;
+    session.consume(stream, out);
+
+    std::vector<std::string> reps;
+    std::size_t pos = 0;
+    while ((pos = out.find("REP r", pos)) != std::string::npos) {
+        const std::size_t head_end = out.find('\n', pos);
+        const std::size_t nbytes = static_cast<std::size_t>(
+            std::atoll(out.c_str() + pos + 7));
+        reps.push_back(out.substr(head_end + 1, nbytes));
+        pos = head_end + 1 + nbytes;
+    }
+    return reps;
 }
 
 TEST(SvcProtocol, ScenarioPrintParseRoundTrips)
@@ -253,28 +284,9 @@ TEST(SvcSession, RawLaneHitsAcrossFlushesStayByteIdentical)
     const std::string payload = "config backend rmca\n\n" +
                                 text::printScenario(scenario);
 
-    std::string stream;
-    for (int round = 0; round < 3; ++round)
-        stream += "REQ r" + std::to_string(round) + " " +
-                  std::to_string(payload.size()) + "\n" + payload +
-                  "\nFLUSH\n";
-    stream += "QUIT\n";
-
     SchedService service(1);
-    ServiceSession session(service);
-    std::string out;
-    session.consume(stream, out);
-
     // Three byte-identical REP payloads.
-    std::vector<std::string> reps;
-    std::size_t pos = 0;
-    while ((pos = out.find("REP r", pos)) != std::string::npos) {
-        const std::size_t head_end = out.find('\n', pos);
-        const std::size_t nbytes = static_cast<std::size_t>(
-            std::atoll(out.c_str() + pos + 7));
-        reps.push_back(out.substr(head_end + 1, nbytes));
-        pos = head_end + 1 + nbytes;
-    }
+    const auto reps = replayAcrossFlushes(service, payload, 3);
     ASSERT_EQ(reps.size(), 3u);
     EXPECT_EQ(reps[0], reps[1]);
     EXPECT_EQ(reps[0], reps[2]);
@@ -282,6 +294,37 @@ TEST(SvcSession, RawLaneHitsAcrossFlushesStayByteIdentical)
 
     // Rounds 2 and 3 were raw-lane resolutions.
     EXPECT_EQ(service.stats().rawHits, 2);
+}
+
+/** A search that ran out of budget is not a pure function of its
+ * cache key (a wall-clock cutoff depends on load), so neither a
+ * verify reply carrying `budget-exhausted true` nor an exact
+ * "budget exhausted" error may enter either cache lane: each repeat
+ * is scheduled again. */
+TEST(SvcSession, BudgetExhaustedRepliesAreNeverCached)
+{
+    const auto bench = workloads::benchmarkByName("swim");
+    const std::string scenario = text::printScenario(
+        text::ScenarioText{bench.loops[0], makeTwoCluster()});
+    for (const char *backend : {"verify", "exact"}) {
+        const std::string payload = std::string("config backend ") +
+                                    backend +
+                                    "\nconfig time-budget-ms 0\n\n" +
+                                    scenario;
+        SchedService service(1);
+        const auto reps = replayAcrossFlushes(service, payload, 2);
+        ASSERT_EQ(reps.size(), 2u) << backend;
+        EXPECT_EQ(reps[0], reps[1]) << backend;
+        const char *degraded = std::string(backend) == "verify"
+                                   ? "budget-exhausted true"
+                                   : "budget exhausted before any schedule";
+        EXPECT_NE(reps[0].find(degraded), std::string::npos) << reps[0];
+        const auto st = service.stats();
+        EXPECT_EQ(st.cacheEntries, 0) << backend;
+        EXPECT_EQ(st.rawEntries, 0) << backend;
+        EXPECT_EQ(st.rawHits, 0) << backend;
+        EXPECT_EQ(st.cacheHits, 0) << backend;
+    }
 }
 
 /** Replies are a pure function of the request: job counts and arrival
@@ -346,28 +389,6 @@ TEST(SvcService, WarmStateRoundTripsAcrossServices)
               0);
 }
 
-/** The migration path: a legacy text-v1 snapshot loads into a fresh
- * service and re-encodes as the byte-identical binary v2 snapshot —
- * old warm state survives the format change with nothing lost. */
-TEST(SvcService, TextV1SnapshotsMigrateToBinaryV2)
-{
-    const auto payloads = samplePayloads();
-    SchedService first(2);
-    first.processBatch(parseAll(payloads));
-
-    const std::string text_v1 = first.encodeStateTextV1();
-    EXPECT_EQ(text_v1.compare(0, 14, "mvp-warm-state"), 0);
-
-    SchedService from_text(1);
-    from_text.decodeState(text_v1, "text-v1");
-    SchedService from_binary(1);
-    from_binary.decodeState(first.encodeState(), "binary-v2");
-
-    // Both load paths reconstruct the same state.
-    EXPECT_EQ(from_text.encodeState(), first.encodeState());
-    EXPECT_EQ(from_text.encodeState(), from_binary.encodeState());
-}
-
 /** LOAD merges: two half-snapshots loaded into one service equal one
  * service that computed everything itself. */
 TEST(SvcService, LoadingTwoSnapshotsMergesKeepTheWinner)
@@ -394,8 +415,8 @@ TEST(SvcService, LoadingTwoSnapshotsMergesKeepTheWinner)
     EXPECT_EQ(merged.encodeState(), all.encodeState());
 }
 
-/** Version skew and truncation reject the *whole* snapshot: the
- * service is untouched, not half-loaded. */
+/** Version skew, truncation and the retired text v1 format reject the
+ * *whole* snapshot: the service is untouched, not half-loaded. */
 TEST(SvcService, CorruptSnapshotsAreRejectedWhole)
 {
     const auto payloads = samplePayloads();
@@ -411,11 +432,16 @@ TEST(SvcService, CorruptSnapshotsAreRejectedWhole)
     // Truncated mid-payload.
     const std::string truncated = good.substr(0, good.size() / 2);
 
+    // A well-formed snapshot of the retired text v1 format.
+    const std::string text_v1 =
+        "mvp-warm-state 1\ncache 0\nloops 0\nend\n";
+
     SchedService victim(1);
     FatalScope guard;
     EXPECT_THROW(victim.decodeState(skewed, "skewed"), FatalError);
     EXPECT_THROW(victim.decodeState(truncated, "truncated"),
                  FatalError);
+    EXPECT_THROW(victim.decodeState(text_v1, "text-v1"), FatalError);
     const auto st = victim.stats();
     EXPECT_EQ(st.cacheEntries, 0);
     EXPECT_EQ(st.loopContexts, 0);
@@ -486,8 +512,9 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
 {
     // A zero line size or associativity used to divide by zero inside
     // MachineConfig::validate and a zero capacity tripped an assertion
-    // in the locality analysis; each is now a `status error` reply and
-    // the session carries on to the next request.
+    // in the locality analysis; a negative latency and a threshold
+    // outside [0, 1] used to be scheduled. Each is now a `status
+    // error` reply and the session carries on to the next request.
     const auto bench = workloads::benchmarkByName("tomcatv");
     const std::string good = "config backend rmca\n\n" +
                              text::printScenario(text::ScenarioText{
@@ -502,6 +529,9 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
         {"line0", with("cache_line 32\n", "cache_line 0\n")},
         {"assoc0", with("cache_assoc 1\n", "cache_assoc 0\n")},
         {"bytes0", with("cache_bytes 8192\n", "cache_bytes 0\n")},
+        {"latfp", with("lat_fp 2\n", "lat_fp -5\n")},
+        {"thrnan", "config threshold nan\n" + good},
+        {"thr2", "config threshold 2\n" + good},
         {"good", good},
     };
 
