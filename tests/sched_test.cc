@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cme/solver.hh"
+#include "harness/motivating.hh"
 #include "ir/builder.hh"
 #include "machine/presets.hh"
 #include "sched/lifetimes.hh"
@@ -468,6 +469,58 @@ TEST(Scheduler, FailsGracefullyWhenImpossible)
     auto r = ClusteredModuloScheduler(g, machine, opt).run();
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("no feasible II"), std::string::npos);
+}
+
+// ------------------------------------------------------ reservation table
+
+TEST(ScheduleText, MotivatingLoopTablesArePinned)
+{
+    // The exact modulo reservation tables fig3_motivating prints:
+    // stage-annotated ops per cluster and slot, "*" on miss-scheduled
+    // loads, and the register-bus column (an empty one keeps its
+    // leading space).
+    const auto nest = harness::motivatingLoop();
+    const auto machine = harness::motivatingMachine();
+    const auto g = ddg::Ddg::build(nest, machine);
+    cme::CmeAnalysis cme(nest);
+
+    const auto base = scheduleBaseline(g, machine);
+    ASSERT_TRUE(base.ok) << base.error;
+    EXPECT_EQ(base.schedule.toString(g, machine),
+              "II=3 SC=4 comms=1\n"
+              "  0 | LD1(0) MUL1(1)           | LD3(0) MUL2(1)           "
+              "| C%5->0\n"
+              "  1 | LD2(0) ADD(2)            | LD4(0)                   "
+              "| \n"
+              "  2 | ST(3)                    |                          "
+              "| C%5->0\n");
+
+    const auto rmca = scheduleRmca(g, machine, 1.0, cme);
+    ASSERT_TRUE(rmca.ok) << rmca.error;
+    EXPECT_EQ(rmca.schedule.toString(g, machine),
+              "II=4 SC=3 comms=2\n"
+              "  0 | LD1(0) MUL1(1)           | LD2(0)                   "
+              "| C%3->0\n"
+              "  1 | LD3(0) ADD(2)            | LD4(0)                   "
+              "| C%3->0\n"
+              "  2 | MUL2(1)                  |                          "
+              "| C%1->0\n"
+              "  3 | ST(2)                    |                          "
+              "| C%1->0\n");
+
+    // Threshold 0 schedules every load for a miss.
+    const auto eager = scheduleRmca(g, machine, 0.0, cme);
+    ASSERT_TRUE(eager.ok) << eager.error;
+    EXPECT_EQ(eager.schedule.toString(g, machine),
+              "II=4 SC=6 comms=2\n"
+              "  0 | LD1(0)* MUL1(4)          | LD2(0)*                  "
+              "| C%3->0\n"
+              "  1 | LD3(0)* ADD(5)           | LD4(0)*                  "
+              "| C%3->0\n"
+              "  2 | MUL2(4)                  |                          "
+              "| C%1->0\n"
+              "  3 | ST(5)                    |                          "
+              "| C%1->0\n");
 }
 
 // --------------------------------------------------------- lifetimes
