@@ -11,7 +11,6 @@
  *   fuzz jobs=4 scenarios=200 passed=200 failed=0 exact_settled=200 \
  *        rmca_optimal=178 wall_ms=1234.5 fingerprint=0x...
  *
- * run_bench.sh records the line under "fuzz_sweep" in BENCH_sched.json;
  * CI runs it with a fixed seed and fails on any scenario failure (the
  * exit status is the failure count, capped at 125).
  *

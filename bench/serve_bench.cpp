@@ -53,8 +53,7 @@
  * session count, measured against the already-warm service.
  *
  * The fingerprint folds every cold reply payload in request order, so
- * a service change that alters any reply byte is visible in
- * BENCH_sched.json history.
+ * a service change that alters any reply byte changes it.
  *
  * Usage: serve_bench [--jobs N] [--clients N] [--rounds N] [--check]
  *                    [--gate] [--sessions LIST] [--dump-requests FILE]
@@ -125,8 +124,8 @@ buildRequests()
                 req.id = "r" + std::to_string(next_id++);
                 req.payload = "# serve_bench request\n"
                               "config backend rmca\n"
-                              "config threshold 0.25\n\n" +
-                              text::printScenario(scenario);
+                              "config threshold 0.25\n\n";
+                req.payload += text::printScenario(scenario);
                 out.push_back(std::move(req));
             }
         }
@@ -141,8 +140,8 @@ buildRequests()
             BenchRequest req;
             req.id = "r" + std::to_string(next_id++);
             req.payload = "config backend verify\n"
-                          "config threshold 0.25\n\n" +
-                          text::printScenario(scenario);
+                          "config threshold 0.25\n\n";
+            req.payload += text::printScenario(scenario);
             out.push_back(std::move(req));
         }
     }

@@ -9,10 +9,10 @@
  *
  *   sweep=table1 jobs=4 items=768 wall_ms=1234 fingerprint=0x...
  *
- * run_bench.sh runs this at jobs=1 and jobs=N and records both in
- * BENCH_sched.json so the speedup trajectory is tracked alongside the
- * microbenchmarks. The fingerprint folds every emitted table, so a
- * speedup that changes results cannot slip through.
+ * CI runs this at jobs=1 and jobs=nproc, and diffs the fingerprints
+ * of a plain and an instrumented (--trace/--metrics) run. The
+ * fingerprint folds every emitted table, so a speedup that changes
+ * results cannot slip through.
  *
  * Usage: sweep_bench [--jobs N] [--exact] [--budget B]
  *                    [--time-budget-ms MS] [--exact-backend NAME]

@@ -13,7 +13,7 @@
  * the same corpus: certified/unknown
  * counts, charged work and wall clock per engine. Pair it with a
  * generated corpus (e.g. --workloads gen:seed=0xd1ff+loops=200) for
- * the refutation-throughput comparison run_bench.sh records.
+ * a refutation-throughput comparison.
  *
  * The study shards loops across a --jobs-sized pool (default: all
  * cores); the exact searches dominate its runtime and are mutually

@@ -146,7 +146,7 @@ struct DiffReport
     /**
      * Canonical serialisation: one line per scenario in index order
      * plus the aggregate line. Byte-identical at any job count; its
-     * fnv1a hash is the sweep fingerprint run_bench.sh records.
+     * fnv1a hash is the fingerprint fuzz_sweep prints.
      */
     std::string serialise() const;
 

@@ -163,8 +163,8 @@ std::vector<EngineOutcome> runEngineComparison(
 /**
  * Render the comparison: a table plus one machine-readable line per
  * engine (`engine=sat loops=... certified=... unknown=... gap=...
- * nodes=... wall_ms=...`) that run_bench.sh scrapes into the "sat"
- * section of BENCH_sched.json.
+ * nodes=... wall_ms=...`); `table_gap --engines` prints it, and its
+ * wall_ms is how engines are compared on the clock.
  */
 std::string formatEngineComparison(
     const std::vector<EngineOutcome> &outcomes);

@@ -223,7 +223,9 @@ ModuloSchedule::toString(const ddg::Ddg &graph,
                 std::string label = op.name.empty()
                                         ? std::string(opcodeName(op.opcode))
                                         : op.name;
-                label += "(" + std::to_string(p.time / ii_) + ")";
+                label += '(';
+                label += std::to_string(p.time / ii_);
+                label += ')';
                 if (p.missScheduled)
                     label += "*";
                 cells.push_back(label);

@@ -231,8 +231,10 @@ renderReply(const Request &request, const sched::ScheduleResult &result)
     out += "ii-gap " + std::to_string(st.iiGap) + "\n";
 
     std::string live;
-    for (const int v : sch.maxLive())
-        live += " " + std::to_string(v);
+    for (const int v : sch.maxLive()) {
+        live += ' ';
+        live += std::to_string(v);
+    }
     out += "max-live" + live + "\n";
 
     const auto &placed = sch.placements();

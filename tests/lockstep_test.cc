@@ -136,8 +136,11 @@ TEST(Lockstep, MshrFullStallsAreCounted)
     LoopNestBuilder b("mshr");
     b.loop("i", 0, 64);
     const auto A = b.arrayAt("A", {64 * 10}, 0x10000);
-    for (int k = 0; k < 10; ++k)
-        b.load(A, {affineVar(0, 10, k)}, "l" + std::to_string(k));
+    for (int k = 0; k < 10; ++k) {
+        std::string name = "l";
+        name += std::to_string(k);
+        b.load(A, {affineVar(0, 10, k)}, name);
+    }
     const auto nest = b.build();
     auto machine = withUnboundedBuses(makeUnified(), 1, 1);
     machine.mshrEntries = 2;
