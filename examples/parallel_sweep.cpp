@@ -30,7 +30,7 @@ main(int argc, char **argv)
     harness::parseObservabilityFlags(argc, argv);
     // --- 1. A driver: --jobs workers, default one per core; the
     // locality provider is selectable the same way (--locality cme |
-    // oracle | hybrid). ---
+    // oracle). ---
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
     const std::string locality = harness::parseLocalityFlag(argc, argv);
     const std::int64_t time_budget =

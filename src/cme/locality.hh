@@ -10,10 +10,10 @@
  *
  * Implementations: CmeAnalysis (sampling solver, the paper's choice),
  * CacheOracle (exact trace simulation, used to validate the solver and
- * available as a drop-in alternative), and the hybrid of the two —
- * all selectable by name through the LocalityRegistry
- * (cme/provider.hh) and all drawing their access streams from a
- * shared per-loop StreamCache (cme/stream.hh).
+ * available as a drop-in alternative) — both selectable by name
+ * through the LocalityRegistry (cme/provider.hh) and both drawing
+ * their access streams from a shared per-loop StreamCache
+ * (cme/stream.hh).
  */
 
 #ifndef MVP_CME_LOCALITY_HH

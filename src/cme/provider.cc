@@ -1,88 +1,13 @@
 #include "cme/provider.hh"
 
 #include "cme/oracle.hh"
-#include "cme/setkey.hh"
 #include "cme/solver.hh"
-#include "common/logging.hh"
 
 namespace mvp::cme
 {
 
 namespace
 {
-
-/**
- * Sampling solver with an exact fallback: a query whose 95% CI stop
- * rule never reached the solver's target (the sampler ran out of its
- * sample budget on a high-variance query) is answered by the oracle
- * instead. The choice is a pure function of the (set, op, geometry)
- * key — the memoised CI half-width decides — so hybrid answers are as
- * interleaving-independent as the providers underneath.
- *
- * The confidence budget (`hybrid:<N>`) buys high-variance queries up
- * to N extra batches of minSamples samples before the fallback fires:
- * the solver's sample cap grows by N batches, so a query that would
- * have fallen back may now converge — cutting oracle traffic on loops
- * whose ratios are noisy but not pathological. Budget 0 is the plain
- * "hybrid" provider. Determinism is unaffected: the sample stream of
- * a query is a pure function of its key, and a longer prefix of the
- * same stream is still a pure function of the key.
- */
-class HybridAnalysis : public LocalityAnalysis
-{
-  public:
-    HybridAnalysis(const ir::LoopNest &nest,
-                   std::shared_ptr<StreamCache> streams, int budget = 0)
-        : solver_(nest, budgetedParams(budget), std::move(streams)),
-          oracle_(nest, solver_.streams())
-    {
-    }
-
-    const ir::LoopNest &loop() const override { return solver_.loop(); }
-
-    double missRatio(const std::vector<OpId> &set, OpId op,
-                     const CacheGeom &geom) override
-    {
-        const RatioEstimate est = solver_.estimateRatio(set, op, geom);
-        if (estimateConverged(est, solver_.params()))
-            return est.ratio;
-        fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        return oracle_.missRatio(set, op, geom);
-    }
-
-    double missesPerIteration(const std::vector<OpId> &set,
-                              const CacheGeom &geom) override
-    {
-        // Per-op choices over the canonical set, summed: each term uses
-        // the sampled estimate when it converged and the exact ratio
-        // when it did not, so the whole-set number is consistent with
-        // the per-op queries (and duplicates never double-count).
-        static thread_local std::vector<OpId> scratch;
-        const std::vector<OpId> &s = detail::canonicalInto(scratch, set);
-        double total = 0.0;
-        for (std::size_t i = 0; i < s.size(); ++i)
-            total += missRatio(s, s[i], geom);
-        return total;
-    }
-
-    /** Queries answered by the oracle (monotone; for tests). */
-    std::size_t fallbacks() const
-    {
-        return fallbacks_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    static CmeParams budgetedParams(int budget)
-    {
-        CmeParams params;
-        params.maxSamples += budget * params.minSamples;
-        return params;
-    }
-
-    CmeAnalysis solver_;
-    CacheOracle oracle_;
-    std::atomic<std::size_t> fallbacks_{0};
-};
 
 /** The built-ins share one provider template. */
 template <typename MakeFn>
@@ -117,47 +42,6 @@ providerFactory(std::string name, MakeFn make)
     };
 }
 
-constexpr std::string_view HYBRID_PREFIX = "hybrid:";
-
-/**
- * Parse the budget of a `hybrid:<N>` provider name. Returns false for
- * names that do not start with "hybrid:" and for malformed budgets —
- * never fatal, so has() can answer for any name. create() upgrades a
- * malformed budget to a fatal with the scheme's own diagnostic.
- */
-bool
-tryParseHybridBudget(const std::string &name, int *budget)
-{
-    if (name.rfind(HYBRID_PREFIX, 0) != 0)
-        return false;
-    const std::string payload = name.substr(HYBRID_PREFIX.size());
-    std::size_t used = 0;
-    long value = -1;
-    try {
-        value = std::stol(payload, &used);
-    } catch (...) {
-        used = std::string::npos;
-    }
-    if (used != payload.size() || value < 0 || value > 1000)
-        return false;
-    *budget = static_cast<int>(value);
-    return true;
-}
-
-/** The provider behind one `hybrid:<budget>` name. */
-std::unique_ptr<LocalityProvider>
-makeBudgetedHybrid(const std::string &name, int budget)
-{
-    return std::make_unique<SimpleProvider<
-        std::function<std::unique_ptr<LocalityAnalysis>(
-            const ir::LoopNest &, std::shared_ptr<StreamCache>)>>>(
-        name, [budget](const ir::LoopNest &nest,
-                       std::shared_ptr<StreamCache> s) {
-            return std::make_unique<HybridAnalysis>(nest, std::move(s),
-                                                    budget);
-        });
-}
-
 } // namespace
 
 LocalityRegistry::LocalityRegistry()
@@ -171,11 +55,6 @@ LocalityRegistry::LocalityRegistry()
         providerFactory("oracle", [](const ir::LoopNest &nest,
                                      std::shared_ptr<StreamCache> s) {
             return std::make_unique<CacheOracle>(nest, std::move(s));
-        }));
-    add("hybrid",
-        providerFactory("hybrid", [](const ir::LoopNest &nest,
-                                     std::shared_ptr<StreamCache> s) {
-            return std::make_unique<HybridAnalysis>(nest, std::move(s));
         }));
 }
 
@@ -195,28 +74,12 @@ LocalityRegistry::add(std::string name, LocalityProviderFactory factory)
 bool
 LocalityRegistry::has(const std::string &name) const
 {
-    if (table_.has(name))
-        return true;
-    // `hybrid:<budget>` is a scheme, not a registered name: any
-    // well-formed budget resolves (and only those — has() and
-    // create() must agree). An explicitly-registered name of the
-    // same spelling (above) wins.
-    int budget = 0;
-    return tryParseHybridBudget(name, &budget);
+    return table_.has(name);
 }
 
 std::unique_ptr<LocalityProvider>
 LocalityRegistry::create(const std::string &name) const
 {
-    if (!table_.has(name) && name.rfind(HYBRID_PREFIX, 0) == 0) {
-        int budget = 0;
-        if (!tryParseHybridBudget(name, &budget))
-            mvp_fatal("bad hybrid budget '",
-                      name.substr(HYBRID_PREFIX.size()), "' in '", name,
-                      "' (want an integer 0..1000: extra sample "
-                      "batches before the oracle fallback)");
-        return makeBudgetedHybrid(name, budget);
-    }
     return table_.get(name, "locality provider")();
 }
 

@@ -10,15 +10,7 @@
  *
  *  - "cme"     the sampling CME solver (the paper's choice and the
  *              default everywhere);
- *  - "oracle"  the exact trace-driven oracle (incremental simulation);
- *  - "hybrid"  the sampling solver with an exact-oracle fallback for
- *              queries whose 95% CI never tightened to the solver's
- *              target — sampled speed where sampling converges, exact
- *              answers where it does not;
- *  - "hybrid:<N>"  the confidence-budgeted hybrid: high-variance
- *              queries may spend up to N extra batches of samples
- *              before the oracle fallback fires, trading sample time
- *              for oracle traffic ("hybrid:0" == "hybrid").
+ *  - "oracle"  the exact trace-driven oracle (incremental simulation).
  *
  * Every provider bound to one nest can share one StreamCache, so the
  * materialised access streams amortise across providers as well as
@@ -78,14 +70,10 @@ class LocalityRegistry
     /** Register (or replace) a provider under @p name. */
     void add(std::string name, LocalityProviderFactory factory);
 
-    /** True when @p name resolves to a provider (incl. hybrid:<N>). */
+    /** True when @p name is registered. */
     bool has(const std::string &name) const;
 
-    /**
-     * Instantiate @p name; fatal() on unknown names. Besides
-     * registered names, the `hybrid:<budget>` scheme resolves to a
-     * confidence-budgeted hybrid provider.
-     */
+    /** Instantiate @p name; fatal() on unknown names. */
     std::unique_ptr<LocalityProvider> create(
         const std::string &name) const;
 

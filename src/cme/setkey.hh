@@ -143,8 +143,8 @@ canonicalInto(std::vector<OpId> &scratch, const std::vector<OpId> &set,
 /**
  * Memoised answer of one locality query: the miss ratio plus the 95%
  * CI half-width the sampling solver stopped at (0 for exhaustive and
- * exact answers). The half-width rides along so the hybrid provider
- * can re-read a memoised query's convergence without re-sampling.
+ * exact answers). The half-width rides along so a memoised query's
+ * confidence survives the memo and the warm-state snapshot.
  */
 struct RatioValue
 {

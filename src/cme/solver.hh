@@ -72,19 +72,12 @@ struct CmeParams
 /**
  * One solved query: the estimated miss ratio plus the 95% CI
  * half-width the stop rule settled at (0 when the solver evaluated the
- * iteration space exhaustively). The hybrid locality provider inspects
- * the half-width to decide when to fall back to the exact oracle.
- * This is exactly what the memo stores (cme/setkey.hh), aliased rather
- * than duplicated so the two cannot drift.
+ * iteration space exhaustively). The differential harness reads the
+ * half-width to widen its CME-vs-oracle tolerance. This is exactly
+ * what the memo stores (cme/setkey.hh), aliased rather than duplicated
+ * so the two cannot drift.
  */
 using RatioEstimate = detail::RatioValue;
-
-/** True when @p estimate met the solver's CI target. */
-inline bool
-estimateConverged(const RatioEstimate &estimate, const CmeParams &params)
-{
-    return estimate.ciHalfWidth <= params.ciTarget;
-}
 
 /**
  * One exported RatioMemo entry: the full query key (geometry, target

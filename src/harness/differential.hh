@@ -63,9 +63,9 @@ struct DiffOptions
 
     /**
      * Locality provider bound per scenario for the rmca scheduler
-     * ("cme", "oracle", "hybrid", "hybrid:<N>", ...). The CME-vs-
-     * oracle agreement check always compares the plain solver against
-     * the oracle, independent of this choice.
+     * ("cme", "oracle", ...). The CME-vs-oracle agreement check always
+     * compares the plain solver against the oracle, independent of
+     * this choice.
      */
     std::string locality = "cme";
 

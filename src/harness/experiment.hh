@@ -47,8 +47,8 @@ struct RunConfig
     std::string backend = "baseline";
 
     /**
-     * Locality provider by registry name ("cme", "oracle", "hybrid",
-     * or anything registered at runtime; cme/provider.hh). Empty is
+     * Locality provider by registry name ("cme", "oracle", or
+     * anything registered at runtime; cme/provider.hh). Empty is
      * read as "cme" — the paper's sampling solver.
      */
     std::string locality = "cme";

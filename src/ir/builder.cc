@@ -99,7 +99,7 @@ LoopNestBuilder::build()
         const auto align = static_cast<Addr>(layout_align_);
         cursor = (cursor + align - 1) / align * align;
         decl.base = cursor;
-        cursor += static_cast<Addr>(decl.sizeBytes() + layout_pad_);
+        cursor += static_cast<Addr>(decl.sizeBytes());
     }
 
     nest_.validate();

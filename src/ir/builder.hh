@@ -83,8 +83,6 @@ class LoopNestBuilder
     void layoutBase(Addr base) { layout_base_ = base; }
     /** Alignment of every allocated array (default 64 bytes). */
     void layoutAlign(std::int64_t align) { layout_align_ = align; }
-    /** Extra padding inserted between consecutive arrays (default 0). */
-    void layoutPad(std::int64_t pad) { layout_pad_ = pad; }
     /// @}
 
     /**
@@ -99,7 +97,6 @@ class LoopNestBuilder
     std::vector<bool> auto_layout_;
     Addr layout_base_ = 0x10000;
     std::int64_t layout_align_ = 64;
-    std::int64_t layout_pad_ = 0;
     bool built_ = false;
 };
 

@@ -27,7 +27,7 @@ struct TraceEvent
     std::string detail;     ///< copied context, may be empty
     std::int64_t arg;       ///< TRACE_NO_ARG when absent
     std::int64_t ts_us;
-    std::int64_t dur_us;    ///< -1 = instant event
+    std::int64_t dur_us;
 };
 
 struct TraceBuffer
@@ -117,16 +117,10 @@ appendEventJson(std::string &out, const TraceEvent &ev, int tid)
 {
     out += "{\"name\":\"";
     out += jsonEscape(ev.name);
-    out += "\",\"cat\":\"mvp\",\"ph\":\"";
-    out += ev.dur_us < 0 ? 'i' : 'X';
-    out += "\",\"ts\":";
+    out += "\",\"cat\":\"mvp\",\"ph\":\"X\",\"ts\":";
     out += std::to_string(ev.ts_us);
-    if (ev.dur_us >= 0) {
-        out += ",\"dur\":";
-        out += std::to_string(ev.dur_us);
-    } else {
-        out += ",\"s\":\"t\"";
-    }
+    out += ",\"dur\":";
+    out += std::to_string(ev.dur_us);
     out += ",\"pid\":1,\"tid\":";
     out += std::to_string(tid);
     const bool has_detail = !ev.detail.empty();
@@ -176,15 +170,6 @@ traceEmit(const char *name, std::string_view detail, std::int64_t arg,
 }
 
 } // namespace detail
-
-void
-traceInstant(const char *name, std::string_view detail, std::int64_t arg)
-{
-    if (!traceOn())
-        return;
-    obs::detail::traceEmit(name, detail, arg, obs::detail::traceNowUs(),
-                           -1);
-}
 
 void
 traceSetThreadName(const std::string &name)

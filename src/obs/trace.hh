@@ -2,8 +2,8 @@
  * @file
  * Chrome trace-event tracer: the "when" layer of the stack.
  *
- * Scoped spans (`MVP_TRACE_SPAN("place", loop.name(), ii)`) and
- * instant events are collected into per-thread buffers and written at
+ * Scoped spans (`MVP_TRACE_SPAN("place", loop.name(), ii)`) are
+ * collected into per-thread buffers and written at
  * traceFinish() as Chrome trace-event JSON — load the file in
  * chrome://tracing or https://ui.perfetto.dev to see per-worker
  * tracks of pool items, RMCA phases, exact-search II attempts and
@@ -103,10 +103,6 @@ class TraceSpan
     std::int64_t arg_ = TRACE_NO_ARG;
     std::int64_t start_us_ = 0;
 };
-
-/** Zero-duration marker on the calling thread's track. */
-void traceInstant(const char *name, std::string_view detail = {},
-                  std::int64_t arg = TRACE_NO_ARG);
 
 /** Label the calling thread's track ("worker-3"). Idempotent per
  * thread per trace session; cheap enough to call on every sweep. */

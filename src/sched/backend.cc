@@ -40,7 +40,6 @@ exactOptionsFrom(const SchedulerOptions &options)
     bnb.maxII = options.maxII;
     bnb.nodeBudget = options.searchBudget;
     bnb.timeBudgetMs = options.timeBudgetMs;
-    bnb.tiebreakBudget = options.tiebreakBudget;
     return bnb;
 }
 

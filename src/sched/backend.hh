@@ -47,9 +47,8 @@ class SchedulerBackend
     /**
      * Schedule the loop using the caller's scratch context; never
      * throws, reports failure in the result. Options the backend does
-     * not understand are ignored (the exact backend reads
-     * searchBudget/maxII but not missThreshold; the heuristics read
-     * everything except searchBudget).
+     * not understand are ignored; docs/schedulers.md lists the
+     * fields each backend reads.
      *
      * The context makes reentrancy explicit: a backend instance holds
      * no mutable state, so any number of schedule() calls may run

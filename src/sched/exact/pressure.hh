@@ -122,12 +122,6 @@ class PressureTracker
     /** Journal position, for undoTo. */
     std::size_t mark() const { return journal_.size(); }
 
-    /** Current MaxLive of @p c (a lower bound on any leaf below). */
-    int clusterMax(ClusterId c) const
-    {
-        return max_[static_cast<std::size_t>(c)];
-    }
-
     /** All per-cluster MaxLive values. */
     const std::vector<int> &clusterMaxes() const { return max_; }
 
@@ -137,8 +131,7 @@ class PressureTracker
     /** True when some cluster's MaxLive exceeds the register file. */
     bool overflown() const { return over_ > 0; }
 
-    /** @name Interval inspection (for the dominance signature) */
-    /// @{
+  private:
     struct Interval
     {
         ClusterId cluster;
@@ -146,22 +139,6 @@ class PressureTracker
         Cycle to;
     };
 
-    /** @p v's local interval, or nullptr when it has none. */
-    const Interval *localOf(OpId v) const
-    {
-        const std::int32_t iv = map_[localSlot(v)];
-        return iv < 0 ? nullptr : &ivs_[static_cast<std::size_t>(iv)];
-    }
-
-    /** @p v's remote interval in @p to, or nullptr. */
-    const Interval *remoteOf(OpId v, ClusterId to) const
-    {
-        const std::int32_t iv = map_[remoteSlot(v, to)];
-        return iv < 0 ? nullptr : &ivs_[static_cast<std::size_t>(iv)];
-    }
-    /// @}
-
-  private:
     struct Entry
     {
         std::int32_t iv;         ///< interval index

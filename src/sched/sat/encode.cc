@@ -83,13 +83,6 @@ IiEncoding::klit(OpId v, ClusterId c) const
     return mkLit(ops_[static_cast<std::size_t>(v)].k0 + c);
 }
 
-Var
-IiEncoding::fresh(Solver &s)
-{
-    ++vars_;
-    return s.newVar();
-}
-
 void
 IiEncoding::clause(Solver &s, std::initializer_list<Lit> ls)
 {
@@ -103,7 +96,6 @@ IiEncoding::clause(Solver &s, std::initializer_list<Lit> ls)
         buf_.push_back(l);
     }
     s.addClause(buf_);
-    ++clauses_;
 }
 
 void
@@ -119,7 +111,6 @@ IiEncoding::clauseV(Solver &s, const std::vector<Lit> &ls)
         buf_.push_back(l);
     }
     s.addClause(buf_);
-    ++clauses_;
 }
 
 void
@@ -137,7 +128,7 @@ IiEncoding::atMostK(Solver &s, const std::vector<Lit> &xs, int k)
     std::vector<Var> prev(static_cast<std::size_t>(k));
     std::vector<Var> cur(static_cast<std::size_t>(k));
     for (int j = 0; j < k; ++j) {
-        prev[static_cast<std::size_t>(j)] = fresh(s);
+        prev[static_cast<std::size_t>(j)] = s.newVar();
         if (j == 0)
             clause(s, {neg(xs[0]),
                        mkLit(prev[static_cast<std::size_t>(j)])});
@@ -146,7 +137,7 @@ IiEncoding::atMostK(Solver &s, const std::vector<Lit> &xs, int k)
     }
     for (int i = 1; i < n - 1; ++i) {
         for (int j = 0; j < k; ++j)
-            cur[static_cast<std::size_t>(j)] = fresh(s);
+            cur[static_cast<std::size_t>(j)] = s.newVar();
         clause(s, {neg(xs[static_cast<std::size_t>(i)]),
                    mkLit(cur[0])});
         clause(s, {~mkLit(prev[0]), mkLit(cur[0])});
@@ -294,7 +285,6 @@ IiEncoding::emitTimeChains(Solver &s)
         if (width == 0)
             continue;
         ov.o0 = s.newVar();
-        vars_ += width;
         for (Cycle i = 1; i < width; ++i)
             s.newVar();
         for (Cycle j = ov.lo; j < ov.hi - 1; ++j)
@@ -311,7 +301,6 @@ IiEncoding::emitClusterConstraints(Solver &s)
     for (std::size_t v = 0; v < n_; ++v) {
         OpVars &ov = ops_[v];
         ov.k0 = s.newVar();
-        vars_ += nc_;
         for (int c = 1; c < nc_; ++c)
             s.newVar();
         std::vector<Lit> alo;
@@ -371,10 +360,9 @@ IiEncoding::emitCommStructure(Solver &s)
             if (bus_impossible)
                 cv.xhi = cv.xlo - 1;
             const int p = static_cast<int>(comms_.size());
-            cv.e = fresh(s);
+            cv.e = s.newVar();
             if (cv.xhi > cv.xlo) {
                 cv.p0 = s.newVar();
-                vars_ += cv.xhi - cv.xlo;
                 for (Cycle i = 1; i < cv.xhi - cv.xlo; ++i)
                     s.newVar();
             }
@@ -477,7 +465,7 @@ IiEncoding::emitWindowCaps(Solver &s)
             const bool multiple = ins.size() > 1;
             if (multiple) {
                 for (std::size_t i = 0; i < ins.size(); ++i)
-                    sel.push_back(mkLit(fresh(s)));
+                    sel.push_back(mkLit(s.newVar()));
                 clauseV(s, sel);
             }
             for (std::size_t i = 0; i < ins.size(); ++i) {
@@ -520,7 +508,7 @@ IiEncoding::emitWindowCaps(Solver &s)
             const bool multiple = outs.size() > 1;
             if (multiple) {
                 for (std::size_t i = 0; i < outs.size(); ++i)
-                    sel.push_back(mkLit(fresh(s)));
+                    sel.push_back(mkLit(s.newVar()));
                 clauseV(s, sel);
             }
             const Cycle out_lat = graph_.opLatency(v);
@@ -570,7 +558,6 @@ IiEncoding::emitFuCapacity(Solver &s)
             OpVars &ov = ops_[static_cast<std::size_t>(v)];
             if (ov.s0 < 0) {
                 ov.s0 = s.newVar();
-                vars_ += ii_;
                 for (Cycle i = 1; i < ii_; ++i)
                     s.newVar();
                 for (Cycle t = ov.lo; t <= ov.hi; ++t)
@@ -580,7 +567,6 @@ IiEncoding::emitFuCapacity(Solver &s)
             }
             if (nc_ > 1 && ov.b0 < 0) {
                 ov.b0 = s.newVar();
-                vars_ += static_cast<Cycle>(nc_) * ii_;
                 for (Cycle i = 1; i < static_cast<Cycle>(nc_) * ii_; ++i)
                     s.newVar();
                 for (ClusterId c = 0; c < nc_; ++c)
@@ -624,7 +610,6 @@ IiEncoding::emitBusCapacity(Solver &s)
         if (cv.xhi < cv.xlo)
             continue;
         cv.u0 = s.newVar();
-        vars_ += ii_;
         for (Cycle i = 1; i < ii_; ++i)
             s.newVar();
         const int p = static_cast<int>(&cv - comms_.data());
@@ -675,7 +660,6 @@ IiEncoding::emitRegisterPressure(Solver &s)
         OpVars &ou = ops_[static_cast<std::size_t>(u)];
         const Cycle out_lat = graph_.opLatency(u);
         ou.l0 = s.newVar();
-        vars_ += static_cast<Cycle>(nc_) * ii_;
         for (Cycle i = 1; i < static_cast<Cycle>(nc_) * ii_; ++i)
             s.newVar();
         const Cycle a_lo = ou.lo + out_lat;
@@ -732,7 +716,6 @@ IiEncoding::emitRegisterPressure(Solver &s)
         if (cv.xhi < cv.xlo)
             continue;
         cv.r0 = s.newVar();
-        vars_ += ii_;
         for (Cycle i = 1; i < ii_; ++i)
             s.newVar();
         const int p = static_cast<int>(&cv - comms_.data());
@@ -783,7 +766,6 @@ IiEncoding::build(Solver &s)
         return Status::TooLarge;
 
     act_ = mkLit(s.newVar());
-    ++vars_;
     emitTimeChains(s);
     emitClusterConstraints(s);
     emitCommStructure(s);

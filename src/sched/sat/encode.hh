@@ -99,9 +99,6 @@ class IiEncoding
      */
     void blockModel(Solver &s);
 
-    std::int64_t varsAdded() const { return vars_; }
-    std::int64_t clausesAdded() const { return clauses_; }
-
   private:
     /** Order-encoded time window of one op. */
     struct OpVars
@@ -140,7 +137,6 @@ class IiEncoding
 
     void clause(Solver &s, std::initializer_list<Lit> ls);
     void clauseV(Solver &s, const std::vector<Lit> &ls);
-    Var fresh(Solver &s);
 
     /** Guarded at-most-k (Sinz sequential counter) over plain lits. */
     void atMostK(Solver &s, const std::vector<Lit> &xs, int k);
@@ -174,8 +170,6 @@ class IiEncoding
     std::vector<CommVars> comms_;
     std::vector<int> pair_of_;     ///< [op*nc + d] -> comms_ index or -1
     std::vector<Lit> buf_;         ///< clause scratch
-    std::int64_t vars_ = 0;
-    std::int64_t clauses_ = 0;
     bool too_large_ = false;
 };
 

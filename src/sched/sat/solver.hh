@@ -137,8 +137,6 @@ class Solver
         deadline_on_ = true;
     }
 
-    void clearDeadline() { deadline_on_ = false; }
-
     /**
      * Deterministic conflict cap for this and subsequent solve()s;
      * 0 = uncapped. Counted per solve() call, so each II probe gets

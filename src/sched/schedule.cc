@@ -52,16 +52,6 @@ ModuloSchedule::placed(OpId op)
     return placed_[static_cast<std::size_t>(op)];
 }
 
-std::vector<OpId>
-ModuloSchedule::opsInCluster(ClusterId cluster) const
-{
-    std::vector<OpId> out;
-    for (std::size_t i = 0; i < placed_.size(); ++i)
-        if (placed_[i].cluster == cluster)
-            out.push_back(static_cast<OpId>(i));
-    return out;
-}
-
 int
 ModuloSchedule::missScheduledLoads() const
 {

@@ -108,9 +108,6 @@ class ModuloSchedule
     /** Number of clusters the schedule targets. */
     int numClusters() const { return n_clusters_; }
 
-    /** Ops assigned to @p cluster, in OpId order. */
-    std::vector<OpId> opsInCluster(ClusterId cluster) const;
-
     /** MaxLive per cluster (filled by computeLifetimes()). */
     const std::vector<int> &maxLive() const { return max_live_; }
 

@@ -91,7 +91,7 @@ struct SchedulerOptions
 
     /**
      * Locality provider by registry name (cme/provider.hh: "cme",
-     * "oracle", "hybrid", or anything registered at runtime) — the
+     * "oracle", or anything registered at runtime) — the
      * fallback the registry backends bind when `locality` is null.
      * Empty is read as "cme". Callers on a hot path should bind once
      * and pass `locality` instead: a per-call binding rebuilds the
@@ -121,13 +121,6 @@ struct SchedulerOptions
      * cap. Ignored by the heuristic backends.
      */
     std::int64_t timeBudgetMs = DEFAULT_TIME_BUDGET_MS;
-
-    /**
-     * Node allowance of the exact tiebreak phase (see
-     * DEFAULT_TIEBREAK_BUDGET); 0 = unlimited. Ignored by the
-     * heuristic backends.
-     */
-    std::int64_t tiebreakBudget = DEFAULT_TIEBREAK_BUDGET;
 
     /**
      * Exact engine the verify backend certifies the heuristic against:

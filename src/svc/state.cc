@@ -324,7 +324,8 @@ SchedService::encodeState() const
             putBlob(loops_body, loopKey);
             std::lock_guard<std::mutex> lock(lc->mu);
             // Only the concrete memoising analyses persist; wrappers
-            // (hybrid) rewarm from scratch.
+            // registered through LocalityRegistry::add() rewarm from
+            // scratch.
             std::vector<std::pair<std::string, std::string>> sections;
             for (const auto &[name, analysis] : lc->bound) {
                 if (const auto *cme_a =

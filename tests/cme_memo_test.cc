@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cme/oracle.hh"
@@ -362,16 +363,17 @@ TEST(IncrementalOracle, ExtensionAgreesWithLegacyMissCounts)
 TEST(LocalityRegistry, BuiltinsAndRuntimeAdd)
 {
     auto &registry = LocalityRegistry::instance();
-    const auto names = registry.names();
-    for (const char *name : {"cme", "hybrid", "oracle"})
-        EXPECT_TRUE(std::find(names.begin(), names.end(), name) !=
-                    names.end())
-            << name;
+    EXPECT_EQ(registry.names(),
+              (std::vector<std::string>{"cme", "oracle"}));
     EXPECT_TRUE(registry.has("cme"));
     EXPECT_FALSE(registry.has("no-such-provider"));
+    // The retired sampling-with-fallback provider and its budgeted
+    // spelling are plain unknown names.
+    EXPECT_FALSE(registry.has("hybrid"));
+    EXPECT_FALSE(registry.has("hybrid:2"));
 
     const auto nest = interferenceLoop();
-    for (const char *name : {"cme", "oracle", "hybrid"}) {
+    for (const char *name : {"cme", "oracle"}) {
         const auto provider = registry.create(name);
         EXPECT_EQ(provider->name(), name);
         const auto bound = registry.bind(name, nest);
@@ -390,37 +392,6 @@ TEST(LocalityRegistry, BuiltinsAndRuntimeAdd)
     CacheOracle direct(nest);
     EXPECT_EQ(alias->missRatio(mem, mem[0], GEOM_2K),
               direct.missRatio(mem, mem[0], GEOM_2K));
-}
-
-TEST(HybridProvider, DeterministicAndAnchoredToItsParts)
-{
-    const auto nest = interferenceLoop();
-    const auto mem = nest.memoryOps();
-    auto shared = std::make_shared<StreamCache>(nest);
-    auto &registry = LocalityRegistry::instance();
-
-    const auto a = registry.bind("hybrid", nest, shared);
-    const auto b = registry.bind("hybrid", nest, shared);
-    CmeAnalysis cme(nest, {}, shared);
-    CacheOracle oracle(nest, shared);
-
-    for (const CacheGeom &geom : {GEOM_2K, GEOM_4K}) {
-        for (OpId op : mem) {
-            const double h = a->missRatio(mem, op, geom);
-            // Bit-identical across instances: the sampled-vs-exact
-            // choice is a pure function of the query key.
-            EXPECT_EQ(h, b->missRatio(mem, op, geom));
-            // Every answer is one of the two parents' answers.
-            const double s = cme.missRatio(mem, op, geom);
-            const double x = oracle.missRatio(mem, op, geom);
-            EXPECT_TRUE(h == s || h == x)
-                << "hybrid invented a value: " << h << " vs " << s
-                << " / " << x;
-        }
-        const double set_h = a->missesPerIteration(mem, geom);
-        EXPECT_EQ(set_h, b->missesPerIteration(mem, geom));
-        EXPECT_GE(set_h, 0.0);
-    }
 }
 
 TEST(CmeEstimate, ExposesConvergence)

@@ -4,16 +4,13 @@
  * smoke sweep at a fixed seed (every rmca schedule validates, exact II
  * <= rmca II wherever the search settles, the §2.2 compute-cycle
  * identity holds, CME agrees with the oracle, zero text round-trip
- * mismatches), sharding determinism, and the hybrid:<budget> locality
- * provider riding the same scenarios.
+ * mismatches), sharding determinism, and the oracle locality provider
+ * riding the same scenarios.
  */
 
 #include <gtest/gtest.h>
 
-#include "cme/provider.hh"
-#include "cme/solver.hh"
 #include "harness/differential.hh"
-#include "workloads/workloads.hh"
 
 namespace mvp::harness
 {
@@ -92,70 +89,10 @@ TEST(Differential, HeuristicOnlyModeSkipsExact)
 
 TEST(Differential, RunsUnderAlternativeLocalityProviders)
 {
-    for (const char *provider : {"oracle", "hybrid:2"}) {
-        DiffOptions options = smokeOptions(16);
-        options.locality = provider;
-        const auto report = runDifferential(options);
-        EXPECT_EQ(report.failed(), 0)
-            << provider << "\n"
-            << report.summary();
-    }
-}
-
-// ------------------------------------------- hybrid:<budget> provider
-
-TEST(HybridBudget, SpendsSamplesBeforeFallingBack)
-{
-    // On a builtin loop with a large iteration space the default
-    // solver leaves some queries unconverged; a budgeted hybrid
-    // answers a superset of them by sampling instead of simulating.
-    // Budget 0 must behave exactly like the plain hybrid.
-    auto &registry = cme::LocalityRegistry::instance();
-    EXPECT_TRUE(registry.has("hybrid:0"));
-    EXPECT_TRUE(registry.has("hybrid:16"));
-    EXPECT_FALSE(registry.has("hybrid_16"));
-    // has() and create() agree: a malformed budget does not resolve.
-    EXPECT_FALSE(registry.has("hybrid:two"));
-    EXPECT_FALSE(registry.has("hybrid:-1"));
-
-    const auto nest = workloads::benchmarkByName("su2cor").loops[0];
-    const CacheGeom geom{2048, 32, 1};
-    const auto mem = nest.loops().size() ? nest.memoryOps()
-                                         : std::vector<OpId>{};
-    ASSERT_FALSE(mem.empty());
-
-    auto plain = registry.bind("hybrid", nest);
-    auto zero = registry.bind("hybrid:0", nest);
-    auto budgeted = registry.bind("hybrid:16", nest);
-    const double p = plain->missesPerIteration(mem, geom);
-    EXPECT_DOUBLE_EQ(zero->missesPerIteration(mem, geom), p);
-    // The budgeted answer stays within sampling noise of the plain
-    // one (both estimate the same exact quantity).
-    EXPECT_NEAR(budgeted->missesPerIteration(mem, geom), p, 0.5);
-}
-
-TEST(HybridBudget, DeterministicAcrossInstances)
-{
-    const auto nest = workloads::benchmarkByName("tomcatv").loops[0];
-    const CacheGeom geom{4096, 32, 1};
-    const auto mem = nest.memoryOps();
-    auto &registry = cme::LocalityRegistry::instance();
-    auto a = registry.bind("hybrid:3", nest);
-    auto b = registry.bind("hybrid:3", nest);
-    for (const OpId op : mem)
-        EXPECT_DOUBLE_EQ(a->missRatio(mem, op, geom),
-                         b->missRatio(mem, op, geom))
-            << op;
-}
-
-TEST(HybridBudgetDeath, RejectsMalformedBudgets)
-{
-    EXPECT_EXIT(
-        (void)cme::LocalityRegistry::instance().create("hybrid:two"),
-        ::testing::ExitedWithCode(1), "bad hybrid budget 'two'");
-    EXPECT_EXIT(
-        (void)cme::LocalityRegistry::instance().create("hybrid:-1"),
-        ::testing::ExitedWithCode(1), "bad hybrid budget");
+    DiffOptions options = smokeOptions(16);
+    options.locality = "oracle";
+    const auto report = runDifferential(options);
+    EXPECT_EQ(report.failed(), 0) << report.summary();
 }
 
 } // namespace

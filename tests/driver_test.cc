@@ -376,10 +376,10 @@ TEST(ParseLocalityFlag, StripsTheFlagAndParses)
     EXPECT_STREQ(argv[1], "positional");
 
     char b0[] = "prog";
-    char b1[] = "--locality=hybrid";
+    char b1[] = "--locality=oracle";
     char *argv2[] = {b0, b1};
     int argc2 = 2;
-    EXPECT_EQ(parseLocalityFlag(argc2, argv2), "hybrid");
+    EXPECT_EQ(parseLocalityFlag(argc2, argv2), "oracle");
     EXPECT_EQ(argc2, 1);
 
     char c0[] = "prog";

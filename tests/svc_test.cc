@@ -85,7 +85,7 @@ parseAll(const std::vector<std::string> &payloads)
     std::vector<Request> out;
     for (std::size_t i = 0; i < payloads.size(); ++i) {
         Request req = parseRequest(payloads[i]);
-        req.id = "r" + std::to_string(i);
+        req.id = std::string("r").append(std::to_string(i));
         EXPECT_EQ(req.error, "");
         out.push_back(std::move(req));
     }
@@ -513,8 +513,10 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
     // A zero line size or associativity used to divide by zero inside
     // MachineConfig::validate and a zero capacity tripped an assertion
     // in the locality analysis; a negative latency and a threshold
-    // outside [0, 1] used to be scheduled. Each is now a `status
-    // error` reply and the session carries on to the next request.
+    // outside [0, 1] used to be scheduled; the retired `hybrid`
+    // locality provider and its `hybrid:<N>` spelling used to be
+    // served. Each is now a `status error` reply and the session
+    // carries on to the next request.
     const auto bench = workloads::benchmarkByName("tomcatv");
     const std::string good = "config backend rmca\n\n" +
                              text::printScenario(text::ScenarioText{
@@ -532,6 +534,8 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
         {"latfp", with("lat_fp 2\n", "lat_fp -5\n")},
         {"thrnan", "config threshold nan\n" + good},
         {"thr2", "config threshold 2\n" + good},
+        {"hybrid", "config locality hybrid\n" + good},
+        {"hybrid2", "config locality hybrid:2\n" + good},
         {"good", good},
     };
 
@@ -554,6 +558,11 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
         EXPECT_EQ(reply.find("status error") != std::string::npos,
                   id != "good")
             << reply;
+        if (id == "hybrid") {
+            EXPECT_NE(reply.find("(known: cme, oracle)"),
+                      std::string::npos)
+                << reply;
+        }
     }
     EXPECT_EQ(out.compare(out.size() - 4, 4, "BYE\n"), 0);
 }
