@@ -18,11 +18,6 @@ namespace
  * the backend degrades to "gap unknown" (never a wrong certificate). */
 constexpr std::int64_t MAX_ORDER_VARS = 400'000;
 
-/** Liveness coverage past this many stages is truncated — dropping
- * coverage only weakens the (already under-approximate) pressure
- * cardinality, so truncation is sound. */
-constexpr Cycle MAX_COVER_STAGES = 8;
-
 } // namespace
 
 IiEncoding::IiEncoding(const ddg::Ddg &graph, const MachineConfig &machine,
@@ -81,6 +76,29 @@ IiEncoding::klit(OpId v, ClusterId c) const
     if (nc_ == 1)
         return c == 0 ? TRUE_LIT : FALSE_LIT;
     return mkLit(ops_[static_cast<std::size_t>(v)].k0 + c);
+}
+
+int
+IiEncoding::pairOf(OpId u, ClusterId d) const
+{
+    return pair_of_[static_cast<std::size_t>(u) *
+                        static_cast<std::size_t>(nc_) +
+                    static_cast<std::size_t>(d)];
+}
+
+bool
+IiEncoding::readIn(OpId u, ClusterId d,
+                   const std::vector<ClusterId> &cluster) const
+{
+    if (cluster[static_cast<std::size_t>(u)] == d)
+        return false;
+    for (int ei : graph_.outEdges(u)) {
+        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
+        if (e.isRegFlow() && e.dst != u &&
+            cluster[static_cast<std::size_t>(e.dst)] == d)
+            return true;
+    }
+    return false;
 }
 
 void
@@ -416,9 +434,7 @@ IiEncoding::emitDependences(Solver &s)
         if (nc_ == 1)
             continue;
         for (ClusterId d = 0; d < nc_; ++d) {
-            const int p = pair_of_[static_cast<std::size_t>(u) *
-                                       static_cast<std::size_t>(nc_) +
-                                   static_cast<std::size_t>(d)];
+            const int p = pairOf(u, d);
             mvp_assert(p >= 0, "register consumer without a comm pair");
             clause(s, {neg(klit(v, d)), klit(u, d),
                        mkLit(comms_[static_cast<std::size_t>(p)].e)});
@@ -491,10 +507,7 @@ IiEncoding::emitWindowCaps(Solver &s)
                     continue;
                 const Cycle b2 = lrb_ - iidist + ii_ - 1;
                 for (ClusterId d = 0; d < nc_; ++d) {
-                    const int p =
-                        pair_of_[static_cast<std::size_t>(u) *
-                                     static_cast<std::size_t>(nc_) +
-                                 static_cast<std::size_t>(d)];
+                    const int p = pairOf(u, d);
                     const CommVars &cv =
                         comms_[static_cast<std::size_t>(p)];
                     for (Cycle j = cv.xlo; j <= cv.xhi; ++j)
@@ -627,131 +640,110 @@ IiEncoding::emitBusCapacity(Solver &s)
                 xs.push_back(mkLit(cv.u0 + static_cast<Var>(sl)));
         atMostK(s, xs, machine_.nRegBuses);
     }
+    // Arc cap: per-slot occupancy admits arc sets no bus assignment
+    // can colour (three 2-slot arcs on two buses at II=3). A bus
+    // carries at most floor(II / L) transfers, whose arcs are disjoint
+    // mod II.
+    if (lrb_ >= 2) {
+        xs.clear();
+        for (const CommVars &cv : comms_)
+            if (cv.u0 >= 0)
+                xs.push_back(mkLit(cv.e));
+        atMostK(s, xs, machine_.nRegBuses * static_cast<int>(ii_ / lrb_));
+    }
 }
 
 /**
- * Per-cluster register-pressure cardinality: liveness indicators per
- * (value, cluster, modulo slot) forced true wherever a value provably
- * occupies a register — from production to the latest same-cluster
- * read or pending transfer start locally, from arrival to the latest
- * remote read in a transfer's destination — then at-most-R per
- * (cluster, slot). Multiplicity across overlapped stages is dropped,
- * so the bound under-approximates lifetimes.cc; the decode/validate/
- * block loop in the backend covers the gap.
+ * Exact register-pressure cut of (cluster c, slot). Every lifetime
+ * that may occupy a register of c — a value's local interval, or a
+ * transfer's remote interval into c — gets one indicator per absolute
+ * cycle a = slot mod II of its hull, forced true when the interval
+ * holds a: guard, start <= a, and a is the start or some reader's
+ * end >= a. A lifetime spanning k stages covers k such cycles, so the
+ * at-most-R over the indicators counts live(c, slot) exactly as
+ * computeLifetimes() does.
  */
-void
-IiEncoding::emitRegisterPressure(Solver &s)
+bool
+IiEncoding::refinePressure(Solver &s, ClusterId c, Cycle slot)
 {
-    const int regs = machine_.regsPerCluster;
-    const auto &loop = graph_.loop();
-    std::vector<OpId> values;
-    for (std::size_t v = 0; v < n_; ++v)
-        if (loop.op(static_cast<OpId>(v)).producesValue())
-            values.push_back(static_cast<OpId>(v));
-    int pairs_per_cluster = 0;
-    for (const CommVars &cv : comms_)
-        if (cv.d == 0 && cv.xhi >= cv.xlo)
-            ++pairs_per_cluster;
-    if (static_cast<int>(values.size()) + pairs_per_cluster <= regs)
-        return;
+    std::vector<bool>::reference done =
+        cut_[static_cast<std::size_t>(c) *
+                 static_cast<std::size_t>(ii_) +
+             static_cast<std::size_t>(slot)];
+    if (done)
+        return false;
+    done = true;
 
-    const Cycle cover_cap = MAX_COVER_STAGES * ii_;
-    for (OpId u : values) {
-        OpVars &ou = ops_[static_cast<std::size_t>(u)];
-        const Cycle out_lat = graph_.opLatency(u);
-        ou.l0 = s.newVar();
-        for (Cycle i = 1; i < static_cast<Cycle>(nc_) * ii_; ++i)
-            s.newVar();
-        const Cycle a_lo = ou.lo + out_lat;
-        for (ClusterId c = 0; c < nc_; ++c) {
-            const Var lc = ou.l0 + static_cast<Var>(c * ii_);
-            // Production slot (the degenerate [start, start] interval).
-            for (Cycle t = ou.lo; t <= ou.hi; ++t)
-                clause(s, {neg(klit(u, c)), neg(ole(u, t)), ole(u, t - 1),
-                           mkLit(lc + static_cast<Var>(
-                                          modSlot(t + out_lat)))});
-            // Live until each same-cluster read.
-            for (int ei : graph_.outEdges(u)) {
-                const auto &e =
-                    graph_.edges()[static_cast<std::size_t>(ei)];
-                if (!e.isRegFlow())
-                    continue;
-                const OpId w = e.dst;
-                const OpVars &ow = ops_[static_cast<std::size_t>(w)];
-                const Cycle iidist = ii_ * e.distance;
-                const Cycle a_hi = std::min(ow.hi + iidist,
-                                            a_lo + cover_cap - 1);
-                for (Cycle a = a_lo; a <= a_hi; ++a)
-                    clause(s, {neg(klit(u, c)), neg(klit(w, c)),
-                               neg(ole(u, a - out_lat)),
-                               ole(w, a - iidist - 1),
-                               mkLit(lc + static_cast<Var>(modSlot(a)))});
-            }
-            // Live until each pending transfer's bus slot.
-            if (nc_ > 1)
-                for (ClusterId d = 0; d < nc_; ++d) {
-                    const int p =
-                        pair_of_[static_cast<std::size_t>(u) *
-                                     static_cast<std::size_t>(nc_) +
-                                 static_cast<std::size_t>(d)];
-                    if (p < 0)
-                        continue;
-                    const CommVars &cv =
-                        comms_[static_cast<std::size_t>(p)];
-                    if (cv.xhi < cv.xlo)
-                        continue;
-                    const Cycle a_hi =
-                        std::min(cv.xhi, a_lo + cover_cap - 1);
-                    for (Cycle a = a_lo; a <= a_hi; ++a)
-                        clause(s,
-                               {neg(klit(u, c)), ~mkLit(cv.e),
-                                neg(ole(u, a - out_lat)), ple(p, a - 1),
-                                mkLit(lc +
-                                      static_cast<Var>(modSlot(a)))});
-                }
+    // A time term: t_v + off, or the start of transfer `pair` + off.
+    struct Term
+    {
+        OpId v;
+        int pair;
+        Cycle off;
+    };
+    const auto le = [&](const Term &t, Cycle a) {
+        return t.pair < 0 ? ole(t.v, a - t.off) : ple(t.pair, a - t.off);
+    };
+    const auto hull = [&](const Term &t) {
+        if (t.pair < 0) {
+            const OpVars &o = ops_[static_cast<std::size_t>(t.v)];
+            return std::pair{o.lo + t.off, o.hi + t.off};
         }
-    }
-    // Remote intervals: arrival .. last remote read.
-    for (CommVars &cv : comms_) {
-        if (cv.xhi < cv.xlo)
-            continue;
-        cv.r0 = s.newVar();
-        for (Cycle i = 1; i < ii_; ++i)
-            s.newVar();
-        const int p = static_cast<int>(&cv - comms_.data());
-        for (Cycle j = cv.xlo; j <= cv.xhi; ++j)
-            clause(s, {~mkLit(cv.e), neg(ple(p, j)), ple(p, j - 1),
-                       mkLit(cv.r0 +
-                             static_cast<Var>(modSlot(j + lrb_)))});
-        const Cycle a_lo = cv.xlo + lrb_;
-        for (int ei : graph_.outEdges(cv.u)) {
-            const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-            if (!e.isRegFlow() || e.dst == cv.u)
-                continue;
-            const OpId w = e.dst;
-            const OpVars &ow = ops_[static_cast<std::size_t>(w)];
-            const Cycle iidist = ii_ * e.distance;
-            const Cycle a_hi =
-                std::min(ow.hi + iidist, a_lo + cover_cap - 1);
-            for (Cycle a = a_lo; a <= a_hi; ++a)
-                clause(s, {~mkLit(cv.e), neg(klit(w, cv.d)),
-                           neg(ple(p, a - lrb_)), ole(w, a - iidist - 1),
-                           mkLit(cv.r0 + static_cast<Var>(modSlot(a)))});
-        }
-    }
+        const CommVars &cv = comms_[static_cast<std::size_t>(t.pair)];
+        return std::pair{cv.xlo + t.off, cv.xhi + t.off};
+    };
     std::vector<Lit> xs;
-    for (ClusterId c = 0; c < nc_; ++c)
-        for (Cycle sl = 0; sl < ii_; ++sl) {
-            xs.clear();
-            for (OpId u : values)
-                xs.push_back(
-                    mkLit(ops_[static_cast<std::size_t>(u)].l0 +
-                          static_cast<Var>(c * ii_ + sl)));
-            for (const CommVars &cv : comms_)
-                if (cv.d == c && cv.r0 >= 0)
-                    xs.push_back(mkLit(cv.r0 + static_cast<Var>(sl)));
-            atMostK(s, xs, regs);
+    std::vector<std::pair<Lit, Term>> ends; // (reader guard, its end)
+    const auto interval = [&](Lit guard, const Term &start) {
+        auto [a, a_hi] = hull(start);
+        for (const auto &[g, t] : ends)
+            a_hi = std::max(a_hi, hull(t).second);
+        for (a += modSlot(slot - a); a <= a_hi; a += ii_) {
+            const Lit x = mkLit(s.newVar());
+            xs.push_back(x);
+            clause(s, {neg(guard), neg(le(start, a)), le(start, a - 1), x});
+            for (const auto &[g, t] : ends)
+                if (a <= hull(t).second)
+                    clause(s, {neg(guard), neg(g), neg(le(start, a)),
+                               le(t, a - 1), x});
         }
+    };
+    // Reads of u's value from cluster c, optionally skipping u itself.
+    const auto readersIn = [&](OpId u, bool self) {
+        ends.clear();
+        for (int ei : graph_.outEdges(u)) {
+            const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
+            if (e.isRegFlow() && (self || e.dst != u))
+                ends.push_back(
+                    {klit(e.dst, c), {e.dst, -1, ii_ * e.distance}});
+        }
+    };
+
+    const auto &loop = graph_.loop();
+    for (std::size_t ui = 0; ui < n_; ++ui) {
+        const OpId u = static_cast<OpId>(ui);
+        if (!loop.op(u).producesValue())
+            continue;
+        // Local: production until the last same-cluster read or the
+        // last transfer start.
+        readersIn(u, true);
+        for (ClusterId d = 0; d < nc_; ++d)
+            if (const int p = pairOf(u, d); p >= 0)
+                ends.push_back(
+                    {mkLit(comms_[static_cast<std::size_t>(p)].e),
+                     {u, p, 0}});
+        interval(klit(u, c), {u, -1, graph_.opLatency(u)});
+    }
+    // Remote: arrival in c until the last read in c.
+    for (std::size_t p = 0; p < comms_.size(); ++p) {
+        const CommVars &cv = comms_[p];
+        if (cv.d != c || cv.xhi < cv.xlo || !loop.op(cv.u).producesValue())
+            continue;
+        readersIn(cv.u, false);
+        interval(mkLit(cv.e), {cv.u, static_cast<int>(p), lrb_});
+    }
+    atMostK(s, xs, machine_.regsPerCluster);
+    return true;
 }
 
 IiEncoding::Status
@@ -773,7 +765,8 @@ IiEncoding::build(Solver &s)
     emitWindowCaps(s);
     emitFuCapacity(s);
     emitBusCapacity(s);
-    emitRegisterPressure(s);
+    cut_.assign(static_cast<std::size_t>(nc_) * static_cast<std::size_t>(ii_),
+                false);
     return Status::Ok;
 }
 
@@ -840,21 +833,8 @@ IiEncoding::decode(const Solver &s, ModuloSchedule &out) const
     Mrt mrt(machine_, ii_);
     for (std::size_t u = 0; u < n_; ++u) {
         for (ClusterId d = 0; d < nc_; ++d) {
-            const int p = pair_of_[u * static_cast<std::size_t>(nc_) +
-                                   static_cast<std::size_t>(d)];
-            if (p < 0 || d == cluster[u])
-                continue;
-            bool needed = false;
-            for (int ei : graph_.outEdges(static_cast<OpId>(u))) {
-                const auto &e =
-                    graph_.edges()[static_cast<std::size_t>(ei)];
-                if (e.isRegFlow() && e.dst != static_cast<OpId>(u) &&
-                    cluster[static_cast<std::size_t>(e.dst)] == d) {
-                    needed = true;
-                    break;
-                }
-            }
-            if (!needed)
+            const int p = pairOf(static_cast<OpId>(u), d);
+            if (p < 0 || !readIn(static_cast<OpId>(u), d, cluster))
                 continue;
             const Cycle x = modelStart(s, p) + shift;
             const int bus = mrt.findFreeBusAt(mrt.slot(x));
@@ -884,24 +864,8 @@ IiEncoding::blockModel(Solver &s)
     }
     for (std::size_t u = 0; u < n_; ++u)
         for (ClusterId d = 0; d < nc_; ++d) {
-            const int p = pair_of_.empty()
-                              ? -1
-                              : pair_of_[u * static_cast<std::size_t>(
-                                                 nc_) +
-                                         static_cast<std::size_t>(d)];
-            if (p < 0 || d == cluster[u])
-                continue;
-            bool needed = false;
-            for (int ei : graph_.outEdges(static_cast<OpId>(u))) {
-                const auto &e =
-                    graph_.edges()[static_cast<std::size_t>(ei)];
-                if (e.isRegFlow() && e.dst != static_cast<OpId>(u) &&
-                    cluster[static_cast<std::size_t>(e.dst)] == d) {
-                    needed = true;
-                    break;
-                }
-            }
-            if (!needed)
+            const int p = pairOf(static_cast<OpId>(u), d);
+            if (p < 0 || !readIn(static_cast<OpId>(u), d, cluster))
                 continue;
             const Cycle x = modelStart(s, p);
             cl.push_back(neg(ple(p, x)));

@@ -23,19 +23,23 @@
  *    order-encoded transfer start, constrained exactly like
  *    bookTransfers(): start >= producer ready, width-II booking
  *    window, arrival before every remote reader's budget;
- *  - per-cluster FU capacity, per-slot bus capacity and per-cluster
- *    register pressure are sequential-counter (Sinz) at-most-k
- *    cardinalities over modulo-slot indicator variables.
+ *  - per-cluster FU capacity and per-slot bus capacity are
+ *    sequential-counter (Sinz) at-most-k cardinalities over
+ *    modulo-slot indicator variables, plus, at bus latency L >= 2, an
+ *    at-most nRegBuses * floor(II / L) over the transfers (a bus holds
+ *    that many disjoint L-slot arcs mod II).
  *
- * The bus and register cardinalities are sound under-approximations
- * (bus occupancy ignores circular-arc colourability at latency >= 2;
- * liveness indicators drop per-stage multiplicity), so a decoded model
- * is re-validated by ModuloSchedule::validate(); the backend blocks
- * any model the checker rejects and re-solves. Refutations need no
- * such care: every B&B-reachable placement satisfies the encoding, so
- * UNSAT certifies the II exactly as a B&B exhaustion does (relative
- * to the enumerated placement space — the same caveat bnb.hh
- * documents).
+ * Register pressure is lazy and exact: refinePressure(c, s) cuts a
+ * slot a decoded model over-subscribed, counting each lifetime once
+ * per stage it spans exactly like lifetimes.cc, so a cut admits every
+ * schedule the checker accepts and is never violated again. The bus
+ * cardinalities stay under-approximations (arc colourability), so a
+ * decoded model is re-validated by ModuloSchedule::validate(); the
+ * backend blocks any model the checker still rejects and re-solves.
+ * Refutations need no such care: every B&B-reachable placement
+ * satisfies the encoding and every cut, so UNSAT certifies the II
+ * exactly as a B&B exhaustion does (relative to the enumerated
+ * placement space — the same caveat bnb.hh documents).
  *
  * All clauses carry the negated activation literal of this attempt, so
  * one incremental Solver hosts successive II probes of a loop: probing
@@ -60,8 +64,9 @@ namespace mvp::sched::sat
 
 /**
  * Builder/decoder for one (loop, machine, II) attempt. Construct, call
- * build() once, then solve under {activation()}; decode() models and
- * blockModel() rejected ones.
+ * build() once, then solve under {activation()}; decode() models,
+ * refinePressure() over-subscribed register files and blockModel()
+ * whatever else the checker rejects.
  */
 class IiEncoding
 {
@@ -99,6 +104,13 @@ class IiEncoding
      */
     void blockModel(Solver &s);
 
+    /**
+     * Add the exact cut "at most regsPerCluster values live in cluster
+     * @p c at slot @p slot", counted like computeLifetimes(). Returns
+     * false, adding nothing, when that pair is already cut.
+     */
+    bool refinePressure(Solver &s, ClusterId c, Cycle slot);
+
   private:
     /** Order-encoded time window of one op. */
     struct OpVars
@@ -109,7 +121,6 @@ class IiEncoding
         Var k0 = -1;   ///< first cluster var (multi-cluster only)
         Var s0 = -1;   ///< first modulo-slot var (FU counting; lazy)
         Var b0 = -1;   ///< first (cluster x slot) var (lazy)
-        Var l0 = -1;   ///< local-liveness indicators (pressure; lazy)
     };
 
     /** One potential transfer: producer u's value into cluster d. */
@@ -122,7 +133,6 @@ class IiEncoding
         Var p0 = -1;    ///< order vars for the start, span [xlo, xhi-1]
         Var e = -1;     ///< "this transfer exists"
         Var u0 = -1;    ///< bus-occupancy indicators, one per slot (lazy)
-        Var r0 = -1;    ///< remote-liveness indicators, per slot (lazy)
     };
 
     // Sentinels threaded through clause construction: lit() drops
@@ -134,6 +144,10 @@ class IiEncoding
     Lit ole(OpId v, Cycle j) const;  ///< literal for t_v <= j
     Lit ple(int pair, Cycle j) const; ///< literal for x_pair <= j
     Lit klit(OpId v, ClusterId c) const; ///< literal for cluster(v)==c
+    int pairOf(OpId u, ClusterId d) const; ///< comms_ index or -1
+    /** Whether placement @p cluster must ship u's value into d. */
+    bool readIn(OpId u, ClusterId d,
+                const std::vector<ClusterId> &cluster) const;
 
     void clause(Solver &s, std::initializer_list<Lit> ls);
     void clauseV(Solver &s, const std::vector<Lit> &ls);
@@ -149,7 +163,6 @@ class IiEncoding
     void emitWindowCaps(Solver &s);
     void emitFuCapacity(Solver &s);
     void emitBusCapacity(Solver &s);
-    void emitRegisterPressure(Solver &s);
 
     Cycle modSlot(Cycle a) const;
     Cycle modelTime(const Solver &s, OpId v) const;
@@ -170,6 +183,7 @@ class IiEncoding
     std::vector<CommVars> comms_;
     std::vector<int> pair_of_;     ///< [op*nc + d] -> comms_ index or -1
     std::vector<Lit> buf_;         ///< clause scratch
+    std::vector<bool> cut_;        ///< [cluster*II + slot]: pressure cut
     bool too_large_ = false;
 };
 

@@ -38,6 +38,7 @@ struct SatSearch
     std::int64_t fu_refuted = 0;
     std::int64_t lifts = 0;
     std::int64_t blocked_models = 0;
+    std::int64_t refinements = 0;
     std::int64_t too_large = 0;
     bool budget_hit = false;
 
@@ -91,6 +92,7 @@ struct SatSearch
         c("fu_refuted") += fu_refuted;
         c("lifts") += lifts;
         c("blocked_models") += blocked_models;
+        c("refinements") += refinements;
         c("encodings_too_large") += too_large;
         if (budget_hit)
             c("budget_exhausted") += 1;
@@ -189,10 +191,10 @@ SatSearch::run()
             continue;
         }
 
-        // Solve/decode/validate loop: the bus and register
-        // cardinalities under-approximate the checker (encode.hh), so
-        // a model the full validation rejects is blocked and the probe
-        // re-solved; UNSAT needs no such care.
+        // Solve/decode/check loop: each register file a model
+        // over-subscribes gets its exact pressure cut, any other
+        // checker rejection (the bus cardinalities under-approximate,
+        // encode.hh) is blocked, and the probe re-solves.
         bool attempt_done = false;
         bool stop_search = false;
         while (!attempt_done) {
@@ -200,12 +202,20 @@ SatSearch::run()
             if (r == sat::SolveResult::Sat) {
                 ModuloSchedule cand;
                 bool good = enc.decode(solver, cand);
+                const std::int64_t cuts = refinements;
                 if (good) {
                     const LifetimeStats lt = computeLifetimes(
                         graph, cand, machine, ctx.lifetimes);
-                    for (int ml : lt.maxLivePerCluster)
-                        if (ml > machine.regsPerCluster)
+                    const std::vector<Cycle> &live = ctx.lifetimes.live;
+                    for (Cycle k = 0; k < static_cast<Cycle>(live.size());
+                         ++k)
+                        if (live[static_cast<std::size_t>(k)] >
+                            machine.regsPerCluster) {
                             good = false;
+                            refinements += enc.refinePressure(
+                                solver, static_cast<ClusterId>(k / ii),
+                                k % ii);
+                        }
                     if (good &&
                         !cand.validate(graph, machine).empty())
                         good = false;
@@ -213,8 +223,10 @@ SatSearch::run()
                         cand.setMaxLive(lt.maxLivePerCluster);
                 }
                 if (!good) {
-                    ++blocked_models;
-                    enc.blockModel(solver);
+                    if (refinements == cuts) {
+                        ++blocked_models;
+                        enc.blockModel(solver);
+                    }
                     continue;
                 }
                 best = std::move(cand);
