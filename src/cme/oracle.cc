@@ -16,7 +16,9 @@ struct OracleScratch
 {
     std::vector<OpId> canonical;              ///< canonical-set buffer
     std::vector<OpId> subset;                 ///< parent-probe buffer
-    std::vector<LineView> lines;              ///< per-position streams
+    std::vector<const AffineStream *> streams; ///< per-position streams
+    std::vector<Addr> stride;                 ///< per-position strides
+    std::vector<Addr> addr;                   ///< per-position cursors
     std::vector<const SetBuckets *> buckets;  ///< per-position buckets
     std::vector<std::int64_t> cursor;         ///< merge iterators
     std::vector<std::int64_t> last;           ///< merge end offsets
@@ -28,6 +30,54 @@ oracleScratch()
 {
     static thread_local OracleScratch scratch;
     return scratch;
+}
+
+/** forEachAccess's loop, with LineMap's shift-or-divide choice made. */
+template <bool SHIFT, class F>
+void
+walkAccesses(OracleScratch &scratch, const LineMap &line_of, F &f)
+{
+    const std::size_t m = scratch.streams.size();
+    const AffineStream *const *streams = scratch.streams.data();
+    const Addr *stride = scratch.stride.data();
+    Addr *addr = scratch.addr.data();
+    const std::size_t runs = streams[0]->starts.size();
+    const std::int64_t inner = streams[0]->inner;
+    for (std::size_t r = 0; r < runs; ++r) {
+        for (std::size_t j = 0; j < m; ++j)
+            addr[j] = streams[j]->starts[r];
+        for (std::int64_t k = 0; k < inner; ++k) {
+            for (std::size_t j = 0; j < m; ++j) {
+                f(j, line_of.map<SHIFT>(addr[j]));
+                addr[j] += stride[j];
+            }
+        }
+    }
+}
+
+/**
+ * Feed every access of the interleaved stream of @p set to
+ * @p f(position, line), in execution order: point-major, set position
+ * minor. One running address per position steps by its stride and is
+ * re-seeded from the run starts at each innermost run.
+ */
+template <class F>
+void
+forEachAccess(StreamCache &cache, const std::vector<OpId> &set,
+              const CacheGeom &geom, OracleScratch &scratch, F &&f)
+{
+    scratch.streams.clear();
+    scratch.stride.clear();
+    for (OpId op : set) {
+        scratch.streams.push_back(&cache.stream(op));
+        scratch.stride.push_back(scratch.streams.back()->stride);
+    }
+    scratch.addr.resize(set.size());
+    const LineMap line_of(geom.lineBytes);
+    if (line_of.shifts())
+        walkAccesses<true>(scratch, line_of, f);
+    else
+        walkAccesses<false>(scratch, line_of, f);
 }
 
 /**
@@ -81,28 +131,16 @@ CacheOracle::simulateFresh(const std::vector<OpId> &set,
     const std::int64_t num_sets = geom.numSets();
     const auto assoc = static_cast<std::size_t>(geom.assoc);
     const std::size_t m = set.size();
-    const std::int64_t points = streams_->points();
-    const bool pow2 = (num_sets & (num_sets - 1)) == 0;
-    const std::int64_t mask = num_sets - 1;
-
-    OracleScratch &scratch = oracleScratch();
-    scratch.lines.clear();
-    for (OpId op : set)
-        scratch.lines.push_back(
-            streams_->lines(op, geom.lineBytes).view());
-    const LineView *lines = scratch.lines.data();
 
     res.perSetMisses.assign(static_cast<std::size_t>(num_sets) * m, 0);
     res.tags.assign(static_cast<std::size_t>(num_sets) * assoc, -1);
-    for (std::int64_t p = 0; p < points; ++p) {
-        for (std::size_t j = 0; j < m; ++j) {
-            const std::int64_t line = lines[j][p];
-            const auto s = static_cast<std::size_t>(
-                pow2 ? (line & mask) : (line % num_sets));
-            if (applyAccess(res.tags.data(), s, assoc, line))
-                ++res.perSetMisses[s * m + j];
-        }
-    }
+    forEachAccess(*streams_, set, geom, oracleScratch(),
+                  [&](std::size_t j, std::int64_t line) {
+                      const auto s = static_cast<std::size_t>(
+                          CacheGeom::setOfLine(line, num_sets));
+                      if (applyAccess(res.tags.data(), s, assoc, line))
+                          ++res.perSetMisses[s * m + j];
+                  });
 }
 
 void
@@ -163,25 +201,15 @@ CacheOracle::simulateExtended(const std::vector<OpId> &set,
         // access on top of a from-scratch simulation — never the m-way
         // merge's per-access select. Identical results either way; the
         // cutover only picks the cheaper exact path.
-        const bool pow2 = (num_sets & (num_sets - 1)) == 0;
-        const std::int64_t mask = num_sets - 1;
-        scratch.lines.clear();
-        for (OpId op : set)
-            scratch.lines.push_back(
-                streams_->lines(op, geom.lineBytes).view());
-        const LineView *lines = scratch.lines.data();
-        const std::int64_t points = streams_->points();
-        for (std::int64_t p = 0; p < points; ++p) {
-            for (std::size_t j = 0; j < m; ++j) {
-                const std::int64_t line = lines[j][p];
-                const auto s = static_cast<std::size_t>(
-                    pow2 ? (line & mask) : (line % num_sets));
-                if (!scratch.touched[s])
-                    continue;
-                if (applyAccess(res.tags.data(), s, assoc, line))
-                    ++res.perSetMisses[s * m + j];
-            }
-        }
+        forEachAccess(*streams_, set, geom, scratch,
+                      [&](std::size_t j, std::int64_t line) {
+                          const auto s = static_cast<std::size_t>(
+                              CacheGeom::setOfLine(line, num_sets));
+                          if (!scratch.touched[s])
+                              return;
+                          if (applyAccess(res.tags.data(), s, assoc, line))
+                              ++res.perSetMisses[s * m + j];
+                      });
         return;
     }
 

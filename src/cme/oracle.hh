@@ -10,9 +10,12 @@
  *
  * Two structural facts keep the oracle fast enough for scheduler use:
  *
- *  1. Access streams come from the shared StreamCache (cme/stream.hh),
- *     so a simulation reads one materialised line per access instead of
- *     deriving IV vectors and affine addresses.
+ *  1. Access streams come from the shared StreamCache (cme/stream.hh)
+ *     in affine form, so a full simulation steps one running address
+ *     per op by its stride and maps it to a line with a shift (for
+ *     power-of-two lines) instead of deriving IV vectors and affine
+ *     addresses per access. The set index follows
+ *     CacheGeom::setOfLine, a mask for power-of-two set counts.
  *  2. Simulations are *incremental across set growth*. Cache sets of an
  *     LRU cache are independent, so every memoised simulation keeps a
  *     per-cache-set checkpoint (final LRU way states plus per-op miss
@@ -70,7 +73,7 @@ class CacheOracle : public LocalityAnalysis
     /**
      * Bind to @p nest, drawing access streams from @p streams (one is
      * created privately when null; pass the loop's shared cache to
-     * amortise stream materialisation across analyses).
+     * amortise stream building across analyses).
      *
      * @p checkpoint_byte_cap bounds the memory the memo spends on
      * per-cache-set checkpoints: once the cap is reached, further
@@ -166,7 +169,7 @@ class CacheOracle : public LocalityAnalysis
     const SimResult &simulate(const std::vector<OpId> &set,
                               const CacheGeom &geom);
 
-    /** Full chronological simulation over the cached line streams. */
+    /** Full chronological simulation over the cached affine streams. */
     void simulateFresh(const std::vector<OpId> &set,
                        const CacheGeom &geom, SimResult &res);
 

@@ -13,7 +13,7 @@
  *  - "oracle"  the exact trace-driven oracle (incremental simulation).
  *
  * Every provider bound to one nest can share one StreamCache, so the
- * materialised access streams amortise across providers as well as
+ * built access streams amortise across providers as well as
  * across queries. Out-of-tree code can register additional providers
  * through LocalityRegistry::add().
  */

@@ -15,16 +15,33 @@ namespace
 {
 
 /**
+ * One set position's place in a backward walk: the next point it has
+ * not yet examined, that point's place in its innermost run and the
+ * address the position touches there, plus the lowest point inside
+ * the walk window.
+ */
+struct Cursor
+{
+    std::int64_t q;      ///< next point to examine (below qmin: done)
+    std::int64_t k;      ///< q's index within its innermost run
+    std::size_t run;     ///< q's innermost run
+    Addr addr;           ///< address touched at q
+    std::int64_t qmin;   ///< lowest point within the walk window
+};
+
+/**
  * Per-thread working buffers of the solver. The analysis object is
  * shared by every worker of a parallel sweep, so the scratch cannot
  * live in the object; per-thread buffers keep the hot path
  * allocation-free exactly as the member buffers did single-threaded.
+ * The per-position vectors grow to the largest set queried.
  */
 struct SolverScratch
 {
-    std::vector<OpId> canonical;              ///< canonical-set buffer
-    std::vector<LineView> lines;              ///< per-position streams
-    std::vector<std::int64_t> conflicts;      ///< isMiss interference
+    std::vector<OpId> canonical;               ///< canonical-set buffer
+    std::vector<const AffineStream *> streams; ///< per-position streams
+    std::vector<Cursor> cursors;               ///< per-position walk state
+    std::vector<std::int64_t> conflicts;       ///< isMiss interference
 };
 
 SolverScratch &
@@ -32,6 +49,175 @@ solverScratch()
 {
     static thread_local SolverScratch scratch;
     return scratch;
+}
+
+/** What one query's walks share: the geometry, hoisted. */
+struct WalkGeom
+{
+    LineMap lineOf;
+    std::int64_t numSets;
+    std::size_t assoc;
+    int maxWalk;
+};
+
+/**
+ * Re-seed a cursor that just stepped back across a run boundary
+ * (k == -1) on the last point of the previous run.
+ */
+void
+reseed(Cursor &c, const AffineStream &stream)
+{
+    --c.run;
+    c.k = stream.inner - 1;
+    c.addr = stream.starts[c.run] + static_cast<Addr>(c.k) * stream.stride;
+}
+
+/** Step the cursor back one point. */
+void
+stepBack(Cursor &c, const AffineStream &stream)
+{
+    --c.q;
+    c.addr -= stream.stride;
+    if (--c.k < 0 && c.q >= 0)
+        reseed(c, stream);
+}
+
+/**
+ * Advance the cursor backwards until it rests on an access that maps
+ * into @p target_set at a point >= @p limit (returns true) or has
+ * examined every point down to @p limit (returns false). Inside a run
+ * this is a tight loop on one running address: a subtract, a shift
+ * (for power-of-two lines, @p SHIFT) and a set test per point.
+ */
+template <bool SHIFT>
+bool
+scanTo(Cursor &c, std::int64_t limit, const AffineStream &stream,
+       const WalkGeom &g, std::int64_t target_set)
+{
+    while (c.q >= limit) {
+        const std::int64_t steps = std::min(c.k, c.q - limit) + 1;
+        Addr a = c.addr;
+        std::int64_t i = 0;
+        for (; i < steps; ++i, a -= stream.stride)
+            if (CacheGeom::setOfLine(g.lineOf.map<SHIFT>(a), g.numSets) ==
+                target_set)
+                break;
+        c.addr = a;
+        c.q -= i;
+        c.k -= i;
+        if (i < steps)
+            return true;
+        if (c.k < 0 && c.q >= 0)
+            reseed(c, stream);
+    }
+    return false;
+}
+
+/**
+ * Decide hit/miss for position @p ref_pos of the set (whose streams are
+ * in @p scratch) at iteration point @p point by evaluating the
+ * cold/replacement equations with a bounded backward walk.
+ *
+ * The equations walk the interleaved access stream backwards,
+ * point-major and position-minor: positions ref_pos-1 .. 0 of
+ * @p point, then every position of each earlier point, until the
+ * reuse source, a full set of interfering lines, the stream's start
+ * or the maxWalk-th access. Only accesses that map into the target
+ * set (the target line's own included) can decide the walk, so each
+ * position is scanned on its own, with one running address stepped by
+ * the stride (re-seeded from the run starts at run boundaries), and
+ * the positions' in-set accesses are merged back into walk order: the
+ * latest point first, the highest position first within a point. Scans
+ * advance in widening point windows so no position runs far past the
+ * access that decides the walk. The walk divides only when the line
+ * size (@p SHIFT false) or the set count is not a power of two.
+ */
+template <bool SHIFT>
+bool
+isMiss(SolverScratch &scratch, std::size_t ref_pos, std::int64_t point,
+       const WalkGeom g)   // by value: cursor stores cannot alias it
+{
+    const AffineStream *const *streams = scratch.streams.data();
+    Cursor *cursors = scratch.cursors.data();
+    const auto nops = static_cast<std::int64_t>(scratch.streams.size());
+    const auto ref = static_cast<std::int64_t>(ref_pos);
+
+    // The walk window per position. The walk index (1-based) of
+    // position j is ref - j at `point` and ref + d * nops + (nops - j)
+    // at point - 1 - d; indices up to maxWalk are walked.
+    const std::int64_t window = std::max(g.maxWalk, 0);
+    const std::int64_t rest = window - ref;   // left after `point`
+    const std::int64_t full = rest >= 0 ? rest / nops : 0;
+    const std::int64_t part = rest >= 0 ? rest % nops : 0;
+    const std::int64_t inner = streams[0]->inner;
+    const auto run = static_cast<std::size_t>(point / inner);
+    const std::int64_t k = point % inner;
+    std::int64_t target_line = 0;
+    for (std::int64_t j = 0; j < nops; ++j) {
+        Cursor &c = cursors[j];
+        const AffineStream &stream = *streams[j];
+        c.q = point;
+        c.k = k;
+        c.run = run;
+        c.addr = stream.starts[run] + static_cast<Addr>(k) * stream.stride;
+        if (j == ref)
+            target_line = g.lineOf.map<SHIFT>(c.addr);
+        if (j >= ref)
+            stepBack(c, stream);   // walked from the previous point on
+        if (rest < 0)
+            c.qmin = j < ref && ref - j <= window ? point : point + 1;
+        else
+            c.qmin = std::max<std::int64_t>(
+                point - (j >= nops - part ? full + 1 : full), 0);
+    }
+    const std::int64_t target_set =
+        CacheGeom::setOfLine(target_line, g.numSets);
+
+    // Distinct interfering lines seen so far in the target set.
+    std::vector<std::int64_t> &conflicts = scratch.conflicts;
+    conflicts.clear();
+
+    std::int64_t horizon = point;   // this round scans points >= horizon
+    std::int64_t widen = 2;
+    for (;;) {
+        // The earliest in-set access in walk order at or above the
+        // horizon. A lower position must beat the best found so far at
+        // a strictly later point: within a point, higher positions
+        // come first.
+        std::int64_t best = -1;
+        bool more = false;   // some position has window below the horizon
+        for (std::int64_t j = nops; j-- > 0;) {
+            Cursor &c = cursors[j];
+            const std::int64_t limit =
+                std::max({c.qmin, horizon,
+                          best >= 0 ? cursors[best].q + 1 : c.qmin});
+            if (scanTo<SHIFT>(c, limit, *streams[j], g, target_set))
+                best = j;
+            else if (c.q >= c.qmin)
+                more = true;
+        }
+        if (best < 0) {
+            if (!more)
+                return true;   // start of the stream or of the window
+            horizon -= widen;
+            widen *= 2;
+            continue;
+        }
+        Cursor &c = cursors[best];
+        const std::int64_t line = g.lineOf.map<SHIFT>(c.addr);
+        if (line == target_line) {
+            // Reuse source found: the replacement equation fires iff
+            // the interference already filled the set.
+            return conflicts.size() >= g.assoc;
+        }
+        if (std::find(conflicts.begin(), conflicts.end(), line) ==
+            conflicts.end()) {
+            conflicts.push_back(line);
+            if (conflicts.size() >= g.assoc)
+                return true;   // set already refilled: guaranteed miss
+        }
+        stepBack(c, *streams[best]);
+    }
 }
 
 } // namespace
@@ -69,56 +255,6 @@ CmeAnalysis::samplingKey(const std::vector<OpId> &set, OpId op,
     return key;
 }
 
-bool
-CmeAnalysis::isMiss(const LineView *lines, std::size_t nops,
-                    std::size_t ref_pos, std::int64_t point,
-                    const CacheGeom &geom,
-                    std::vector<std::int64_t> &conflicts)
-{
-    points_.fetch_add(1, std::memory_order_relaxed);
-    const std::int64_t num_sets = geom.numSets();
-    mvp_assert(num_sets > 0, "cache with no sets");
-
-    const std::int64_t target_line = lines[ref_pos][point];
-    const std::int64_t target_set = target_line % num_sets;
-
-    // Distinct interfering lines seen so far in the target set.
-    conflicts.clear();
-    conflicts.reserve(static_cast<std::size_t>(geom.assoc));
-
-    // Walk the interleaved access stream backwards: position-minor,
-    // point-major, exactly the order the un-cached walk produced by
-    // decrementing the IV vector in place.
-    std::int64_t cur_point = point;
-    auto cur_pos = static_cast<std::int64_t>(ref_pos);
-    int walked = 0;
-
-    for (;;) {
-        if (--cur_pos < 0) {
-            if (cur_point == 0)
-                return true;   // start of the stream: cold miss
-            --cur_point;
-            cur_pos = static_cast<std::int64_t>(nops) - 1;
-        }
-        if (++walked > params_.maxWalk)
-            return true;   // reuse beyond the window: treat as miss
-        const std::int64_t line =
-            lines[static_cast<std::size_t>(cur_pos)][cur_point];
-        if (line == target_line) {
-            // Reuse source found: the replacement equation fires iff the
-            // interference already filled the set.
-            return static_cast<int>(conflicts.size()) >= geom.assoc;
-        }
-        if (line % num_sets == target_set &&
-            std::find(conflicts.begin(), conflicts.end(), line) ==
-                conflicts.end()) {
-            conflicts.push_back(line);
-            if (static_cast<int>(conflicts.size()) >= geom.assoc)
-                return true;   // set already refilled: guaranteed miss
-        }
-    }
-}
-
 detail::RatioValue
 CmeAnalysis::solveRatio(const std::vector<OpId> &set, OpId op,
                         const CacheGeom &geom)
@@ -135,26 +271,34 @@ CmeAnalysis::solveRatio(const std::vector<OpId> &set, OpId op,
     const auto ref_pos =
         static_cast<std::size_t>(pos_it - set.begin());
 
+    const std::int64_t num_sets = geom.numSets();
+    mvp_assert(num_sets > 0, "cache with no sets");
+    const WalkGeom walk{LineMap(geom.lineBytes), num_sets,
+                        static_cast<std::size_t>(geom.assoc),
+                        params_.maxWalk};
+
     SolverScratch &scratch = solverScratch();
     // One shard-locked fetch per set position; from here the sampling
-    // walk touches nothing but flat arrays.
-    scratch.lines.clear();
+    // walk touches nothing but the streams' run starts.
+    scratch.streams.clear();
     for (OpId o : set)
-        scratch.lines.push_back(
-            streams_->lines(o, geom.lineBytes).view());
-    const LineView *lines = scratch.lines.data();
-    const std::size_t nops = set.size();
+        scratch.streams.push_back(&streams_->stream(o));
+    scratch.cursors.resize(set.size());
+    const auto miss = [&](std::int64_t p) {
+        return walk.lineOf.shifts()
+                   ? isMiss<true>(scratch, ref_pos, p, walk)
+                   : isMiss<false>(scratch, ref_pos, p, walk);
+    };
 
     detail::RatioValue value;
     const std::int64_t points = streams_->points();
+    std::int64_t evaluated = 0;
     if (points <= params_.maxSamples) {
         // Exhaustive mode: evaluate every iteration point.
         std::int64_t misses = 0;
         for (std::int64_t p = 0; p < points; ++p)
-            misses += isMiss(lines, nops, ref_pos, p, geom,
-                             scratch.conflicts)
-                          ? 1
-                          : 0;
+            misses += miss(p) ? 1 : 0;
+        evaluated = points;
         value.ratio =
             static_cast<double>(misses) / static_cast<double>(points);
     } else {
@@ -166,17 +310,17 @@ CmeAnalysis::solveRatio(const std::vector<OpId> &set, OpId op,
         while (static_cast<int>(stat.count()) < params_.maxSamples) {
             const auto p = static_cast<std::int64_t>(
                 rng.nextBounded(static_cast<std::uint64_t>(points)));
-            stat.add(isMiss(lines, nops, ref_pos, p, geom,
-                            scratch.conflicts)
-                         ? 1.0
-                         : 0.0);
+            stat.add(miss(p) ? 1.0 : 0.0);
             if (static_cast<int>(stat.count()) >= params_.minSamples &&
                 stat.ciHalfWidth() <= params_.ciTarget)
                 break;
         }
+        evaluated = static_cast<std::int64_t>(stat.count());
         value.ratio = stat.mean();
         value.ciHalfWidth = stat.ciHalfWidth();
     }
+    points_.fetch_add(static_cast<std::size_t>(evaluated),
+                      std::memory_order_relaxed);
 
     return memo_.tryInsert(ref, value);
 }

@@ -24,9 +24,17 @@
  * small the solver switches to exhaustive evaluation (zero-width CI).
  *
  * The access stream itself comes from a shared StreamCache
- * (cme/stream.hh): the backward walk reads materialised per-op line
- * arrays instead of re-evaluating affine references per step, and the
- * same arrays feed the exact oracle bound to the nest.
+ * (cme/stream.hh) in affine form: one start address per innermost run
+ * plus a stride per op, so the stream memory of a loop is
+ * O(points / inner trip count) and one stream serves every geometry.
+ * Only accesses that map into the target's cache set can decide an
+ * equation, so the backward walk scans each set position on its own —
+ * one running address stepped back by the stride, a shift and a masked
+ * set test per point for power-of-two geometries — and merges the
+ * positions' in-set accesses back into the interleaved stream's order.
+ * The walk divides only for line sizes or set counts that are not
+ * powers of two. The same streams feed the exact oracle bound to the
+ * nest.
  */
 
 #ifndef MVP_CME_SOLVER_HH
@@ -178,18 +186,6 @@ class CmeAnalysis : public LocalityAnalysis
     void importMemo(const std::vector<CmeMemoEntry> &entries);
 
   private:
-    /**
-     * Decide hit/miss for position @p ref_pos of the set at iteration
-     * point @p point under @p geom by evaluating the cold/replacement
-     * equations with a bounded backward walk over the cached line
-     * streams in @p lines (one view per set position). @p conflicts
-     * comes from the calling thread's scratch.
-     */
-    bool isMiss(const LineView *lines, std::size_t nops,
-                std::size_t ref_pos, std::int64_t point,
-                const CacheGeom &geom,
-                std::vector<std::int64_t> &conflicts);
-
     /**
      * Memoised estimate of one op's miss ratio inside a set. @p set must
      * be canonical (sorted, duplicate-free) and contain @p op.

@@ -1,6 +1,5 @@
 #include "cme/stream.hh"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -14,59 +13,40 @@ StreamCache::StreamCache(const ir::LoopNest &nest)
 {
 }
 
-std::unique_ptr<LineStream>
-StreamCache::buildLines(OpId op, std::int64_t line_bytes) const
+std::unique_ptr<AffineStream>
+StreamCache::buildStream(OpId op) const
 {
     const auto &operation = nest_.op(op);
-    mvp_assert(operation.isMemory(), "line stream of a non-memory op");
-    mvp_assert(line_bytes > 0, "bad cache line size");
+    mvp_assert(operation.isMemory(), "access stream of a non-memory op");
 
-    // Feed (point, line) of every point in execution order to @p f. The
-    // strided addresses equal addressOf bit for bit, and the division is
-    // CacheGeom::lineOf's — the streams must be byte-for-byte what the
-    // un-cached analyses computed.
-    const std::int64_t inner = nest_.innerTripCount();
+    // The strided addresses equal addressOf bit for bit; an affine
+    // reference's innermost stride does not depend on the outer IVs.
+    auto stream = std::make_unique<AffineStream>();
+    stream->inner = nest_.innerTripCount();
+    stream->starts.reserve(
+        static_cast<std::size_t>(points_ / stream->inner));
     std::vector<std::int64_t> ivs(nest_.depth());
-    const auto walk = [&](auto &&f) {
-        for (std::int64_t first = 0; first < points_; first += inner) {
-            space_.at(first, ivs);
-            const ir::StridedAddress addr =
-                nest_.stridedAddressOf(*operation.memRef, ivs);
-            for (std::int64_t k = 0; k < inner; ++k)
-                f(first + k,
-                  static_cast<std::int64_t>(addr.at(k)) / line_bytes);
-        }
-    };
-
-    auto stream = std::make_unique<LineStream>();
-    std::int64_t lo = INT64_MAX;
-    std::int64_t hi = INT64_MIN;
-    walk([&](std::int64_t, std::int64_t line) {
-        lo = std::min(lo, line);
-        hi = std::max(hi, line);
-    });
-    mvp_assert(static_cast<std::uint64_t>(hi) -
-                       static_cast<std::uint64_t>(lo) <=
-                   UINT32_MAX,
-               "line stream of op ", op, " spans more than 2^32 lines");
-    stream->base = lo;
-    stream->offsets.resize(static_cast<std::size_t>(points_));
-    walk([&](std::int64_t p, std::int64_t line) {
-        stream->offsets[static_cast<std::size_t>(p)] =
-            static_cast<std::uint32_t>(line - lo);
-    });
+    for (std::int64_t first = 0; first < points_; first += stream->inner) {
+        space_.at(first, ivs);
+        const ir::StridedAddress addr =
+            nest_.stridedAddressOf(*operation.memRef, ivs);
+        if (first == 0)
+            stream->stride = addr.stride;
+        mvp_assert(addr.stride == stream->stride, "op ", op,
+                   " has an innermost stride that varies between runs");
+        stream->starts.push_back(addr.start);
+    }
     return stream;
 }
 
-const LineStream &
-StreamCache::lines(OpId op, int line_bytes)
+const AffineStream &
+StreamCache::stream(OpId op)
 {
     requests_.fetch_add(1, std::memory_order_relaxed);
-    const Key key{op, line_bytes, 0};
-    Shard &shard = shardOf(key);
+    Shard &shard = shardOf(Key{op, 0, 0});
     {
         std::lock_guard<std::mutex> lock(shard.mu);
-        if (auto it = shard.lines.find(key); it != shard.lines.end())
+        if (auto it = shard.streams.find(op); it != shard.streams.end())
             return *it->second;
     }
 
@@ -74,10 +54,10 @@ StreamCache::lines(OpId op, int line_bytes)
     // a racing builder produces an identical value and emplace() keeps
     // whichever arrived first.
     MVP_TRACE_SPAN("stream-build", {}, static_cast<std::int64_t>(op));
-    auto fresh = buildLines(op, line_bytes);
+    auto fresh = buildStream(op);
     built_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(shard.mu);
-    return *shard.lines.emplace(key, std::move(fresh)).first->second;
+    return *shard.streams.emplace(op, std::move(fresh)).first->second;
 }
 
 const SetBuckets &
@@ -94,27 +74,41 @@ StreamCache::buckets(OpId op, const CacheGeom &geom)
             return *it->second;
     }
 
-    const LineStream &stream = lines(op, geom.lineBytes);
+    const AffineStream &affine = stream(op);
+    const LineMap line_of(geom.lineBytes);
+    // Feed (point, line) of every point in execution order to @p f,
+    // stepping one running address per run.
+    const auto walk = [&](auto &&f) {
+        std::int64_t p = 0;
+        for (const Addr start : affine.starts) {
+            Addr addr = start;
+            for (std::int64_t k = 0; k < affine.inner; ++k, ++p) {
+                f(p, line_of(addr));
+                addr += affine.stride;
+            }
+        }
+    };
+
     auto fresh = std::make_unique<SetBuckets>();
     // Counting pass, then a placement pass over stable offsets: the
     // entries of one set come out chronological because the stream is
     // walked in point order both times.
     fresh->offsets.assign(static_cast<std::size_t>(num_sets) + 1, 0);
-    const auto points = static_cast<std::int64_t>(stream.size());
-    for (std::int64_t p = 0; p < points; ++p) {
-        const auto s = static_cast<std::size_t>(stream.line(p) % num_sets);
-        ++fresh->offsets[s + 1];
-    }
+    walk([&](std::int64_t, std::int64_t line) {
+        ++fresh->offsets[static_cast<std::size_t>(
+                             CacheGeom::setOfLine(line, num_sets)) +
+                         1];
+    });
     for (std::size_t s = 1; s < fresh->offsets.size(); ++s)
         fresh->offsets[s] += fresh->offsets[s - 1];
-    fresh->entries.resize(stream.size());
+    fresh->entries.resize(static_cast<std::size_t>(points_));
     std::vector<std::int64_t> cursor(
         fresh->offsets.begin(), fresh->offsets.end() - 1);
-    for (std::int64_t p = 0; p < points; ++p) {
-        const std::int64_t line = stream.line(p);
-        const auto s = static_cast<std::size_t>(line % num_sets);
+    walk([&](std::int64_t p, std::int64_t line) {
+        const auto s = static_cast<std::size_t>(
+            CacheGeom::setOfLine(line, num_sets));
         fresh->entries[static_cast<std::size_t>(cursor[s]++)] = {p, line};
-    }
+    });
 
     std::lock_guard<std::mutex> lock(shard.mu);
     return *shard.buckets.emplace(key, std::move(fresh)).first->second;

@@ -5,20 +5,22 @@
  * Both locality providers — the CME sampling solver and the exact trace
  * oracle — spend their time answering the same underlying question:
  * which cache line does memory operation `op` touch at iteration point
- * `p`? Before this layer existed each of them re-derived that answer on
- * every query (the solver per sampled point of its backward walk, the
- * oracle per simulated access), walking the iteration space and
- * evaluating the affine reference from scratch.
+ * `p`? A StreamCache answers it from an *affine* form of each op's
+ * stream. An affine reference is affine in the innermost IV, so along
+ * one execution of the innermost loop (a *run*) the op touches
+ * `start + k * stride`. The stream keeps one start address per run plus
+ * the op's stride, built once per op with LoopNest::stridedAddressOf,
+ * and
  *
- * A StreamCache materialises the answer once per (op, line size): a
- * flat line array over the whole iteration space, in lexicographic
- * execution order. Any reference set's access stream is then just the
- * point-major interleave of its ops' line arrays, so
+ *     line(p) = (start[p / inner] + (p % inner) * stride) / lineBytes
  *
- *  - a fresh CME query walks cached arrays instead of re-evaluating
- *    affine expressions per backward step, and
- *  - an oracle simulation reads one line per access instead of
- *    computing IV vectors and addresses.
+ * bit for bit what addressOf and CacheGeom::lineOf give. The form does
+ * not depend on the line size, so one stream per op serves every
+ * geometry, and it costs O(points / inner trip count) memory rather
+ * than one entry per point. The hot loops never evaluate the formula
+ * per access: they keep a running address per op and step it by the
+ * stride, re-seeding it from `start` only at run boundaries, and map
+ * addresses to lines with LineMap (a shift for power-of-two lines).
  *
  * The cache additionally serves a bucketed *footprint* view per
  * (op, line size, cache-set count): the op's accesses grouped by the
@@ -30,7 +32,8 @@
  * solver's ShardedRatioMemo: entries live behind lock-striped shards,
  * are built outside the lock, and are immutable once published; two
  * threads racing on the same key build identical values (a stream is a
- * pure function of (nest, op, geometry)) and the first insert wins.
+ * pure function of (nest, op), a bucketed view of (nest, op, geometry))
+ * and the first insert wins.
  * One StreamCache per loop nest is meant to be shared by every analysis
  * bound to that nest — the harness Workbench keeps one per entry.
  */
@@ -40,6 +43,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -54,42 +58,69 @@ namespace mvp::cme
 {
 
 /**
- * A line stream's storage, by value, for hot loops that read several
- * streams at once: @c view[p] is the line touched at point p.
+ * Address -> cache line under one line size: a shift when the size is a
+ * power of two, else CacheGeom::lineOf's division. The two agree on
+ * every address of a validated loop (LoopNest::validate() keeps them
+ * below 2^63).
  */
-struct LineView
+class LineMap
 {
-    const std::uint32_t *offsets;
-    std::int64_t base;
-
-    std::int64_t operator[](std::int64_t p) const
+  public:
+    explicit LineMap(int line_bytes)
+        : bytes_(line_bytes),
+          shift_((line_bytes & (line_bytes - 1)) == 0
+                     ? std::countr_zero(static_cast<unsigned>(line_bytes))
+                     : -1)
     {
-        return base + offsets[p];
     }
+
+    std::int64_t operator()(Addr addr) const
+    {
+        return shifts() ? map<true>(addr) : map<false>(addr);
+    }
+
+    /** True when the line size is a power of two. */
+    bool shifts() const { return shift_ >= 0; }
+
+    /**
+     * operator() with the shift-or-divide choice made by the caller,
+     * for hot loops that dispatch on shifts() once, outside the loop.
+     */
+    template <bool SHIFT>
+    std::int64_t map(Addr addr) const
+    {
+        const auto a = static_cast<std::int64_t>(addr);
+        return SHIFT ? a >> shift_ : a / bytes_;
+    }
+
+  private:
+    std::int64_t bytes_;
+    int shift_;   ///< log2 of the line size, or -1 when not a power of 2
 };
 
 /**
- * Materialised line stream of one memory operation: the cache line it
- * touches at every iteration point. Lines are kept as 32-bit offsets
- * from the stream's smallest line, half the footprint of absolute
- * lines; LoopNest::validate() caps arrays at 4 GiB, so a stream's span
- * always fits. Immutable after construction.
+ * Affine access stream of one memory operation: the address it touches
+ * at every iteration point, as one start address per innermost run plus
+ * a stride. Immutable after construction.
  */
-struct LineStream
+struct AffineStream
 {
-    std::int64_t base = 0;                ///< smallest line touched
-    std::vector<std::uint32_t> offsets;   ///< line at point p, minus base
-
-    /** Line touched at linear iteration index @p p. */
-    std::int64_t line(std::int64_t p) const
-    {
-        return base + offsets[static_cast<std::size_t>(p)];
-    }
+    std::int64_t inner = 1;      ///< points per run (inner trip count)
+    Addr stride = 0;             ///< address step per innermost iteration
+    std::vector<Addr> starts;    ///< address at the first point of run r
 
     /** Number of iteration points. */
-    std::size_t size() const { return offsets.size(); }
+    std::int64_t points() const
+    {
+        return static_cast<std::int64_t>(starts.size()) * inner;
+    }
 
-    LineView view() const { return {offsets.data(), base}; }
+    /** Address touched at linear iteration index @p p. */
+    Addr address(std::int64_t p) const
+    {
+        return starts[static_cast<std::size_t>(p / inner)] +
+               static_cast<Addr>(p % inner) * stride;
+    }
 };
 
 /**
@@ -118,7 +149,7 @@ struct SetBuckets
 };
 
 /**
- * Per-loop-nest cache of materialised access streams, shared by every
+ * Per-loop-nest cache of affine access streams, shared by every
  * locality analysis bound to the nest.
  */
 class StreamCache
@@ -132,11 +163,11 @@ class StreamCache
     std::int64_t points() const { return points_; }
 
     /**
-     * The line stream of @p op under @p line_bytes, materialising it on
-     * first use. The returned reference stays valid (and immutable) for
-     * the cache's lifetime. @p op must be a memory operation.
+     * The affine stream of @p op, building it on first use. The
+     * returned reference stays valid (and immutable) for the cache's
+     * lifetime. @p op must be a memory operation.
      */
-    const LineStream &lines(OpId op, int line_bytes);
+    const AffineStream &stream(OpId op);
 
     /**
      * The bucketed view of @p op's stream under @p geom (keyed on line
@@ -144,14 +175,17 @@ class StreamCache
      */
     const SetBuckets &buckets(OpId op, const CacheGeom &geom);
 
-    /** Streams materialised so far (monotone; for tests and reports). */
+    /**
+     * Affine streams built so far, at most one per memory op unless two
+     * threads race on one (monotone; for tests and reports).
+     */
     std::size_t streamsBuilt() const
     {
         return built_.load(std::memory_order_relaxed);
     }
 
     /**
-     * lines()/buckets() calls so far (monotone). Together with
+     * stream()/buckets() calls so far (monotone). Together with
      * streamsBuilt() this yields the cache hit rate; under concurrent
      * use two racing builders of one key both count a miss.
      */
@@ -165,7 +199,7 @@ class StreamCache
     {
         OpId op;
         std::int64_t lineBytes;
-        std::int64_t numSets;   ///< 0 for plain line streams
+        std::int64_t numSets;
 
         bool operator==(const Key &other) const = default;
     };
@@ -190,13 +224,12 @@ class StreamCache
     /**
      * One lock-striped shard. Values sit behind unique_ptr so a
      * published stream's address survives rehashing; entries are never
-     * mutated after insertion.
+     * mutated after insertion. Affine streams are keyed by op alone.
      */
     struct Shard
     {
         std::mutex mu;
-        std::unordered_map<Key, std::unique_ptr<LineStream>, KeyHash>
-            lines;
+        std::unordered_map<OpId, std::unique_ptr<AffineStream>> streams;
         std::unordered_map<Key, std::unique_ptr<SetBuckets>, KeyHash>
             buckets;
     };
@@ -208,9 +241,8 @@ class StreamCache
         return shards_[KeyHash{}(key) % NUM_SHARDS];
     }
 
-    /** Build the line stream of @p op (no locks held). */
-    std::unique_ptr<LineStream> buildLines(OpId op,
-                                           std::int64_t line_bytes) const;
+    /** Build the affine stream of @p op (no locks held). */
+    std::unique_ptr<AffineStream> buildStream(OpId op) const;
 
     const ir::LoopNest &nest_;
     ir::IterationSpace space_;

@@ -150,7 +150,7 @@ class Workbench
 
         /**
          * Access-stream cache shared by every locality analysis bound
-         * to this loop (cme/stream.hh): materialised line streams
+         * to this loop (cme/stream.hh): its affine access streams
          * amortise across providers and configurations alike.
          */
         std::shared_ptr<cme::StreamCache> streams;

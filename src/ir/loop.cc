@@ -177,14 +177,20 @@ LoopNest::validate() const
                 mvp_fatal("array '", arr.name, "' has non-positive extent");
         if (arr.elemSize <= 0)
             mvp_fatal("array '", arr.name, "' has non-positive elemSize");
-        // The locality analysis keeps a reference's cache lines as
-        // 32-bit offsets (cme/stream.hh); 4 GiB arrays keep them in range.
+        // The 4 GiB cap keeps addressOf's int64 linearisation (index
+        // times elemSize) and every extent product far from overflow,
+        // and bounds the address range one request can describe.
         std::int64_t bytes = arr.elemSize;
         for (auto d : arr.dims) {
             if (bytes > MAX_ARRAY_BYTES / d)
                 mvp_fatal("array '", arr.name, "' is larger than 4 GiB");
             bytes *= d;
         }
+        // Addresses below 2^63 are non-negative as int64, so the
+        // locality analyses may map them to lines by shift and to sets
+        // by mask (cme/stream.hh, CacheGeom::setOfLine).
+        if (arr.base > (Addr{1} << 63) - static_cast<Addr>(bytes))
+            mvp_fatal("array '", arr.name, "' extends past address 2^63");
     }
     for (std::size_t i = 0; i < ops_.size(); ++i) {
         const Operation &o = ops_[i];

@@ -198,8 +198,8 @@ class LoopNest
      * Check structural invariants: operand producers exist and produce
      * values, distances are non-negative, memory ops carry references to
      * declared arrays with one index per dimension, every reference stays
-     * in bounds over the whole iteration space, no array exceeds 4 GiB,
-     * loop bounds are sane.
+     * in bounds over the whole iteration space, no array exceeds 4 GiB
+     * or extends past address 2^63, loop bounds are sane.
      * Calls mvp_fatal() with a diagnostic on violation.
      */
     void validate() const;

@@ -42,8 +42,24 @@ struct CacheGeom
         return static_cast<std::int64_t>(addr) / lineBytes;
     }
 
+    /**
+     * The set-index rule: cache set of line @p line among @p num_sets
+     * sets. A mask when the count is a power of two, else a remainder;
+     * the two agree on every non-negative line, and
+     * LoopNest::validate() keeps every address, hence every line, of a
+     * loop non-negative. Hot loops hoist numSets() and pass it in.
+     */
+    static std::int64_t setOfLine(std::int64_t line, std::int64_t num_sets)
+    {
+        return (num_sets & (num_sets - 1)) == 0 ? (line & (num_sets - 1))
+                                                : (line % num_sets);
+    }
+
     /** Cache set of an address. */
-    std::int64_t setOf(Addr addr) const { return lineOf(addr) % numSets(); }
+    std::int64_t setOf(Addr addr) const
+    {
+        return setOfLine(lineOf(addr), numSets());
+    }
 
     bool operator==(const CacheGeom &other) const = default;
 };

@@ -164,77 +164,191 @@ TEST(CmeMemo, RatioMemoSurvivesGrowth)
     EXPECT_EQ(memo.find(ref), nullptr);
 }
 
-TEST(StreamCache, LinesMatchDirectAddressing)
+TEST(StreamCache, AffineMatchesDirectAddressing)
 {
     const auto nest = interferenceLoop();
     const ir::IterationSpace space(nest);
     StreamCache cache(nest);
     ASSERT_EQ(cache.points(), space.points());
 
+    // A power-of-two line size (the shift) and one that is not (the
+    // division) both reproduce CacheGeom::lineOf of addressOf.
     std::vector<std::int64_t> ivs;
-    for (OpId op : nest.memoryOps()) {
-        const LineStream &stream = cache.lines(op, GEOM_2K.lineBytes);
-        ASSERT_EQ(stream.size(), static_cast<std::size_t>(space.points()));
-        for (std::int64_t p = 0; p < space.points(); ++p) {
-            space.at(p, ivs);
-            const Addr addr =
-                nest.addressOf(*nest.op(op).memRef, ivs);
-            EXPECT_EQ(stream.line(p), GEOM_2K.lineOf(addr))
-                << "op " << op << " point " << p;
+    for (const CacheGeom geom : {GEOM_2K, CacheGeom{2304, 24, 2}}) {
+        const LineMap line_of(geom.lineBytes);
+        for (OpId op : nest.memoryOps()) {
+            const AffineStream &stream = cache.stream(op);
+            ASSERT_EQ(stream.points(), space.points());
+            for (std::int64_t p = 0; p < space.points(); ++p) {
+                space.at(p, ivs);
+                const Addr addr = nest.addressOf(*nest.op(op).memRef, ivs);
+                EXPECT_EQ(stream.address(p), addr)
+                    << "op " << op << " point " << p;
+                EXPECT_EQ(line_of(stream.address(p)), geom.lineOf(addr))
+                    << "op " << op << " point " << p << " line "
+                    << geom.lineBytes;
+            }
         }
     }
-    // Two geometries with the same line size share one stream per op.
-    EXPECT_EQ(&cache.lines(nest.memoryOps()[0], GEOM_2K.lineBytes),
-              &cache.lines(nest.memoryOps()[0], GEOM_4K.lineBytes));
+    // The stream does not depend on the line size: one per op.
+    EXPECT_EQ(cache.streamsBuilt(), nest.memoryOps().size());
 }
 
 TEST(StreamCache, LinesSpanningFourGiBStayExact)
 {
-    // First and last element of a 4 GiB array, one-byte lines: the
-    // stream's offsets use the full 32-bit range.
+    // First and last element of a 4 GiB array at 2^40, one-byte lines:
+    // lines 2^32 apart, beyond any 32-bit offset.
     LoopNestBuilder b("span");
     b.loop("i", 0, 2);
     const auto A = b.arrayAt("A", {1 << 15, 1 << 15}, Addr{1} << 40);
     b.load(A, {affineVar(0, (1 << 15) - 1), affineVar(0, (1 << 15) - 1)});
     const auto nest = b.build();
     StreamCache cache(nest);
-    const LineStream &stream = cache.lines(nest.memoryOps()[0], 1);
-    EXPECT_EQ(stream.line(0), std::int64_t{1} << 40);
-    EXPECT_EQ(stream.line(1), (std::int64_t{1} << 40) +
-                                  (std::int64_t{1} << 32) - 4);
+    const AffineStream &stream = cache.stream(nest.memoryOps()[0]);
+    const LineMap bytes(1);
+    EXPECT_EQ(bytes(stream.address(0)), std::int64_t{1} << 40);
+    EXPECT_EQ(bytes(stream.address(1)), (std::int64_t{1} << 40) +
+                                            (std::int64_t{1} << 32) - 4);
 }
 
 TEST(StreamCache, BucketsPartitionTheStreamChronologically)
 {
     const auto nest = interferenceLoop();
     StreamCache cache(nest);
-    const std::int64_t num_sets = GEOM_2K.numSets();
-
-    for (OpId op : nest.memoryOps()) {
-        const LineStream &stream = cache.lines(op, GEOM_2K.lineBytes);
-        const SetBuckets &buckets = cache.buckets(op, GEOM_2K);
-        ASSERT_EQ(buckets.offsets.size(),
-                  static_cast<std::size_t>(num_sets) + 1);
-        EXPECT_EQ(buckets.entries.size(), stream.size());
-        std::int64_t seen = 0;
-        for (std::int64_t s = 0; s < num_sets; ++s) {
-            std::int64_t prev_point = -1;
-            for (std::int64_t e = buckets.offsets[
-                     static_cast<std::size_t>(s)];
-                 e < buckets.offsets[static_cast<std::size_t>(s) + 1];
-                 ++e) {
-                const auto &entry =
-                    buckets.entries[static_cast<std::size_t>(e)];
-                EXPECT_EQ(entry.line % num_sets, s);
-                EXPECT_EQ(stream.line(entry.point), entry.line);
-                EXPECT_GT(entry.point, prev_point);   // chronological
-                prev_point = entry.point;
-                ++seen;
+    for (const CacheGeom geom : {GEOM_2K, CacheGeom{2304, 24, 2}}) {
+        const std::int64_t num_sets = geom.numSets();
+        const LineMap line_of(geom.lineBytes);
+        for (OpId op : nest.memoryOps()) {
+            const AffineStream &stream = cache.stream(op);
+            const SetBuckets &buckets = cache.buckets(op, geom);
+            ASSERT_EQ(buckets.offsets.size(),
+                      static_cast<std::size_t>(num_sets) + 1);
+            EXPECT_EQ(static_cast<std::int64_t>(buckets.entries.size()),
+                      stream.points());
+            std::int64_t seen = 0;
+            for (std::int64_t s = 0; s < num_sets; ++s) {
+                std::int64_t prev_point = -1;
+                for (std::int64_t e = buckets.offsets[
+                         static_cast<std::size_t>(s)];
+                     e < buckets.offsets[static_cast<std::size_t>(s) + 1];
+                     ++e) {
+                    const auto &entry =
+                        buckets.entries[static_cast<std::size_t>(e)];
+                    EXPECT_EQ(entry.line % num_sets, s);
+                    EXPECT_EQ(line_of(stream.address(entry.point)),
+                              entry.line);
+                    EXPECT_GT(entry.point, prev_point);   // chronological
+                    prev_point = entry.point;
+                    ++seen;
+                }
             }
+            EXPECT_EQ(seen, stream.points());
+            EXPECT_EQ(buckets.touches(0),
+                      buckets.offsets[1] > buckets.offsets[0]);
         }
-        EXPECT_EQ(seen, static_cast<std::int64_t>(stream.size()));
-        EXPECT_EQ(buckets.touches(0),
-                  buckets.offsets[1] > buckets.offsets[0]);
+    }
+}
+
+/**
+ * The fallback paths, pinned: 24-byte lines and 48 sets (2304 B,
+ * 2-way) take the division and the remainder where power-of-two
+ * geometries take a shift and a mask. The expected values were
+ * produced by the line-array implementation the affine walk replaced,
+ * on a sampled loop and on one small enough for exhaustive evaluation,
+ * so a drifting fallback fails here even if it agrees with itself.
+ */
+TEST(CmeMemo, NonPowerOfTwoGeometryPinned)
+{
+    const CacheGeom geom{2304, 24, 2};
+    ASSERT_EQ(geom.numSets(), 48);
+
+    LoopNestBuilder b("tiny");
+    b.loop("j", 0, 4);
+    b.loop("i", 0, 60);
+    const auto A = b.arrayAt("A", {4, 64}, 0x1004, 8);
+    const auto B = b.arrayAt("B", {256}, 0x1004 + 0x900, 4);
+    const auto la = b.load(A, {affineVar(0), affineVar(1)}, "la");
+    const auto lb = b.load(B, {affineVar(1, 4)}, "lb");
+    const auto s = b.op(Opcode::FAdd, {use(la), use(lb)});
+    b.store(A, {affineVar(0), affineVar(1)}, use(s));
+    const auto tiny = b.build();
+
+    struct Pinned
+    {
+        OpId op;
+        std::vector<OpId> set;
+        double ratio;
+        double ciHalfWidth;
+    };
+    struct Case
+    {
+        LoopNest nest;
+        std::size_t points;                 ///< CME equations evaluated
+        std::vector<Pinned> memo;           ///< exportMemo(), in order
+        std::vector<double> oraclePrefix;   ///< missesPerIteration
+        std::vector<double> oracleRatio;    ///< missRatio over the set
+    };
+    const Case cases[] = {
+        {interferenceLoop(), 1319,
+         {{0, {0}, 0x0p+0, 0x0p+0},
+          {0, {0, 1, 2, 5}, 0x1.4100cd712752dp-3, 0x1.4757c7ba0379p-5},
+          {1, {0, 1, 2, 5}, 0x1.599999999999bp-3, 0x1.50b2433af9893p-5},
+          {1, {1}, 0x1.c3870e1c3870ep-5, 0x1.466f599109c6cp-5},
+          {2, {0, 1, 2, 5}, 0x1.2b601b37484afp-3, 0x1.4780181923dc6p-5},
+          {2, {2}, 0x1.7b425ed097b3fp-5, 0x1.462997872c683p-5},
+          {5, {0, 1, 2, 5}, 0x0p+0, 0x0p+0},
+          {5, {5}, 0x0p+0, 0x0p+0}},
+         {0x1.58p-6, 0x1.4ap-2, 0x1.02p-1, 0x1.02p-1},
+         {0x1.58p-3, 0x1.58p-3, 0x1.58p-3, 0x0p+0}},
+        {tiny, 1440,
+         {{0, {0}, 0x1.6222222222222p-2, 0x0p+0},
+          {0, {0, 1, 3}, 0x1.6222222222222p-2, 0x0p+0},
+          {1, {0, 1, 3}, 0x1.5dddddddddddep-3, 0x0p+0},
+          {1, {1}, 0x1.5dddddddddddep-3, 0x0p+0},
+          {3, {0, 1, 3}, 0x0p+0, 0x0p+0},
+          {3, {3}, 0x1.6222222222222p-2, 0x0p+0}},
+         {0x1.6222222222222p-2, 0x1.0888888888889p-1,
+          0x1.0888888888889p-1},
+         {0x1.6222222222222p-2, 0x1.5dddddddddddep-3, 0x0p+0}},
+    };
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.nest.name());
+        const auto mem = c.nest.memoryOps();
+        CmeAnalysis cme(c.nest);
+        for (OpId op : mem)
+            (void)cme.missRatio(mem, op, geom);
+        for (OpId op : mem)
+            (void)cme.missRatio({op}, op, geom);
+        EXPECT_EQ(cme.pointsEvaluated(), c.points);
+        const auto memo = cme.exportMemo();
+        ASSERT_EQ(memo.size(), c.memo.size());
+        for (std::size_t i = 0; i < memo.size(); ++i) {
+            EXPECT_EQ(memo[i].op, c.memo[i].op) << i;
+            EXPECT_EQ(memo[i].set, c.memo[i].set) << i;
+            EXPECT_EQ(memo[i].value.ratio, c.memo[i].ratio) << i;
+            EXPECT_EQ(memo[i].value.ciHalfWidth, c.memo[i].ciHalfWidth)
+                << i;
+        }
+
+        // Prefix growth takes the oracle's incremental extension; the
+        // full-set ratios then come from the memo.
+        CacheOracle oracle(c.nest);
+        std::vector<OpId> prefix;
+        for (std::size_t i = 0; i < mem.size(); ++i) {
+            prefix.push_back(mem[i]);
+            EXPECT_EQ(oracle.missesPerIteration(prefix, geom),
+                      c.oraclePrefix[i])
+                << i;
+        }
+        for (std::size_t i = 0; i < mem.size(); ++i)
+            EXPECT_EQ(oracle.missRatio(mem, mem[i], geom), c.oracleRatio[i])
+                << i;
+        // A fresh oracle simulates the whole set from scratch.
+        CacheOracle fresh(c.nest);
+        for (std::size_t i = 0; i < mem.size(); ++i)
+            EXPECT_EQ(fresh.missRatio(mem, mem[i], geom), c.oracleRatio[i])
+                << i;
     }
 }
 
@@ -259,7 +373,8 @@ TEST(StreamCache, SharedAcrossAnalysesBitIdentical)
     }
     EXPECT_EQ(shared_cme.streams().get(), shared.get());
     EXPECT_EQ(shared_oracle.streams().get(), shared.get());
-    EXPECT_GT(shared->streamsBuilt(), 0u);
+    // One affine stream per memory op, whichever analysis asked first.
+    EXPECT_EQ(shared->streamsBuilt(), mem.size());
 }
 
 /**

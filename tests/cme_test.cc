@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cme/oracle.hh"
 #include "cme/reuse.hh"
 #include "cme/solver.hh"
+#include "gen/generator.hh"
 #include "ir/builder.hh"
 
 namespace mvp::cme
@@ -242,6 +246,138 @@ TEST(CmeSolver, AssociativityRemovesPingPong)
     const CacheGeom two_way{4096, 32, 2};
     // A 2-way cache holds both streams: only cold/capacity misses.
     EXPECT_LT(cme.missRatio({0, 1}, 0, two_way), 0.3);
+}
+
+/**
+ * The cache equations, evaluated the slow and obvious way: every
+ * point's line from addressOf, and an access-by-access backward walk
+ * over the interleaved stream. Returns the miss count of
+ * set[ref_pos] over every iteration point.
+ */
+std::int64_t
+naiveMisses(const LoopNest &nest, const std::vector<OpId> &set,
+            std::size_t ref_pos, const CacheGeom &geom, int max_walk)
+{
+    const IterationSpace space(nest);
+    const std::int64_t points = space.points();
+    const std::size_t n = set.size();
+    std::vector<std::int64_t> lines(static_cast<std::size_t>(points) * n);
+    std::vector<std::int64_t> ivs;
+    for (std::int64_t p = 0; p < points; ++p) {
+        space.at(p, ivs);
+        for (std::size_t j = 0; j < n; ++j)
+            lines[static_cast<std::size_t>(p) * n + j] = geom.lineOf(
+                nest.addressOf(*nest.op(set[j]).memRef, ivs));
+    }
+    const std::int64_t num_sets = geom.numSets();
+    std::int64_t misses = 0;
+    for (std::int64_t p = 0; p < points; ++p) {
+        const std::size_t target = static_cast<std::size_t>(p) * n + ref_pos;
+        const std::int64_t target_line = lines[target];
+        std::vector<std::int64_t> conflicts;
+        bool miss = true;
+        int walked = 0;
+        for (std::size_t i = target; i-- > 0;) {
+            if (++walked > max_walk)
+                break;
+            const std::int64_t line = lines[i];
+            if (line == target_line) {
+                miss = static_cast<int>(conflicts.size()) >= geom.assoc;
+                break;
+            }
+            if (line % num_sets == target_line % num_sets &&
+                std::find(conflicts.begin(), conflicts.end(), line) ==
+                    conflicts.end()) {
+                conflicts.push_back(line);
+                if (static_cast<int>(conflicts.size()) >= geom.assoc)
+                    break;
+            }
+        }
+        misses += miss ? 1 : 0;
+    }
+    return misses;
+}
+
+TEST(CmeSolver, ExhaustiveModeMatchesNaiveEquations)
+{
+    // Every loop here has at most 320 points, so the solver evaluates
+    // each one: its ratio must equal the naive walk's exactly, for
+    // power-of-two and other line sizes and set counts, 1- to 4-way
+    // caches, strides that do and do not jump lines, and walk windows
+    // that end inside a point.
+    std::vector<LoopNest> nests;
+    for (std::uint64_t i = 0; i < 24; ++i)
+        nests.push_back(
+            gen::generateScenario(gen::deriveSeed(0xc3e, i)).nest);
+    {
+        // Descending addresses (strides that wrap mod 2^64), non-unit
+        // steps and a loop-invariant reference.
+        LoopNestBuilder b("negative");
+        b.loop("r", 1, 7, 2);
+        b.loop("i", 3, 61, 3);
+        const auto A = b.array("A", {8, 128});
+        const auto B = b.array("B", {200}, 8);
+        const auto l = b.load(A, {AffineExpr{{-1, 0}, 6},
+                                  AffineExpr{{0, -2}, 125}});
+        const auto m = b.load(B, {AffineExpr{{3, 1}, 0}});
+        const auto c = b.load(B, {AffineExpr{{1, 0}, 0}});
+        const auto s = b.op(Opcode::FAdd, {use(l), use(m)});
+        const auto t = b.op(Opcode::FAdd, {use(s), use(c)});
+        b.store(B, {AffineExpr{{-5, -3}, 205}}, use(t));
+        nests.push_back(b.build());
+    }
+    {
+        // Power-of-two strides in both directions, from zero (per run)
+        // up to a full 32-byte line and past it, on unaligned bases.
+        LoopNestBuilder b("pow2");
+        b.loop("r", 0, 5);
+        b.loop("i", 0, 60);
+        const auto A = b.arrayAt("A", {5, 64}, 0x1004, 4);
+        const auto B = b.arrayAt("B", {256}, 0x1804, 8);
+        const auto C = b.arrayAt("C", {8, 8}, 0x1f00, 4);
+        const auto D = b.arrayAt("D", {512}, 0x2010, 8);
+        const auto down = b.load(A, {affineVar(0), affineVar(1, -1, 63)});
+        const auto line = b.load(B, {affineVar(1, 4)});
+        const auto back = b.load(B, {affineVar(1, -2, 200)});
+        const auto flat = b.load(C, {affineVar(0), affineConst(3)});
+        const auto wide = b.load(B, {AffineExpr{{1, 0}, 0}});
+        const auto skip = b.load(D, {affineVar(1, 8)});
+        const auto s = b.op(Opcode::FAdd, {use(down), use(line)});
+        const auto t = b.op(Opcode::FAdd, {use(back), use(flat)});
+        const auto u = b.op(Opcode::FAdd, {use(s), use(t)});
+        const auto w = b.op(Opcode::FAdd, {use(wide), use(skip)});
+        const auto v = b.op(Opcode::FAdd, {use(u), use(w)});
+        b.store(A, {affineVar(0), affineVar(1, 1, 2)}, use(v));
+        nests.push_back(b.build());
+    }
+    const CacheGeom geoms[] = {{512, 32, 1},  {1024, 32, 2}, {2048, 64, 4},
+                               {2304, 24, 2}, {960, 16, 1},  {720, 12, 3}};
+    const int walks[] = {0, 1, 5, 37, 4096};
+
+    std::size_t checked = 0;
+    for (const LoopNest &nest : nests) {
+        const auto mem = nest.memoryOps();
+        ASSERT_LE(IterationSpace(nest).points(), 320) << nest.name();
+        for (const CacheGeom &geom : geoms) {
+            for (const int walk : walks) {
+                CmeParams params;
+                params.maxWalk = walk;
+                CmeAnalysis cme(nest, params);
+                for (std::size_t r = 0; r < mem.size(); ++r) {
+                    const double expected =
+                        static_cast<double>(
+                            naiveMisses(nest, mem, r, geom, walk)) /
+                        static_cast<double>(IterationSpace(nest).points());
+                    EXPECT_EQ(cme.missRatio(mem, mem[r], geom), expected)
+                        << nest.name() << " op " << mem[r] << " line "
+                        << geom.lineBytes << " sets " << geom.numSets()
+                        << " assoc " << geom.assoc << " walk " << walk;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 1000u);
 }
 
 // --------------------------------------------- solver vs oracle property

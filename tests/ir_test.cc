@@ -199,6 +199,24 @@ TEST(LoopNestDeath, ArrayLargerThanFourGiBIsFatal)
                 "larger than 4 GiB");
 }
 
+TEST(LoopNestDeath, ArrayPastAddressTwoToTheSixtyThreeIsFatal)
+{
+    // The last byte may sit at 2^63 - 1, not one byte further.
+    const Addr limit = Addr{1} << 63;
+    for (const Addr base : {limit - 4096, limit - 4095}) {
+        LoopNestBuilder b("high");
+        b.loop("i", 0, 4);
+        const auto A = b.arrayAt("A", {1024}, base, 4);
+        b.load(A, {affineVar(0)});
+        if (base == limit - 4096) {
+            EXPECT_EQ(b.build().array(A).base, base);
+        } else {
+            EXPECT_EXIT((void)b.build(), ::testing::ExitedWithCode(1),
+                        "extends past address 2\\^63");
+        }
+    }
+}
+
 TEST(LoopNest, ToStringMentionsEverything)
 {
     const std::string s = smallNest().toString();
