@@ -54,9 +54,9 @@ main(int argc, char **argv)
     if (!seed.empty())
         options.seed = std::strtoull(seed.c_str(), nullptr, 0);
     const std::string budget =
-        harness::stripValueFlag(argc, argv, "--budget", "node budget");
+        harness::stripValueFlag(argc, argv, "--budget", "work cap");
     if (!budget.empty())
-        options.exactBudget = std::atoll(budget.c_str());
+        options.searchBudget = std::atoll(budget.c_str());
     if (harness::stripBoolFlag(argc, argv, "--no-exact"))
         options.checkExact = false;
     if (harness::stripBoolFlag(argc, argv, "--no-sat"))

@@ -70,9 +70,9 @@ main(int argc, char **argv)
         gap_options.exactBackend = exact_backend;
     const bool exact = harness::stripBoolFlag(argc, argv, "--exact");
     const std::string budget =
-        harness::stripValueFlag(argc, argv, "--budget", "node budget");
+        harness::stripValueFlag(argc, argv, "--budget", "work cap");
     if (!budget.empty())
-        gap_options.nodeBudget = std::atoll(budget.c_str());
+        gap_options.searchBudget = std::atoll(budget.c_str());
     harness::rejectUnknownFlags(
         argc, argv,
         {"--jobs", "--locality", "--workloads", "--time-budget-ms",

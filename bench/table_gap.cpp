@@ -22,15 +22,11 @@
  *
  * Usage: table_gap [--jobs N] [--locality NAME] [--time-budget-ms MS]
  *                  [--exact-backend NAME] [--engines A,B,...]
- *                  [--workloads A,B,...] [--sat-conflicts N]
- *                  [node_budget]
+ *                  [--workloads A,B,...] [search_budget]
  *
- * --sat-conflicts (the deterministic CDCL conflict cap) is only
- * accepted when a SAT-based engine is selected; on a pure-B&B run the
- * flag is refused like any other unknown flag.
- *
- * The positional node_budget is the deprecated deterministic cap (0 =
- * uncapped); the wall clock is the primary budget.
+ * The positional search_budget is the deterministic work cap per II
+ * attempt of whichever engine certifies (B&B nodes or CDCL conflicts;
+ * 0 = uncapped); the wall clock is the primary budget.
  */
 
 #include <cstdio>
@@ -43,24 +39,6 @@
 #include "machine/presets.hh"
 
 using namespace mvp;
-
-namespace
-{
-
-/** A SAT-based engine can consume the --sat-conflicts cap. */
-bool
-usesSatEngine(const std::string &backend,
-              const std::vector<std::string> &engines)
-{
-    if (backend == "sat")
-        return true;
-    for (const std::string &e : engines)
-        if (e == "sat")
-            return true;
-    return false;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -89,22 +67,13 @@ main(int argc, char **argv)
     }
     const std::vector<std::string> only =
         harness::parseWorkloadsFlag(argc, argv);
-    // Gate the SAT knob on a SAT-capable engine: when none is
-    // selected the flag stays in argv and rejectUnknownFlags refuses
-    // it (and the known-flag list omits it), instead of a pure-B&B
-    // run silently ignoring it.
-    std::vector<std::string> known = {
-        "--jobs",      "--locality",  "--time-budget-ms",
-        "--exact-backend", "--engines", "--workloads",
-        "--log-level", "--metrics",   "--trace"};
-    if (usesSatEngine(options.exactBackend, engines)) {
-        options.satConflictBudget =
-            harness::parseSatConflictsFlag(argc, argv);
-        known.push_back("--sat-conflicts");
-    }
-    harness::rejectUnknownFlags(argc, argv, known);
+    harness::rejectUnknownFlags(
+        argc, argv,
+        {"--jobs", "--locality", "--time-budget-ms", "--exact-backend",
+         "--engines", "--workloads", "--log-level", "--metrics",
+         "--trace"});
     if (argc > 1)
-        options.nodeBudget = std::atoll(argv[1]);
+        options.searchBudget = std::atoll(argv[1]);
 
     harness::Workbench bench(only);
     for (int clusters : {2, 4}) {

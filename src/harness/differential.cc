@@ -84,7 +84,7 @@ runScenario(std::uint64_t seed, const DiffOptions &options,
     // certified minimal II can never exceed the heuristic's. ---
     if (options.checkExact) {
         sched::SchedulerOptions eopt = sopt;
-        eopt.searchBudget = options.exactBudget;
+        eopt.searchBudget = options.searchBudget;
         eopt.timeBudgetMs = options.timeBudgetMs;
         const auto exact = sched::scheduleWithBackend(
             options.exactBackend.empty() ? "exact"
@@ -328,7 +328,7 @@ DiffReport::summary() const
             options.exactBackend.empty() ? "exact"
                                          : options.exactBackend.c_str(),
             clock.c_str(),
-            static_cast<long long>(options.exactBudget));
+            static_cast<long long>(options.searchBudget));
     }
     for (std::size_t i = 0; i < rows.size(); ++i)
         if (!rows[i].failure.empty())

@@ -13,7 +13,7 @@
  *  2. schedules with the rmca heuristic and fully validates the
  *     schedule against the DDG and the machine,
  *  3. cross-checks the exact branch-and-bound backend: on every
- *     scenario whose search settles within its node budget,
+ *     scenario whose search settles within its work cap,
  *     exact II <= rmca II must hold (and the certified lower bound
  *     must not exceed the exact II),
  *  4. expands the kernel image (vliw/) and checks its structural
@@ -70,16 +70,17 @@ struct DiffOptions
     std::string locality = "cme";
 
     /**
-     * Exact-backend node budget per II attempt. Scenarios the search
-     * cannot settle within it are reported (not failed): the II
-     * cross-check applies only where the exact result is certified.
+     * Work cap per II attempt of both certifying engines
+     * (SchedulerOptions::searchBudget). Scenarios a search cannot
+     * settle within it are reported (not failed): the II cross-check
+     * applies only where the exact result is certified.
      */
-    std::int64_t exactBudget = 200'000;
+    std::int64_t searchBudget = 200'000;
 
     /**
      * Wall-clock budget of each scenario's exact search, in
-     * milliseconds (negative = no deadline). The node budget above is
-     * the deterministic cap; this is the machine-meaningful one.
+     * milliseconds (negative = no deadline). The work cap above is
+     * the deterministic one; this is the machine-meaningful one.
      */
     std::int64_t timeBudgetMs = sched::DEFAULT_TIME_BUDGET_MS;
 

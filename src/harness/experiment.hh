@@ -56,8 +56,9 @@ struct RunConfig
     double threshold = 1.0;
 
     /**
-     * Deprecated node cap forwarded to search-based backends (0 =
-     * uncapped, the default — the wall clock below is in charge).
+     * Per-II-attempt work cap of the exact backends
+     * (SchedulerOptions::searchBudget; 0 = uncapped, the default — the
+     * wall clock below is in charge).
      */
     std::int64_t searchBudget = 0;
 

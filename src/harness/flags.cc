@@ -112,21 +112,6 @@ parseExactBackendFlag(int &argc, char **argv)
     return value;
 }
 
-std::int64_t
-parseSatConflictsFlag(int &argc, char **argv)
-{
-    const std::string value = stripValueFlag(
-        argc, argv, "--sat-conflicts", "a conflict count");
-    if (value.empty())
-        return 0;
-    char *end = nullptr;
-    const long long cap = std::strtoll(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || cap < 0)
-        mvp_fatal("--sat-conflicts wants an integer >= 0, got '", value,
-                  "'");
-    return cap;
-}
-
 bool
 parseLogLevelFlag(int &argc, char **argv)
 {

@@ -83,17 +83,6 @@ std::int64_t parseTimeBudgetFlag(int &argc, char **argv);
 std::string parseExactBackendFlag(int &argc, char **argv);
 
 /**
- * Parse and strip a `--sat-conflicts N` / `--sat-conflicts=N` flag:
- * the deterministic per-II conflict cap of the sat backend
- * (SchedulerOptions::satConflictBudget); 0 = uncapped. Returns 0 when
- * the flag is absent. Suite binaries only run this parser when the
- * selected exact backend is "sat", so on any other engine the flag
- * survives to rejectUnknownFlags and is refused instead of silently
- * ignored.
- */
-std::int64_t parseSatConflictsFlag(int &argc, char **argv);
-
-/**
  * Parse and strip a `--log-level LEVEL` / `--log-level=LEVEL` flag
  * (quiet|normal|verbose|debug) and apply it via setLogLevel().
  * Returns true when the flag was given; anything but the four names

@@ -68,12 +68,11 @@ runGapStudy(Workbench &bench, const MachineConfig &machine,
         sched::SchedulerOptions opt;
         opt.missThreshold = options.threshold;
         opt.locality = entry.locality(provider);
-        opt.searchBudget = options.nodeBudget;
+        opt.searchBudget = options.searchBudget;
         opt.timeBudgetMs = options.timeBudgetMs;
         opt.exactBackend = options.exactBackend.empty()
                                ? "exact"
                                : options.exactBackend;
-        opt.satConflictBudget = options.satConflictBudget;
         const auto res =
             verify->schedule(*entry.ddg, machine, opt, ctx);
         if (!res.ok) {
@@ -107,7 +106,7 @@ runGapStudy(Workbench &bench, const MachineConfig &machine,
 {
     GapOptions options;
     options.threshold = threshold;
-    options.nodeBudget = search_budget;
+    options.searchBudget = search_budget;
     options.locality = locality;
     return runGapStudy(bench, machine, options, driver);
 }
@@ -246,8 +245,8 @@ formatGapTable(const GapStudy &study)
         o.timeBudgetMs < 0
             ? "no deadline"
             : std::to_string(o.timeBudgetMs) + " ms wall-clock/loop";
-    if (o.nodeBudget > 0)
-        budget += ", " + std::to_string(o.nodeBudget) +
+    if (o.searchBudget > 0)
+        budget += ", " + std::to_string(o.searchBudget) +
                   " nodes/II attempt";
     const std::string backend =
         o.exactBackend.empty() ? "exact" : o.exactBackend;

@@ -5,7 +5,7 @@
  * gap — the repo's analogue of the heuristic-vs-exact comparisons in
  * the SMT/SAT exact-modulo-scheduling literature (Roorda; Tirelli et
  * al.). Loops the exact search cannot settle within its budget — the
- * wall clock, or the deprecated node cap — are reported as "gap
+ * wall clock, or the deterministic work cap — are reported as "gap
  * unknown" rather than guessed, and the report states both the
  * unknown count and the budget that was in force.
  */
@@ -29,12 +29,13 @@ struct GapOptions
     double threshold = 0.25;
 
     /**
-     * Deprecated node cap per II attempt (0 = uncapped, leaving the
-     * wall clock in charge). Kept for deterministic-starvation tests:
-     * under a pure node cap the set of "gap unknown" rows is a pure
-     * function of (workbench, machine, options).
+     * Work cap per II attempt of whichever engine certifies
+     * (SchedulerOptions::searchBudget: B&B nodes or CDCL conflicts;
+     * 0 = uncapped, leaving the wall clock in charge). Under a pure
+     * work cap the set of "gap unknown" rows is a pure function of
+     * (workbench, machine, options).
      */
-    std::int64_t nodeBudget = 0;
+    std::int64_t searchBudget = 0;
 
     /**
      * Wall-clock budget per loop, in milliseconds (negative = no
@@ -51,13 +52,6 @@ struct GapOptions
      * (CDCL). Empty is read as "exact".
      */
     std::string exactBackend = "exact";
-
-    /**
-     * Deterministic per-II conflict cap of the sat engine (0 =
-     * uncapped); the CDCL analogue of nodeBudget. Ignored by the
-     * branch and bound.
-     */
-    std::int64_t satConflictBudget = 0;
 };
 
 /** Per-loop outcome of the gap study. */
@@ -107,9 +101,9 @@ GapStudy runGapStudy(Workbench &bench, const MachineConfig &machine,
                      const GapOptions &options, ParallelDriver &driver);
 
 /**
- * Historical signature: rmca at @p threshold against the serial exact
- * backend under @p search_budget nodes per attempt (plus the default
- * wall clock). Forwards to the GapOptions overload.
+ * Historical signature: rmca at @p threshold against the exact backend
+ * under @p search_budget nodes per attempt (plus the default wall
+ * clock). Forwards to the GapOptions overload.
  */
 GapStudy runGapStudy(Workbench &bench, const MachineConfig &machine,
                      double threshold, std::int64_t search_budget,

@@ -32,28 +32,6 @@ bindFallbackLocality(SchedulerOptions &opt, const ddg::Ddg &graph)
     return bound;
 }
 
-/** Map the generic scheduler options onto the exact engine's knobs. */
-exact::ExactOptions
-exactOptionsFrom(const SchedulerOptions &options)
-{
-    exact::ExactOptions bnb;
-    bnb.maxII = options.maxII;
-    bnb.nodeBudget = options.searchBudget;
-    bnb.timeBudgetMs = options.timeBudgetMs;
-    return bnb;
-}
-
-/** Map the generic scheduler options onto the SAT engine's knobs. */
-SatOptions
-satOptionsFrom(const SchedulerOptions &options)
-{
-    SatOptions sat;
-    sat.maxII = options.maxII;
-    sat.conflictBudget = options.satConflictBudget;
-    sat.timeBudgetMs = options.timeBudgetMs;
-    return sat;
-}
-
 /** The two heuristic engines share one wrapper; only memoryAware
  * differs. */
 class HeuristicBackend : public SchedulerBackend
@@ -97,8 +75,7 @@ class ExactBackend : public SchedulerBackend
                             const SchedulerOptions &options,
                             SchedContext &ctx) const override
     {
-        return exact::scheduleExact(graph, machine,
-                                    exactOptionsFrom(options), ctx);
+        return exact::scheduleExact(graph, machine, options, ctx);
     }
 
   private:
@@ -121,8 +98,7 @@ class SatBackend : public SchedulerBackend
                             const SchedulerOptions &options,
                             SchedContext &ctx) const override
     {
-        return scheduleSatExact(graph, machine, satOptionsFrom(options),
-                                ctx);
+        return scheduleSatExact(graph, machine, options, ctx);
     }
 };
 
@@ -159,6 +135,7 @@ class VerifyBackend : public SchedulerBackend
 
         res.stats.searchNodes = ex.stats.searchNodes;
         res.stats.budgetExhausted = ex.stats.budgetExhausted;
+        res.stats.deadlineHit = ex.stats.deadlineHit;
         res.stats.iiLowerBound = ex.stats.iiLowerBound;
         if (ex.ok) {
             res.stats.gapKnown = true;

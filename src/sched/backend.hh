@@ -11,7 +11,9 @@
  *  - "rmca"      the paper's memory-aware heuristic;
  *  - "exact"     the branch-and-bound scheduler of sched/exact/ that
  *                provably minimises II (register pressure as tiebreak)
- *                within a node budget;
+ *                within its budgets ("bnb" is an alias);
+ *  - "sat"       the CDCL scheduler of sched/sat/, certifying the
+ *                same IIs under the same budgets;
  *  - "verify"    runs the heuristic (rmca) and the exact backend on the
  *                same loop and reports the II optimality gap in the
  *                returned stats (gapKnown / exactII / iiGap), keeping

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "sched/exact/pressure.hh"
+#include "sched/ladder.hh"
 #include "sched/lifetimes.hh"
-#include "sched/mii.hh"
 #include "sched/mrt.hh"
 #include "sched/ordering.hh"
 
@@ -60,6 +59,9 @@ struct BookedComm
  *    the machine model, so every solution has a relabelled twin whose
  *    clusters first appear in DFS order).
  *
+ * The II ladder, its budgets and the certificate are climbIiLadder()'s
+ * (sched/ladder.hh); the Searcher is its per-II probe.
+ *
  * On top of the enumeration sit two search accelerators (see
  * bnb.hh): the incremental pressure bound and conflict-driven
  * backjumping. Both are result-preserving — the minimal II, the
@@ -71,13 +73,15 @@ struct BookedComm
  * wide, so same-depth prefixes always differ in some op's modulo slot
  * and signatures never collided — see docs/observability.md.)
  */
-class Searcher
+class Searcher final : public IiProber
 {
   public:
     Searcher(const ddg::Ddg &graph, const MachineConfig &machine,
-             const ExactOptions &options, SchedContext &ctx)
-        : graph_(graph), machine_(machine), options_(options), ctx_(ctx),
-          mrt_(machine, 1), sched_(1, graph.size(), machine.nClusters)
+             const SchedulerOptions &options, const ExactOptions &toggles,
+             SchedContext &ctx)
+        : graph_(graph), machine_(machine), options_(options),
+          toggles_(toggles), ctx_(ctx), mrt_(machine, 1),
+          sched_(1, graph.size(), machine.nClusters)
     {
         const auto n = graph_.size();
         const auto nc = static_cast<std::size_t>(machine_.nClusters);
@@ -92,17 +96,15 @@ class Searcher
         out_nbs_.resize(n);
         nb_mask_.assign(n, 0);
         c_order_.resize(n);
-        for (int f = 0; f < ir::NUM_FU_TYPES; ++f) {
-            remaining_[f] = 0;
-            used_[f] = 0;
-        }
-        for (std::size_t v = 0; v < n; ++v)
-            ++remaining_[static_cast<int>(
-                graph_.loop().op(static_cast<OpId>(v)).fuType())];
     }
 
-    /** Run the full II iteration; fills the result. */
-    ScheduleResult run();
+    /** @name The ladder's probe (sched/ladder.hh) */
+    /// @{
+    void begin(Cycle mii, SearchClock &clock) override;
+    Probe probe(Cycle ii) override;
+    bool budgetHit() const override { return budget_hit_; }
+    void finish(ScheduleResult &result) override;
+    /// @}
 
   private:
     struct InNb
@@ -130,7 +132,6 @@ class Searcher
     void snapshotNeighbours(OpId v, std::size_t k);
     bool bookTransfers(OpId v, ClusterId c, Cycle t, std::size_t k);
     void unbook(std::size_t mark);
-    bool resourcesFit() const;
     bool applyPressure(OpId v, ClusterId c, Cycle t,
                        std::size_t comm_mark);
 
@@ -158,8 +159,7 @@ class Searcher
         if (found_ && tiebreak_cap_ > 0 &&
             nodes_ - found_nodes_ > tiebreak_cap_)
             return false;
-        if ((nodes_ & 63) == 1 && deadline_on_ &&
-            std::chrono::steady_clock::now() >= deadline_) {
+        if ((nodes_ & 63) == 1 && clock_->expired()) {
             budget_hit_ = true;
             return false;
         }
@@ -243,7 +243,8 @@ class Searcher
 
     const ddg::Ddg &graph_;
     const MachineConfig &machine_;
-    const ExactOptions &options_;
+    const SchedulerOptions &options_;
+    const ExactOptions &toggles_;
     SchedContext &ctx_;   ///< ordering + lifetime scratch
 
     Cycle ii_ = 1;
@@ -282,10 +283,6 @@ class Searcher
     /** Per-depth cluster visit order (survives the recursion). */
     std::vector<std::vector<ClusterId>> c_order_;
 
-    /** FU-class counting bound. */
-    int remaining_[ir::NUM_FU_TYPES];
-    int used_[ir::NUM_FU_TYPES];
-
     /** Search accelerators. */
     PressureTracker pressure_;
     std::vector<int> order_pos_;     ///< op -> DFS depth
@@ -305,15 +302,14 @@ class Searcher
     /** Budgets. */
     std::int64_t nodes_ = 0;
     std::int64_t attempt_limit_ = 0;   ///< nodes_ cap of this II attempt
-    std::int64_t attempt_start_nodes_ = 0;
     std::int64_t found_nodes_ = 0;     ///< nodes_ at the first leaf
     std::int64_t tiebreak_cap_ = 0;    ///< tiebreak node allowance
     bool node_cap_ = false;
-    bool deadline_on_ = false;
-    std::chrono::steady_clock::time_point deadline_;
+    SearchClock *clock_ = nullptr;
     bool budget_hit_ = false;
 
     bool found_ = false;
+    bool pressure_optimal_ = false;
     Cycle best_pressure_ = CYCLE_MAX;
     ModuloSchedule best_;
     std::vector<int> best_max_live_;
@@ -338,9 +334,7 @@ class Searcher
     std::int64_t prune_bus_ = 0;         ///< transfers unbookable
     std::int64_t prune_window_ = 0;      ///< empty dependence window
     std::int64_t prune_pressure_ = 0;    ///< register bound cut
-    std::int64_t fu_refuted_ = 0;        ///< IIs refuted by counting
     std::int64_t ii_refuted_ = 0;        ///< IIs refuted by search
-    std::int64_t lifts_ = 0;             ///< lower-bound raises
     /// @}
 };
 
@@ -378,27 +372,6 @@ Searcher::snapshotNeighbours(OpId v, std::size_t k)
             mask |= 1ull << order_pos_[static_cast<std::size_t>(e.dst)];
     }
     nb_mask_[k] = mask;
-}
-
-/**
- * The per-class counting bound: every op needs one slot of its FU
- * class somewhere in the II x clusters reservation table. Placement
- * keeps remaining_[f] + used_[f] invariant (the total op count of
- * class f), so the comparison is a pure function of the II — checked
- * once per attempt before the search starts, where a failure is an
- * instant II refutation; below the root it could never fire.
- */
-bool
-Searcher::resourcesFit() const
-{
-    for (int f = 0; f < ir::NUM_FU_TYPES; ++f) {
-        const auto type = static_cast<ir::FuType>(f);
-        const int capacity =
-            static_cast<int>(ii_) * machine_.totalFus(type);
-        if (remaining_[f] > capacity - used_[f])
-            return false;
-    }
-    return true;
 }
 
 /**
@@ -588,7 +561,7 @@ Searcher::leaf()
         setJump(prefixMask(order_.size()), order_.size());
     // Keep searching this II for a lower-pressure schedule (bounded by
     // the budgets), or stop at the first one when the tiebreak is off.
-    return options_.tiebreakPressure ? Walk::Continue : Walk::Stop;
+    return toggles_.tiebreakPressure ? Walk::Continue : Walk::Stop;
 }
 
 Walk
@@ -624,8 +597,6 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
     mrt_.placeFu(t, c, fu);
     if (cbj_)
         fu_depth_mask_[fuCell(c, slot, fu)] |= 1ull << k;
-    ++used_[static_cast<int>(fu)];
-    --remaining_[static_cast<int>(fu)];
     if (cluster_pop_[static_cast<std::size_t>(c)]++ == 0)
         ++opened_;
     for (std::size_t i = comm_mark; i < booked_.size(); ++i) {
@@ -653,8 +624,6 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
     sched_.comms().resize(sched_comm_mark);
     if (--cluster_pop_[static_cast<std::size_t>(c)] == 0)
         --opened_;
-    ++remaining_[static_cast<int>(fu)];
-    --used_[static_cast<int>(fu)];
     if (cbj_)
         fu_depth_mask_[fuCell(c, slot, fu)] &= ~(1ull << k);
     mrt_.removeFu(t, c, fu);
@@ -850,8 +819,7 @@ Searcher::foldMetrics(const ScheduleResult &result)
     c("nodes") += nodes_;
     c("ii_attempts") += result.stats.iiAttempts;
     c("ii_refuted") += ii_refuted_;
-    c("fu_refuted") += fu_refuted_;
-    c("lifts") += lifts_;
+    c("lifts") += result.stats.iiLowerBound - result.stats.mii;
     c("leaves") += leaves_;
     c("dead_leaves") += dead_leaves_;
     c("backjumps") += backjumps_;
@@ -860,151 +828,83 @@ Searcher::foldMetrics(const ScheduleResult &result)
     c("prune_bus") += prune_bus_;
     c("prune_window") += prune_window_;
     c("prune_pressure") += prune_pressure_;
-    if (budget_hit_)
+    if (result.stats.budgetExhausted)
         c("budget_exhausted") += 1;
 }
 
-ScheduleResult
-Searcher::run()
+void
+Searcher::begin(Cycle mii, SearchClock &clock)
 {
-    MVP_TRACE_SPAN("exact", graph_.loop().name());
-    ScheduleResult result;
-    result.stats.resMii = resMii(graph_.loop(), machine_);
-    result.stats.recMii = graph_.recMii();
-    result.stats.mii =
-        std::max(result.stats.resMii, result.stats.recMii);
-    result.stats.iiLowerBound = result.stats.mii;
-    if (graph_.size() == 0) {
-        result.error = "empty loop";
-        return result;
-    }
-
     // Same placement order as the heuristic (computed once at MII):
     // the search tree then contains every heuristic run as one path.
-    computeOrdering(graph_, result.stats.mii, order_, ctx_.ordering);
+    computeOrdering(graph_, mii, order_, ctx_.ordering);
 
     const std::size_t n = order_.size();
-    cbj_ = options_.conflictLearning && n <= 64;
-    pressure_on_ = options_.tiebreakPressure;
+    cbj_ = toggles_.conflictLearning && n <= 64;
+    pressure_on_ = toggles_.tiebreakPressure;
     order_pos_.assign(graph_.size(), 0);
     for (std::size_t d = 0; d < n; ++d)
         order_pos_[static_cast<std::size_t>(order_[d])] =
             static_cast<int>(d);
 
-    node_cap_ = options_.nodeBudget > 0;
-    if (options_.timeBudgetMs >= 0) {
-        deadline_on_ = true;
-        deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(options_.timeBudgetMs);
-    }
-    tiebreak_cap_ = options_.tiebreakBudget;
+    node_cap_ = options_.searchBudget > 0;
+    clock_ = &clock;
+    tiebreak_cap_ = toggles_.tiebreakBudget;
 
     if (obs::metricsOn())
         bj_hist_ = &ctx_.metrics.detHist("exact.backjump_depth", 0.0,
                                          65.0, 65);
+}
 
-    // Up to this many II attempts may burn their whole node cap
-    // without settling before the search gives up; the wall-clock
-    // deadline instead ends the search at the first aborted attempt
-    // (time does not come back at a larger II).
-    constexpr int MAX_ABORTED_ATTEMPTS = 4;
-    int aborted_attempts = 0;
+Probe
+Searcher::probe(Cycle ii)
+{
+    MVP_TRACE_SPAN("exact-ii", graph_.loop().name(),
+                   static_cast<std::int64_t>(ii));
+    ii_ = ii;
+    mrt_.reset(ii);
+    sched_.reset(ii, graph_.size(), machine_.nClusters);
+    std::fill(placed_.begin(), placed_.end(), 0);
+    std::fill(comm_start_.begin(), comm_start_.end(), CYCLE_MAX);
+    std::fill(cluster_pop_.begin(), cluster_pop_.end(), 0);
+    opened_ = 0;
+    booked_.clear();
+    pressure_.reset(ii, machine_.nClusters, graph_.size(),
+                    machine_.regsPerCluster);
+    if (cbj_)
+        fu_depth_mask_.assign(static_cast<std::size_t>(ii) *
+                                  static_cast<std::size_t>(
+                                      machine_.nClusters) *
+                                  ir::NUM_FU_TYPES,
+                              0);
+    jump_active_ = false;
+    attempt_limit_ = nodes_ + options_.searchBudget;
 
-    for (Cycle ii = result.stats.mii; ii <= options_.maxII; ++ii) {
-        MVP_TRACE_SPAN("exact-ii", graph_.loop().name(),
-                       static_cast<std::int64_t>(ii));
-        ++result.stats.iiAttempts;
-        ii_ = ii;
-        mrt_.reset(ii);
-        sched_.reset(ii, graph_.size(), machine_.nClusters);
-        std::fill(placed_.begin(), placed_.end(), 0);
-        std::fill(comm_start_.begin(), comm_start_.end(), CYCLE_MAX);
-        std::fill(cluster_pop_.begin(), cluster_pop_.end(), 0);
-        opened_ = 0;
-        booked_.clear();
-        for (int f = 0; f < ir::NUM_FU_TYPES; ++f)
-            used_[f] = 0;
-        pressure_.reset(ii, machine_.nClusters, graph_.size(),
-                        machine_.regsPerCluster);
-        if (cbj_)
-            fu_depth_mask_.assign(static_cast<std::size_t>(ii) *
-                                      static_cast<std::size_t>(
-                                          machine_.nClusters) *
-                                      ir::NUM_FU_TYPES,
-                                  0);
-        jump_active_ = false;
-        attempt_start_nodes_ = nodes_;
-        attempt_limit_ = nodes_ + options_.nodeBudget;
-
-        // FU counting refutes the II before the attempt pays for a
-        // single node (see resourcesFit — the check is II-pure, so
-        // re-evaluating it inside the search would do no work).
-        if (!resourcesFit()) {
-            ++fu_refuted_;
-            if (result.stats.iiLowerBound == ii) {
-                result.stats.iiLowerBound = ii + 1;
-                ++lifts_;
-            }
-            mvp_verbose("exact: loop '", graph_.loop().name(),
-                        "' II=", ii, " refuted by FU counting");
-            continue;
-        }
-
-        const Walk w = dfs(0);
-        jump_active_ = false;
-        if (found_) {
-            // The first feasible II is minimal over the search space;
-            // it carries the certificate when it meets the lower
-            // bound — MII itself, or MII raised by exhaustive
-            // refutation of every II below. An aborted attempt on the
-            // way here left the lower bound behind, so the schedule
-            // is then reported as best-in-budget, not proven.
-            result.ok = true;
-            result.stats.provenOptimal =
-                ii == result.stats.iiLowerBound;
-            result.stats.pressureOptimal =
-                options_.tiebreakPressure && w != Walk::Abort;
-            break;
-        }
-        if (w == Walk::Abort) {
-            // Budget gone with nothing found at this II: the II is
-            // neither feasible-in-space nor refuted; the lower bound
-            // must not rise past it. An expired deadline ends the
-            // search outright; a node-cap abort moves on (a larger II
-            // is usually much easier) until the abort allowance is
-            // spent.
-            if (deadline_on_ &&
-                std::chrono::steady_clock::now() >= deadline_)
-                break;
-            if (++aborted_attempts >= MAX_ABORTED_ATTEMPTS)
-                break;
-            continue;
-        }
-        // DFS ran dry within budget: II == ii is refuted; the lower
-        // bound rises only while refutations are gapless from MII.
-        ++ii_refuted_;
-        if (result.stats.iiLowerBound == ii) {
-            result.stats.iiLowerBound = ii + 1;
-            ++lifts_;
-        }
-        mvp_verbose("exact: loop '", graph_.loop().name(), "' II=", ii,
-                    " refuted (", nodes_, " nodes)");
+    const Walk w = dfs(0);
+    jump_active_ = false;
+    if (found_) {
+        // The first feasible II is minimal over the search space.
+        pressure_optimal_ =
+            toggles_.tiebreakPressure && w != Walk::Abort;
+        return Probe::Feasible;
     }
+    if (w == Walk::Abort)
+        return Probe::Aborted;
+    // DFS ran dry within budget: II == ii is refuted.
+    ++ii_refuted_;
+    mvp_verbose("exact: loop '", graph_.loop().name(), "' II=", ii,
+                " refuted (", nodes_, " nodes)");
+    return Probe::Refuted;
+}
 
+void
+Searcher::finish(ScheduleResult &result)
+{
     result.stats.searchNodes = nodes_;
-    result.stats.budgetExhausted = budget_hit_;
     foldMetrics(result);
-    if (!result.ok) {
-        result.error =
-            budget_hit_
-                ? "exact search budget exhausted before any schedule "
-                  "was found for loop '" +
-                      graph_.loop().name() + "'"
-                : "no feasible II up to " +
-                      std::to_string(options_.maxII) + " for loop '" +
-                      graph_.loop().name() + "'";
-        return result;
-    }
+    if (!result.ok)
+        return;
+    result.stats.pressureOptimal = pressure_optimal_;
 
     // Normalise the winner (placement may have gone below cycle zero;
     // modulo schedules are shift-invariant) and attach MaxLive.
@@ -1022,24 +922,26 @@ Searcher::run()
     best_.setMaxLive(best_max_live_);
     result.schedule = std::move(best_);
     result.stats.comms = static_cast<int>(result.schedule.numComms());
-    return result;
 }
 
 } // namespace
 
 ScheduleResult
 scheduleExact(const ddg::Ddg &graph, const MachineConfig &machine,
-              const ExactOptions &options, SchedContext &ctx)
+              const SchedulerOptions &options, SchedContext &ctx,
+              const ExactOptions &toggles)
 {
-    return Searcher(graph, machine, options, ctx).run();
+    MVP_TRACE_SPAN("exact", graph.loop().name());
+    Searcher searcher(graph, machine, options, toggles, ctx);
+    return climbIiLadder(graph, machine, options, searcher);
 }
 
 ScheduleResult
 scheduleExact(const ddg::Ddg &graph, const MachineConfig &machine,
-              const ExactOptions &options)
+              const SchedulerOptions &options, const ExactOptions &toggles)
 {
     SchedContext ctx;
-    return scheduleExact(graph, machine, options, ctx);
+    return scheduleExact(graph, machine, options, ctx, toggles);
 }
 
 } // namespace mvp::sched::exact

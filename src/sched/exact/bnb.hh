@@ -38,20 +38,19 @@
  *    between, and an empty union certifies the whole II infeasible on
  *    the spot (lifted into the iiLowerBound that persists across II
  *    probes);
- *  - MII = max(ResMII, RecMII) floors the II iteration, per-class FU
- *    counts refute IIs whose reservation table cannot seat every op
- *    before an attempt charges its first node, dependence windows cap
- *    candidates per op at II cycles, and bus saturation fails
+ *  - MII = max(ResMII, RecMII) floors the II iteration (so every
+ *    FU class always fits the reservation table), dependence windows
+ *    cap candidates per op at II cycles, and bus saturation fails
  *    candidates before commit.
  *
  * Once a feasible schedule is found at the minimal II, the search keeps
  * running to minimise the register-pressure tiebreak (summed MaxLive).
- * Budgets degrade the whole search gracefully: on exhaustion the best
+ * The II ladder and its budgets are sched/ladder.hh's: the node cap
+ * (SchedulerOptions::searchBudget, candidate placements per II
+ * attempt) and the wall-clock deadline (timeBudgetMs, polled on the
+ * node-charging path) both degrade the search gracefully — the best
  * schedule so far is returned with provenOptimal == false ("gap
- * unknown"). The primary budget is wall-clock (timeBudgetMs), checked
- * on the node-charging path; the node budget remains as a deprecated
- * cap for callers that need machine-independent determinism of the
- * degradation point itself.
+ * unknown").
  */
 
 #ifndef MVP_SCHED_EXACT_BNB_HH
@@ -64,33 +63,12 @@
 namespace mvp::sched::exact
 {
 
-/** Exact-search knobs. */
+/**
+ * Branch-and-bound search toggles. The budgets and maxII are the
+ * SchedulerOptions ones, shared with the sat engine.
+ */
 struct ExactOptions
 {
-    /** Give up (fail the loop) beyond this II. */
-    Cycle maxII = 512;
-
-    /**
-     * Deprecated node cap: candidate placements evaluated per II
-     * attempt before that attempt is abandoned (neither feasible nor
-     * refuted); 0 (the default) means uncapped, leaving the wall-clock
-     * budget in charge. Kept for callers that need the degradation
-     * point to be a pure function of (loop, machine, options) — node
-     * charging is still interleaving-independent — and for tests that
-     * starve the search deterministically.
-     */
-    std::int64_t nodeBudget = 0;
-
-    /**
-     * Wall-clock budget for the whole search (all II attempts),
-     * checked on the node-charging path. Negative = unlimited; 0 = an
-     * already-expired deadline (the first charged node aborts, which
-     * keeps even that degenerate case deterministic). On expiry the
-     * search degrades exactly like the node cap: best schedule so far,
-     * "gap unknown".
-     */
-    std::int64_t timeBudgetMs = DEFAULT_TIME_BUDGET_MS;
-
     /**
      * After the minimal II is secured, keep searching that II for the
      * schedule with the smallest summed MaxLive (the tiebreak of the
@@ -116,16 +94,14 @@ struct ExactOptions
     bool conflictLearning = true;
 };
 
-/** Historical name, kept for existing callers. */
-using BnbOptions = ExactOptions;
-
 /**
- * Schedule @p graph exactly, drawing ordering/lifetime scratch from
- * @p ctx. Never throws; failure (no feasible II within maxII, or a
- * budget exhausted before any schedule was found) is reported in the
- * result. The stats fields filled in: resMii, recMii, mii, iiAttempts,
- * comms, provenOptimal, iiLowerBound, pressureOptimal, searchNodes,
- * budgetExhausted.
+ * Schedule @p graph exactly under @p options' budgets and maxII,
+ * drawing ordering/lifetime scratch from @p ctx. Never throws; failure
+ * (no feasible II within maxII, or a budget exhausted before any
+ * schedule was found) is reported in the result. The stats fields
+ * filled in: resMii, recMii, mii, iiAttempts, comms, provenOptimal,
+ * iiLowerBound, pressureOptimal, searchNodes, budgetExhausted,
+ * deadlineHit.
  *
  * Node charging is interleaving-independent: every child the search
  * considers is charged exactly once (see Searcher::chargeNode), so
@@ -138,13 +114,15 @@ using BnbOptions = ExactOptions;
  */
 ScheduleResult scheduleExact(const ddg::Ddg &graph,
                              const MachineConfig &machine,
-                             const ExactOptions &options,
-                             SchedContext &ctx);
+                             const SchedulerOptions &options,
+                             SchedContext &ctx,
+                             const ExactOptions &toggles = {});
 
 /** scheduleExact with a transient context. */
 ScheduleResult scheduleExact(const ddg::Ddg &graph,
                              const MachineConfig &machine,
-                             const ExactOptions &options = {});
+                             const SchedulerOptions &options = {},
+                             const ExactOptions &toggles = {});
 
 } // namespace mvp::sched::exact
 

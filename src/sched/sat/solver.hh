@@ -140,7 +140,8 @@ class Solver
     /**
      * Deterministic conflict cap for this and subsequent solve()s;
      * 0 = uncapped. Counted per solve() call, so each II probe gets
-     * the full allowance (mirrors the B&B's per-attempt node budget).
+     * the full allowance (SchedulerOptions::searchBudget, which caps
+     * the B&B's nodes per attempt).
      */
     void setConflictBudget(std::int64_t max_conflicts)
     {

@@ -37,12 +37,11 @@ namespace mvp::sched
 {
 
 /**
- * Historical default branch-and-bound node budget per II attempt
- * (exact backend). The node budget is deprecated in favour of the
- * wall-clock budget below — SchedulerOptions::searchBudget now
- * defaults to 0 (uncapped) — but the constant stays for callers and
- * tests that want a machine-independent, deterministic starvation
- * point.
+ * Default per-II work cap of the gap study's historical
+ * runGapStudy(bench, machine, threshold, budget) overload. The
+ * scheduler itself defaults to no cap (SchedulerOptions::searchBudget
+ * = 0); callers pass this when they want a machine-independent,
+ * deterministic starvation point.
  */
 constexpr std::int64_t DEFAULT_SEARCH_BUDGET = 2'000'000;
 
@@ -103,21 +102,22 @@ struct SchedulerOptions
     Cycle maxII = 512;
 
     /**
-     * Deprecated branch-and-bound node cap of the exact backend, per
-     * II attempt (candidate placements evaluated); 0 = uncapped, the
-     * default, leaving timeBudgetMs in charge. When an attempt runs
-     * out the search degrades gracefully: an unrefuted II is skipped
-     * rather than proven, later schedules lose the optimality
-     * certificate ("gap unknown"), and a budget-capped pressure
-     * tiebreak keeps the best schedule seen. Ignored by the heuristic
-     * backends.
+     * Work cap of the exact backends per II attempt, in each engine's
+     * own unit: candidate placements for the branch and bound, CDCL
+     * conflicts per solve for "sat"; 0 = uncapped, the default,
+     * leaving timeBudgetMs in charge. An attempt that runs out is
+     * neither feasible nor refuted: the II is skipped rather than
+     * proven, later schedules lose the optimality certificate ("gap
+     * unknown"), and a capped pressure tiebreak keeps the best
+     * schedule seen. Unlike the deadline, the cap is deterministic.
+     * Ignored by the heuristic backends.
      */
     std::int64_t searchBudget = 0;
 
     /**
      * Wall-clock budget of the exact search in milliseconds (whole
      * search, all II attempts). Negative = unlimited, 0 = expired on
-     * entry; degradation is the same "gap unknown" path as the node
+     * entry; degradation is the same "gap unknown" path as the work
      * cap. Ignored by the heuristic backends.
      */
     std::int64_t timeBudgetMs = DEFAULT_TIME_BUDGET_MS;
@@ -136,14 +136,6 @@ struct SchedulerOptions
      * assignment does.
      */
     int searchJobs = 0;
-
-    /**
-     * Deterministic conflict cap of the sat backend, per II attempt;
-     * 0 = uncapped, the default, leaving timeBudgetMs in charge (the
-     * CDCL analogue of searchBudget, and the same "gap unknown"
-     * degradation). Ignored by every other backend.
-     */
-    std::int64_t satConflictBudget = 0;
 };
 
 /** Static quantities the scheduler reports alongside the schedule. */
@@ -166,10 +158,17 @@ struct SchedStats
     Cycle iiLowerBound = 0;
     /** Register-pressure tiebreak search ran to completion. */
     bool pressureOptimal = false;
-    /** Branch-and-bound candidates evaluated. */
+    /** Work charged: B&B candidates evaluated, or CDCL conflicts. */
     std::int64_t searchNodes = 0;
-    /** Search stopped on the node budget ("gap unknown"). */
+    /** A work cap or the deadline cut the search short ("gap
+     * unknown"). */
     bool budgetExhausted = false;
+    /**
+     * The wall-clock deadline was found expired: the outcome depends
+     * on load, so it is not a pure function of the inputs (a capped
+     * search without this flag still is).
+     */
+    bool deadlineHit = false;
     /** Verify mode: the exact backend solved within budget. */
     bool gapKnown = false;
     /** Verify mode: II of the exact schedule (0 when unsolved). */

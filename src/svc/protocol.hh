@@ -11,7 +11,7 @@
  *     config locality NAME          locality provider (default cme)
  *     config threshold X            RMCA miss threshold (default 0.25)
  *     config time-budget-ms N       exact wall budget (default as repo)
- *     config node-budget N          deprecated node cap (default 0)
+ *     config node-budget N          exact work cap per II (default 0)
  *     config exact-backend NAME     verify engine (default exact)
  *
  * The cache key is the *canonical* rendering of the parsed request:

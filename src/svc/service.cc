@@ -206,11 +206,12 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
             const auto result = sched::scheduleWithBackend(
                 request.options.backend, graph,
                 request.scenario.machine, opt, ctx);
-            // A search that ran out of budget answered with whatever
-            // the budget allowed — a wall-clock cutoff depends on load
-            // — so neither its reply nor its error is a pure function
-            // of the cache key. Everything else is.
-            const bool deterministic = !result.stats.budgetExhausted;
+            // A search the deadline cut short answered with whatever
+            // the wall clock allowed, which depends on load, so
+            // neither its reply nor its error is a pure function of
+            // the cache key. Everything else is — a work-capped
+            // search too: the cap is part of the key.
+            const bool deterministic = !result.stats.deadlineHit;
             if (!result.ok) {
                 // A within-budget scheduling failure (e.g. maxII
                 // exceeded) is as deterministic as a schedule — cache

@@ -30,8 +30,9 @@
  * pointer, not a copy), so warm replies are byte-identical to cold
  * ones by construction. Raw entries are published only for replies
  * that live in the canonical cache; parse errors quote the frame id
- * and replies whose search ran out of budget depend on load, so
- * neither ever enters a lane.
+ * and replies whose search hit the wall-clock deadline depend on
+ * load, so neither ever enters a lane (a search stopped by the
+ * node-budget work cap is deterministic and is cached).
  *
  * Warm-state persistence (svc/state.cc): encodeState() snapshots the
  * schedule cache plus every loop's CME/oracle memo through their

@@ -3,7 +3,7 @@
  * The exact branch-and-bound backend and the backend registry.
  *
  *  - Property sweep over every workload loop and clustered machine:
- *    the exact search settles within its default node budget, its II
+ *    the exact search settles within its default budget, its II
  *    never exceeds the RMCA heuristic's (the acceptance gap property),
  *    never undercuts MII, and every exact schedule passes the same
  *    MRT/bus/lifetime validity checks as the golden RMCA schedules.
@@ -127,8 +127,8 @@ TEST(ExactBackend, StarvedBudgetDegradesGracefully)
     const auto bench = workloads::makeApplu();
     const auto machine = makeFourCluster();
     const auto graph = ddg::Ddg::build(bench.loops[1], machine);
-    exact::BnbOptions opt;
-    opt.nodeBudget = 3;
+    SchedulerOptions opt;
+    opt.searchBudget = 3;
     const auto r = exact::scheduleExact(graph, machine, opt);
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.stats.budgetExhausted);
@@ -141,11 +141,10 @@ TEST(ExactBackend, TiebreakOffStopsAtFirstSchedule)
     const auto bench = workloads::makeSwim();
     const auto machine = makeTwoCluster();
     const auto graph = ddg::Ddg::build(bench.loops[0], machine);
-    exact::BnbOptions all;
-    exact::BnbOptions first;
+    exact::ExactOptions first;
     first.tiebreakPressure = false;
-    const auto a = exact::scheduleExact(graph, machine, all);
-    const auto b = exact::scheduleExact(graph, machine, first);
+    const auto a = exact::scheduleExact(graph, machine);
+    const auto b = exact::scheduleExact(graph, machine, {}, first);
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
     EXPECT_EQ(a.schedule.ii(), b.schedule.ii());
@@ -201,9 +200,9 @@ TEST(ExactEngine, PruningTogglesNeverChangeTheAnswer)
                 exact::ExactOptions plain = learning;
                 plain.conflictLearning = false;
                 const auto a =
-                    exact::scheduleExact(graph, machine, learning);
+                    exact::scheduleExact(graph, machine, {}, learning);
                 const auto b =
-                    exact::scheduleExact(graph, machine, plain);
+                    exact::scheduleExact(graph, machine, {}, plain);
                 ASSERT_TRUE(a.ok) << label << ": " << a.error;
                 ASSERT_TRUE(b.ok) << label << ": " << b.error;
                 EXPECT_EQ(a.schedule.ii(), b.schedule.ii()) << label;
@@ -238,8 +237,8 @@ TEST(ExactEngine, TiebreakBudgetIsDeterministicAndBenign)
 
     exact::ExactOptions opt;
     opt.tiebreakBudget = 1;
-    const auto a = exact::scheduleExact(graph, machine, opt);
-    const auto b = exact::scheduleExact(graph, machine, opt);
+    const auto a = exact::scheduleExact(graph, machine, {}, opt);
+    const auto b = exact::scheduleExact(graph, machine, {}, opt);
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
     EXPECT_FALSE(a.stats.budgetExhausted);

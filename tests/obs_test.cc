@@ -76,7 +76,7 @@ runInstrumentedSweep(harness::Workbench &bench, int jobs)
 
     harness::GapOptions gap;
     gap.threshold = 0.25;
-    gap.nodeBudget = 20000;
+    gap.searchBudget = 20000;
     gap.timeBudgetMs = -1;   // node cap only: deterministic outcomes
     harness::runGapStudy(bench, makeTwoCluster(), gap, driver);
 }

@@ -187,7 +187,7 @@ runSatWithMetrics(const ddg::Ddg &graph, const MachineConfig &machine)
 {
     obs::Registry::instance().enable();
     SchedContext ctx;
-    SatOptions opt;
+    SchedulerOptions opt;
     opt.timeBudgetMs = -1;
     SatRun run{scheduleSatExact(graph, machine, opt, ctx)};
     run.blocked = ctx.metrics.det("sat.blocked_models");
@@ -224,13 +224,10 @@ TEST(SatBackend, CertifiesTheSameIIAsTheBranchAndBound)
             // No wall clock on either engine: under TSan/Debug the
             // slowest combos outlive the default budget, and this
             // test compares certificates, not degradation points.
-            exact::ExactOptions bopt;
-            bopt.timeBudgetMs = -1;
-            SatOptions sopt;
-            sopt.timeBudgetMs = -1;
-            const auto bnb =
-                exact::scheduleExact(graph, machine, bopt);
-            const auto satr = scheduleSatExact(graph, machine, sopt);
+            SchedulerOptions opt;
+            opt.timeBudgetMs = -1;
+            const auto bnb = exact::scheduleExact(graph, machine, opt);
+            const auto satr = scheduleSatExact(graph, machine, opt);
             ASSERT_EQ(bnb.ok, satr.ok) << label;
             ASSERT_TRUE(satr.ok) << label << ": " << satr.error;
             EXPECT_EQ(satr.schedule.ii(), bnb.schedule.ii()) << label;
@@ -314,7 +311,7 @@ TEST(SatBackend, BusArcCapReplacesBlocking)
         const std::string label = "scenario " + std::to_string(i);
         const auto graph = ddg::Ddg::build(sc.nest, sc.machine);
         const SatRun run = runSatWithMetrics(graph, sc.machine);
-        exact::ExactOptions bopt;
+        SchedulerOptions bopt;
         bopt.timeBudgetMs = -1;
         const auto bnb = exact::scheduleExact(graph, sc.machine, bopt);
         ASSERT_TRUE(run.result.ok) << label << ": " << run.result.error;
@@ -361,7 +358,7 @@ TEST(SatBackend, PressureCutsNeverCutOffAValidSchedule)
     for (const auto &wl : workloads::allLoops()) {
         const auto graph = ddg::Ddg::build(wl.nest, machine);
         const std::string &label = wl.nest.name();
-        exact::ExactOptions bopt;
+        SchedulerOptions bopt;
         bopt.timeBudgetMs = -1;
         const auto bnb = exact::scheduleExact(graph, machine, bopt);
         const SatRun run = runSatWithMetrics(graph, machine);
@@ -429,8 +426,8 @@ TEST(SatBackend, StarvedBudgetMatchesTheSerialContract)
     EXPECT_FALSE(v.stats.gapKnown);
 }
 
-/** The deterministic conflict cap is the CDCL analogue of the node
- * budget: capped out means Unknown ("gap unknown"), never a wrong
+/** The work cap (searchBudget), counted in conflicts by the CDCL
+ * engine: capped out means Unknown ("gap unknown"), never a wrong
  * answer, and the cap's effect is reproducible. */
 TEST(SatBackend, ConflictCapNeverChangesTheAnswer)
 {
@@ -440,8 +437,8 @@ TEST(SatBackend, ConflictCapNeverChangesTheAnswer)
     const auto ref = scheduleSatExact(graph, machine, {});
     ASSERT_TRUE(ref.ok);
     for (const std::int64_t cap : {std::int64_t{1}, std::int64_t{0}}) {
-        SatOptions o;
-        o.conflictBudget = cap;
+        SchedulerOptions o;
+        o.searchBudget = cap;
         const auto r = scheduleSatExact(graph, machine, o);
         if (!r.ok) {
             // Capped out before settling: the documented degradation.

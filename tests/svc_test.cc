@@ -17,7 +17,9 @@
  *    encode(decode(s)) == s round trip of the binary v2 snapshot,
  *    whole-snapshot rejection of version skew, truncation and the
  *    retired text v1 format, and merge-on-LOAD.
- *  - Replies whose search ran out of budget never enter a cache lane.
+ *  - Replies whose search hit the wall-clock deadline never enter a
+ *    cache lane; replies stopped by the work cap are cached, and the
+ *    cap binds the sat engine as it binds the branch and bound.
  *  - Batches are deterministic across --jobs and arrival order.
  *  - The session survives malformed payloads and out-of-range inputs
  *    (error REP, not a dead server), keeps REP ids aligned with
@@ -30,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -296,7 +299,7 @@ TEST(SvcSession, RawLaneHitsAcrossFlushesStayByteIdentical)
     EXPECT_EQ(service.stats().rawHits, 2);
 }
 
-/** A search that ran out of budget is not a pure function of its
+/** A search the deadline cut short is not a pure function of its
  * cache key (a wall-clock cutoff depends on load), so neither a
  * verify reply carrying `budget-exhausted true` nor an exact
  * "budget exhausted" error may enter either cache lane: each repeat
@@ -325,6 +328,72 @@ TEST(SvcSession, BudgetExhaustedRepliesAreNeverCached)
         EXPECT_EQ(st.rawHits, 0) << backend;
         EXPECT_EQ(st.cacheHits, 0) << backend;
     }
+}
+
+/** tomcatv.rxry on the 2-cluster preset under @p config lines. */
+std::string
+rxryPayload(const std::string &config)
+{
+    const auto bench = workloads::benchmarkByName("tomcatv");
+    const auto nest = std::find_if(
+        bench.loops.begin(), bench.loops.end(),
+        [](const auto &n) { return n.name() == "tomcatv.rxry"; });
+    EXPECT_NE(nest, bench.loops.end());
+    return config + "\n" +
+           text::printScenario(text::ScenarioText{*nest, makeTwoCluster()});
+}
+
+/** `node-budget` caps whichever exact engine runs: uncapped, the sat
+ * engine proves tomcatv.rxry optimal; at one conflict per solve it
+ * cannot. */
+TEST(SvcSession, SatEngineHonoursTheNodeBudget)
+{
+    SchedService service(1);
+    const auto free_reps = replayAcrossFlushes(
+        service, rxryPayload("config backend sat\n"), 1);
+    ASSERT_EQ(free_reps.size(), 1u);
+    EXPECT_NE(free_reps[0].find("proven-optimal true"), std::string::npos)
+        << free_reps[0];
+
+    const auto capped = replayAcrossFlushes(
+        service,
+        rxryPayload("config backend sat\nconfig node-budget 1\n"), 1);
+    ASSERT_EQ(capped.size(), 1u);
+    EXPECT_EQ(capped[0].find("proven-optimal true"), std::string::npos)
+        << capped[0];
+}
+
+/** A search stopped by the work cap is a pure function of its cache
+ * key (the cap is part of the key): its reply does not change under
+ * load, and a repeat is answered from the cache. */
+TEST(SvcSession, WorkCappedRepliesAreCachedAndLoadIndependent)
+{
+    const std::string payload =
+        rxryPayload("config backend exact\nconfig node-budget 1\n");
+
+    SchedService quiet(1);
+    const auto calm = replayAcrossFlushes(quiet, payload, 2);
+
+    std::atomic<bool> stop{false};
+    std::thread spinner([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+        }
+    });
+    SchedService busy(1);
+    const auto loaded = replayAcrossFlushes(busy, payload, 1);
+    stop = true;
+    spinner.join();
+
+    ASSERT_EQ(calm.size(), 2u);
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_NE(calm[0].find("budget exhausted before any schedule"),
+              std::string::npos)
+        << calm[0];
+    EXPECT_EQ(loaded[0], calm[0]);
+    EXPECT_EQ(calm[1], calm[0]);
+    const auto st = quiet.stats();
+    EXPECT_EQ(st.cacheEntries, 1);
+    EXPECT_EQ(st.cacheHits, 1);
 }
 
 /** Replies are a pure function of the request: job counts and arrival
