@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -45,18 +44,12 @@ main(int argc, char **argv)
         harness::parseExactBackendFlag(argc, argv);
     if (!exact_backend.empty())
         options.exactBackend = exact_backend;
-    const std::string scenarios = harness::stripValueFlag(
-        argc, argv, "--scenarios", "scenario count");
-    if (!scenarios.empty())
-        options.scenarios = std::atoi(scenarios.c_str());
-    const std::string seed =
-        harness::stripValueFlag(argc, argv, "--seed", "seed");
-    if (!seed.empty())
-        options.seed = std::strtoull(seed.c_str(), nullptr, 0);
-    const std::string budget =
-        harness::stripValueFlag(argc, argv, "--budget", "work cap");
-    if (!budget.empty())
-        options.searchBudget = std::atoll(budget.c_str());
+    harness::stripIntegerFlag(argc, argv, "--scenarios", "scenario count",
+                              options.scenarios);
+    harness::stripIntegerFlag(argc, argv, "--seed", "seed", options.seed,
+                              0);
+    harness::stripIntegerFlag(argc, argv, "--budget", "work cap",
+                              options.searchBudget);
     if (harness::stripBoolFlag(argc, argv, "--no-exact"))
         options.checkExact = false;
     if (harness::stripBoolFlag(argc, argv, "--no-sat"))

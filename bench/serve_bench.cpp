@@ -400,14 +400,10 @@ main(int argc, char **argv)
     int rounds = 3;
     bool check = false;
     bool gate = false;
-    const std::string clients_s =
-        harness::stripValueFlag(argc, argv, "--clients", "client count");
-    if (!clients_s.empty())
-        clients = std::atoi(clients_s.c_str());
-    const std::string rounds_s =
-        harness::stripValueFlag(argc, argv, "--rounds", "round count");
-    if (!rounds_s.empty())
-        rounds = std::atoi(rounds_s.c_str());
+    harness::stripIntegerFlag(argc, argv, "--clients", "client count",
+                              clients);
+    harness::stripIntegerFlag(argc, argv, "--rounds", "round count",
+                              rounds);
     const std::string dump = harness::stripValueFlag(
         argc, argv, "--dump-requests", "output file");
     const std::string sessions_s = harness::stripValueFlag(
@@ -428,7 +424,7 @@ main(int argc, char **argv)
         const std::size_t comma = sessions_s.find(',', pos);
         const std::string tok = sessions_s.substr(
             pos, comma == std::string::npos ? comma : comma - pos);
-        const int v = std::atoi(tok.c_str());
+        const int v = harness::parseInteger<int>(tok, "--sessions");
         if (v < 1)
             mvp_fatal("--sessions wants positive counts, got '", tok,
                       "'");

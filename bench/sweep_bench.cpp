@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -69,10 +68,8 @@ main(int argc, char **argv)
     if (!exact_backend.empty())
         gap_options.exactBackend = exact_backend;
     const bool exact = harness::stripBoolFlag(argc, argv, "--exact");
-    const std::string budget =
-        harness::stripValueFlag(argc, argv, "--budget", "work cap");
-    if (!budget.empty())
-        gap_options.searchBudget = std::atoll(budget.c_str());
+    harness::stripIntegerFlag(argc, argv, "--budget", "work cap",
+                              gap_options.searchBudget);
     harness::rejectUnknownFlags(
         argc, argv,
         {"--jobs", "--locality", "--workloads", "--time-budget-ms",

@@ -30,7 +30,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -73,7 +72,8 @@ main(int argc, char **argv)
          "--engines", "--workloads", "--log-level", "--metrics",
          "--trace"});
     if (argc > 1)
-        options.searchBudget = std::atoll(argv[1]);
+        options.searchBudget = harness::parseInteger<std::int64_t>(
+            argv[1], "the work-cap argument");
 
     harness::Workbench bench(only);
     for (int clusters : {2, 4}) {

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "gen/corpus.hh"
@@ -66,14 +65,10 @@ main(int argc, char **argv)
         harness::parseExactBackendFlag(argc, argv);
     if (!exact_backend.empty())
         options.exactBackend = exact_backend;
-    const std::string scenarios = harness::stripValueFlag(
-        argc, argv, "--scenarios", "scenario count");
-    if (!scenarios.empty())
-        options.scenarios = std::atoi(scenarios.c_str());
-    const std::string seed =
-        harness::stripValueFlag(argc, argv, "--seed", "seed");
-    if (!seed.empty())
-        options.seed = std::strtoull(seed.c_str(), nullptr, 0);
+    harness::stripIntegerFlag(argc, argv, "--scenarios", "scenario count",
+                              options.scenarios);
+    harness::stripIntegerFlag(argc, argv, "--seed", "seed", options.seed,
+                              0);
     harness::rejectUnknownFlags(
         argc, argv,
         {"--jobs", "--time-budget-ms", "--exact-backend",

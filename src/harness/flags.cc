@@ -1,6 +1,9 @@
 #include "harness/flags.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -37,6 +40,48 @@ stripValueFlag(int &argc, char **argv, const std::string &flag,
     return value;
 }
 
+template <class T>
+T
+parseInteger(const std::string &text, const std::string &what, int base)
+{
+    constexpr bool is_signed = std::numeric_limits<T>::is_signed;
+    // strto* skip leading blanks and strtoull negates a '-' value, so
+    // both are refused before the call.
+    const bool bad_start =
+        text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        (!is_signed && text[0] == '-');
+    char *end = nullptr;
+    errno = 0;
+    T value{};
+    bool in_range = true;
+    if (!bad_start) {
+        if constexpr (is_signed) {
+            const long long v = std::strtoll(text.c_str(), &end, base);
+            in_range = v >= std::numeric_limits<T>::min() &&
+                       v <= std::numeric_limits<T>::max();
+            value = static_cast<T>(v);
+        } else {
+            const unsigned long long v =
+                std::strtoull(text.c_str(), &end, base);
+            in_range = v <= std::numeric_limits<T>::max();
+            value = static_cast<T>(v);
+        }
+    }
+    if (bad_start || end == text.c_str() || *end != '\0')
+        mvp_fatal(what, " wants an integer, got '", text, "'");
+    if (errno == ERANGE || !in_range)
+        mvp_fatal(what, " value '", text, "' is out of range");
+    return value;
+}
+
+template int parseInteger<int>(const std::string &, const std::string &,
+                               int);
+template std::int64_t parseInteger<std::int64_t>(const std::string &,
+                                                 const std::string &, int);
+template std::uint64_t parseInteger<std::uint64_t>(const std::string &,
+                                                   const std::string &,
+                                                   int);
+
 int
 parseJobsFlag(int &argc, char **argv)
 {
@@ -44,7 +89,7 @@ parseJobsFlag(int &argc, char **argv)
         stripValueFlag(argc, argv, "--jobs", "a worker count");
     if (value.empty())
         return 0;
-    const int jobs = std::atoi(value.c_str());
+    const int jobs = parseInteger<int>(value, "--jobs");
     if (jobs < 1)
         mvp_fatal("--jobs wants an integer >= 1, got '", value, "'");
     return jobs;
@@ -82,15 +127,9 @@ parseWorkloadsFlag(int &argc, char **argv)
 std::int64_t
 parseTimeBudgetFlag(int &argc, char **argv)
 {
-    const std::string value = stripValueFlag(
-        argc, argv, "--time-budget-ms", "a millisecond count");
-    if (value.empty())
-        return sched::DEFAULT_TIME_BUDGET_MS;
-    char *end = nullptr;
-    const long long ms = std::strtoll(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        mvp_fatal("--time-budget-ms wants an integer, got '", value,
-                  "'");
+    std::int64_t ms = sched::DEFAULT_TIME_BUDGET_MS;
+    stripIntegerFlag(argc, argv, "--time-budget-ms", "a millisecond count",
+                     ms);
     return ms;
 }
 

@@ -32,6 +32,33 @@ std::string stripValueFlag(int &argc, char **argv,
                            const char *value_desc);
 
 /**
+ * Parse all of @p text as an integer of type T (int, std::int64_t or
+ * std::uint64_t) in @p base; base 0 also takes the C prefixes `0x` and
+ * `0`. An empty value, junk, trailing characters, a sign on an
+ * unsigned type and a value outside T's range are fatal, naming
+ * @p what (the flag or argument the value came from).
+ */
+template <class T>
+T parseInteger(const std::string &text, const std::string &what,
+               int base = 10);
+
+/**
+ * Strip a `FLAG N` / `FLAG=N` flag (see stripValueFlag) and, when it
+ * was given, store its value in @p out through parseInteger().
+ * @p out keeps its default when the flag is absent.
+ */
+template <class T>
+void
+stripIntegerFlag(int &argc, char **argv, const std::string &flag,
+                 const char *value_desc, T &out, int base = 10)
+{
+    const std::string value =
+        stripValueFlag(argc, argv, flag, value_desc);
+    if (!value.empty())
+        out = parseInteger<T>(value, flag, base);
+}
+
+/**
  * Strip every occurrence of the valueless flag @p flag from @p argv,
  * compacting in place. Returns true when it appeared at least once.
  */

@@ -31,6 +31,7 @@
 #include "ddg/ddg.hh"
 #include "obs/metrics.hh"
 #include "sched/sentinels.hh"
+#include "sched/window.hh"
 
 namespace mvp::sched
 {
@@ -38,48 +39,12 @@ namespace mvp::sched
 namespace detail
 {
 
-/** A register communication a candidate placement would add. */
-struct NewComm
-{
-    OpId producer;
-    ClusterId from;
-    ClusterId to;
-    Cycle xferStart;
-    std::size_t xferSlot;   ///< xferStart mod II, precomputed
-    int bus;
-};
-
 /** A candidate placement of one op in one cluster. */
 struct Placement
 {
     Cycle time = TIME_UNPLACED;
     Cycle outLatency = 0;
     std::vector<NewComm> newComms;
-};
-
-/**
- * Snapshot of one placed in-neighbour of the op being placed, with the
- * cluster-independent arithmetic folded in at snapshot time.
- */
-struct InNb
-{
-    OpId src;
-    int distance;
-    bool isReg;
-    ClusterId cluster;  ///< producer's cluster
-    Cycle iiDist;       ///< II * distance
-    Cycle ready;        ///< producer's time + outLatency
-    Cycle baseEarly;    ///< early bound without a bus transfer
-};
-
-/** Snapshot of one placed out-neighbour of the op being placed. */
-struct OutNb
-{
-    OpId dst;
-    bool isReg;
-    ClusterId cluster;  ///< consumer's cluster
-    Cycle budget;       ///< consumer's time + II * distance
-    Cycle lateNonReg;   ///< budget - edge latency (non-register)
 };
 
 /**
@@ -95,25 +60,16 @@ struct PlacementScratch
     std::vector<std::vector<OpId>> memSet;
     /** [op] override of miss-promoted loads; LAT_NO_OVERRIDE = none. */
     std::vector<Cycle> overrideLat;
-    /** [op x cluster] committed transfer starts; CYCLE_MAX = none. */
-    std::vector<Cycle> commStart;
+    CommStarts commStart;
 
     /** @name place() scratch (rebuilt per op, shared by the sweep) */
     /// @{
-    std::vector<InNb> inNbs;
-    std::vector<OutNb> outNbs;
+    Neighbours nbs;
     /// @}
 
-    /** @name trySlot() scratch (reset at every call) */
+    /** @name trySlot() scratch (recomputed at every call) */
     /// @{
-    /** Producers needing a transfer. */
-    std::vector<OpId> inNeedIds;
-    /** [op] min distance; DIST_UNSET = unset. */
-    std::vector<int> inMinDist;
-    /** [cluster] consumption budget; CYCLE_MAX = unset. */
-    std::vector<Cycle> outBudget;
-    /** Tentative bus reservations. */
-    std::vector<NewComm> reserved;
+    Window window;
     Placement curPlacement;
     Placement bestPlacement;
     /// @}

@@ -10,14 +10,13 @@
 #include "sched/lifetimes.hh"
 #include "sched/mrt.hh"
 #include "sched/ordering.hh"
+#include "sched/window.hh"
 
 namespace mvp::sched::exact
 {
 
 namespace
 {
-
-constexpr Cycle NO_BOUND = CYCLE_MAX / 4;
 
 /** Outcome of one DFS subtree. */
 enum class Walk
@@ -28,29 +27,13 @@ enum class Walk
 };
 
 /**
- * One committed transfer, kept on an undo stack so backtracking can
- * release the bus and the comm-start entry it booked. The booking
- * depth feeds conflict attribution: a candidate refuted by bus
- * saturation cites the decisions whose transfers crowd the window.
- */
-struct BookedComm
-{
-    OpId producer;
-    ClusterId from;
-    ClusterId to;
-    Cycle xferStart;
-    std::size_t xferSlot;
-    int bus;
-    int depth;   ///< DFS depth that booked it
-};
-
-/**
  * Depth-first branch-and-bound over (op -> cluster, cycle) placements
  * at one II at a time. State mirrors the heuristic Attempt — the same
- * Mrt, the same comm-start table, the same neighbour windows — but
- * every commit is invertible, which is what turns the greedy placement
- * loop into an exhaustive search. Two symmetry breaks keep the tree
- * small without losing any schedule shape:
+ * Mrt, the same comm-start table, the same placement kernel
+ * (sched/window.hh) — but every commit is invertible, which is what
+ * turns the greedy placement loop into an exhaustive search. Two
+ * symmetry breaks keep the tree small without losing any schedule
+ * shape:
  *
  *  - the first op is pinned to cycle 0 (modulo schedules are
  *    shift-invariant, so every solution has a shifted twin there);
@@ -86,14 +69,9 @@ class Searcher final : public IiProber
         const auto n = graph_.size();
         const auto nc = static_cast<std::size_t>(machine_.nClusters);
         placed_.assign(n, 0);
-        comm_start_.assign(n * nc, CYCLE_MAX);
-        out_budget_.assign(nc, CYCLE_MAX);
-        in_min_dist_.assign(n, DIST_UNSET);
         cluster_pop_.assign(nc, 0);
-        need_in_.resize(n);
-        need_out_.resize(n);
-        in_nbs_.resize(n);
-        out_nbs_.resize(n);
+        nbs_.resize(n);
+        win_.resize(n);
         nb_mask_.assign(n, 0);
         c_order_.resize(n);
     }
@@ -107,31 +85,10 @@ class Searcher final : public IiProber
     /// @}
 
   private:
-    struct InNb
-    {
-        OpId src;
-        int distance;
-        bool isReg;
-        Cycle iiDist;
-        Cycle ready;      ///< producer time + out latency
-        Cycle baseEarly;  ///< early bound without a bus transfer
-        ClusterId cluster;
-    };
-    struct OutNb
-    {
-        bool isReg;
-        ClusterId cluster;
-        Cycle budget;      ///< consumer time + II * distance
-        Cycle lateNonReg;  ///< budget - edge latency (non-register)
-    };
-
     Walk dfs(std::size_t k);
     Walk leaf();
     Walk tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
                   std::size_t k, std::uint64_t &conf);
-    void snapshotNeighbours(OpId v, std::size_t k);
-    bool bookTransfers(OpId v, ClusterId c, Cycle t, std::size_t k);
-    void unbook(std::size_t mark);
     bool applyPressure(OpId v, ClusterId c, Cycle t,
                        std::size_t comm_mark);
 
@@ -209,7 +166,7 @@ class Searcher final : public IiProber
     std::uint64_t bookedDepthMask() const
     {
         std::uint64_t m = 0;
-        for (const BookedComm &bc : booked_)
+        for (const NewComm &bc : booked_)
             m |= 1ull << bc.depth;
         return m;
     }
@@ -233,14 +190,6 @@ class Searcher final : public IiProber
     }
     /// @}
 
-    Cycle &commStart(OpId u, ClusterId c)
-    {
-        return comm_start_[static_cast<std::size_t>(u) *
-                               static_cast<std::size_t>(
-                                   machine_.nClusters) +
-                           static_cast<std::size_t>(c)];
-    }
-
     const ddg::Ddg &graph_;
     const MachineConfig &machine_;
     const SchedulerOptions &options_;
@@ -252,8 +201,14 @@ class Searcher final : public IiProber
     ModuloSchedule sched_;
     std::vector<OpId> order_;
     std::vector<char> placed_;
-    std::vector<Cycle> comm_start_;
-    std::vector<BookedComm> booked_;   ///< undo stack of transfers
+    CommStarts comm_start_;
+    /**
+     * Undo stack of booked transfers: backtracking releases the bus
+     * and the comm-start entry. Each is tagged with the depth that
+     * booked it, so a candidate refuted by bus saturation cites the
+     * decisions whose transfers crowd the window.
+     */
+    std::vector<NewComm> booked_;
     std::vector<int> cluster_pop_;     ///< ops per cluster
     ClusterId opened_ = 0;             ///< populated clusters
 
@@ -263,22 +218,14 @@ class Searcher final : public IiProber
      * so everything a level still needs after recursing lives in a
      * per-depth slot.
      */
-    std::vector<std::vector<InNb>> in_nbs_;
-    std::vector<std::vector<OutNb>> out_nbs_;
-    /** Producers needing a new transfer: (producer, min distance). */
-    std::vector<std::vector<std::pair<OpId, int>>> need_in_;
-    /** Destination clusters needing a transfer: (cluster, budget). */
-    std::vector<std::vector<std::pair<ClusterId, Cycle>>> need_out_;
+    std::vector<Neighbours> nbs_;
+    /** Window of the cluster being tried at each depth. */
+    std::vector<Window> win_;
     /** Placed-neighbour depths of the op at each depth (conflicts). */
     std::vector<std::uint64_t> nb_mask_;
     /** (slot, cluster, fu) -> depth bits of the current occupants. */
     std::vector<std::uint64_t> fu_depth_mask_;
 
-    /** Transient dedup scratch, clean between uses. */
-    std::vector<OpId> in_need_ids_;
-    std::vector<int> in_min_dist_;
-    std::vector<Cycle> out_budget_;
-    std::vector<ClusterId> cluster_order_scratch_;
     std::vector<int> cluster_score_scratch_;
     /** Per-depth cluster visit order (survives the recursion). */
     std::vector<std::vector<ClusterId>> c_order_;
@@ -338,121 +285,6 @@ class Searcher final : public IiProber
     /// @}
 };
 
-void
-Searcher::snapshotNeighbours(OpId v, std::size_t k)
-{
-    auto &ins = in_nbs_[k];
-    auto &outs = out_nbs_[k];
-    ins.clear();
-    outs.clear();
-    std::uint64_t mask = 0;
-    for (int ei : graph_.inEdges(v)) {
-        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-        if (e.src == v || !placed_[static_cast<std::size_t>(e.src)])
-            continue;
-        const auto &pu = sched_.placed(e.src);
-        const Cycle ii_dist = ii_ * e.distance;
-        const Cycle ready = pu.time + pu.outLatency;
-        const Cycle base_early =
-            (e.isRegFlow() ? ready : pu.time + e.latency) - ii_dist;
-        ins.push_back({e.src, e.distance, e.isRegFlow(), ii_dist, ready,
-                       base_early, pu.cluster});
-        if (cbj_)
-            mask |= 1ull << order_pos_[static_cast<std::size_t>(e.src)];
-    }
-    for (int ei : graph_.outEdges(v)) {
-        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-        if (e.dst == v || !placed_[static_cast<std::size_t>(e.dst)])
-            continue;
-        const auto &pw = sched_.placed(e.dst);
-        const Cycle budget = pw.time + ii_ * e.distance;
-        outs.push_back(
-            {e.isRegFlow(), pw.cluster, budget, budget - e.latency});
-        if (cbj_)
-            mask |= 1ull << order_pos_[static_cast<std::size_t>(e.dst)];
-    }
-    nb_mask_[k] = mask;
-}
-
-/**
- * Book every cross-cluster transfer the placement (v -> c at t) needs,
- * earliest-fit on the lowest free bus (the same deterministic rule the
- * heuristic applies, so its schedules are all reachable). On failure
- * everything booked by this call is rolled back.
- */
-bool
-Searcher::bookTransfers(OpId v, ClusterId c, Cycle t, std::size_t k)
-{
-    const Cycle lrb = machine_.regBusLatency;
-    const Cycle out_lat = graph_.opLatency(v);
-    const std::size_t mark = booked_.size();
-    const int depth = static_cast<int>(k);
-
-    for (const auto &[u, min_dist] : need_in_[k]) {
-        const auto &pu = sched_.placed(u);
-        const Cycle x_min = pu.time + pu.outLatency;
-        const Cycle x_max = t + ii_ * min_dist - lrb;
-        const Cycle hi = std::min(x_max, x_min + ii_ - 1);
-        bool ok = false;
-        if (x_min <= hi) {
-            std::size_t sx = mrt_.slot(x_min);
-            for (Cycle x = x_min; x <= hi; ++x) {
-                const int bus = mrt_.findFreeBusAt(sx);
-                if (bus != BUS_NONE) {
-                    mrt_.reserveBusAt(bus, sx);
-                    booked_.push_back(
-                        {u, pu.cluster, c, x, sx, bus, depth});
-                    commStart(u, c) = x;
-                    ok = true;
-                    break;
-                }
-                sx = mrt_.nextSlot(sx);
-            }
-        }
-        if (!ok) {
-            unbook(mark);
-            return false;
-        }
-    }
-
-    for (const auto &[dest, budget] : need_out_[k]) {
-        const Cycle x_min = t + out_lat;
-        const Cycle x_max = budget - lrb;
-        const Cycle hi = std::min(x_max, x_min + ii_ - 1);
-        bool ok = false;
-        if (x_min <= hi) {
-            std::size_t sx = mrt_.slot(x_min);
-            for (Cycle x = x_min; x <= hi; ++x) {
-                const int bus = mrt_.findFreeBusAt(sx);
-                if (bus != BUS_NONE) {
-                    mrt_.reserveBusAt(bus, sx);
-                    booked_.push_back({v, c, dest, x, sx, bus, depth});
-                    commStart(v, dest) = x;
-                    ok = true;
-                    break;
-                }
-                sx = mrt_.nextSlot(sx);
-            }
-        }
-        if (!ok) {
-            unbook(mark);
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-Searcher::unbook(std::size_t mark)
-{
-    while (booked_.size() > mark) {
-        const BookedComm &bc = booked_.back();
-        mrt_.releaseBusAt(bc.bus, bc.xferSlot);
-        commStart(bc.producer, bc.to) = CYCLE_MAX;
-        booked_.pop_back();
-    }
-}
-
 /**
  * Mirror the placement (v -> c at t) into the pressure tracker: a new
  * local interval when v produces a value, a local extension plus a
@@ -473,7 +305,7 @@ Searcher::applyPressure(OpId v, ClusterId c, Cycle t,
     if (graph_.loop().op(v).producesValue())
         pressure_.addLocal(v, c, t + graph_.opLatency(v));
     for (std::size_t i = comm_mark; i < booked_.size(); ++i) {
-        const BookedComm &bc = booked_[i];
+        const NewComm &bc = booked_[i];
         pressure_.extendLocal(bc.producer, bc.xferStart);
         pressure_.addRemote(bc.producer, bc.to, bc.xferStart + lrb);
     }
@@ -580,7 +412,7 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
 
     const std::size_t comm_mark = booked_.size();
     const std::size_t sched_comm_mark = sched_.comms().size();
-    if (!bookTransfers(v, c, t, k)) {
+    if (!win_[k].book(mrt_, sched_, v, t, booked_, static_cast<int>(k))) {
         ++prune_bus_;
         if (cbj_)
             conf |= nb_mask_[k] | bookedDepthMask();
@@ -600,7 +432,8 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
     if (cluster_pop_[static_cast<std::size_t>(c)]++ == 0)
         ++opened_;
     for (std::size_t i = comm_mark; i < booked_.size(); ++i) {
-        const BookedComm &bc = booked_[i];
+        const NewComm &bc = booked_[i];
+        comm_start_(bc.producer, bc.to) = bc.xferStart;
         sched_.comms().push_back(
             {bc.producer, bc.from, bc.to, bc.xferStart, bc.bus});
     }
@@ -629,7 +462,10 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
     mrt_.removeFu(t, c, fu);
     placed_[static_cast<std::size_t>(v)] = 0;
     pv = PlacedOp{};
-    unbook(comm_mark);
+    for (std::size_t i = comm_mark; i < booked_.size(); ++i)
+        comm_start_(booked_[i].producer, booked_[i].to) = CYCLE_MAX;
+    releaseTransfers(mrt_, std::span(booked_).subspan(comm_mark));
+    booked_.resize(comm_mark);
     return w;
 }
 
@@ -640,14 +476,17 @@ Searcher::dfs(std::size_t k)
         return leaf();
 
     const OpId v = order_[k];
-    const Cycle lrb = machine_.regBusLatency;
     const Cycle out_lat = graph_.opLatency(v);
-
-    snapshotNeighbours(v, k);
-    const auto &ins = in_nbs_[k];
-    const auto &outs = out_nbs_[k];
-    const bool has_pred = !ins.empty();
-    const bool has_succ = !outs.empty();
+    Neighbours &nbs = nbs_[k];
+    nbs.snapshot(graph_, sched_, placed_, v);
+    if (cbj_) {
+        std::uint64_t mask = 0;
+        for (const InNb &nb : nbs.in)
+            mask |= 1ull << order_pos_[static_cast<std::size_t>(nb.src)];
+        for (const OutNb &nb : nbs.out)
+            mask |= 1ull << order_pos_[static_cast<std::size_t>(nb.dst)];
+        nb_mask_[k] = mask;
+    }
 
     // Union of conflict citations over every refuted candidate below.
     std::uint64_t conf = 0;
@@ -666,10 +505,10 @@ Searcher::dfs(std::size_t k)
     if (found_ && c_limit > 1) {
         auto &score = cluster_score_scratch_;
         score.assign(static_cast<std::size_t>(c_limit), 0);
-        for (const InNb &nb : ins)
+        for (const InNb &nb : nbs.in)
             if (nb.isReg && nb.cluster < c_limit)
                 ++score[static_cast<std::size_t>(nb.cluster)];
-        for (const OutNb &nb : outs)
+        for (const OutNb &nb : nbs.out)
             if (nb.isReg && nb.cluster < c_limit)
                 ++score[static_cast<std::size_t>(nb.cluster)];
         std::stable_sort(c_order.begin(), c_order.end(),
@@ -678,73 +517,18 @@ Searcher::dfs(std::size_t k)
                                     score[static_cast<std::size_t>(b)];
                          });
     }
+    // The window lives in this depth's slot, so recursion below cannot
+    // clobber it.
+    Window &win = win_[k];
     for (ClusterId ci = 0; ci < c_limit; ++ci) {
         const ClusterId c = c_order[static_cast<std::size_t>(ci)];
-        // --- Window bounds and transfer needs for this cluster, the
-        // same arithmetic as the heuristic's trySlot(). The dedup
-        // scratch drains into this depth's need lists so recursion
-        // below cannot clobber them. ---
-        auto &need_in = need_in_[k];
-        auto &need_out = need_out_[k];
-        need_in.clear();
-        need_out.clear();
-
-        Cycle early = 0;
-        Cycle late = NO_BOUND;
-        for (const InNb &nb : ins) {
-            if (nb.isReg && nb.cluster != c) {
-                if (const Cycle cs = commStart(nb.src, c);
-                    cs != CYCLE_MAX) {
-                    early = std::max(early, cs + lrb - nb.iiDist);
-                } else {
-                    early = std::max(early, nb.ready + lrb - nb.iiDist);
-                    auto &min_dist =
-                        in_min_dist_[static_cast<std::size_t>(nb.src)];
-                    if (min_dist == DIST_UNSET) {
-                        in_need_ids_.push_back(nb.src);
-                        min_dist = nb.distance;
-                    } else {
-                        min_dist = std::min(min_dist, nb.distance);
-                    }
-                }
-            } else {
-                early = std::max(early, nb.baseEarly);
-            }
-        }
-        // Bus reservation order must not depend on edge-visit order.
-        if (in_need_ids_.size() > 1)
-            std::sort(in_need_ids_.begin(), in_need_ids_.end());
-        for (OpId u : in_need_ids_) {
-            need_in.emplace_back(
-                u, in_min_dist_[static_cast<std::size_t>(u)]);
-            in_min_dist_[static_cast<std::size_t>(u)] = DIST_UNSET;
-        }
-        in_need_ids_.clear();
-
-        for (const OutNb &nb : outs) {
-            if (nb.isReg && nb.cluster != c) {
-                auto &b =
-                    out_budget_[static_cast<std::size_t>(nb.cluster)];
-                b = std::min(b, nb.budget);
-            } else {
-                late = std::min(late, nb.isReg ? nb.budget - out_lat
-                                               : nb.lateNonReg);
-            }
-        }
-        for (ClusterId dest = 0; dest < machine_.nClusters; ++dest) {
-            auto &b = out_budget_[static_cast<std::size_t>(dest)];
-            if (b != CYCLE_MAX) {
-                late = std::min(late, b - lrb - out_lat);
-                need_out.emplace_back(dest, b);
-                b = CYCLE_MAX;
-            }
-        }
         // A cluster whose dependence window is empty is a pruned child:
         // charge it like any candidate so budget exhaustion triggers at
         // a node count fixed by the tree alone. The window was pinched
         // by this op's placed neighbours (and any transfers consulted),
         // so those are the conflict citations.
-        if (has_pred && has_succ && late < early) {
+        if (!win.compute(nbs, c, out_lat, machine_.regBusLatency,
+                         comm_start_)) {
             ++prune_window_;
             if (cbj_)
                 conf |= nb_mask_[k] | bookedDepthMask();
@@ -754,43 +538,24 @@ Searcher::dfs(std::size_t k)
         }
 
         // --- Enumerate every candidate cycle in the window (the
-        // heuristic stops at the first fit; the search tries all). ---
-        if (has_succ && !has_pred) {
-            const Cycle hi = std::min(late, NO_BOUND);
-            const Cycle lo = hi - ii_ + 1;
-            std::size_t s = mrt_.slot(hi);
-            for (Cycle t = hi; t >= lo; --t) {
-                const Walk w = tryPlace(v, c, t, s, k, conf);
-                if (w != Walk::Continue)
-                    return w;
-                if (jump_active_) {
-                    if (jump_to_ != static_cast<int>(k))
-                        return Walk::Continue;   // not implicated: skip
-                    conf |= carry_;
-                    jump_active_ = false;
-                }
-                s = mrt_.prevSlot(s);
+        // heuristic stops at the first fit; the search tries all). The
+        // root op anchors the schedule (shift invariance). A jump to a
+        // shallower depth skips the rest of this level. ---
+        Walk w = Walk::Continue;
+        win.scan(mrt_, k == 0, [&](Cycle t, std::size_t s) {
+            w = tryPlace(v, c, t, s, k, conf);
+            if (w != Walk::Continue)
+                return true;
+            if (jump_active_) {
+                if (jump_to_ != static_cast<int>(k))
+                    return true;   // not implicated: skip
+                conf |= carry_;
+                jump_active_ = false;
             }
-        } else {
-            // Shift-invariance: the root op anchors the schedule, so a
-            // single candidate cycle covers every shifted solution.
-            const Cycle hi = (k == 0 && !has_pred && !has_succ)
-                                 ? early
-                                 : std::min(late, early + ii_ - 1);
-            std::size_t s = mrt_.slot(early);
-            for (Cycle t = early; t <= hi; ++t) {
-                const Walk w = tryPlace(v, c, t, s, k, conf);
-                if (w != Walk::Continue)
-                    return w;
-                if (jump_active_) {
-                    if (jump_to_ != static_cast<int>(k))
-                        return Walk::Continue;   // not implicated: skip
-                    conf |= carry_;
-                    jump_active_ = false;
-                }
-                s = mrt_.nextSlot(s);
-            }
-        }
+            return false;
+        });
+        if (w != Walk::Continue || jump_active_)
+            return w;
     }
     // Exhausted cleanly: hand the conflict set to the deepest
     // implicated decision. The candidate windows themselves were
@@ -865,7 +630,7 @@ Searcher::probe(Cycle ii)
     mrt_.reset(ii);
     sched_.reset(ii, graph_.size(), machine_.nClusters);
     std::fill(placed_.begin(), placed_.end(), 0);
-    std::fill(comm_start_.begin(), comm_start_.end(), CYCLE_MAX);
+    comm_start_.reset(graph_.size(), machine_.nClusters);
     std::fill(cluster_pop_.begin(), cluster_pop_.end(), 0);
     opened_ = 0;
     booked_.clear();
@@ -906,19 +671,7 @@ Searcher::finish(ScheduleResult &result)
         return;
     result.stats.pressureOptimal = pressure_optimal_;
 
-    // Normalise the winner (placement may have gone below cycle zero;
-    // modulo schedules are shift-invariant) and attach MaxLive.
-    Cycle min_time = 0;
-    for (const auto &p : best_.placements())
-        min_time = std::min(min_time, p.time);
-    if (min_time < 0) {
-        const Cycle shift =
-            ((-min_time + best_.ii() - 1) / best_.ii()) * best_.ii();
-        for (std::size_t v = 0; v < graph_.size(); ++v)
-            best_.placed(static_cast<OpId>(v)).time += shift;
-        for (auto &cm : best_.comms())
-            cm.xferStart += shift;
-    }
+    best_.normalize();
     best_.setMaxLive(best_max_live_);
     result.schedule = std::move(best_);
     result.stats.comms = static_cast<int>(result.schedule.numComms());

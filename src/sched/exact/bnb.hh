@@ -4,9 +4,10 @@
  *
  * The search enumerates, at a fixed II, every (cluster, cycle) placement
  * of every operation over the same candidate windows the heuristic
- * scheduler scans (SMS direction rule, at most II slots per op, with
- * cross-cluster transfers booked earliest-fit on the register buses),
- * backtracking through the modulo reservation table. The II iterates
+ * scheduler scans — both call the placement kernel of sched/window.hh
+ * (SMS direction rule, at most II slots per op, with cross-cluster
+ * transfers booked earliest-fit on the register buses) — backtracking
+ * through the modulo reservation table. The II iterates
  * upward from MII until a feasible schedule exists; the first feasible
  * II is minimal over the enumerated placement space, which contains
  * every schedule the heuristic family (baseline and RMCA, any

@@ -36,13 +36,6 @@ Mrt::fuIndex(Cycle time, ClusterId cluster, ir::FuType type) const
     return fuIndexAt(slot(time), cluster, type);
 }
 
-bool
-Mrt::fuFree(Cycle time, ClusterId cluster, ir::FuType type) const
-{
-    return fu_used_[fuIndex(time, cluster, type)] <
-           machine_.fusPerCluster(type);
-}
-
 void
 Mrt::placeFu(Cycle time, ClusterId cluster, ir::FuType type)
 {
@@ -69,14 +62,6 @@ Mrt::fuLoad(ClusterId cluster, ir::FuType type) const
 {
     return fu_load_[static_cast<std::size_t>(cluster) * ir::NUM_FU_TYPES +
                     static_cast<std::size_t>(type)];
-}
-
-int
-Mrt::findFreeBus(Cycle start) const
-{
-    if (machine_.unboundedRegBuses)
-        return BUS_UNBOUNDED;
-    return findFreeBusAt(slot(start));
 }
 
 int
@@ -108,14 +93,6 @@ Mrt::findFreeBusAt(std::size_t start_slot) const
 }
 
 void
-Mrt::reserveBus(int bus, Cycle start)
-{
-    if (bus == BUS_UNBOUNDED)
-        return;
-    reserveBusAt(bus, slot(start));
-}
-
-void
 Mrt::reserveBusAt(int bus, std::size_t start_slot)
 {
     if (bus == BUS_UNBOUNDED)
@@ -130,14 +107,6 @@ Mrt::reserveBusAt(int bus, std::size_t start_slot)
         mask |= bit;
         s = nextSlot(s);
     }
-}
-
-void
-Mrt::releaseBus(int bus, Cycle start)
-{
-    if (bus == BUS_UNBOUNDED)
-        return;
-    releaseBusAt(bus, slot(start));
 }
 
 void

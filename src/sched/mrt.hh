@@ -33,9 +33,6 @@ class Mrt
     /** The II this table was built for. */
     Cycle ii() const { return ii_; }
 
-    /** True when a @p type slot is free at flat cycle @p time. */
-    bool fuFree(Cycle time, ClusterId cluster, ir::FuType type) const;
-
     /**
      * @name Division-free slot arithmetic
      * The placement loop scans windows of consecutive cycles; converting
@@ -60,7 +57,7 @@ class Mrt
         return s == 0 ? static_cast<std::size_t>(ii_) - 1 : s - 1;
     }
 
-    /** fuFree with a precomputed modulo slot. */
+    /** True when a @p type slot is free at modulo slot @p slot. */
     bool fuFreeAt(std::size_t slot, ClusterId cluster,
                   ir::FuType type) const
     {
@@ -68,13 +65,20 @@ class Mrt
                machine_.fusPerCluster(type);
     }
 
-    /** findFreeBus with a precomputed modulo slot. */
+    /**
+     * Find a register bus free for the whole window of a transfer
+     * starting at modulo slot @p slot (busLatency consecutive slots).
+     * Returns the lowest free bus index, BUS_UNBOUNDED for
+     * unbounded-bus machines, or BUS_NONE when no bus is free
+     * (including the structural case busLatency > II, where a
+     * transfer would overlap its own next instance).
+     */
     int findFreeBusAt(std::size_t slot) const;
 
-    /** reserveBus with the transfer's precomputed start slot. */
+    /** Reserve @p bus for a transfer starting at modulo slot @p slot. */
     void reserveBusAt(int bus, std::size_t slot);
 
-    /** releaseBus with the transfer's precomputed start slot. */
+    /** Release @p bus for a transfer starting at modulo slot @p slot. */
     void releaseBusAt(int bus, std::size_t slot);
     /// @}
 
@@ -86,21 +90,6 @@ class Mrt
 
     /** Number of @p type ops currently placed in @p cluster. */
     int fuLoad(ClusterId cluster, ir::FuType type) const;
-
-    /**
-     * Find a register bus free for the whole window [start, start +
-     * busLatency). Returns the lowest free bus index, BUS_UNBOUNDED for
-     * unbounded-bus machines, or BUS_NONE when no bus is free (including
-     * the structural case busLatency > II, where a transfer would
-     * overlap its own next instance).
-     */
-    int findFreeBus(Cycle start) const;
-
-    /** Reserve @p bus over [start, start + busLatency). */
-    void reserveBus(int bus, Cycle start);
-
-    /** Release @p bus over [start, start + busLatency). */
-    void releaseBus(int bus, Cycle start);
 
     /** Total bus-slot occupancy (for stats). */
     int busSlotsUsed() const;
@@ -125,7 +114,7 @@ class Mrt
 
     /**
      * Bus occupancy as bitmasks: bus_mask_[slot * words_ + w] holds bit
-     * b set iff bus w*64+b is busy at that modulo slot. findFreeBus ORs
+     * b set iff bus w*64+b is busy at that modulo slot. findFreeBusAt ORs
      * the window's masks and takes the lowest clear bit, replacing the
      * per-bus-per-cycle rescan with one pass over the window.
      */

@@ -175,14 +175,17 @@ IiEncoding::atMostK(Solver &s, const std::vector<Lit> &xs, int k)
 }
 
 /**
- * Static time-window hull per op, mirroring the B&B's per-node window
- * rules (dfs() in bnb.cc) by interval arithmetic over placement order:
+ * Static time-window hull per op, mirroring the per-node window rules
+ * of the placement kernel (Window::compute/scan in sched/window.hh) by
+ * interval arithmetic over placement order:
  * the first op is anchored at cycle 0, an op with earlier-order
  * predecessors gets [early_lo, early_hi + II - 1] (clipped by its
  * earlier-order consumers' budgets), an op with only earlier-order
  * successors gets [late_lo - II + 1, late_hi], an isolated op gets
  * [0, II - 1]. A dependence-slack fixpoint then tightens the hulls.
  * Empty hull = the enumerated space is empty: certified refutation.
+ * Unlike the kernel, the hulls start from the first predecessor and do
+ * not clamp early at 0 (the kernel's known defect).
  */
 bool
 IiEncoding::computeWindows()
@@ -392,7 +395,7 @@ IiEncoding::emitCommStructure(Solver &s)
                 continue;
             }
             // Start-order chain, producer-ready lower bound, width-II
-            // booking window (bookTransfers: x in [ready, ready+II-1]),
+            // booking window (Window::book: x in [ready, ready+II-1]),
             // and never a transfer into the producer's own cluster.
             for (Cycle j = cv.xlo; j < cv.xhi - 1; ++j)
                 clause(s, {~ple(p, j), ple(p, j + 1)});
@@ -805,25 +808,13 @@ IiEncoding::modelStart(const Solver &s, int pair) const
 bool
 IiEncoding::decode(const Solver &s, ModuloSchedule &out) const
 {
-    std::vector<Cycle> time(n_);
     std::vector<ClusterId> cluster(n_);
-    Cycle min_time = CYCLE_MAX;
-    for (std::size_t v = 0; v < n_; ++v) {
-        time[v] = modelTime(s, static_cast<OpId>(v));
-        cluster[v] = modelCluster(s, static_cast<OpId>(v));
-        min_time = std::min(min_time, time[v]);
-    }
-    // Normalise exactly like the B&B winner: shift up by whole stages
-    // until every op time is non-negative.
-    Cycle shift = 0;
-    if (min_time < 0)
-        shift = ((-min_time + ii_ - 1) / ii_) * ii_;
-
     out.reset(ii_, n_, nc_);
     for (std::size_t v = 0; v < n_; ++v) {
+        cluster[v] = modelCluster(s, static_cast<OpId>(v));
         auto &pv = out.placed(static_cast<OpId>(v));
         pv.cluster = cluster[v];
-        pv.time = time[v] + shift;
+        pv.time = modelTime(s, static_cast<OpId>(v));
         pv.outLatency = graph_.opLatency(static_cast<OpId>(v));
         pv.missScheduled = false;
     }
@@ -836,7 +827,7 @@ IiEncoding::decode(const Solver &s, ModuloSchedule &out) const
             const int p = pairOf(static_cast<OpId>(u), d);
             if (p < 0 || !readIn(static_cast<OpId>(u), d, cluster))
                 continue;
-            const Cycle x = modelStart(s, p) + shift;
+            const Cycle x = modelStart(s, p);
             const int bus = mrt.findFreeBusAt(mrt.slot(x));
             if (bus == BUS_NONE)
                 return false;
@@ -846,6 +837,7 @@ IiEncoding::decode(const Solver &s, ModuloSchedule &out) const
                                    x, bus});
         }
     }
+    out.normalize();
     return true;
 }
 

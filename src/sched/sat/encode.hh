@@ -21,8 +21,9 @@
  *    0..c-1 already hold an earlier op);
  *  - each (producer, destination-cluster) pair gets one shared
  *    order-encoded transfer start, constrained exactly like
- *    bookTransfers(): start >= producer ready, width-II booking
- *    window, arrival before every remote reader's budget;
+ *    Window::book() (sched/window.hh): start >= producer ready,
+ *    width-II booking window, arrival before every remote reader's
+ *    budget;
  *  - per-cluster FU capacity and per-slot bus capacity are
  *    sequential-counter (Sinz) at-most-k cardinalities over
  *    modulo-slot indicator variables, plus, at bus latency L >= 2, an

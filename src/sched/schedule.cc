@@ -52,6 +52,21 @@ ModuloSchedule::placed(OpId op)
     return placed_[static_cast<std::size_t>(op)];
 }
 
+void
+ModuloSchedule::normalize()
+{
+    Cycle min_time = 0;
+    for (const auto &p : placed_)
+        min_time = std::min(min_time, p.time);
+    if (min_time >= 0)
+        return;
+    const Cycle shift = ((-min_time + ii_ - 1) / ii_) * ii_;
+    for (auto &p : placed_)
+        p.time += shift;
+    for (auto &c : comms_)
+        c.xferStart += shift;
+}
+
 int
 ModuloSchedule::missScheduledLoads() const
 {

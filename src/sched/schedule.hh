@@ -114,6 +114,14 @@ class ModuloSchedule
     /** Set the MaxLive vector. */
     void setMaxLive(std::vector<int> ml) { max_live_ = std::move(ml); }
 
+    /**
+     * Shift every op time and transfer start up by the fewest whole
+     * stages that make every op time non-negative. Placement may go
+     * below cycle 0; a modulo schedule is shift-invariant by multiples
+     * of II, so the shift keeps every slot. Every op must be placed.
+     */
+    void normalize();
+
     /** Loads scheduled with the miss latency. */
     int missScheduledLoads() const;
 

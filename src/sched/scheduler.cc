@@ -18,11 +18,7 @@ namespace
 {
 
 constexpr double EPS = 1e-9;
-constexpr Cycle NO_BOUND = CYCLE_MAX / 4;
 
-using detail::InNb;
-using detail::NewComm;
-using detail::OutNb;
 using detail::Placement;
 
 /**
@@ -32,10 +28,10 @@ using detail::Placement;
  * II bump, so the II search loop performs no per-attempt allocation. All
  * placement-loop scratch state lives in the caller's SchedContext (flat,
  * reusable buffers; no per-candidate maps or vectors): cross-cluster
- * communication starts are a dense [op x cluster] table, the inbound /
- * outbound transfer books of one trySlot() call are sparse arrays with
- * an explicit id list, the placed neighbourhood of the op being placed
- * is snapshotted once per place() instead of being re-walked per
+ * communication starts are a dense [op x cluster] table, the window and
+ * transfer needs of one trySlot() call come from the shared placement
+ * kernel (sched/window.hh), the placed neighbourhood of the op being
+ * placed is snapshotted once per place() instead of being re-walked per
  * candidate cluster, and the per-cluster locality base is cached
  * incrementally so the CME layer is queried once per (cluster,
  * candidate) instead of twice.
@@ -47,7 +43,7 @@ class Attempt
             const SchedulerOptions &options,
             detail::PlacementScratch &scratch)
         : graph_(graph), machine_(machine), options_(options),
-          s_(scratch), ii_(1), mrt_(machine, 1),
+          s_(scratch), mrt_(machine, 1),
           sched_(1, graph.size(), machine.nClusters),
           geom_(machine.clusterCacheGeom()),
           reuse_(graph.loop())
@@ -61,10 +57,6 @@ class Attempt
         if (s_.memSet.size() < nc)
             s_.memSet.resize(nc);
         s_.overrideLat.assign(n, LAT_NO_OVERRIDE);
-        s_.commStart.assign(n * nc, CYCLE_MAX);
-        s_.inMinDist.assign(n, DIST_UNSET);
-        s_.inNeedIds.clear();
-        s_.outBudget.assign(nc, CYCLE_MAX);
         s_.baseMiss.assign(nc, 0.0);
         s_.baseMissValid.assign(nc, false);
         s_.affinity.assign(nc, 0);
@@ -73,7 +65,6 @@ class Attempt
     /** Re-arm for a fresh II attempt, reusing every buffer. */
     void reset(Cycle ii)
     {
-        ii_ = ii;
         mrt_.reset(ii);
         sched_.reset(ii, graph_.size(), machine_.nClusters);
         std::fill(s_.isPlaced.begin(), s_.isPlaced.end(), false);
@@ -81,9 +72,7 @@ class Attempt
             set.clear();
         std::fill(s_.overrideLat.begin(), s_.overrideLat.end(),
                   LAT_NO_OVERRIDE);
-        std::fill(s_.commStart.begin(), s_.commStart.end(), CYCLE_MAX);
-        std::fill(s_.inMinDist.begin(), s_.inMinDist.end(), DIST_UNSET);
-        s_.inNeedIds.clear();
+        s_.commStart.reset(graph_.size(), machine_.nClusters);
         std::fill(s_.baseMissValid.begin(), s_.baseMissValid.end(),
                   false);
     }
@@ -91,12 +80,8 @@ class Attempt
     /** Place one op; false aborts the attempt (II must grow). */
     bool place(OpId v);
 
-    /**
-     * Shift the whole schedule by a multiple of II so that every time
-     * is non-negative (placement may have gone below zero; the modulo
-     * structure is shift-invariant).
-     */
-    void normalize();
+    /** Shift every time to non-negative (ModuloSchedule::normalize). */
+    void normalize() { sched_.normalize(); }
 
     /** Final register-pressure check; false aborts the attempt. */
     bool checkRegisters(LifetimeScratch &lifetimes);
@@ -109,10 +94,8 @@ class Attempt
     }
 
   private:
-    void snapshotNeighbours(OpId v);
     bool trySlot(OpId v, ClusterId c, Cycle out_lat, Placement &out);
-    bool tryCandidate(OpId v, ClusterId c, Cycle t, std::size_t slot,
-                      Cycle out_lat, Placement &out);
+    bool tryCandidate(OpId v, Cycle t, std::size_t slot, Placement &out);
     void commit(OpId v, ClusterId c, const Placement &p, bool miss);
     double addedMisses(OpId v, ClusterId c);
     void computeAffinities(OpId v);
@@ -120,254 +103,51 @@ class Attempt
     bool betterCluster(OpId v, ClusterId cand, ClusterId best,
                        double cand_miss, double best_miss, bool use_miss);
 
-    /** Start cycle of the committed transfer of @p u to cluster @p c. */
-    Cycle &commStart(OpId u, ClusterId c)
-    {
-        return s_.commStart[static_cast<std::size_t>(u) *
-                                static_cast<std::size_t>(
-                                    machine_.nClusters) +
-                            static_cast<std::size_t>(c)];
-    }
-
     const ddg::Ddg &graph_;
     const MachineConfig &machine_;
     const SchedulerOptions &options_;
     detail::PlacementScratch &s_;    ///< caller-owned scratch buffers
-    Cycle ii_;
     Mrt mrt_;
     ModuloSchedule sched_;
     CacheGeom geom_;                           ///< per-cluster cache
     cme::ReuseAnalysis reuse_;                 ///< hoisted out of place()
     ir::FuType fu_ = ir::FuType::Int;          ///< FU class of current op
-    int out_needed_ = 0;              ///< clusters with an out budget
     bool affinity_valid_ = false;     ///< per-sweep affinity memo flag
 };
-
-/**
- * Capture the placed neighbourhood of @p v once per place() call. The
- * cluster sweep evaluates the same op against every cluster (and again
- * for the miss-latency probe); walking the edge table and the placement
- * array once instead of per candidate keeps trySlot() touching only the
- * compact snapshot.
- */
-void
-Attempt::snapshotNeighbours(OpId v)
-{
-    s_.inNbs.clear();
-    s_.outNbs.clear();
-    for (int ei : graph_.inEdges(v)) {
-        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-        if (e.src == v || !s_.isPlaced[static_cast<std::size_t>(e.src)])
-            continue;
-        const auto &pu = sched_.placed(e.src);
-        const Cycle ii_dist = ii_ * e.distance;
-        const Cycle ready = pu.time + pu.outLatency;
-        const Cycle base_early =
-            (e.isRegFlow() ? ready : pu.time + e.latency) - ii_dist;
-        s_.inNbs.push_back({e.src, e.distance, e.isRegFlow(), pu.cluster,
-                            ii_dist, ready, base_early});
-    }
-    for (int ei : graph_.outEdges(v)) {
-        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-        if (e.dst == v || !s_.isPlaced[static_cast<std::size_t>(e.dst)])
-            continue;
-        const auto &pw = sched_.placed(e.dst);
-        const Cycle budget = pw.time + ii_ * e.distance;
-        s_.outNbs.push_back({e.dst, e.isRegFlow(), pw.cluster, budget,
-                             budget - e.latency});
-    }
-}
 
 bool
 Attempt::trySlot(OpId v, ClusterId c, Cycle out_lat, Placement &out)
 {
-    const Cycle lrb = machine_.regBusLatency;
-
-    // --- Reset the scratch books (cheap: only touched entries). ---
-    for (OpId u : s_.inNeedIds)
-        s_.inMinDist[static_cast<std::size_t>(u)] = DIST_UNSET;
-    s_.inNeedIds.clear();
-    std::fill(s_.outBudget.begin(), s_.outBudget.end(), CYCLE_MAX);
-    out_needed_ = 0;
-
-    // --- Collect window bounds from the snapshotted neighbours. ---
-    Cycle early = 0;
-    Cycle late = NO_BOUND;
-    const bool has_pred = !s_.inNbs.empty();
-    const bool has_succ = !s_.outNbs.empty();
-
-    // Inbound cross-cluster register values that need a *new* transfer:
-    // producer -> tightest arrival budget (t_v + II*min_dist).
-    for (const InNb &nb : s_.inNbs) {
-        if (nb.isReg && nb.cluster != c) {
-            if (const Cycle cs = commStart(nb.src, c); cs != CYCLE_MAX) {
-                early = std::max(early, cs + lrb - nb.iiDist);
-            } else {
-                early = std::max(early, nb.ready + lrb - nb.iiDist);
-                auto &min_dist =
-                    s_.inMinDist[static_cast<std::size_t>(nb.src)];
-                if (min_dist == DIST_UNSET) {
-                    s_.inNeedIds.push_back(nb.src);
-                    min_dist = nb.distance;
-                } else {
-                    min_dist = std::min(min_dist, nb.distance);
-                }
-            }
-        } else {
-            early = std::max(early, nb.baseEarly);
-        }
-    }
-    // Bus reservation order must not depend on edge-visit order.
-    if (s_.inNeedIds.size() > 1)
-        std::sort(s_.inNeedIds.begin(), s_.inNeedIds.end());
-
-    // Outbound cross-cluster transfers to placed consumers: destination
-    // cluster -> tightest consumption budget min(t_w + II*dist).
-    for (const OutNb &nb : s_.outNbs) {
-        if (nb.isReg && nb.cluster != c) {
-            auto &b = s_.outBudget[static_cast<std::size_t>(nb.cluster)];
-            if (b == CYCLE_MAX)
-                ++out_needed_;
-            b = std::min(b, nb.budget);
-        } else {
-            late = std::min(late,
-                            nb.isReg ? nb.budget - out_lat : nb.lateNonReg);
-        }
-    }
-    for (Cycle budget : s_.outBudget)
-        if (budget != CYCLE_MAX)
-            late = std::min(late, budget - lrb - out_lat);
-
-    // With placed neighbours on both sides the window [early, late]
-    // must be non-empty; one-sided windows are never empty (the scan
-    // direction follows the constrained side, times may go negative).
-    if (has_pred && has_succ && late < early)
+    Window &w = s_.window;
+    if (!w.compute(s_.nbs, c, out_lat, machine_.regBusLatency,
+                   s_.commStart))
         return false;
-
-    // --- Scan the window in place (at most II slots; SMS direction
-    // rule). Times may go negative while scheduling: modulo schedules
-    // are shift-invariant, and the attempt normalises by a multiple of
-    // II once every node is placed. ---
-    if (has_succ && !has_pred) {
-        const Cycle hi = std::min(late, NO_BOUND);
-        const Cycle lo = hi - ii_ + 1;
-        std::size_t s = mrt_.slot(hi);
-        for (Cycle t = hi; t >= lo; --t) {
-            if (tryCandidate(v, c, t, s, out_lat, out))
-                return true;
-            s = mrt_.prevSlot(s);
-        }
-    } else {
-        const Cycle hi = std::min(late, early + ii_ - 1);
-        if (early <= hi) {
-            std::size_t s = mrt_.slot(early);
-            for (Cycle t = early; t <= hi; ++t) {
-                if (tryCandidate(v, c, t, s, out_lat, out))
-                    return true;
-                s = mrt_.nextSlot(s);
-            }
-        }
-    }
-    return false;
+    return w.scan(mrt_, false, [&](Cycle t, std::size_t slot) {
+        return tryCandidate(v, t, slot, out);
+    });
 }
 
 /**
  * Evaluate one candidate cycle: FU slot plus tentative bus reservations
- * for every transfer trySlot() booked in the scratch arrays. The
- * reservations are always rolled back — the caller re-applies them on
- * commit; evaluation of other clusters must not hold them.
+ * for every transfer the window needs. The reservations are always
+ * rolled back — the caller re-applies them on commit; evaluation of
+ * other clusters must not hold them.
  */
 bool
-Attempt::tryCandidate(OpId v, ClusterId c, Cycle t, std::size_t slot,
-                      Cycle out_lat, Placement &out)
+Attempt::tryCandidate(OpId v, Cycle t, std::size_t slot, Placement &out)
 {
-    if (!mrt_.fuFreeAt(slot, c, fu_))
+    const Window &w = s_.window;
+    if (!mrt_.fuFreeAt(slot, w.cluster, fu_))
         return false;
-
-    // Fast path: no bus transfer to book, the FU slot alone decides.
-    if (s_.inNeedIds.empty() && out_needed_ == 0) {
-        out.time = t;
-        out.outLatency = out_lat;
-        out.newComms.clear();
-        return true;
-    }
-
-    const Cycle lrb = machine_.regBusLatency;
-    s_.reserved.clear();
-    auto rollback = [&]() {
-        for (const auto &nc : s_.reserved)
-            mrt_.releaseBusAt(nc.bus, nc.xferSlot);
-        s_.reserved.clear();
-    };
-    bool ok = true;
-
-    // Inbound transfers (value of u must reach cluster c).
-    for (OpId u : s_.inNeedIds) {
-        const int min_dist = s_.inMinDist[static_cast<std::size_t>(u)];
-        const auto &pu = sched_.placed(u);
-        const Cycle x_min = pu.time + pu.outLatency;
-        const Cycle x_max = t + ii_ * min_dist - lrb;
-        bool found = false;
-        const Cycle hi = std::min(x_max, x_min + ii_ - 1);
-        if (x_min <= hi) {
-            std::size_t sx = mrt_.slot(x_min);
-            for (Cycle x = x_min; x <= hi; ++x) {
-                const int bus = mrt_.findFreeBusAt(sx);
-                if (bus != BUS_NONE) {
-                    mrt_.reserveBusAt(bus, sx);
-                    s_.reserved.push_back({u, pu.cluster, c, x, sx, bus});
-                    found = true;
-                    break;
-                }
-                sx = mrt_.nextSlot(sx);
-            }
-        }
-        if (!found) {
-            ok = false;
-            break;
-        }
-    }
-
-    // Outbound transfers (v's value must reach consumer clusters).
-    if (ok) {
-        for (ClusterId dest = 0; dest < machine_.nClusters; ++dest) {
-            const Cycle budget =
-                s_.outBudget[static_cast<std::size_t>(dest)];
-            if (budget == CYCLE_MAX)
-                continue;
-            const Cycle x_min = t + out_lat;
-            const Cycle x_max = budget - lrb;
-            bool found = false;
-            const Cycle hi = std::min(x_max, x_min + ii_ - 1);
-            if (x_min <= hi) {
-                std::size_t sx = mrt_.slot(x_min);
-                for (Cycle x = x_min; x <= hi; ++x) {
-                    const int bus = mrt_.findFreeBusAt(sx);
-                    if (bus != BUS_NONE) {
-                        mrt_.reserveBusAt(bus, sx);
-                        s_.reserved.push_back({v, c, dest, x, sx, bus});
-                        found = true;
-                        break;
-                    }
-                    sx = mrt_.nextSlot(sx);
-                }
-            }
-            if (!found) {
-                ok = false;
-                break;
-            }
-        }
-    }
-
-    if (!ok) {
-        rollback();
-        return false;
-    }
-
     out.time = t;
-    out.outLatency = out_lat;
-    out.newComms.assign(s_.reserved.begin(), s_.reserved.end());
-    rollback();
+    out.outLatency = w.outLat;
+    out.newComms.clear();
+    // Fast path: no bus transfer to book, the FU slot alone decides.
+    if (w.needIn.empty() && w.needOut.empty())
+        return true;
+    if (!w.book(mrt_, sched_, v, t, out.newComms, 0))
+        return false;
+    releaseTransfers(mrt_, out.newComms);
     return true;
 }
 
@@ -385,7 +165,7 @@ Attempt::commit(OpId v, ClusterId c, const Placement &p, bool miss)
         mrt_.reserveBusAt(nc.bus, nc.xferSlot);
         sched_.comms().push_back(
             {nc.producer, nc.from, nc.to, nc.xferStart, nc.bus});
-        commStart(nc.producer, nc.to) = nc.xferStart;
+        s_.commStart(nc.producer, nc.to) = nc.xferStart;
     }
     if (graph_.loop().op(v).isMemory()) {
         s_.memSet[static_cast<std::size_t>(c)].push_back(v);
@@ -513,7 +293,7 @@ Attempt::place(OpId v)
     const bool mem_select = options_.memoryAware && op.isMemory() &&
                             options_.locality != nullptr;
     fu_ = op.fuType();
-    snapshotNeighbours(v);
+    s_.nbs.snapshot(graph_, sched_, s_.isPlaced, v);
 
     // Evaluate every cluster with the hit latency.
     affinity_valid_ = false;
@@ -567,7 +347,7 @@ Attempt::place(OpId v)
             bool allowed = true;
             if (graph_.inRecurrence(v)) {
                 s_.overrideLat[static_cast<std::size_t>(v)] = miss_lat;
-                allowed = graph_.feasibleII(ii_, s_.overrideLat);
+                allowed = graph_.feasibleII(mrt_.ii(), s_.overrideLat);
                 if (!allowed)
                     s_.overrideLat[static_cast<std::size_t>(v)] =
                         LAT_NO_OVERRIDE;
@@ -586,21 +366,6 @@ Attempt::place(OpId v)
     if (!promoted)
         commit(v, best, s_.bestPlacement, false);
     return true;
-}
-
-void
-Attempt::normalize()
-{
-    Cycle min_time = 0;
-    for (const auto &p : sched_.placements())
-        min_time = std::min(min_time, p.time);
-    if (min_time >= 0)
-        return;
-    const Cycle shift = ((-min_time + ii_ - 1) / ii_) * ii_;
-    for (std::size_t v = 0; v < graph_.size(); ++v)
-        sched_.placed(static_cast<OpId>(v)).time += shift;
-    for (auto &c : sched_.comms())
-        c.xferStart += shift;
 }
 
 bool

@@ -16,7 +16,7 @@ namespace mvp::sched
 /** Bus index used when the machine has unbounded register buses. */
 constexpr int BUS_UNBOUNDED = -1;
 
-/** Returned by findFreeBus when no bus can take the transfer. */
+/** Returned by findFreeBusAt when no bus can take the transfer. */
 constexpr int BUS_NONE = -2;
 
 /** Cycle marker: the operation / transfer has not been placed yet. */
@@ -24,9 +24,6 @@ constexpr Cycle TIME_UNPLACED = -1;
 
 /** Per-op out-latency override marker: no override in effect. */
 constexpr Cycle LAT_NO_OVERRIDE = -1;
-
-/** Per-op minimum-distance scratch marker: entry unset. */
-constexpr int DIST_UNSET = -1;
 
 } // namespace mvp::sched
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the experiment harness: workbench preparation, suite runs,
- * and aggregate consistency.
+ * aggregate consistency, and the checked integer flag parser.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "harness/flags.hh"
 #include "machine/presets.hh"
 
 namespace mvp::harness
@@ -159,6 +160,58 @@ TEST(RunSuite, OracleProviderRunsEndToEnd)
         EXPECT_TRUE(with_oracle.loops[i].sched.ok);
         EXPECT_EQ(with_oracle.loops[i].loop, with_cme.loops[i].loop);
     }
+}
+
+TEST(ParseInteger, AcceptsWholeValues)
+{
+    EXPECT_EQ(parseInteger<int>("42", "--jobs"), 42);
+    EXPECT_EQ(parseInteger<std::int64_t>("-1", "--time-budget-ms"), -1);
+    EXPECT_EQ(parseInteger<std::uint64_t>("0x10", "--seed", 0), 16u);
+    EXPECT_EQ(parseInteger<std::uint64_t>("48879", "--seed", 0), 0xbeefu);
+
+    char a0[] = "prog";
+    char a1[] = "--budget=0x10";
+    char a2[] = "--scenarios";
+    char a3[] = "7";
+    char *argv[] = {a0, a1, a2, a3};
+    int argc = 4;
+    std::uint64_t budget = 0;
+    int scenarios = 200;
+    int untouched = 5;
+    stripIntegerFlag(argc, argv, "--budget", "work cap", budget, 0);
+    stripIntegerFlag(argc, argv, "--scenarios", "count", scenarios);
+    stripIntegerFlag(argc, argv, "--rounds", "count", untouched);
+    EXPECT_EQ(budget, 16u);
+    EXPECT_EQ(scenarios, 7);
+    EXPECT_EQ(untouched, 5);   // absent flag keeps the default
+    EXPECT_EQ(argc, 1);
+}
+
+TEST(ParseIntegerDeath, RejectsJunkTrailingEmptyAndOutOfRange)
+{
+    const auto fatal = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT((void)parseInteger<std::int64_t>("lots", "--budget"),
+                fatal, "--budget wants an integer, got 'lots'");
+    EXPECT_EXIT((void)parseInteger<std::int64_t>("20x", "--budget"),
+                fatal, "--budget wants an integer, got '20x'");
+    EXPECT_EXIT((void)parseInteger<int>("", "--scenarios"), fatal,
+                "--scenarios wants an integer, got ''");
+    // Base 0 is opt-in: a base-10 flag refuses a hex prefix.
+    EXPECT_EXIT((void)parseInteger<int>("0x10", "--clients"), fatal,
+                "--clients wants an integer, got '0x10'");
+    EXPECT_EXIT((void)parseInteger<std::uint64_t>("-1", "--seed", 0),
+                fatal, "--seed wants an integer, got '-1'");
+    EXPECT_EXIT((void)parseInteger<int>("3000000000", "--rounds"), fatal,
+                "--rounds value '3000000000' is out of range");
+
+    char a0[] = "prog";
+    char a1[] = "--budget=20x";
+    char *argv[] = {a0, a1};
+    int argc = 2;
+    std::int64_t budget = 0;
+    EXPECT_EXIT(stripIntegerFlag(argc, argv, "--budget", "work cap",
+                                 budget),
+                fatal, "--budget wants an integer, got '20x'");
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the modulo-scheduling framework: MRT, MII bounds, the swing
- * ordering, lifetimes, and both schedulers (baseline and RMCA),
+ * Tests for the modulo-scheduling framework: MRT, the placement kernel,
+ * MII bounds, the swing ordering, lifetimes, and both schedulers
+ * (baseline and RMCA),
  * including the parameterized validity property over machines and
  * thresholds.
  */
@@ -17,6 +18,7 @@
 #include "sched/mrt.hh"
 #include "sched/ordering.hh"
 #include "sched/scheduler.hh"
+#include "sched/window.hh"
 
 namespace mvp::sched
 {
@@ -31,16 +33,16 @@ TEST(Mrt, FuCapacityPerSlot)
 {
     const auto machine = makeFourCluster();   // 1 FU of each type
     Mrt mrt(machine, 4);
-    EXPECT_TRUE(mrt.fuFree(0, 0, FuType::Mem));
+    EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(0), 0, FuType::Mem));
     mrt.placeFu(0, 0, FuType::Mem);
-    EXPECT_FALSE(mrt.fuFree(0, 0, FuType::Mem));
-    EXPECT_TRUE(mrt.fuFree(1, 0, FuType::Mem));     // other slot
-    EXPECT_TRUE(mrt.fuFree(0, 1, FuType::Mem));     // other cluster
-    EXPECT_TRUE(mrt.fuFree(0, 0, FuType::Int));     // other class
-    EXPECT_TRUE(mrt.fuFree(4, 0, FuType::Int));     // wraps mod II
-    EXPECT_FALSE(mrt.fuFree(4, 0, FuType::Mem));
+    EXPECT_FALSE(mrt.fuFreeAt(mrt.slot(0), 0, FuType::Mem));
+    EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(1), 0, FuType::Mem)); // other slot
+    EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(0), 1, FuType::Mem)); // other cluster
+    EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(0), 0, FuType::Int)); // other class
+    EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(4), 0, FuType::Int)); // wraps mod II
+    EXPECT_FALSE(mrt.fuFreeAt(mrt.slot(4), 0, FuType::Mem));
     mrt.removeFu(0, 0, FuType::Mem);
-    EXPECT_TRUE(mrt.fuFree(0, 0, FuType::Mem));
+    EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(0), 0, FuType::Mem));
 }
 
 TEST(Mrt, FuLoadTracksPerCluster)
@@ -59,15 +61,15 @@ TEST(Mrt, BusReservationSpansLatency)
     machine.nRegBuses = 1;
     machine.regBusLatency = 2;
     Mrt mrt(machine, 4);
-    const int bus = mrt.findFreeBus(1);
+    const int bus = mrt.findFreeBusAt(mrt.slot(1));
     ASSERT_EQ(bus, 0);
-    mrt.reserveBus(bus, 1);   // occupies slots 1 and 2
-    EXPECT_EQ(mrt.findFreeBus(1), BUS_NONE);
-    EXPECT_EQ(mrt.findFreeBus(2), BUS_NONE);
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_NONE); // would cover slots 0,1
-    EXPECT_EQ(mrt.findFreeBus(3), 0);    // slots 3,0 free
-    mrt.releaseBus(bus, 1);
-    EXPECT_EQ(mrt.findFreeBus(1), 0);
+    mrt.reserveBusAt(bus, mrt.slot(1));   // occupies slots 1 and 2
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(1)), BUS_NONE);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(2)), BUS_NONE);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_NONE); // slots 0,1
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(3)), 0);        // slots 3,0 free
+    mrt.releaseBusAt(bus, mrt.slot(1));
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(1)), 0);
     EXPECT_EQ(mrt.busSlotsUsed(), 0);
 }
 
@@ -75,11 +77,11 @@ TEST(Mrt, SecondBusUsedWhenFirstBusy)
 {
     auto machine = makeTwoCluster();   // 2 buses, latency 1
     Mrt mrt(machine, 2);
-    mrt.reserveBus(mrt.findFreeBus(0), 0);
-    EXPECT_EQ(mrt.findFreeBus(0), 1);
-    mrt.reserveBus(1, 0);
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_NONE);
-    EXPECT_EQ(mrt.findFreeBus(1), 0);
+    mrt.reserveBusAt(mrt.findFreeBusAt(mrt.slot(0)), mrt.slot(0));
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), 1);
+    mrt.reserveBusAt(1, mrt.slot(0));
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_NONE);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(1)), 0);
 }
 
 TEST(Mrt, BusLatencyBeyondIiIsStructurallyInfeasible)
@@ -87,16 +89,16 @@ TEST(Mrt, BusLatencyBeyondIiIsStructurallyInfeasible)
     auto machine = makeTwoCluster();
     machine.regBusLatency = 4;
     Mrt mrt(machine, 3);
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_NONE);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_NONE);
 }
 
 TEST(Mrt, UnboundedBusesAlwaysFree)
 {
     auto machine = withUnboundedBuses(makeTwoCluster(), 2, 1);
     Mrt mrt(machine, 1);
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_UNBOUNDED);
-    mrt.reserveBus(BUS_UNBOUNDED, 0);   // no-op
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_UNBOUNDED);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_UNBOUNDED);
+    mrt.reserveBusAt(BUS_UNBOUNDED, mrt.slot(0));   // no-op
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_UNBOUNDED);
 }
 
 TEST(Mrt, SlotArithmeticMatchesModulo)
@@ -113,24 +115,27 @@ TEST(Mrt, SlotArithmeticMatchesModulo)
     EXPECT_EQ(mrt.prevSlot(3), 2u);
 }
 
-TEST(Mrt, SlotVariantsAgreeWithCycleVariants)
+TEST(Mrt, SlotFormWrapsModuloIi)
 {
     auto machine = makeTwoCluster();
     machine.nRegBuses = 2;
     machine.regBusLatency = 2;
     Mrt mrt(machine, 4);
-    mrt.placeFu(6, 1, ir::FuType::Mem);   // slot 2
-    for (Cycle t = 0; t < 8; ++t)
+    // Fill every memory unit of cluster 1 at slot 2, once from a
+    // negative cycle.
+    for (int k = 0; k < machine.fusPerCluster(ir::FuType::Mem); ++k)
+        mrt.placeFu(k % 2 == 0 ? 6 : -2, 1, ir::FuType::Mem);
+    for (Cycle t = -4; t < 8; ++t)
         EXPECT_EQ(mrt.fuFreeAt(mrt.slot(t), 1, ir::FuType::Mem),
-                  mrt.fuFree(t, 1, ir::FuType::Mem));
+                  mrt.slot(t) != 2u);
 
     mrt.reserveBusAt(0, mrt.slot(3));     // occupies slots 3 and 0
-    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(3)), mrt.findFreeBus(3));
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(-1)), 1);   // slot 3
     EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(3)), 1);
     mrt.reserveBusAt(1, mrt.slot(3));
-    EXPECT_EQ(mrt.findFreeBus(3), BUS_NONE);
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_NONE);   // covers slots 0,1
-    EXPECT_EQ(mrt.findFreeBus(1), 0);          // slots 1,2 free
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(3)), BUS_NONE);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_NONE); // slots 0,1
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(1)), 0);        // slots 1,2
     mrt.releaseBusAt(0, mrt.slot(3));
     mrt.releaseBusAt(1, mrt.slot(3));
     EXPECT_EQ(mrt.busSlotsUsed(), 0);
@@ -141,14 +146,14 @@ TEST(Mrt, ResetClearsAndResizes)
     const auto machine = makeTwoCluster();
     Mrt mrt(machine, 3);
     mrt.placeFu(1, 0, ir::FuType::Int);
-    mrt.reserveBus(0, 2);
+    mrt.reserveBusAt(0, mrt.slot(2));
     EXPECT_EQ(mrt.fuLoad(0, ir::FuType::Int), 1);
     mrt.reset(5);
     EXPECT_EQ(mrt.ii(), 5);
     EXPECT_EQ(mrt.fuLoad(0, ir::FuType::Int), 0);
     EXPECT_EQ(mrt.busSlotsUsed(), 0);
     for (Cycle t = 0; t < 5; ++t)
-        EXPECT_TRUE(mrt.fuFree(t, 0, ir::FuType::Int));
+        EXPECT_TRUE(mrt.fuFreeAt(mrt.slot(t), 0, ir::FuType::Int));
 }
 
 TEST(Mrt, ManyBusesUseSecondMaskWord)
@@ -159,13 +164,231 @@ TEST(Mrt, ManyBusesUseSecondMaskWord)
     machine.regBusLatency = 1;
     Mrt mrt(machine, 2);
     for (int b = 0; b < 70; ++b) {
-        EXPECT_EQ(mrt.findFreeBus(0), b);
-        mrt.reserveBus(b, 0);
+        EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), b);
+        mrt.reserveBusAt(b, mrt.slot(0));
     }
-    EXPECT_EQ(mrt.findFreeBus(0), BUS_NONE);
-    EXPECT_EQ(mrt.findFreeBus(1), 0);
-    mrt.releaseBus(67, 0);
-    EXPECT_EQ(mrt.findFreeBus(0), 67);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), BUS_NONE);
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(1)), 0);
+    mrt.releaseBusAt(67, mrt.slot(0));
+    EXPECT_EQ(mrt.findFreeBusAt(mrt.slot(0)), 67);
+}
+
+// ----------------------------------------------------- placement kernel
+
+/** The cycles (and slots) a window scan visits, in order. */
+std::vector<std::pair<Cycle, std::size_t>>
+scanned(const Window &w, const Mrt &mrt, bool anchor = false)
+{
+    std::vector<std::pair<Cycle, std::size_t>> out;
+    w.scan(mrt, anchor, [&](Cycle t, std::size_t s) {
+        out.emplace_back(t, s);
+        return false;
+    });
+    return out;
+}
+
+using Visits = std::vector<std::pair<Cycle, std::size_t>>;
+
+TEST(Window, PredecessorOnlyWindowScansUpFromEarly)
+{
+    const auto machine = makeTwoCluster();
+    Mrt mrt(machine, 4);
+    CommStarts starts;
+    starts.reset(4, 2);
+    Neighbours nbs;
+    // Register producer 0 in cluster 0, ready at 5, distance 0.
+    nbs.in.push_back({0, 0, true, 0, 0, 5, 5});
+    Window w;
+
+    ASSERT_TRUE(w.compute(nbs, 0, 1, 1, starts));
+    EXPECT_EQ(w.early, 5);
+    EXPECT_EQ(w.late, NO_BOUND);
+    EXPECT_TRUE(w.needIn.empty());
+    EXPECT_EQ(scanned(w, mrt), (Visits{{5, 1}, {6, 2}, {7, 3}, {8, 0}}));
+
+    // Read from cluster 1: the value crosses a bus (latency 1).
+    ASSERT_TRUE(w.compute(nbs, 1, 1, 1, starts));
+    EXPECT_EQ(w.early, 6);
+    EXPECT_EQ(w.needIn, (std::vector<std::pair<OpId, int>>{{0, 0}}));
+    // A committed transfer into cluster 1 is reused, not re-booked.
+    starts(0, 1) = 7;
+    ASSERT_TRUE(w.compute(nbs, 1, 1, 1, starts));
+    EXPECT_EQ(w.early, 8);
+    EXPECT_TRUE(w.needIn.empty());
+
+    // The known clamp: a predecessor that allows a start below 0 still
+    // yields early = 0.
+    nbs.in[0].baseEarly = -3;
+    ASSERT_TRUE(w.compute(nbs, 0, 1, 1, starts));
+    EXPECT_EQ(w.early, 0);
+}
+
+TEST(Window, SuccessorOnlyWindowScansDownFromLate)
+{
+    const auto machine = makeTwoCluster();
+    Mrt mrt(machine, 4);
+    CommStarts starts;
+    starts.reset(4, 2);
+    Neighbours nbs;
+    // Register consumer 1 in cluster 0 with budget 10; the op's result
+    // latency is 2.
+    nbs.out.push_back({1, true, 0, 10, 9});
+    Window w;
+
+    ASSERT_TRUE(w.compute(nbs, 0, 2, 1, starts));
+    EXPECT_EQ(w.late, 8);
+    EXPECT_TRUE(w.needOut.empty());
+    EXPECT_EQ(scanned(w, mrt), (Visits{{8, 0}, {7, 3}, {6, 2}, {5, 1}}));
+    // A scan stops at the first visit that returns true.
+    Cycle first = -1;
+    EXPECT_TRUE(w.scan(mrt, false, [&](Cycle t, std::size_t) {
+        first = t;
+        return true;
+    }));
+    EXPECT_EQ(first, 8);
+
+    // From cluster 1 the value must cross a bus before the budget.
+    ASSERT_TRUE(w.compute(nbs, 1, 2, 1, starts));
+    EXPECT_EQ(w.late, 7);
+    EXPECT_EQ(w.needOut,
+              (std::vector<std::pair<ClusterId, Cycle>>{{0, 10}}));
+
+    // A non-register successor bounds by its edge latency alone.
+    nbs.out[0].isReg = false;
+    ASSERT_TRUE(w.compute(nbs, 1, 2, 1, starts));
+    EXPECT_EQ(w.late, 9);
+    EXPECT_TRUE(w.needOut.empty());
+}
+
+TEST(Window, TwoSidedWindowIsBoundedAndCanBeEmpty)
+{
+    const auto machine = makeTwoCluster();
+    Mrt mrt(machine, 4);
+    CommStarts starts;
+    starts.reset(4, 2);
+    Neighbours nbs;
+    nbs.in.push_back({0, 0, true, 0, 0, 5, 5});
+    nbs.out.push_back({1, true, 0, 9, 8});
+    Window w;
+
+    ASSERT_TRUE(w.compute(nbs, 0, 2, 1, starts));
+    EXPECT_EQ(w.early, 5);
+    EXPECT_EQ(w.late, 7);
+    EXPECT_EQ(scanned(w, mrt), (Visits{{5, 1}, {6, 2}, {7, 3}}));
+    // The anchor only narrows the window of an op with no placed
+    // neighbour.
+    EXPECT_EQ(scanned(w, mrt, true), scanned(w, mrt));
+
+    nbs.out[0].budget = 6;   // late 4 < early 5
+    EXPECT_FALSE(w.compute(nbs, 0, 2, 1, starts));
+
+    Neighbours none;
+    ASSERT_TRUE(w.compute(none, 0, 1, 1, starts));
+    EXPECT_EQ(scanned(w, mrt).size(), 4u);
+    EXPECT_EQ(scanned(w, mrt, true), (Visits{{0, 0}}));
+}
+
+TEST(Window, DuplicateTransfersCollapseToTheTightestInSortedOrder)
+{
+    CommStarts starts;
+    starts.reset(4, 3);
+    Neighbours nbs;
+    // Producer 3 reaches the op over two edges (distances 2 and 1),
+    // producer 1 over one; all sit in cluster 0.
+    nbs.in.push_back({3, 2, true, 0, 8, 4, 4});
+    nbs.in.push_back({1, 0, true, 0, 0, 2, 2});
+    nbs.in.push_back({3, 1, true, 0, 4, 4, 4});
+    // Consumers: two in cluster 2 (budgets 9 and 7), one in cluster 0.
+    nbs.out.push_back({0, true, 2, 9, 8});
+    nbs.out.push_back({2, true, 0, 12, 11});
+    nbs.out.push_back({1, true, 2, 7, 6});
+    Window w;
+
+    ASSERT_TRUE(w.compute(nbs, 1, 1, 1, starts));
+    EXPECT_EQ(w.needIn,
+              (std::vector<std::pair<OpId, int>>{{1, 0}, {3, 1}}));
+    EXPECT_EQ(w.needOut,
+              (std::vector<std::pair<ClusterId, Cycle>>{{0, 12}, {2, 7}}));
+    EXPECT_EQ(w.early, 3);   // producer 1: ready 2 + bus 1
+    EXPECT_EQ(w.late, 5);    // cluster 2: budget 7 - bus 1 - latency 1
+}
+
+TEST(Window, BookingIsEarliestFitOnTheLowestFreeBus)
+{
+    const auto machine = makeTwoCluster();   // 2 buses, latency 1
+    Mrt mrt(machine, 4);
+    ModuloSchedule sched(4, 2, 2);
+    sched.placed(0) = {0, 0, 2, false};   // cluster 0, ready at 2
+    Window w;
+    w.cluster = 1;
+    w.outLat = 1;
+    w.busLat = 1;
+    w.needIn = {{0, 0}};
+    std::vector<NewComm> booked;
+
+    // Bus 0 is busy at the earliest cycle: bus 1 takes it.
+    mrt.reserveBusAt(0, mrt.slot(2));
+    ASSERT_TRUE(w.book(mrt, sched, 1, 5, booked, 7));
+    ASSERT_EQ(booked.size(), 1u);
+    EXPECT_EQ(booked[0].producer, 0);
+    EXPECT_EQ(booked[0].from, 0);
+    EXPECT_EQ(booked[0].to, 1);
+    EXPECT_EQ(booked[0].xferStart, 2);
+    EXPECT_EQ(booked[0].xferSlot, 2u);
+    EXPECT_EQ(booked[0].bus, 1);
+    EXPECT_EQ(booked[0].depth, 7);
+
+    // Both buses busy at cycle 2: the next cycle, lowest bus.
+    ASSERT_TRUE(w.book(mrt, sched, 1, 5, booked, 7));
+    ASSERT_EQ(booked.size(), 2u);
+    EXPECT_EQ(booked[1].xferStart, 3);
+    EXPECT_EQ(booked[1].bus, 0);
+    releaseTransfers(mrt, booked);
+    booked.clear();
+    EXPECT_EQ(mrt.busSlotsUsed(), 1);
+
+    // The inbound transfer fits, the outbound one cannot (its budget
+    // ends before the result is ready): the call books nothing.
+    w.needOut = {{0, 3}};
+    const int used = mrt.busSlotsUsed();
+    EXPECT_FALSE(w.book(mrt, sched, 1, 5, booked, 7));
+    EXPECT_TRUE(booked.empty());
+    EXPECT_EQ(mrt.busSlotsUsed(), used);
+
+    // No free bus anywhere in the window [2, 4]: fails cleanly too.
+    w.needOut.clear();
+    for (Cycle x = 3; x <= 4; ++x)
+        mrt.reserveBusAt(0, mrt.slot(x));
+    for (Cycle x = 2; x <= 4; ++x)
+        mrt.reserveBusAt(1, mrt.slot(x));
+    const int full = mrt.busSlotsUsed();
+    EXPECT_FALSE(w.book(mrt, sched, 1, 5, booked, 7));
+    EXPECT_TRUE(booked.empty());
+    EXPECT_EQ(mrt.busSlotsUsed(), full);
+}
+
+TEST(ModuloScheduleNormalize, ShiftsOpsAndTransfersByWholeStages)
+{
+    ModuloSchedule sched(3, 2, 2);
+    sched.placed(0) = {0, -4, 1, false};
+    sched.placed(1) = {1, 2, 1, false};
+    sched.comms().push_back({0, 0, 1, -2, 0});
+    sched.normalize();   // -4 needs 2 stages: shift by 6
+    EXPECT_EQ(sched.placed(0).time, 2);
+    EXPECT_EQ(sched.placed(1).time, 8);
+    EXPECT_EQ(sched.comms()[0].xferStart, 4);
+
+    sched.normalize();   // already non-negative: no-op
+    EXPECT_EQ(sched.placed(0).time, 2);
+    EXPECT_EQ(sched.placed(1).time, 8);
+    EXPECT_EQ(sched.comms()[0].xferStart, 4);
+
+    ModuloSchedule at_zero(3, 1, 1);
+    at_zero.placed(0) = {0, 0, 1, false};
+    at_zero.comms().push_back({0, 0, 0, -1, 0});
+    at_zero.normalize();   // op times decide; a transfer alone does not
+    EXPECT_EQ(at_zero.placed(0).time, 0);
+    EXPECT_EQ(at_zero.comms()[0].xferStart, -1);
 }
 
 // ------------------------------------------------------------------ MII
