@@ -22,18 +22,11 @@
  * stride, re-seeding it from `start` only at run boundaries, and map
  * addresses to lines with LineMap (a shift for power-of-two lines).
  *
- * The cache additionally serves a bucketed *footprint* view per
- * (op, line size, cache-set count): the op's accesses grouped by the
- * cache set they map to (CSR layout, chronological within a set). The
- * oracle's incremental set extension uses it to re-simulate only the
- * cache sets a newly-added op actually touches.
- *
  * Thread-safe and interleaving-independent, in the same style as the
  * solver's ShardedRatioMemo: entries live behind lock-striped shards,
  * are built outside the lock, and are immutable once published; two
- * threads racing on the same key build identical values (a stream is a
- * pure function of (nest, op), a bucketed view of (nest, op, geometry))
- * and the first insert wins.
+ * threads racing on the same op build identical values (a stream is a
+ * pure function of (nest, op)) and the first insert wins.
  * One StreamCache per loop nest is meant to be shared by every analysis
  * bound to that nest — the harness Workbench keeps one per entry.
  */
@@ -124,31 +117,6 @@ struct AffineStream
 };
 
 /**
- * The same stream bucketed by cache set for one set count: CSR over
- * sets, entries chronological within each bucket. Immutable after
- * construction.
- */
-struct SetBuckets
-{
-    struct Entry
-    {
-        std::int64_t point;   ///< linear iteration index
-        std::int64_t line;
-    };
-
-    /** offsets[s] .. offsets[s + 1] delimit set s's entries. */
-    std::vector<std::int64_t> offsets;
-    std::vector<Entry> entries;
-
-    /** True when the op maps at least one access into set @p s. */
-    bool touches(std::int64_t s) const
-    {
-        return offsets[static_cast<std::size_t>(s) + 1] >
-               offsets[static_cast<std::size_t>(s)];
-    }
-};
-
-/**
  * Per-loop-nest cache of affine access streams, shared by every
  * locality analysis bound to the nest.
  */
@@ -170,12 +138,6 @@ class StreamCache
     const AffineStream &stream(OpId op);
 
     /**
-     * The bucketed view of @p op's stream under @p geom (keyed on line
-     * size and set count; associativity does not affect bucketing).
-     */
-    const SetBuckets &buckets(OpId op, const CacheGeom &geom);
-
-    /**
      * Affine streams built so far, at most one per memory op unless two
      * threads race on one (monotone; for tests and reports).
      */
@@ -185,9 +147,9 @@ class StreamCache
     }
 
     /**
-     * stream()/buckets() calls so far (monotone). Together with
-     * streamsBuilt() this yields the cache hit rate; under concurrent
-     * use two racing builders of one key both count a miss.
+     * stream() calls so far (monotone). Together with streamsBuilt()
+     * this yields the cache hit rate; under concurrent use two racing
+     * builders of one op both count a miss.
      */
     std::size_t streamRequests() const
     {
@@ -195,50 +157,22 @@ class StreamCache
     }
 
   private:
-    struct Key
-    {
-        OpId op;
-        std::int64_t lineBytes;
-        std::int64_t numSets;
-
-        bool operator==(const Key &other) const = default;
-    };
-
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const
-        {
-            std::uint64_t h = 1469598103934665603ULL;
-            auto mix = [&h](std::uint64_t x) {
-                h ^= x;
-                h *= 1099511628211ULL;
-            };
-            mix(static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(k.op)));
-            mix(static_cast<std::uint64_t>(k.lineBytes));
-            mix(static_cast<std::uint64_t>(k.numSets));
-            return static_cast<std::size_t>(h);
-        }
-    };
-
     /**
      * One lock-striped shard. Values sit behind unique_ptr so a
      * published stream's address survives rehashing; entries are never
-     * mutated after insertion. Affine streams are keyed by op alone.
+     * mutated after insertion.
      */
     struct Shard
     {
         std::mutex mu;
         std::unordered_map<OpId, std::unique_ptr<AffineStream>> streams;
-        std::unordered_map<Key, std::unique_ptr<SetBuckets>, KeyHash>
-            buckets;
     };
 
     static constexpr std::size_t NUM_SHARDS = 8;
 
-    Shard &shardOf(const Key &key)
+    Shard &shardOf(OpId op)
     {
-        return shards_[KeyHash{}(key) % NUM_SHARDS];
+        return shards_[static_cast<std::size_t>(op) % NUM_SHARDS];
     }
 
     /** Build the affine stream of @p op (no locks held). */

@@ -160,7 +160,7 @@ class Histogram
     std::size_t overflow() const { return overflow_; }
 
     /** Number of regular buckets. */
-    std::size_t buckets() const { return counts_.size(); }
+    std::size_t numBuckets() const { return counts_.size(); }
 
     /** Mean of all recorded samples. */
     double mean() const;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "harness/flags.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -15,8 +16,8 @@ int
 defaultJobs()
 {
     if (const char *env = std::getenv("MVP_JOBS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
+        int n = 0;
+        if (tryParseInteger(env, "MVP_JOBS", n).empty() && n >= 1)
             return n;
         mvp_warn("ignoring MVP_JOBS='", env, "' (want an integer >= 1)");
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cme/oracle.hh"
 #include "cme/provider.hh"
 #include "cme/solver.hh"
 #include "common/logging.hh"
@@ -213,8 +212,6 @@ harvestLocalityMetrics(const Workbench &bench)
     std::int64_t ratio_lookups = 0;
     std::int64_t ratio_solved = 0;
     std::int64_t points_evaluated = 0;
-    std::int64_t oracle_full = 0;
-    std::int64_t oracle_incremental = 0;
     for (const auto &entry : bench.entries()) {
         if (entry->streams) {
             streams_built +=
@@ -233,14 +230,6 @@ harvestLocalityMetrics(const Workbench &bench)
                 points_evaluated +=
                     static_cast<std::int64_t>(cme->pointsEvaluated());
             }
-            if (const auto *oracle =
-                    dynamic_cast<const cme::CacheOracle *>(
-                        analysis.get())) {
-                oracle_full += static_cast<std::int64_t>(
-                    oracle->fullSimulations());
-                oracle_incremental += static_cast<std::int64_t>(
-                    oracle->incrementalExtensions());
-            }
         }
     }
     obs::MetricShard shard;
@@ -249,8 +238,6 @@ harvestLocalityMetrics(const Workbench &bench)
     shard.rtMax("cme.ratio_lookups", ratio_lookups);
     shard.rtMax("cme.ratio_queries_solved", ratio_solved);
     shard.rtMax("cme.points_evaluated", points_evaluated);
-    shard.rtMax("oracle.full_simulations", oracle_full);
-    shard.rtMax("oracle.incremental_extensions", oracle_incremental);
     obs::Registry::instance().fold(shard);
 }
 

@@ -41,8 +41,9 @@ stripValueFlag(int &argc, char **argv, const std::string &flag,
 }
 
 template <class T>
-T
-parseInteger(const std::string &text, const std::string &what, int base)
+std::string
+tryParseInteger(const std::string &text, const std::string &what, T &out,
+                int base)
 {
     constexpr bool is_signed = std::numeric_limits<T>::is_signed;
     // strto* skip leading blanks and strtoull negates a '-' value, so
@@ -68,12 +69,32 @@ parseInteger(const std::string &text, const std::string &what, int base)
         }
     }
     if (bad_start || end == text.c_str() || *end != '\0')
-        mvp_fatal(what, " wants an integer, got '", text, "'");
+        return what + " wants an integer, got '" + text + "'";
     if (errno == ERANGE || !in_range)
-        mvp_fatal(what, " value '", text, "' is out of range");
+        return what + " value '" + text + "' is out of range";
+    out = value;
+    return "";
+}
+
+template <class T>
+T
+parseInteger(const std::string &text, const std::string &what, int base)
+{
+    T value{};
+    if (const std::string error = tryParseInteger(text, what, value, base);
+        !error.empty())
+        mvp_fatal(error);
     return value;
 }
 
+template std::string tryParseInteger<int>(const std::string &,
+                                         const std::string &, int &, int);
+template std::string tryParseInteger<std::int64_t>(const std::string &,
+                                                   const std::string &,
+                                                   std::int64_t &, int);
+template std::string tryParseInteger<std::uint64_t>(const std::string &,
+                                                    const std::string &,
+                                                    std::uint64_t &, int);
 template int parseInteger<int>(const std::string &, const std::string &,
                                int);
 template std::int64_t parseInteger<std::int64_t>(const std::string &,

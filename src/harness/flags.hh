@@ -34,10 +34,18 @@ std::string stripValueFlag(int &argc, char **argv,
 /**
  * Parse all of @p text as an integer of type T (int, std::int64_t or
  * std::uint64_t) in @p base; base 0 also takes the C prefixes `0x` and
- * `0`. An empty value, junk, trailing characters, a sign on an
- * unsigned type and a value outside T's range are fatal, naming
- * @p what (the flag or argument the value came from).
+ * `0`. On success store the value in @p out and return "". An empty
+ * value, junk, trailing characters, a sign on an unsigned type and a
+ * value outside T's range return an error message naming @p what (the
+ * flag, key or field the value came from) and leave @p out untouched.
+ * The one integer parser for values arriving from outside the program.
  */
+template <class T>
+std::string tryParseInteger(const std::string &text,
+                            const std::string &what, T &out,
+                            int base = 10);
+
+/** tryParseInteger(), with a refused value fatal. */
 template <class T>
 T parseInteger(const std::string &text, const std::string &what,
                int base = 10);

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "harness/flags.hh"
 
 namespace mvp::svc
 {
@@ -57,14 +58,6 @@ parseDouble(const std::string &s, double *out)
     return end != nullptr && *end == '\0' && !s.empty();
 }
 
-bool
-parseInt64(const std::string &s, std::int64_t *out)
-{
-    char *end = nullptr;
-    *out = std::strtoll(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0' && !s.empty();
-}
-
 const char *KNOWN_CONFIG_KEYS = "backend, exact-backend, locality, "
                                 "node-budget, threshold, time-budget-ms";
 
@@ -101,18 +94,12 @@ applyConfig(RequestOptions &opt, const std::string &key,
                    value + "'";
         return "";
     }
-    if (key == "time-budget-ms") {
-        if (!parseInt64(value, &opt.timeBudgetMs))
-            return "config time-budget-ms wants an integer, got '" +
-                   value + "'";
-        return "";
-    }
-    if (key == "node-budget") {
-        if (!parseInt64(value, &opt.nodeBudget))
-            return "config node-budget wants an integer, got '" +
-                   value + "'";
-        return "";
-    }
+    if (key == "time-budget-ms")
+        return harness::tryParseInteger(value, "config time-budget-ms",
+                                        opt.timeBudgetMs);
+    if (key == "node-budget")
+        return harness::tryParseInteger(value, "config node-budget",
+                                        opt.nodeBudget);
     return "unknown config key '" + key +
            "' (known: " + KNOWN_CONFIG_KEYS + ")";
 }

@@ -62,8 +62,7 @@ SchedService::LoopContext::localityFor(const std::string &name)
 }
 
 SchedService::SchedService(int jobs)
-    : driver_(jobs), latency_us_(LAT_LO, LAT_HI, LAT_BUCKETS),
-      flush_us_(LAT_LO, LAT_HI, LAT_BUCKETS)
+    : driver_(jobs), latency_us_(LAT_LO, LAT_HI, LAT_BUCKETS)
 {
 }
 
@@ -259,10 +258,6 @@ void
 SchedService::noteFlush(std::size_t frames, std::size_t bytes,
                         double us)
 {
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        flush_us_.add(us);
-    }
     if (obs::metricsOn()) {
         obs::MetricShard shard;
         shard.rt("svc.flush.bursts") += 1;

@@ -36,7 +36,7 @@
  *
  * Warm-state persistence (svc/state.cc): encodeState() snapshots the
  * schedule cache plus every loop's CME/oracle memo through their
- * export APIs into the binary v2 format (svc/state.hh); decodeState()
+ * export APIs into the binary v3 format (svc/state.hh); decodeState()
  * republishes them into a fresh service and rejects anything else
  * whole (a retired text v1 snapshot means a cold start). The
  * raw lane is not persisted: it repopulates on first
@@ -136,8 +136,7 @@ class SchedService
 
     /**
      * Account one flushed reply burst (frames framed + bytes emitted
-     * + wall time): feeds the svc.flush.* counters and histogram the
-     * sessions/reactor report against.
+     * + wall time): feeds the svc.flush.* metrics.
      */
     void noteFlush(std::size_t frames, std::size_t bytes, double us);
 
@@ -151,7 +150,7 @@ class SchedService
 
     /**
      * Serialise the schedule cache and every loop context's CME /
-     * oracle memos as a binary v2 snapshot (svc/state.hh).
+     * oracle memos as a binary v3 snapshot (svc/state.hh).
      * Deterministic: identical service state encodes to identical
      * bytes (all sections sorted canonically), and
      * encode(decode(s)) == s.
@@ -161,7 +160,7 @@ class SchedService
     /**
      * Republish a previous encodeState() snapshot into this service
      * (keep-the-winner everywhere, so loading into a non-empty
-     * service is safe). Accepts only the binary v2 format; anything
+     * service is safe). Accepts only the binary v3 format; anything
      * else (including the retired v1 text format) is rejected whole —
      * decoding stages the entire snapshot in memory before publishing
      * a single entry. fatal() on a malformed or version-mismatched
@@ -235,7 +234,6 @@ class SchedService
     std::int64_t errors_ = 0;
     std::int64_t batches_ = 0;
     Histogram latency_us_;
-    Histogram flush_us_;
 };
 
 } // namespace mvp::svc

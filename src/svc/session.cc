@@ -1,10 +1,10 @@
 #include "svc/session.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.hh"
+#include "harness/flags.hh"
 
 namespace mvp::svc
 {
@@ -27,17 +27,6 @@ splitWords(const std::string &s)
         i = j;
     }
     return out;
-}
-
-bool
-parseSize(const std::string &s, std::size_t *out)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || s.empty() || v < 0)
-        return false;
-    *out = static_cast<std::size_t>(v);
-    return true;
 }
 
 void
@@ -110,8 +99,9 @@ ServiceSession::handleLine(const std::string &line, std::string &out)
     const std::string &cmd = words[0];
 
     if (cmd == "REQ") {
-        std::size_t nbytes = 0;
-        if (words.size() != 3 || !parseSize(words[2], &nbytes)) {
+        std::uint64_t nbytes = 0;
+        if (words.size() != 3 ||
+            !harness::tryParseInteger(words[2], "REQ", nbytes).empty()) {
             protocolError("REQ wants 'REQ <id> <nbytes>', got '" +
                               line + "'",
                           out);
@@ -130,8 +120,9 @@ ServiceSession::handleLine(const std::string &line, std::string &out)
         return;
     }
     if (cmd == "SAVE" || cmd == "LOAD") {
-        std::size_t nbytes = 0;
-        if (words.size() != 2 || !parseSize(words[1], &nbytes) ||
+        std::uint64_t nbytes = 0;
+        if (words.size() != 2 ||
+            !harness::tryParseInteger(words[1], cmd, nbytes).empty() ||
             nbytes > MAX_FRAME_BYTES) {
             protocolError(cmd + " wants '" + cmd + " <nbytes>', got '" +
                               line + "'",

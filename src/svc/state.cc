@@ -1,12 +1,13 @@
 /**
  * @file
  * SchedService warm-state persistence (format: svc/state.hh): the
- * binary v2 writer and its staged, reject-whole reader.
+ * binary v3 writer and its staged, reject-whole reader.
  */
 
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -29,7 +30,7 @@ constexpr std::uint32_t TAG_LOOPS = 2;
 constexpr std::uint32_t KIND_CME = 1;
 constexpr std::uint32_t KIND_ORACLE = 2;
 
-/** @name Binary v2 primitives (explicit little-endian byte order, so
+/** @name Binary primitives (explicit little-endian byte order, so
  * snapshots are portable across hosts) */
 /// @{
 
@@ -86,6 +87,7 @@ class BinReader
     }
 
     std::size_t pos() const { return pos_; }
+    const std::string &origin() const { return origin_; }
     bool atEnd() const { return pos_ >= bytes_.size(); }
 
     void bytes(void *dst, std::size_t n)
@@ -189,7 +191,7 @@ struct StagedState
 
 /// @}
 
-/** @name Binary v2 provider entry records */
+/** @name Binary provider entry records */
 /// @{
 
 void
@@ -225,13 +227,30 @@ putOracleEntries(std::string &out,
         putI64(out, e.points);
         for (const std::int64_t v : e.misses)
             putI64(out, v);
-        putU64(out, e.perSetMisses.size());
-        for (const std::int64_t v : e.perSetMisses)
-            putI64(out, v);
-        putU64(out, e.tags.size());
-        for (const std::int64_t v : e.tags)
-            putI64(out, v);
     }
+}
+
+/** A memo entry's cache geometry. Anything a cache cannot have — a
+ * line or associativity below 1, or fewer than one set — rejects the
+ * snapshot here, before the entry can reach a simulation or a
+ * solver that divides by it. */
+CacheGeom
+takeGeom(BinReader &in)
+{
+    CacheGeom geom;
+    geom.capacityBytes = in.i64();
+    const std::int64_t line = in.i64();
+    const std::uint32_t assoc = in.u32();
+    if (line < 1 || line > std::numeric_limits<int>::max() || assoc < 1 ||
+        assoc > static_cast<std::uint32_t>(std::numeric_limits<int>::max()))
+        mvp_fatal(in.origin(), ": memo entry with cache line ", line,
+                  " and associativity ", assoc);
+    geom.lineBytes = static_cast<int>(line);
+    geom.assoc = static_cast<int>(assoc);
+    if (geom.numSets() < 1)
+        mvp_fatal(in.origin(), ": memo entry with a ",
+                  geom.capacityBytes, "-byte cache that has no sets");
+    return geom;
 }
 
 std::vector<cme::CmeMemoEntry>
@@ -242,9 +261,7 @@ takeCmeEntries(BinReader &in)
     out.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         cme::CmeMemoEntry e;
-        e.geom.capacityBytes = in.i64();
-        e.geom.lineBytes = in.i64();
-        e.geom.assoc = static_cast<int>(in.u32());
+        e.geom = takeGeom(in);
         e.op = static_cast<OpId>(in.u32());
         const std::uint64_t n = in.count();
         e.set.reserve(n);
@@ -265,9 +282,7 @@ takeOracleEntries(BinReader &in)
     out.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         cme::OracleMemoEntry e;
-        e.geom.capacityBytes = in.i64();
-        e.geom.lineBytes = in.i64();
-        e.geom.assoc = static_cast<int>(in.u32());
+        e.geom = takeGeom(in);
         const std::uint64_t n = in.count();
         e.set.reserve(n);
         for (std::uint64_t j = 0; j < n; ++j)
@@ -276,14 +291,6 @@ takeOracleEntries(BinReader &in)
         e.misses.reserve(n);
         for (std::uint64_t j = 0; j < n; ++j)
             e.misses.push_back(in.i64());
-        const std::uint64_t npsm = in.count();
-        e.perSetMisses.reserve(npsm);
-        for (std::uint64_t j = 0; j < npsm; ++j)
-            e.perSetMisses.push_back(in.i64());
-        const std::uint64_t ntags = in.count();
-        e.tags.reserve(ntags);
-        for (std::uint64_t j = 0; j < ntags; ++j)
-            e.tags.push_back(in.i64());
         out.push_back(std::move(e));
     }
     return out;
@@ -373,7 +380,7 @@ SchedService::decodeState(const std::string &bytes,
 {
     StagedState staged;
 
-    // Binary v2 only: stage the whole snapshot, publish only at the
+    // Binary v3 only: stage the whole snapshot, publish only at the
     // end — a bad byte anywhere rejects everything.
     if (bytes.size() < sizeof WARM_STATE_MAGIC ||
         std::memcmp(bytes.data(), WARM_STATE_MAGIC,

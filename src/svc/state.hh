@@ -5,14 +5,14 @@
  * encodeState()/decodeState() live on SchedService (svc/service.hh);
  * this header documents the format and pins its version.
  *
- * ## Binary v2 (written by encodeState(), the only format read)
+ * ## Binary v3 (written by encodeState(), the only format read)
  *
  * Fixed-width little-endian throughout; doubles travel as their IEEE
  * bit pattern (lossless by construction), byte strings as a u64
  * length followed by the raw bytes (no escaping). Layout:
  *
  *     magic      8 bytes  "mvpwarmb"
- *     version    u32      2
+ *     version    u32      3
  *     nsections  u32
  *     table      nsections x { tag u32, len u64 }
  *     bodies     the section bodies, in table order
@@ -25,10 +25,20 @@
  *                  text blob                 canonical loop text
  *                  u64 nproviders, each:
  *                    kind u32                1 = cme ratio memo,
- *                                            2 = oracle checkpoints
+ *                                            2 = oracle miss totals
  *                    name blob               registry provider name
  *                    u64 nentries, then the fixed-width entry
  *                    records (svc/state.cc)
+ *
+ * An oracle record is the geometry (capacity i64, line i64, assoc
+ * u32), the canonical set (u64 count, then one u32 op id each), the
+ * point count (i64) and one i64 miss total per set member, in set
+ * order. Version 2 also carried each simulation's per-cache-set miss
+ * counters and final LRU tags; the oracle no longer keeps them, so a
+ * v2 snapshot is refused whole like any other version mismatch. Every
+ * memo entry's geometry must describe a real cache — line and
+ * associativity of at least 1 and at least one set — or the snapshot
+ * is refused.
  *
  * Cache entries are sorted by key, loops by canonical text, providers
  * by name, memo entries by the export APIs' canonical order — so
@@ -58,7 +68,7 @@ namespace mvp::svc
 {
 
 /** Binary snapshot version written and accepted by this build. */
-constexpr int WARM_STATE_VERSION_BINARY = 2;
+constexpr int WARM_STATE_VERSION_BINARY = 3;
 
 /** The 8-byte magic that opens a binary snapshot. */
 inline constexpr char WARM_STATE_MAGIC[8] = {'m', 'v', 'p', 'w',

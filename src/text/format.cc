@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -552,6 +553,14 @@ class Parser
     void parseMachineKey(MachineConfig &cfg, const std::string &key)
     {
         auto num = [&] { return expectNumber("a value"); };
+        auto count = [&] {
+            const std::int64_t v = num();
+            if (v < std::numeric_limits<int>::min() ||
+                v > std::numeric_limits<int>::max())
+                fail("machine key '" + key + "' value " +
+                     std::to_string(v) + " is out of range");
+            return static_cast<int>(v);
+        };
         auto flag = [&] {
             if (acceptIdent("true"))
                 return true;
@@ -560,23 +569,23 @@ class Parser
             fail("expected 'true' or 'false' after '" + key + "'");
         };
         if (key == "clusters")
-            cfg.nClusters = static_cast<int>(num());
+            cfg.nClusters = count();
         else if (key == "int_fus")
-            cfg.intFusPerCluster = static_cast<int>(num());
+            cfg.intFusPerCluster = count();
         else if (key == "fp_fus")
-            cfg.fpFusPerCluster = static_cast<int>(num());
+            cfg.fpFusPerCluster = count();
         else if (key == "mem_fus")
-            cfg.memFusPerCluster = static_cast<int>(num());
+            cfg.memFusPerCluster = count();
         else if (key == "regs")
-            cfg.regsPerCluster = static_cast<int>(num());
+            cfg.regsPerCluster = count();
         else if (key == "reg_buses")
-            cfg.nRegBuses = static_cast<int>(num());
+            cfg.nRegBuses = count();
         else if (key == "reg_bus_latency")
             cfg.regBusLatency = num();
         else if (key == "unbounded_reg_buses")
             cfg.unboundedRegBuses = flag();
         else if (key == "mem_buses")
-            cfg.nMemBuses = static_cast<int>(num());
+            cfg.nMemBuses = count();
         else if (key == "mem_bus_latency")
             cfg.memBusLatency = num();
         else if (key == "unbounded_mem_buses")
@@ -584,11 +593,11 @@ class Parser
         else if (key == "cache_bytes")
             cfg.totalCacheBytes = num();
         else if (key == "cache_line")
-            cfg.cacheLineBytes = static_cast<int>(num());
+            cfg.cacheLineBytes = count();
         else if (key == "cache_assoc")
-            cfg.cacheAssoc = static_cast<int>(num());
+            cfg.cacheAssoc = count();
         else if (key == "mshr")
-            cfg.mshrEntries = static_cast<int>(num());
+            cfg.mshrEntries = count();
         else if (key == "lat_cache_hit")
             cfg.latCacheHit = num();
         else if (key == "lat_main_memory")

@@ -113,18 +113,54 @@ TEST(CmeMemo, SetOrderAndDuplicatesAreCanonicalised)
     EXPECT_EQ(cme.missRatio(without, mem[0], GEOM_2K), ref);
 }
 
+/**
+ * A memoised oracle answer is bit-identical to a fresh oracle's, in
+ * any query order. Sets grow one op at a time in random orders (the
+ * way the scheduler's Attempt::addedMisses grows cluster sets) under
+ * three geometries: a direct-mapped cache whose 64 sets every op
+ * covers, a direct-mapped one of 512 sets each op covers a fraction
+ * of, and a 2-way one that exercises the LRU probe and promotion.
+ */
 TEST(CmeMemo, OracleMemoMatchesFresh)
 {
     const auto nest = interferenceLoop();
     const auto mem = nest.memoryOps();
+    const CacheGeom geoms[] = {GEOM_2K, {16384, 32, 1}, {4096, 32, 2}};
+    auto shared = std::make_shared<StreamCache>(nest);
+
+    Rng rng(0xfeedULL);
+    for (int trial = 0; trial < 8; ++trial) {
+        // Random growth order (Fisher-Yates on the memory ops).
+        std::vector<OpId> order = mem;
+        for (std::size_t i = order.size(); i > 1; --i)
+            std::swap(order[i - 1],
+                      order[static_cast<std::size_t>(
+                          rng.nextBounded(i))]);
+
+        for (const CacheGeom &geom : geoms) {
+            CacheOracle warm(nest, shared);
+            std::vector<OpId> set;
+            for (OpId op : order) {
+                set.push_back(op);
+                (void)warm.missesPerIteration(set, geom);
+            }
+            set.clear();
+            for (OpId op : order) {
+                set.push_back(op);
+                CacheOracle fresh(nest, shared);
+                EXPECT_EQ(warm.missesPerIteration(set, geom),
+                          fresh.missesPerIteration(set, geom));
+                for (OpId q : set)
+                    EXPECT_EQ(warm.missRatio(set, q, geom),
+                              fresh.missRatio(set, q, geom));
+            }
+            CacheOracle fresh(nest, shared);
+            EXPECT_EQ(warm.missCounts(mem, geom),
+                      fresh.missCounts(mem, geom));
+        }
+    }
 
     CacheOracle warm(nest);
-    (void)warm.missesPerIteration(mem, GEOM_2K);
-    for (OpId op : mem) {
-        CacheOracle fresh(nest);
-        EXPECT_EQ(warm.missRatio(mem, op, GEOM_2K),
-                  fresh.missRatio(mem, op, GEOM_2K));
-    }
     std::vector<OpId> shuffled = mem;
     std::reverse(shuffled.begin(), shuffled.end());
     EXPECT_EQ(warm.missesPerIteration(shuffled, GEOM_2K),
@@ -211,44 +247,6 @@ TEST(StreamCache, LinesSpanningFourGiBStayExact)
                                             (std::int64_t{1} << 32) - 4);
 }
 
-TEST(StreamCache, BucketsPartitionTheStreamChronologically)
-{
-    const auto nest = interferenceLoop();
-    StreamCache cache(nest);
-    for (const CacheGeom geom : {GEOM_2K, CacheGeom{2304, 24, 2}}) {
-        const std::int64_t num_sets = geom.numSets();
-        const LineMap line_of(geom.lineBytes);
-        for (OpId op : nest.memoryOps()) {
-            const AffineStream &stream = cache.stream(op);
-            const SetBuckets &buckets = cache.buckets(op, geom);
-            ASSERT_EQ(buckets.offsets.size(),
-                      static_cast<std::size_t>(num_sets) + 1);
-            EXPECT_EQ(static_cast<std::int64_t>(buckets.entries.size()),
-                      stream.points());
-            std::int64_t seen = 0;
-            for (std::int64_t s = 0; s < num_sets; ++s) {
-                std::int64_t prev_point = -1;
-                for (std::int64_t e = buckets.offsets[
-                         static_cast<std::size_t>(s)];
-                     e < buckets.offsets[static_cast<std::size_t>(s) + 1];
-                     ++e) {
-                    const auto &entry =
-                        buckets.entries[static_cast<std::size_t>(e)];
-                    EXPECT_EQ(entry.line % num_sets, s);
-                    EXPECT_EQ(line_of(stream.address(entry.point)),
-                              entry.line);
-                    EXPECT_GT(entry.point, prev_point);   // chronological
-                    prev_point = entry.point;
-                    ++seen;
-                }
-            }
-            EXPECT_EQ(seen, stream.points());
-            EXPECT_EQ(buckets.touches(0),
-                      buckets.offsets[1] > buckets.offsets[0]);
-        }
-    }
-}
-
 /**
  * The fallback paths, pinned: 24-byte lines and 48 sets (2304 B,
  * 2-way) take the division and the remainder where power-of-two
@@ -331,8 +329,7 @@ TEST(CmeMemo, NonPowerOfTwoGeometryPinned)
                 << i;
         }
 
-        // Prefix growth takes the oracle's incremental extension; the
-        // full-set ratios then come from the memo.
+        // Prefix growth, then the full-set ratios from the memo.
         CacheOracle oracle(c.nest);
         std::vector<OpId> prefix;
         for (std::size_t i = 0; i < mem.size(); ++i) {
@@ -344,7 +341,6 @@ TEST(CmeMemo, NonPowerOfTwoGeometryPinned)
         for (std::size_t i = 0; i < mem.size(); ++i)
             EXPECT_EQ(oracle.missRatio(mem, mem[i], geom), c.oracleRatio[i])
                 << i;
-        // A fresh oracle simulates the whole set from scratch.
         CacheOracle fresh(c.nest);
         for (std::size_t i = 0; i < mem.size(); ++i)
             EXPECT_EQ(fresh.missRatio(mem, mem[i], geom), c.oracleRatio[i])
@@ -375,104 +371,6 @@ TEST(StreamCache, SharedAcrossAnalysesBitIdentical)
     EXPECT_EQ(shared_oracle.streams().get(), shared.get());
     // One affine stream per memory op, whichever analysis asked first.
     EXPECT_EQ(shared->streamsBuilt(), mem.size());
-}
-
-/**
- * The incremental-extension contract: growing a set one op at a time —
- * in ANY order — answers bit-identically to a from-scratch simulation
- * of each grown set. Exercised over randomised growth orders and three
- * geometries, chosen so every extension strategy runs: under the small
- * direct-mapped cache every op's footprint covers all 64 sets (the
- * dense touched-filtered walk), under the large one it covers a
- * fraction of 512 (the sparse bucket merge), and the 2-way geometry
- * exercises the set-associative LRU probe/promotion and multi-way
- * checkpoint copies.
- */
-TEST(IncrementalOracle, RandomGrowthOrdersMatchFromScratch)
-{
-    const auto nest = interferenceLoop();
-    const auto mem = nest.memoryOps();
-    const CacheGeom geoms[] = {GEOM_2K, {16384, 32, 1}, {4096, 32, 2}};
-    auto shared = std::make_shared<StreamCache>(nest);
-
-    Rng rng(0xfeedULL);
-    for (int trial = 0; trial < 8; ++trial) {
-        // Random growth order (Fisher-Yates on the memory ops).
-        std::vector<OpId> order = mem;
-        for (std::size_t i = order.size(); i > 1; --i)
-            std::swap(order[i - 1],
-                      order[static_cast<std::size_t>(
-                          rng.nextBounded(i))]);
-
-        for (const CacheGeom &geom : geoms) {
-            CacheOracle warm(nest, shared);
-            std::vector<OpId> set;
-            for (OpId op : order) {
-                set.push_back(op);
-                // From-scratch reference: a fresh oracle has no subset
-                // checkpoint to extend, so it must take the full path.
-                CacheOracle fresh(nest, shared);
-                EXPECT_EQ(warm.missesPerIteration(set, geom),
-                          fresh.missesPerIteration(set, geom));
-                for (OpId q : set)
-                    EXPECT_EQ(warm.missRatio(set, q, geom),
-                              fresh.missRatio(set, q, geom));
-                EXPECT_EQ(fresh.incrementalExtensions(), 0u);
-            }
-            // Every grown set beyond the first must have taken the
-            // incremental path.
-            EXPECT_EQ(warm.incrementalExtensions(), set.size() - 1);
-            EXPECT_EQ(warm.fullSimulations(), 1u);
-        }
-    }
-}
-
-TEST(IncrementalOracle, CheckpointByteCapBoundsMemoryNotAnswers)
-{
-    // A zero cap drops every checkpoint: extension never runs (nothing
-    // to extend from), yet every answer must be bit-identical — the
-    // cap trades speed for memory, never values.
-    const auto nest = interferenceLoop();
-    const auto mem = nest.memoryOps();
-    auto shared = std::make_shared<StreamCache>(nest);
-    CacheOracle capped(nest, shared, /*checkpoint_byte_cap=*/0);
-    CacheOracle uncapped(nest, shared);
-
-    std::vector<OpId> set;
-    for (OpId op : mem) {
-        set.push_back(op);
-        EXPECT_EQ(capped.missesPerIteration(set, GEOM_2K),
-                  uncapped.missesPerIteration(set, GEOM_2K));
-        for (OpId q : set)
-            EXPECT_EQ(capped.missRatio(set, q, GEOM_2K),
-                      uncapped.missRatio(set, q, GEOM_2K));
-    }
-    EXPECT_EQ(capped.incrementalExtensions(), 0u);
-    EXPECT_EQ(capped.fullSimulations(), set.size());
-    EXPECT_EQ(uncapped.incrementalExtensions(), set.size() - 1);
-}
-
-TEST(IncrementalOracle, ExtensionAgreesWithLegacyMissCounts)
-{
-    // The per-cache-set decomposition must reproduce the exact counts
-    // the chronological simulation reports (cache_test pins absolute
-    // values; this pins the two internal paths against each other op
-    // by op, including stores).
-    const auto nest = interferenceLoop();
-    const auto mem = nest.memoryOps();
-    CacheOracle warm(nest);
-    // Memoise every prefix so the final query extends a checkpoint.
-    std::vector<OpId> prefix;
-    for (OpId op : mem) {
-        prefix.push_back(op);
-        (void)warm.missesPerIteration(prefix, GEOM_2K);
-    }
-    CacheOracle fresh(nest);
-    const auto a = warm.missCounts(mem, GEOM_2K);
-    const auto b = fresh.missCounts(mem, GEOM_2K);
-    ASSERT_EQ(a.size(), b.size());
-    for (const auto &[op, count] : b)
-        EXPECT_EQ(a.at(op), count) << "op " << op;
 }
 
 TEST(LocalityRegistry, BuiltinsAndRuntimeAdd)

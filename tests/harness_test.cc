@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <thread>
+
+#include "harness/driver.hh"
 #include "harness/experiment.hh"
 #include "harness/flags.hh"
 #include "machine/presets.hh"
@@ -185,6 +189,40 @@ TEST(ParseInteger, AcceptsWholeValues)
     EXPECT_EQ(scenarios, 7);
     EXPECT_EQ(untouched, 5);   // absent flag keeps the default
     EXPECT_EQ(argc, 1);
+}
+
+TEST(ParseInteger, TryParseReportsInsteadOfExiting)
+{
+    std::int64_t v = 7;
+    EXPECT_EQ(tryParseInteger<std::int64_t>("-12", "config node-budget", v),
+              "");
+    EXPECT_EQ(v, -12);
+    EXPECT_EQ(tryParseInteger<std::int64_t>("12ms", "config node-budget", v),
+              "config node-budget wants an integer, got '12ms'");
+    EXPECT_EQ(tryParseInteger<std::int64_t>("99999999999999999999",
+                                            "config node-budget", v),
+              "config node-budget value '99999999999999999999' is out of "
+              "range");
+    EXPECT_EQ(v, -12);   // a refused value leaves the output alone
+}
+
+TEST(DefaultJobs, JunkMvpJobsWarnsAndFallsBack)
+{
+    // "2x" is not a worker count: it must not read as 2.
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int fallback = hw >= 1 ? static_cast<int>(hw) : 1;
+    for (const char *junk : {"2x", "0", "-3", "", "99999999999"}) {
+        SCOPED_TRACE(junk);
+        ::setenv("MVP_JOBS", junk, 1);
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(defaultJobs(), fallback);
+        EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                      std::string("ignoring MVP_JOBS='") + junk + "'"),
+                  std::string::npos);
+    }
+    ::setenv("MVP_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3);
+    ::unsetenv("MVP_JOBS");
 }
 
 TEST(ParseIntegerDeath, RejectsJunkTrailingEmptyAndOutOfRange)

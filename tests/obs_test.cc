@@ -308,7 +308,7 @@ TEST(HistogramStats, MergeMatchesSingleAccumulator)
     EXPECT_EQ(a.count(), both.count());
     EXPECT_EQ(a.underflow(), both.underflow());
     EXPECT_EQ(a.overflow(), both.overflow());
-    for (std::size_t i = 0; i < both.buckets(); ++i)
+    for (std::size_t i = 0; i < both.numBuckets(); ++i)
         EXPECT_EQ(a.bucketCount(i), both.bucketCount(i)) << "bucket " << i;
     EXPECT_EQ(a.dump(), both.dump());
 }

@@ -14,7 +14,7 @@
  *    byte-identical to the cold reply.
  *  - A warm service replays cold replies byte for byte, and a service
  *    rebuilt from encodeState() does the same — including the
- *    encode(decode(s)) == s round trip of the binary v2 snapshot,
+ *    encode(decode(s)) == s round trip of the binary v3 snapshot,
  *    whole-snapshot rejection of version skew, truncation and the
  *    retired text v1 format, and merge-on-LOAD.
  *  - Replies whose search hit the wall-clock deadline never enter a
@@ -424,7 +424,7 @@ TEST(SvcService, WarmStateRoundTripsAcrossServices)
 {
     auto payloads = samplePayloads();
     // Add an oracle-provider request so the snapshot carries oracle
-    // checkpoints alongside the CME memo.
+    // miss totals alongside the CME memo.
     const auto bench = workloads::benchmarkByName("tomcatv");
     const text::ScenarioText scenario{bench.loops[0],
                                       makeTwoCluster()};
@@ -451,7 +451,7 @@ TEST(SvcService, WarmStateRoundTripsAcrossServices)
         EXPECT_EQ(warm[i].bytes(), cold[i].bytes()) << i;
     }
 
-    // The snapshot is the binary v2 format, not text.
+    // The snapshot is the binary v3 format, not text.
     ASSERT_GE(snapshot.size(), sizeof WARM_STATE_MAGIC);
     EXPECT_EQ(std::memcmp(snapshot.data(), WARM_STATE_MAGIC,
                           sizeof WARM_STATE_MAGIC),
@@ -515,6 +515,93 @@ TEST(SvcService, CorruptSnapshotsAreRejectedWhole)
     EXPECT_EQ(st.cacheEntries, 0);
     EXPECT_EQ(st.loopContexts, 0);
     EXPECT_EQ(victim.encodeState(), SchedService(1).encodeState());
+}
+
+/** A hand-built one-entry snapshot: one loop (tomcatv's first), one
+ * provider of @p kind (1 = cme, 2 = oracle) holding one memo entry
+ * for the set {first memory op} under the given geometry. */
+std::string
+oneEntrySnapshot(std::uint32_t kind, std::int64_t capacity,
+                 std::int64_t line, std::uint32_t assoc)
+{
+    const auto put = [](std::string &out, std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    const auto nest = workloads::benchmarkByName("tomcatv").loops[0];
+    const std::string loop_text = text::printLoop(nest);
+    const std::string name = kind == 1 ? "cme" : "oracle";
+    const auto op = static_cast<std::uint64_t>(nest.memoryOps()[0]);
+
+    std::string loops;
+    put(loops, 1, 8);   // loops
+    put(loops, loop_text.size(), 8);
+    loops += loop_text;
+    put(loops, 1, 8);   // providers
+    put(loops, kind, 4);
+    put(loops, name.size(), 8);
+    loops += name;
+    put(loops, 1, 8);   // entries
+    put(loops, static_cast<std::uint64_t>(capacity), 8);
+    put(loops, static_cast<std::uint64_t>(line), 8);
+    put(loops, assoc, 4);
+    if (kind == 1)
+        put(loops, op, 4);
+    put(loops, 1, 8);   // set size
+    put(loops, op, 4);
+    if (kind == 1) {
+        put(loops, 0x3fe0000000000000ULL, 8);   // ratio 0.5
+        put(loops, 0, 8);                        // CI half-width
+    } else {
+        put(loops, 100, 8);   // points
+        put(loops, 7, 8);     // misses of the one op
+    }
+    std::string cache;
+    put(cache, 0, 8);
+
+    std::string out(WARM_STATE_MAGIC, sizeof WARM_STATE_MAGIC);
+    put(out, WARM_STATE_VERSION_BINARY, 4);
+    put(out, 2, 4);   // sections
+    put(out, 1, 4);
+    put(out, cache.size(), 8);
+    put(out, 2, 4);
+    put(out, loops.size(), 8);
+    return out + cache + loops;
+}
+
+/** A memo entry whose geometry no cache can have — it would divide by
+ * zero in the first simulation or ratio query — rejects the whole
+ * snapshot at LOAD. The same snapshot with a real geometry loads and
+ * re-encodes byte-identically, so the refusal is the geometry's. */
+TEST(SvcService, DegenerateMemoGeometryRejectsTheSnapshot)
+{
+    for (const std::uint32_t kind : {1u, 2u}) {
+        SCOPED_TRACE(kind);
+        const std::string good = oneEntrySnapshot(kind, 8192, 32, 1);
+        SchedService accepting(1);
+        accepting.decodeState(good, "good");
+        EXPECT_EQ(accepting.encodeState(), good);
+
+        SchedService victim(1);
+        FatalScope guard;
+        EXPECT_THROW(victim.decodeState(oneEntrySnapshot(kind, 8192, 0, 1),
+                                        "line0"),
+                     FatalError);
+        EXPECT_THROW(victim.decodeState(oneEntrySnapshot(kind, 8192, 32, 0),
+                                        "assoc0"),
+                     FatalError);
+        EXPECT_THROW(victim.decodeState(oneEntrySnapshot(kind, 16, 32, 1),
+                                        "nosets"),
+                     FatalError);
+        EXPECT_THROW(
+            victim.decodeState(oneEntrySnapshot(kind, 8192, 1LL << 32, 1),
+                               "line2p32"),
+            FatalError);
+        const auto st = victim.stats();
+        EXPECT_EQ(st.cacheEntries, 0);
+        EXPECT_EQ(st.loopContexts, 0);
+        EXPECT_EQ(victim.encodeState(), SchedService(1).encodeState());
+    }
 }
 
 TEST(SvcService, DecodeRejectsVersionSkewInsideFatalScope)
@@ -584,8 +671,9 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
     // in the locality analysis; a negative latency and a threshold
     // outside [0, 1] used to be scheduled; the retired `hybrid`
     // locality provider and its `hybrid:<N>` spelling used to be
-    // served. Each is now a `status error` reply and the session
-    // carries on to the next request.
+    // served; machine counts past 2^32 used to wrap to small ones and
+    // budgets past 64 bits were clamped. Each is now a `status error`
+    // reply and the session carries on to the next request.
     const auto bench = workloads::benchmarkByName("tomcatv");
     const std::string good = "config backend rmca\n\n" +
                              text::printScenario(text::ScenarioText{
@@ -601,6 +689,10 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
         {"assoc0", with("cache_assoc 1\n", "cache_assoc 0\n")},
         {"bytes0", with("cache_bytes 8192\n", "cache_bytes 0\n")},
         {"latfp", with("lat_fp 2\n", "lat_fp -5\n")},
+        {"clusters", with("clusters 2\n", "clusters 4294967298\n")},
+        {"regs", with("regs 32\n", "regs 4294967328\n")},
+        {"nodes", "config node-budget 99999999999999999999\n" + good},
+        {"deadline", "config time-budget-ms -99999999999999999999\n" + good},
         {"thrnan", "config threshold nan\n" + good},
         {"thr2", "config threshold 2\n" + good},
         {"hybrid", "config locality hybrid\n" + good},
@@ -629,6 +721,16 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
             << reply;
         if (id == "hybrid") {
             EXPECT_NE(reply.find("(known: cme, oracle)"),
+                      std::string::npos)
+                << reply;
+        }
+        if (id == "clusters" || id == "regs") {
+            EXPECT_NE(reply.find("machine key '" + id + "'"),
+                      std::string::npos)
+                << reply;
+        }
+        if (id == "nodes") {
+            EXPECT_NE(reply.find("config node-budget value"),
                       std::string::npos)
                 << reply;
         }

@@ -205,6 +205,17 @@ TEST(TextParseDeath, RejectsUnknownMachineKey)
                 "unknown machine key 'warp_drive'");
 }
 
+TEST(TextParseDeath, RejectsMachineValuesOutsideInt)
+{
+    // 2^32 + 2 and 2^32 + 32 would wrap to 2 clusters and 32 registers.
+    EXPECT_EXIT((void)parseMachine("machine \"m\" { clusters 4294967298 }"),
+                ::testing::ExitedWithCode(1),
+                "machine key 'clusters' value 4294967298 is out of range");
+    EXPECT_EXIT((void)parseMachine("machine \"m\" { regs 4294967328 }"),
+                ::testing::ExitedWithCode(1),
+                "machine key 'regs' value 4294967328 is out of range");
+}
+
 // ------------------------------------------------------------ file IO
 
 TEST(TextFiles, LoopFileSaveLoadRoundTrip)
