@@ -144,24 +144,17 @@ CacheOracle::simulate(const std::vector<OpId> &set, const CacheGeom &geom)
 {
     const detail::QueryKeyRef ref{
         detail::queryHash(geom, INVALID_ID, set), &geom, INVALID_ID, &set};
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (auto it = memo_.find(ref); it != memo_.end())
-            return it->second;
-    }
+    if (const SimResult *hit = memo_.find(ref))
+        return *hit;
 
     SimResult res;
     res.points = streams_->points();
     simulateFresh(set, geom, res);
 
     // A concurrent simulation of the same set may have inserted first;
-    // emplace then keeps the winner. Both results are identical (the
-    // trace simulation is deterministic), so callers cannot tell.
-    std::lock_guard<std::mutex> lock(mu_);
-    return memo_
-        .emplace(detail::QueryKey{ref.hash, geom, INVALID_ID, set},
-                 std::move(res))
-        .first->second;
+    // its result is identical (the trace simulation is deterministic).
+    return memo_.tryInsert(
+        detail::QueryKey{ref.hash, geom, INVALID_ID, set}, std::move(res));
 }
 
 double
@@ -201,20 +194,16 @@ std::vector<OracleMemoEntry>
 CacheOracle::exportMemo() const
 {
     std::vector<OracleMemoEntry> out;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        out.reserve(memo_.size());
-        for (const auto &[key, res] : memo_) {
-            OracleMemoEntry entry;
-            entry.geom = key.geom;
-            entry.set = key.set;
-            entry.points = res.points;
-            entry.misses.reserve(key.set.size());
-            for (const OpId op : key.set)
-                entry.misses.push_back(res.misses.at(op));
-            out.push_back(std::move(entry));
-        }
-    }
+    memo_.forEach([&](const detail::QueryKey &key, const SimResult &res) {
+        OracleMemoEntry entry;
+        entry.geom = key.geom;
+        entry.set = key.set;
+        entry.points = res.points;
+        entry.misses.reserve(key.set.size());
+        for (const OpId op : key.set)
+            entry.misses.push_back(res.misses.at(op));
+        out.push_back(std::move(entry));
+    });
     std::sort(out.begin(), out.end(),
               [](const OracleMemoEntry &a, const OracleMemoEntry &b) {
                   const auto ka =
@@ -231,23 +220,21 @@ CacheOracle::exportMemo() const
 void
 CacheOracle::importMemo(const std::vector<OracleMemoEntry> &entries)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     for (const OracleMemoEntry &entry : entries) {
         if (entry.set.empty() ||
             entry.misses.size() != entry.set.size() || entry.points <= 0)
             mvp_fatal("malformed oracle warm-state entry (",
                       entry.set.size(), " ops, ", entry.misses.size(),
                       " miss totals, ", entry.points, " points)");
-        detail::QueryKey key{
-            detail::queryHash(entry.geom, INVALID_ID, entry.set),
-            entry.geom, INVALID_ID, entry.set};
-        if (memo_.find(key) != memo_.end())
-            continue;
         SimResult res;
         res.points = entry.points;
         for (std::size_t i = 0; i < entry.set.size(); ++i)
             res.misses[entry.set[i]] = entry.misses[i];
-        memo_.emplace(std::move(key), std::move(res));
+        memo_.tryInsert(
+            detail::QueryKey{
+                detail::queryHash(entry.geom, INVALID_ID, entry.set),
+                entry.geom, INVALID_ID, entry.set},
+            std::move(res));
     }
 }
 

@@ -18,22 +18,23 @@
  * per-op miss totals and the point count, so its size does not grow
  * with the loop's trip counts.
  *
- * Thread-safe: concurrent queries share the memo under a mutex
- * (simulation itself runs unlocked; a race on one fresh set costs a
- * redundant identical simulation, never a wrong answer).
+ * Thread-safe: concurrent queries share the memo, a ShardedMemo
+ * (common/memo.hh); simulation itself runs unlocked, and a race on one
+ * fresh set costs a redundant identical simulation, never a wrong
+ * answer.
  */
 
 #ifndef MVP_CME_ORACLE_HH
 #define MVP_CME_ORACLE_HH
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "cme/locality.hh"
 #include "cme/setkey.hh"
 #include "cme/stream.hh"
+#include "common/memo.hh"
 
 namespace mvp::cme
 {
@@ -107,9 +108,7 @@ class CacheOracle : public LocalityAnalysis
 
     /**
      * @p set must be canonical (sorted, duplicate-free). The returned
-     * reference stays valid for the oracle's lifetime (unordered_map
-     * references survive rehash, and memoised results are never
-     * mutated).
+     * reference stays valid for the oracle's lifetime.
      */
     const SimResult &simulate(const std::vector<OpId> &set,
                               const CacheGeom &geom);
@@ -120,9 +119,8 @@ class CacheOracle : public LocalityAnalysis
 
     const ir::LoopNest &nest_;
     std::shared_ptr<StreamCache> streams_;
-    mutable std::mutex mu_;   ///< guards memo_
-    std::unordered_map<detail::QueryKey, SimResult, detail::QueryHash,
-                       detail::QueryEq>
+    ShardedMemo<detail::QueryKey, SimResult, detail::QueryHash,
+                detail::QueryEq>
         memo_;
 };
 

@@ -15,9 +15,7 @@
 #define MVP_CME_SETKEY_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hh"
@@ -150,171 +148,6 @@ struct RatioValue
 {
     double ratio = 0.0;
     double ciHalfWidth = 0.0;
-};
-
-/**
- * Open-addressing memo from QueryKey to a RatioValue, specialised for
- * the solver's hot path: the caller supplies the precomputed hash,
- * lookups are one masked probe sequence over a power-of-two table (no
- * modulo division, no node allocation), and misses append to a flat
- * entry array.
- */
-class RatioMemo
-{
-  public:
-    /** Pointer to the memoised value, or nullptr on a miss. */
-    const RatioValue *find(const QueryKeyRef &ref) const
-    {
-        if (table_.empty())
-            return nullptr;
-        const std::size_t mask = table_.size() - 1;
-        for (std::size_t i = ref.hash & mask;; i = (i + 1) & mask) {
-            const std::int32_t e = table_[i];
-            if (e < 0)
-                return nullptr;
-            const Entry &ent = entries_[static_cast<std::size_t>(e)];
-            if (ent.key.hash == ref.hash && ent.key.geom == *ref.geom &&
-                ent.key.op == ref.op && ent.key.set == *ref.set)
-                return &ent.value;
-        }
-    }
-
-    /** Insert a value for @p ref (must not already be present). */
-    void insert(const QueryKeyRef &ref, RatioValue value)
-    {
-        if ((entries_.size() + 1) * 4 > table_.size() * 3)
-            grow();
-        entries_.push_back(
-            {QueryKey{ref.hash, *ref.geom, ref.op, *ref.set}, value});
-        place(static_cast<std::int32_t>(entries_.size() - 1));
-    }
-
-    std::size_t size() const { return entries_.size(); }
-
-    /** Visit every entry in insertion order (persistence export). */
-    template <typename Fn>
-    void forEach(Fn &&fn) const
-    {
-        for (const Entry &entry : entries_)
-            fn(entry.key, entry.value);
-    }
-
-  private:
-    struct Entry
-    {
-        QueryKey key;
-        RatioValue value;
-    };
-
-    void place(std::int32_t index)
-    {
-        const std::size_t mask = table_.size() - 1;
-        std::size_t i = entries_[static_cast<std::size_t>(index)].key.hash &
-                        mask;
-        while (table_[i] >= 0)
-            i = (i + 1) & mask;
-        table_[i] = index;
-    }
-
-    void grow()
-    {
-        const std::size_t cap = table_.empty() ? 64 : table_.size() * 2;
-        table_.assign(cap, -1);
-        for (std::size_t e = 0; e < entries_.size(); ++e)
-            place(static_cast<std::int32_t>(e));
-    }
-
-    std::vector<Entry> entries_;
-    std::vector<std::int32_t> table_;   ///< entry index or -1 (empty)
-};
-
-/**
- * Concurrency-safe RatioMemo: the open-addressing table sharded by the
- * high bits of the query hash, one mutex per shard. The parallel
- * experiment driver queries one loop's CmeAnalysis from every worker at
- * once; striping keeps the common case (different queries hitting
- * different shards) contention-free while the per-shard probe sequence
- * stays exactly the single-threaded RatioMemo's.
- *
- * Determinism does not depend on interleaving: a memoised value is a
- * pure function of the key (the sampling seed derives from the key, not
- * from query order), so when two threads race to answer the same fresh
- * query they compute identical values and tryInsert() keeps whichever
- * arrives first. Shard selection uses bits the in-shard probe (low
- * bits) ignores, so sharding does not degrade probe clustering.
- */
-class ShardedRatioMemo
-{
-  public:
-    /** True (and *out filled) when @p ref is memoised. */
-    bool lookup(const QueryKeyRef &ref, RatioValue *out) const
-    {
-        const Shard &shard = shards_[shardOf(ref.hash)];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (const RatioValue *hit = shard.memo.find(ref)) {
-            *out = *hit;
-            return true;
-        }
-        return false;
-    }
-
-    /**
-     * Memoise @p value for @p ref unless another thread already did;
-     * returns the value that ended up in the memo (identical to
-     * @p value for deterministic solvers — asserted by the tests).
-     */
-    RatioValue tryInsert(const QueryKeyRef &ref, RatioValue value)
-    {
-        Shard &shard = shards_[shardOf(ref.hash)];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (const RatioValue *hit = shard.memo.find(ref))
-            return *hit;
-        shard.memo.insert(ref, value);
-        return value;
-    }
-
-    /** Total memoised queries (locks every shard; not a hot path). */
-    std::size_t size() const
-    {
-        std::size_t n = 0;
-        for (const Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            n += shard.memo.size();
-        }
-        return n;
-    }
-
-    /**
-     * Visit every memoised (key, value) pair, shard by shard under the
-     * shard lock (persistence export; not a hot path). @p fn must not
-     * re-enter this memo.
-     */
-    template <typename Fn>
-    void forEach(Fn &&fn) const
-    {
-        for (const Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            shard.memo.forEach(fn);
-        }
-    }
-
-  private:
-    static constexpr std::size_t NUM_SHARDS = 16;   // power of two
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        RatioMemo memo;
-    };
-
-    /** High hash bits: disjoint from the low bits RatioMemo probes
-     * with. */
-    static std::size_t shardOf(std::uint64_t hash)
-    {
-        return static_cast<std::size_t>(hash >> 60) & (NUM_SHARDS - 1);
-    }
-
-    std::array<Shard, NUM_SHARDS> shards_;
 };
 
 } // namespace mvp::cme::detail

@@ -262,8 +262,8 @@ CmeAnalysis::solveRatio(const std::vector<OpId> &set, OpId op,
     const detail::QueryKeyRef ref{detail::queryHash(geom, op, set), &geom,
                                   op, &set};
     lookups_.fetch_add(1, std::memory_order_relaxed);
-    if (detail::RatioValue hit; memo_.lookup(ref, &hit))
-        return hit;
+    if (const detail::RatioValue *hit = memo_.find(ref))
+        return *hit;
     queries_.fetch_add(1, std::memory_order_relaxed);
 
     const auto pos_it = std::find(set.begin(), set.end(), op);
@@ -322,7 +322,8 @@ CmeAnalysis::solveRatio(const std::vector<OpId> &set, OpId op,
     points_.fetch_add(static_cast<std::size_t>(evaluated),
                       std::memory_order_relaxed);
 
-    return memo_.tryInsert(ref, value);
+    return memo_.tryInsert(detail::QueryKey{ref.hash, geom, op, set},
+                           value);
 }
 
 double
@@ -379,10 +380,11 @@ void
 CmeAnalysis::importMemo(const std::vector<CmeMemoEntry> &entries)
 {
     for (const CmeMemoEntry &entry : entries) {
-        const detail::QueryKeyRef ref{
-            detail::queryHash(entry.geom, entry.op, entry.set),
-            &entry.geom, entry.op, &entry.set};
-        memo_.tryInsert(ref, entry.value);
+        memo_.tryInsert(
+            detail::QueryKey{
+                detail::queryHash(entry.geom, entry.op, entry.set),
+                entry.geom, entry.op, entry.set},
+            entry.value);
     }
 }
 

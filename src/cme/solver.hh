@@ -35,6 +35,11 @@
  * The walk divides only for line sizes or set counts that are not
  * powers of two. The same streams feed the exact oracle bound to the
  * nest.
+ *
+ * Every answer is memoised under its (geometry, op, canonical set) key
+ * in a ShardedMemo (common/memo.hh) that all querying threads share.
+ * The sampling seed derives from the key, so a memoised answer equals
+ * a fresh one whichever thread computed it.
  */
 
 #ifndef MVP_CME_SOLVER_HH
@@ -49,6 +54,7 @@
 #include "cme/locality.hh"
 #include "cme/setkey.hh"
 #include "cme/stream.hh"
+#include "common/memo.hh"
 #include "common/random.hh"
 
 namespace mvp::cme
@@ -88,7 +94,7 @@ struct CmeParams
 using RatioEstimate = detail::RatioValue;
 
 /**
- * One exported RatioMemo entry: the full query key (geometry, target
+ * One exported memo entry: the full query key (geometry, target
  * op, canonical set) plus the memoised estimate. This is the unit the
  * scheduling service persists so a restarted server rewarms the
  * sampling solver without re-solving a single equation.
@@ -105,7 +111,7 @@ struct CmeMemoEntry
  * Sampling CME solver bound to one loop nest. Thread-safe: any number
  * of threads may query one instance concurrently (the experiment
  * driver's workers share the per-loop analysis of a sweep). The memo is
- * a lock-striped open-addressing table; working buffers are per-thread;
+ * a ShardedMemo (common/memo.hh); working buffers are per-thread;
  * results are bit-identical regardless of interleaving because every
  * ratio — including its sampling seed — is a pure function of the
  * (set, op, geometry) key.
@@ -161,7 +167,7 @@ class CmeAnalysis : public LocalityAnalysis
 
     /**
      * Total solveRatio() calls, memo hits included; with
-     * queriesSolved() (the misses) this yields the RatioMemo hit
+     * queriesSolved() (the misses) this yields the memo hit
      * rate. Same concurrent-use caveat as queriesSolved().
      */
     std::size_t ratioLookups() const
@@ -205,7 +211,9 @@ class CmeAnalysis : public LocalityAnalysis
     const ir::LoopNest &nest_;
     CmeParams params_;
     std::shared_ptr<StreamCache> streams_;
-    detail::ShardedRatioMemo memo_;
+    ShardedMemo<detail::QueryKey, detail::RatioValue, detail::QueryHash,
+                detail::QueryEq>
+        memo_;
     std::atomic<std::size_t> queries_{0};
     std::atomic<std::size_t> points_{0};
     std::atomic<std::size_t> lookups_{0};

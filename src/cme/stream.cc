@@ -13,7 +13,7 @@ StreamCache::StreamCache(const ir::LoopNest &nest)
 {
 }
 
-std::unique_ptr<AffineStream>
+AffineStream
 StreamCache::buildStream(OpId op) const
 {
     const auto &operation = nest_.op(op);
@@ -21,20 +21,19 @@ StreamCache::buildStream(OpId op) const
 
     // The strided addresses equal addressOf bit for bit; an affine
     // reference's innermost stride does not depend on the outer IVs.
-    auto stream = std::make_unique<AffineStream>();
-    stream->inner = nest_.innerTripCount();
-    stream->starts.reserve(
-        static_cast<std::size_t>(points_ / stream->inner));
+    AffineStream stream;
+    stream.inner = nest_.innerTripCount();
+    stream.starts.reserve(static_cast<std::size_t>(points_ / stream.inner));
     std::vector<std::int64_t> ivs(nest_.depth());
-    for (std::int64_t first = 0; first < points_; first += stream->inner) {
+    for (std::int64_t first = 0; first < points_; first += stream.inner) {
         space_.at(first, ivs);
         const ir::StridedAddress addr =
             nest_.stridedAddressOf(*operation.memRef, ivs);
         if (first == 0)
-            stream->stride = addr.stride;
-        mvp_assert(addr.stride == stream->stride, "op ", op,
+            stream.stride = addr.stride;
+        mvp_assert(addr.stride == stream.stride, "op ", op,
                    " has an innermost stride that varies between runs");
-        stream->starts.push_back(addr.start);
+        stream.starts.push_back(addr.start);
     }
     return stream;
 }
@@ -43,21 +42,15 @@ const AffineStream &
 StreamCache::stream(OpId op)
 {
     requests_.fetch_add(1, std::memory_order_relaxed);
-    Shard &shard = shardOf(op);
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (auto it = shard.streams.find(op); it != shard.streams.end())
-            return *it->second;
-    }
+    if (const AffineStream *hit = streams_.find(op))
+        return *hit;
 
-    // Build outside the lock: streams are pure functions of the key, so
-    // a racing builder produces an identical value and emplace() keeps
-    // whichever arrived first.
+    // Build outside the memo's locks: streams are pure functions of the
+    // key, so a racing builder produces an identical value.
     MVP_TRACE_SPAN("stream-build", {}, static_cast<std::int64_t>(op));
-    auto fresh = buildStream(op);
+    AffineStream fresh = buildStream(op);
     built_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return *shard.streams.emplace(op, std::move(fresh)).first->second;
+    return streams_.tryInsert(op, std::move(fresh));
 }
 
 } // namespace mvp::cme

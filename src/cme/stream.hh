@@ -22,11 +22,11 @@
  * stride, re-seeding it from `start` only at run boundaries, and map
  * addresses to lines with LineMap (a shift for power-of-two lines).
  *
- * Thread-safe and interleaving-independent, in the same style as the
- * solver's ShardedRatioMemo: entries live behind lock-striped shards,
- * are built outside the lock, and are immutable once published; two
- * threads racing on the same op build identical values (a stream is a
- * pure function of (nest, op)) and the first insert wins.
+ * Thread-safe and interleaving-independent: streams live in a
+ * ShardedMemo (common/memo.hh), are built outside its locks and are
+ * immutable once published; two threads racing on the same op build
+ * identical values (a stream is a pure function of (nest, op)) and the
+ * first insert wins.
  * One StreamCache per loop nest is meant to be shared by every analysis
  * bound to that nest — the harness Workbench keeps one per entry.
  */
@@ -34,15 +34,12 @@
 #ifndef MVP_CME_STREAM_HH
 #define MVP_CME_STREAM_HH
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/memo.hh"
 #include "common/types.hh"
 #include "ir/loop.hh"
 #include "machine/machine.hh"
@@ -157,31 +154,13 @@ class StreamCache
     }
 
   private:
-    /**
-     * One lock-striped shard. Values sit behind unique_ptr so a
-     * published stream's address survives rehashing; entries are never
-     * mutated after insertion.
-     */
-    struct Shard
-    {
-        std::mutex mu;
-        std::unordered_map<OpId, std::unique_ptr<AffineStream>> streams;
-    };
-
-    static constexpr std::size_t NUM_SHARDS = 8;
-
-    Shard &shardOf(OpId op)
-    {
-        return shards_[static_cast<std::size_t>(op) % NUM_SHARDS];
-    }
-
     /** Build the affine stream of @p op (no locks held). */
-    std::unique_ptr<AffineStream> buildStream(OpId op) const;
+    AffineStream buildStream(OpId op) const;
 
     const ir::LoopNest &nest_;
     ir::IterationSpace space_;
     std::int64_t points_;
-    std::array<Shard, NUM_SHARDS> shards_;
+    ShardedMemo<OpId, AffineStream> streams_;
     std::atomic<std::size_t> built_{0};
     std::atomic<std::size_t> requests_{0};
 };

@@ -187,10 +187,6 @@ prepareConfig(Workbench &bench, const RunConfig &config)
     if (!sched::BackendRegistry::instance().has(name))
         (void)sched::BackendRegistry::instance().create(name);   // fatals
     bench.ensureLocality(localityName(config));
-    if (config.metrics)
-        obs::Registry::instance().enable();
-    if (!config.traceFile.empty() && !obs::traceOn())
-        obs::traceInit(config.traceFile);
 }
 
 } // namespace

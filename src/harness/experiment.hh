@@ -74,24 +74,6 @@ struct RunConfig
      * backends.
      */
     std::string exactBackend = "exact";
-
-    /**
-     * Enable the obs::Registry for this run (programmatic twin of the
-     * bare `--metrics` flag). The caller reads the reports off
-     * obs::Registry::instance(); nothing is written automatically —
-     * report emission belongs to the flag layer (metricsInit).
-     */
-    bool metrics = false;
-
-    /**
-     * Start a trace session writing Chrome trace-event JSON to this
-     * file (programmatic twin of `--trace=FILE`). Applied only when
-     * no session is active, so a sweep of many configs traces into
-     * the first config's file rather than restarting per config; the
-     * flag layer's atexit hook (or an explicit obs::traceFinish())
-     * writes it out.
-     */
-    std::string traceFile;
 };
 
 /** The scheduler-backend registry name runLoop() resolves @p config to. */
@@ -242,11 +224,11 @@ std::vector<SuiteResult> runSuiteSweep(
     sim::SimParams sim_params, ParallelDriver &driver);
 
 /**
- * Snapshot the workbench's shared-cache tallies (StreamCache, the CME
- * RatioMemo, the oracle's incremental-vs-fresh counters) into the
- * obs::Registry as max-merged runtime gauges. No-op when metrics are
- * off. The suite runners call this after every sweep; call it
- * directly after hand-rolled runLoop() loops.
+ * Snapshot the workbench's shared-cache tallies (StreamCache requests
+ * and builds, CME memo lookups, solved queries and evaluated points)
+ * into the obs::Registry as max-merged runtime gauges. No-op when
+ * metrics are off. The suite runners call this after every sweep; call
+ * it directly after hand-rolled runLoop() loops.
  */
 void harvestLocalityMetrics(const Workbench &bench);
 

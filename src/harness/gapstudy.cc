@@ -99,28 +99,6 @@ runGapStudy(Workbench &bench, const MachineConfig &machine,
     return study;
 }
 
-GapStudy
-runGapStudy(Workbench &bench, const MachineConfig &machine,
-            double threshold, std::int64_t search_budget,
-            ParallelDriver &driver, const std::string &locality)
-{
-    GapOptions options;
-    options.threshold = threshold;
-    options.searchBudget = search_budget;
-    options.locality = locality;
-    return runGapStudy(bench, machine, options, driver);
-}
-
-GapStudy
-runGapStudy(Workbench &bench, const MachineConfig &machine,
-            double threshold, std::int64_t search_budget,
-            const std::string &locality)
-{
-    ParallelDriver driver;
-    return runGapStudy(bench, machine, threshold, search_budget, driver,
-                       locality);
-}
-
 std::vector<EngineOutcome>
 runEngineComparison(Workbench &bench, const MachineConfig &machine,
                     const GapOptions &options,

@@ -101,23 +101,6 @@ GapStudy runGapStudy(Workbench &bench, const MachineConfig &machine,
                      const GapOptions &options, ParallelDriver &driver);
 
 /**
- * Historical signature: rmca at @p threshold against the exact backend
- * under @p search_budget nodes per attempt (plus the default wall
- * clock). Forwards to the GapOptions overload.
- */
-GapStudy runGapStudy(Workbench &bench, const MachineConfig &machine,
-                     double threshold, std::int64_t search_budget,
-                     ParallelDriver &driver,
-                     const std::string &locality = "cme");
-
-/** runGapStudy on a default-sized driver (MVP_JOBS / hardware size). */
-GapStudy runGapStudy(Workbench &bench, const MachineConfig &machine,
-                     double threshold = 0.25,
-                     std::int64_t search_budget =
-                         sched::DEFAULT_SEARCH_BUDGET,
-                     const std::string &locality = "cme");
-
-/**
  * Render the study: one row per loop plus a per-benchmark aggregate
  * block (loops, gaps known, heuristic-optimal count, total gap).
  */

@@ -37,11 +37,10 @@ namespace mvp::sched
 {
 
 /**
- * Default per-II work cap of the gap study's historical
- * runGapStudy(bench, machine, threshold, budget) overload. The
- * scheduler itself defaults to no cap (SchedulerOptions::searchBudget
- * = 0); callers pass this when they want a machine-independent,
- * deterministic starvation point.
+ * A per-II work cap large enough for the exact engines to settle every
+ * loop of the default workbench. The scheduler itself defaults to no
+ * cap (SchedulerOptions::searchBudget = 0); callers pass this when they
+ * want a machine-independent, deterministic starvation point.
  */
 constexpr std::int64_t DEFAULT_SEARCH_BUDGET = 2'000'000;
 

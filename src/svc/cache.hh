@@ -15,8 +15,8 @@
  * reference to the published bytes instead of copying a multi-KB
  * reply per request — part of the reply-path allocation diet.
  *
- * The RawReplyLane sits *in front* of the canonical cache: it maps
- * the verbatim request payload bytes — exactly as they arrived on the
+ * The raw lane sits *in front* of the canonical cache: it maps the
+ * verbatim request payload bytes — exactly as they arrived on the
  * wire, before any parsing — to the canonical stored reply. A raw hit
  * skips parse and canonical re-print entirely (the zero-parse warm
  * lane). Entries are published on first canonicalization and alias
@@ -27,10 +27,8 @@
  * Replies whose bytes depend on anything beyond the payload (parse
  * errors quote the frame id) must never be published here.
  *
- * Both stores are sharded exactly like cme::detail::ShardedRatioMemo:
- * 16 shards selected by the top FNV-1a hash bits, one mutex each, so
- * concurrent pool workers rarely contend. Publication is
- * keep-the-winner: when two workers race the same fresh key, the
+ * Both lanes are a ReplyMemo, the repo's one keep-the-winner memo
+ * (common/memo.hh): when two workers race the same fresh key, the
  * first insert sticks and the loser adopts the stored bytes — both
  * computed the same deterministic payload, so which one wins is
  * unobservable.
@@ -39,15 +37,10 @@
 #ifndef MVP_SVC_CACHE_HH
 #define MVP_SVC_CACHE_HH
 
-#include <array>
-#include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
-#include "common/strutil.hh"
+#include "common/memo.hh"
 
 namespace mvp::svc
 {
@@ -55,148 +48,8 @@ namespace mvp::svc
 /** Shared, immutable reply bytes (one copy across all cache lanes). */
 using ReplyBytes = std::shared_ptr<const std::string>;
 
-/** Canonical-key -> reply-payload store (thread-safe). */
-class ScheduleCache
-{
-  public:
-    /** The payload stored under @p key, or nullptr on a miss. */
-    ReplyBytes lookup(const std::string &key) const
-    {
-        const Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto it = shard.map.find(key);
-        return it == shard.map.end() ? nullptr : it->second;
-    }
-
-    /**
-     * Publish @p payload under @p key unless the key is already
-     * present (keep-the-winner). Returns the stored bytes either way,
-     * so racing computers converge on one published reply.
-     */
-    ReplyBytes tryInsert(const std::string &key, std::string payload)
-    {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto it = shard.map.find(key);
-        if (it != shard.map.end())
-            return it->second;
-        ReplyBytes stored =
-            std::make_shared<const std::string>(std::move(payload));
-        shard.map.emplace(key, stored);
-        return stored;
-    }
-
-    /** Number of cached replies. */
-    std::size_t size() const
-    {
-        std::size_t n = 0;
-        for (const Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            n += shard.map.size();
-        }
-        return n;
-    }
-
-    /**
-     * Visit every (key, payload) pair, one shard lock at a time (the
-     * persistence writer sorts the snapshot afterwards — shard order
-     * is hash order, not canonical order).
-     */
-    template <typename Fn>
-    void forEach(Fn &&fn) const
-    {
-        for (const Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            for (const auto &[key, payload] : shard.map)
-                fn(key, *payload);
-        }
-    }
-
-  private:
-    static constexpr std::size_t N_SHARDS = 16;
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<std::string, ReplyBytes> map;
-    };
-
-    const Shard &shardFor(const std::string &key) const
-    {
-        return shards_[fnv1a(key) >> 60];
-    }
-
-    Shard &shardFor(const std::string &key)
-    {
-        return shards_[fnv1a(key) >> 60];
-    }
-
-    std::array<Shard, N_SHARDS> shards_;
-};
-
-/**
- * Verbatim-payload-bytes -> canonical reply (thread-safe). The
- * second-level lane of the warm path: entries alias the canonical
- * cache's published bytes (see the file comment for why that makes
- * raw hits byte-identical by construction).
- */
-class RawReplyLane
-{
-  public:
-    /** The reply published for these verbatim bytes, or nullptr. */
-    ReplyBytes lookup(const std::string &raw) const
-    {
-        const Shard &shard = shardFor(raw);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto it = shard.map.find(raw);
-        return it == shard.map.end() ? nullptr : it->second;
-    }
-
-    /**
-     * Map @p raw to the canonical @p reply (keep-the-winner; both
-     * racers hold the same canonical pointer, so the winner is
-     * unobservable). @p reply must be canonical-cache-published
-     * bytes — never an id-dependent error reply.
-     */
-    void publish(const std::string &raw, ReplyBytes reply)
-    {
-        Shard &shard = shardFor(raw);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.map.emplace(raw, std::move(reply));
-    }
-
-    /** Number of raw aliases published. */
-    std::size_t size() const
-    {
-        std::size_t n = 0;
-        for (const Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            n += shard.map.size();
-        }
-        return n;
-    }
-
-  private:
-    static constexpr std::size_t N_SHARDS = 16;
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<std::string, ReplyBytes> map;
-    };
-
-    const Shard &shardFor(const std::string &key) const
-    {
-        return shards_[fnv1a(key) >> 60];
-    }
-
-    Shard &shardFor(const std::string &key)
-    {
-        return shards_[fnv1a(key) >> 60];
-    }
-
-    std::array<Shard, N_SHARDS> shards_;
-};
+/** Request key (canonical form or verbatim bytes) -> reply bytes. */
+using ReplyMemo = ShardedMemo<std::string, ReplyBytes>;
 
 } // namespace mvp::svc
 

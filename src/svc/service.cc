@@ -85,7 +85,7 @@ ReplyBytes
 SchedService::rawProbe(const std::string &rawPayload)
 {
     const auto start = std::chrono::steady_clock::now();
-    ReplyBytes stored = raw_.lookup(rawPayload);
+    const ReplyBytes *stored = raw_.find(rawPayload);
     if (stored == nullptr) {
         obs::foldRtCounter("svc.rawlane.misses", 1);
         return nullptr;
@@ -106,7 +106,7 @@ SchedService::rawProbe(const std::string &rawPayload)
         obs::foldRtHist("svc.rawlane.probe_us", LAT_LO, LAT_HI, 500,
                         us);
     }
-    return stored;
+    return *stored;
 }
 
 std::vector<SchedService::Reply>
@@ -163,14 +163,14 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
         return out;
     }
 
-    if (ReplyBytes stored = cache_.lookup(request.key)) {
-        out.payload = std::move(stored);
+    if (const ReplyBytes *stored = cache_.find(request.key)) {
+        out.payload = *stored;
         out.cacheHit = true;
         // The canonical entry existed but this raw spelling missed:
         // teach the zero-parse lane so the next byte-identical
         // payload skips the parser too.
         if (!request.raw.empty())
-            raw_.publish(request.raw, out.payload);
+            raw_.tryInsert(request.raw, out.payload);
         noteRequest(start, true, false, ctx);
         return out;
     }
@@ -240,12 +240,14 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
     }
 
     if (cacheable) {
-        out.payload = cache_.tryInsert(request.key, std::move(payload));
+        out.payload = cache_.tryInsert(
+            request.key,
+            std::make_shared<const std::string>(std::move(payload)));
         // Alias the *published* entry (ours or the racing winner's)
         // under the verbatim bytes: raw hits are byte-identical to
         // canonical hits by construction.
         if (!request.raw.empty())
-            raw_.publish(request.raw, out.payload);
+            raw_.tryInsert(request.raw, out.payload);
     } else {
         out.payload =
             std::make_shared<const std::string>(std::move(payload));

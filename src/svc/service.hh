@@ -9,11 +9,11 @@
  *  - a harness::ParallelDriver — requests of a batch are sharded
  *    across its pool exactly like sweep items, one SchedContext per
  *    worker (warm scratch across batches);
- *  - a ScheduleCache of reply payloads keyed on the canonical request
- *    form (svc/protocol.hh), and a RawReplyLane mapping verbatim
- *    request payload bytes to the same published reply pointers
- *    (svc/cache.hh) — a raw hit answers without parsing, printing or
- *    touching the pool at all;
+ *  - two reply memos (svc/cache.hh): the schedule cache of reply
+ *    payloads keyed on the canonical request form (svc/protocol.hh),
+ *    and the raw lane mapping verbatim request payload bytes to the
+ *    same published reply pointers — a raw hit answers without
+ *    parsing, printing or touching the pool at all;
  *  - per-loop contexts keyed on the canonical loop text: the owned
  *    nest, one StreamCache shared by every analysis of that loop,
  *    lazily-bound locality analyses per provider name, and per-machine
@@ -218,8 +218,8 @@ class SchedService
                      bool hit, bool error, sched::SchedContext &ctx);
 
     harness::ParallelDriver driver_;
-    ScheduleCache cache_;
-    RawReplyLane raw_;
+    ReplyMemo cache_;   ///< canonical request key -> reply
+    ReplyMemo raw_;     ///< verbatim payload bytes -> the same reply
 
     mutable std::mutex ctx_mu_;   ///< guards contexts_
     std::map<std::string, std::unique_ptr<LoopContext>> contexts_;

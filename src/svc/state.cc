@@ -308,8 +308,8 @@ SchedService::encodeState() const
     {
         std::vector<std::pair<std::string, std::string>> entries;
         cache_.forEach([&](const std::string &key,
-                           const std::string &payload) {
-            entries.emplace_back(key, payload);
+                           const ReplyBytes &payload) {
+            entries.emplace_back(key, *payload);
         });
         std::sort(entries.begin(), entries.end());
         std::size_t want = 8;
@@ -456,7 +456,8 @@ SchedService::decodeState(const std::string &bytes,
     // Publish. Everything below is keep-the-winner, so loading into a
     // non-empty service merges instead of clobbering.
     for (auto &[key, payload] : staged.cache)
-        cache_.tryInsert(key, std::move(payload));
+        cache_.tryInsert(
+            key, std::make_shared<const std::string>(std::move(payload)));
     for (StagedLoop &loop : staged.loops) {
         LoopContext &lc =
             contextFor(text::printLoop(loop.nest), loop.nest);

@@ -324,6 +324,19 @@ class Parser
 
     [[noreturn]] void fail(const std::string &what) { lex_.fail(what); }
 
+    /**
+     * @p v as an int; a parse error naming @p field when it does not
+     * fit (a silent cast would wrap 2^32 + 4 to 4).
+     */
+    int checkedInt(std::int64_t v, const std::string &field)
+    {
+        if (v < std::numeric_limits<int>::min() ||
+            v > std::numeric_limits<int>::max())
+            fail(field + " value " + std::to_string(v) +
+                 " is out of range");
+        return static_cast<int>(v);
+    }
+
     // ------------------------------------------------------ loop files
 
     LoopFile parseLoopFile()
@@ -417,7 +430,8 @@ class Parser
             fail("array '" + decl.name + "' wants at least one [extent]");
         expectIdent("elem");
         expectPunct("=");
-        decl.elemSize = static_cast<int>(expectNumber("an element size"));
+        decl.elemSize = checkedInt(expectNumber("an element size"),
+                                   "array '" + decl.name + "' elem");
         expectIdent("base");
         expectPunct("=");
         const std::int64_t base = expectNumber("a base address");
@@ -528,11 +542,10 @@ class Parser
                 !(lex_.peek(1).kind == Tok::Punct &&
                   lex_.peek(1).text == "=")) {
                 ir::Operand in;
-                in.producer =
-                    static_cast<OpId>(lex_.next().number);
+                in.producer = checkedInt(lex_.next().number, "operand id");
                 if (acceptPunct("@"))
-                    in.distance =
-                        static_cast<int>(expectNumber("a distance"));
+                    in.distance = checkedInt(expectNumber("a distance"),
+                                             "operand distance");
                 op.inputs.push_back(in);
             } else if (acceptPunct("_")) {
                 op.inputs.push_back(ir::liveIn());
@@ -554,12 +567,7 @@ class Parser
     {
         auto num = [&] { return expectNumber("a value"); };
         auto count = [&] {
-            const std::int64_t v = num();
-            if (v < std::numeric_limits<int>::min() ||
-                v > std::numeric_limits<int>::max())
-                fail("machine key '" + key + "' value " +
-                     std::to_string(v) + " is out of range");
-            return static_cast<int>(v);
+            return checkedInt(num(), "machine key '" + key + "'");
         };
         auto flag = [&] {
             if (acceptIdent("true"))

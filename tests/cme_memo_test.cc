@@ -3,11 +3,11 @@
  * Memo-consistency tests for the hashed-key locality caches.
  *
  * The CME solver and the exact oracle replaced their string memo keys
- * with FNV-hashed struct keys (cme/setkey.hh) plus an open-addressing
- * table in the solver. These tests pin the contract the scheduler relies
+ * with FNV-hashed struct keys (cme/setkey.hh) held in a ShardedMemo
+ * (common/memo.hh). These tests pin the contract the scheduler relies
  * on: a memoised answer is bit-identical to a fresh instance's answer,
  * regardless of query order, set permutation, duplicate ops in the set,
- * or how many entries the table has absorbed (growth/rehash included).
+ * or how many entries the memo has absorbed (growth/rehash included).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "cme/setkey.hh"
 #include "cme/solver.hh"
 #include "cme/stream.hh"
+#include "common/memo.hh"
 #include "common/random.hh"
 #include "ir/builder.hh"
 
@@ -167,28 +168,38 @@ TEST(CmeMemo, OracleMemoMatchesFresh)
               warm.missesPerIteration(mem, GEOM_2K));
 }
 
-TEST(CmeMemo, RatioMemoSurvivesGrowth)
+TEST(CmeMemo, ShardedMemoSurvivesGrowth)
 {
-    // Push the open-addressing table through several growth cycles and
-    // verify every stored answer is still retrievable and correct.
-    detail::RatioMemo memo;
+    // Push the memo's shards through many rehashes and verify every
+    // stored answer is still retrievable and correct, and that a value
+    // found before the growth is still readable through its address.
+    ShardedMemo<detail::QueryKey, detail::RatioValue, detail::QueryHash,
+                detail::QueryEq>
+        memo;
     std::vector<OpId> set{1, 2, 3};
     const CacheGeom geom = GEOM_2K;
-    constexpr int N = 1000;
-    for (int i = 0; i < N; ++i) {
+    const auto refOf = [&](int i) {
         set[0] = static_cast<OpId>(i);
-        const detail::QueryKeyRef ref{detail::queryHash(geom, set[0], set),
-                                      &geom, set[0], &set};
+        return detail::QueryKeyRef{detail::queryHash(geom, set[0], set),
+                                   &geom, set[0], &set};
+    };
+    constexpr int N = 10000;
+    const detail::RatioValue *early = nullptr;
+    for (int i = 0; i < N; ++i) {
+        const detail::QueryKeyRef ref = refOf(i);
         ASSERT_EQ(memo.find(ref), nullptr);
-        memo.insert(ref, {static_cast<double>(i) * 0.5,
-                          static_cast<double>(i) * 0.01});
+        const detail::RatioValue &stored = memo.tryInsert(
+            detail::QueryKey{ref.hash, geom, ref.op, set},
+            {static_cast<double>(i) * 0.5, static_cast<double>(i) * 0.01});
+        if (i == 7)
+            early = &stored;
     }
     EXPECT_EQ(memo.size(), static_cast<std::size_t>(N));
+    EXPECT_EQ(early->ratio, 3.5);
+    EXPECT_EQ(early->ciHalfWidth, 7 * 0.01);
+    EXPECT_EQ(memo.find(refOf(7)), early);
     for (int i = 0; i < N; ++i) {
-        set[0] = static_cast<OpId>(i);
-        const detail::QueryKeyRef ref{detail::queryHash(geom, set[0], set),
-                                      &geom, set[0], &set};
-        const detail::RatioValue *hit = memo.find(ref);
+        const detail::RatioValue *hit = memo.find(refOf(i));
         ASSERT_NE(hit, nullptr);
         EXPECT_EQ(hit->ratio, static_cast<double>(i) * 0.5);
         EXPECT_EQ(hit->ciHalfWidth, static_cast<double>(i) * 0.01);

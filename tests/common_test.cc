@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the common infrastructure: statistics accumulators,
- * deterministic RNG, string helpers and the table renderer.
+ * deterministic RNG, string helpers, the table renderer and the
+ * sharded keep-the-winner memo.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "common/memo.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/strutil.hh"
@@ -262,6 +267,60 @@ TEST(TextTableDeath, WrongArityPanics)
 {
     TextTable t({"a", "b"});
     EXPECT_DEATH(t.addRow({"only-one"}), "cells");
+}
+
+// ----------------------------------------------------------------- memo
+
+TEST(ShardedMemo, KeepsTheWinnerUnderRaces)
+{
+    // Eight threads insert the same keys, each with its own value; the
+    // first insert of a key must stick, and every caller — winner and
+    // losers — must get back that one stored value at one address.
+    constexpr int THREADS = 8;
+    constexpr int KEYS = 2000;
+    ShardedMemo<int, int> memo;
+    std::vector<std::vector<const int *>> got(
+        THREADS, std::vector<const int *>(KEYS, nullptr));
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < THREADS; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < THREADS) {
+            }
+            for (int k = 0; k < KEYS; ++k) {
+                const int *seen = memo.find(k);
+                const int &stored = memo.tryInsert(k, t);
+                if (seen != nullptr) {
+                    EXPECT_EQ(seen, &stored);
+                }
+                got[static_cast<std::size_t>(t)]
+                   [static_cast<std::size_t>(k)] = &stored;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(memo.size(), static_cast<std::size_t>(KEYS));
+    for (int k = 0; k < KEYS; ++k) {
+        const int *stored = memo.find(k);
+        ASSERT_NE(stored, nullptr);
+        EXPECT_GE(*stored, 0);
+        EXPECT_LT(*stored, THREADS);
+        for (int t = 0; t < THREADS; ++t)
+            EXPECT_EQ(got[static_cast<std::size_t>(t)]
+                         [static_cast<std::size_t>(k)],
+                      stored);
+    }
+    // forEach releases each shard's lock before calling back, so the
+    // callback may query the memo.
+    std::size_t visited = 0;
+    memo.forEach([&](int key, const int &value) {
+        EXPECT_EQ(&value, memo.find(key));
+        ++visited;
+    });
+    EXPECT_EQ(visited, static_cast<std::size_t>(KEYS));
 }
 
 } // namespace

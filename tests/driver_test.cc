@@ -113,11 +113,13 @@ TEST(ParallelDriver, GapTablesByteIdenticalAcrossJobCounts)
     // backend charges pruned children deterministically).
     for (std::int64_t budget : {sched::DEFAULT_SEARCH_BUDGET,
                                 std::int64_t{20000}}) {
+        GapOptions options;
+        options.searchBudget = budget;
         std::string reference;
         for (int jobs : JOB_COUNTS) {
             ParallelDriver driver(jobs);
             const auto study =
-                runGapStudy(bench, machine, 0.25, budget, driver);
+                runGapStudy(bench, machine, options, driver);
             ASSERT_EQ(study.rows.size(), bench.entries().size());
             const std::string table = formatGapTable(study);
             if (reference.empty())

@@ -671,8 +671,9 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
     // in the locality analysis; a negative latency and a threshold
     // outside [0, 1] used to be scheduled; the retired `hybrid`
     // locality provider and its `hybrid:<N>` spelling used to be
-    // served; machine counts past 2^32 used to wrap to small ones and
-    // budgets past 64 bits were clamped. Each is now a `status error`
+    // served; machine counts, element sizes, operand ids and operand
+    // distances past 2^32 used to wrap to small ones and budgets past
+    // 64 bits were clamped. Each is now a `status error`
     // reply and the session carries on to the next request.
     const auto bench = workloads::benchmarkByName("tomcatv");
     const std::string good = "config backend rmca\n\n" +
@@ -691,6 +692,9 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
         {"latfp", with("lat_fp 2\n", "lat_fp -5\n")},
         {"clusters", with("clusters 2\n", "clusters 4294967298\n")},
         {"regs", with("regs 32\n", "regs 4294967328\n")},
+        {"elem", with("elem=4 ", "elem=4294967300 ")},
+        {"operand", with("%0 %1", "%4294967296 %1")},
+        {"distance", with("%0 %1", "%0 %1@4294967297")},
         {"nodes", "config node-budget 99999999999999999999\n" + good},
         {"deadline", "config time-budget-ms -99999999999999999999\n" + good},
         {"thrnan", "config threshold nan\n" + good},
@@ -727,6 +731,13 @@ TEST(SvcSession, DegenerateCacheGeometryIsAnErrorReply)
         if (id == "clusters" || id == "regs") {
             EXPECT_NE(reply.find("machine key '" + id + "'"),
                       std::string::npos)
+                << reply;
+        }
+        if (id == "elem" || id == "operand" || id == "distance") {
+            const std::string field = id == "elem"      ? "array 'X' elem"
+                                      : id == "operand" ? "operand id"
+                                                        : "operand distance";
+            EXPECT_NE(reply.find(field + " value"), std::string::npos)
                 << reply;
         }
         if (id == "nodes") {

@@ -216,6 +216,25 @@ TEST(TextParseDeath, RejectsMachineValuesOutsideInt)
                 "machine key 'regs' value 4294967328 is out of range");
 }
 
+TEST(TextParseDeath, RejectsLoopValuesOutsideInt)
+{
+    // Each would wrap to a small value: elem=4, %0 and a distance of 1.
+    const std::string head = "loop \"x\" { for i = 1 to 4 "
+                             "array A[9] elem=4 base=0 "
+                             "%0 = load A[i] ";
+    EXPECT_EXIT((void)parseLoop("loop \"x\" { for i = 1 to 4 "
+                                "array A[9] elem=4294967300 base=0 "
+                                "%0 = load A[i] }"),
+                ::testing::ExitedWithCode(1),
+                "array 'A' elem value 4294967300 is out of range");
+    EXPECT_EXIT((void)parseLoop(head + "%1 = fadd %4294967296 %0 }"),
+                ::testing::ExitedWithCode(1),
+                "operand id value 4294967296 is out of range");
+    EXPECT_EXIT((void)parseLoop(head + "%1 = fadd %0 %0@4294967297 }"),
+                ::testing::ExitedWithCode(1),
+                "operand distance value 4294967297 is out of range");
+}
+
 // ------------------------------------------------------------ file IO
 
 TEST(TextFiles, LoopFileSaveLoadRoundTrip)
