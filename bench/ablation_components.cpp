@@ -34,12 +34,10 @@ main(int argc, char **argv)
 {
     harness::parseObservabilityFlags(argc, argv);
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
-    const std::string locality = harness::parseLocalityFlag(argc, argv);
-    const std::int64_t time_budget =
-        harness::parseTimeBudgetFlag(argc, argv);
+    RunConfig base;
+    harness::parseLocalityFlag(argc, argv, base.locality);
     harness::rejectUnknownFlags(argc, argv,
-                                {"--jobs", "--locality",
-                                 "--time-budget-ms", "--log-level",
+                                {"--jobs", "--locality", "--log-level",
                                  "--metrics", "--trace"});
     harness::Workbench bench;
     const auto machine = withLimitedBuses(makeFourCluster(), 1, 4);
@@ -60,12 +58,10 @@ main(int argc, char **argv)
 
     std::vector<RunConfig> configs;
     for (const auto &v : variants) {
-        RunConfig cfg;
+        RunConfig cfg = base;
         cfg.machine = machine;
         cfg.backend = v.backend;
-        cfg.locality = locality;
         cfg.threshold = v.thr;
-        cfg.timeBudgetMs = time_budget;
         configs.push_back(cfg);
     }
     const auto results =

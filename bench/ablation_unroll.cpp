@@ -37,9 +37,8 @@ main(int argc, char **argv)
 {
     harness::parseObservabilityFlags(argc, argv);
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
-    std::string locality = harness::parseLocalityFlag(argc, argv);
-    if (locality.empty())
-        locality = "cme";
+    sched::SchedulerOptions base;
+    harness::parseLocalityFlag(argc, argv, base.localityProvider);
     harness::rejectUnknownFlags(argc, argv,
                                 {"--jobs", "--locality",
                                  "--log-level", "--metrics",
@@ -47,9 +46,9 @@ main(int argc, char **argv)
     const auto machine = withLimitedBuses(makeTwoCluster(), 1, 1);
     // Resolve the provider name on the main thread: an unknown name
     // must fatal here, not inside a pool worker.
-    (void)cme::LocalityRegistry::instance().create(locality);
+    (void)cme::LocalityRegistry::instance().create(base.localityProvider);
     std::printf("machine: %s (locality provider '%s')\n\n",
-                machine.summary().c_str(), locality.c_str());
+                machine.summary().c_str(), base.localityProvider.c_str());
 
     struct Cell
     {
@@ -79,12 +78,10 @@ main(int argc, char **argv)
                 continue;
             const auto unrolled = ir::unrollInner(loop, cell.factor);
             const auto g = ddg::Ddg::build(unrolled, machine);
-            const auto analysis =
-                cme::LocalityRegistry::instance().bind(locality,
-                                                       unrolled);
-            sched::SchedulerOptions opt;
+            // The backend binds base.localityProvider to the unrolled
+            // loop for this one call.
+            sched::SchedulerOptions opt = base;
             opt.missThreshold = cell.thr;
-            opt.locality = analysis.get();
             auto r = sched::scheduleWithBackend("rmca", g, machine, opt,
                                                 ctx);
             if (!r.ok) {

@@ -51,12 +51,10 @@ main(int argc, char **argv)
 {
     harness::parseObservabilityFlags(argc, argv);
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
-    const std::string locality = harness::parseLocalityFlag(argc, argv);
-    const std::int64_t time_budget =
-        harness::parseTimeBudgetFlag(argc, argv);
+    RunConfig base;
+    harness::parseLocalityFlag(argc, argv, base.locality);
     harness::rejectUnknownFlags(argc, argv,
-                                {"--jobs", "--locality",
-                                 "--time-budget-ms", "--log-level",
+                                {"--jobs", "--locality", "--log-level",
                                  "--metrics", "--trace"});
     harness::Workbench bench;
 
@@ -100,12 +98,10 @@ main(int argc, char **argv)
     std::vector<RunConfig> configs;
     configs.reserve(rows.size());
     for (const Row &row : rows) {
-        RunConfig cfg;
+        RunConfig cfg = base;
         cfg.machine = row.machine;
         cfg.backend = row.sched;
-        cfg.locality = locality;
         cfg.threshold = row.thr;
-        cfg.timeBudgetMs = time_budget;
         configs.push_back(cfg);
     }
     const auto results =

@@ -36,14 +36,9 @@ main(int argc, char **argv)
     harness::parseObservabilityFlags(argc, argv);
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
     harness::DiffOptions options;
-    const std::string locality = harness::parseLocalityFlag(argc, argv);
-    if (!locality.empty())
-        options.locality = locality;
-    options.timeBudgetMs = harness::parseTimeBudgetFlag(argc, argv);
-    const std::string exact_backend =
-        harness::parseExactBackendFlag(argc, argv);
-    if (!exact_backend.empty())
-        options.exactBackend = exact_backend;
+    harness::parseLocalityFlag(argc, argv, options.locality);
+    harness::parseTimeBudgetFlag(argc, argv, options.timeBudgetMs);
+    harness::parseExactBackendFlag(argc, argv, options.exactBackend);
     harness::stripIntegerFlag(argc, argv, "--scenarios", "scenario count",
                               options.scenarios);
     harness::stripIntegerFlag(argc, argv, "--seed", "seed", options.seed,

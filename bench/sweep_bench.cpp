@@ -56,17 +56,12 @@ main(int argc, char **argv)
 {
     harness::parseObservabilityFlags(argc, argv);
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
-    const std::string locality = harness::parseLocalityFlag(argc, argv);
     const std::vector<std::string> workloads =
         harness::parseWorkloadsFlag(argc, argv);
     harness::GapOptions gap_options;
-    if (!locality.empty())
-        gap_options.locality = locality;
-    gap_options.timeBudgetMs = harness::parseTimeBudgetFlag(argc, argv);
-    const std::string exact_backend =
-        harness::parseExactBackendFlag(argc, argv);
-    if (!exact_backend.empty())
-        gap_options.exactBackend = exact_backend;
+    harness::parseLocalityFlag(argc, argv, gap_options.locality);
+    harness::parseTimeBudgetFlag(argc, argv, gap_options.timeBudgetMs);
+    harness::parseExactBackendFlag(argc, argv, gap_options.exactBackend);
     const bool exact = harness::stripBoolFlag(argc, argv, "--exact");
     harness::stripIntegerFlag(argc, argv, "--budget", "work cap",
                               gap_options.searchBudget);
@@ -90,7 +85,7 @@ main(int argc, char **argv)
                     RunConfig cfg;
                     cfg.machine = machine;
                     cfg.backend = backend;
-                    cfg.locality = locality;
+                    cfg.locality = gap_options.locality;
                     cfg.threshold = thr;
                     configs.push_back(cfg);
                 }

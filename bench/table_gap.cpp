@@ -45,14 +45,9 @@ main(int argc, char **argv)
     harness::parseObservabilityFlags(argc, argv);
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
     harness::GapOptions options;
-    const std::string locality = harness::parseLocalityFlag(argc, argv);
-    if (!locality.empty())
-        options.locality = locality;
-    options.timeBudgetMs = harness::parseTimeBudgetFlag(argc, argv);
-    const std::string backend =
-        harness::parseExactBackendFlag(argc, argv);
-    if (!backend.empty())
-        options.exactBackend = backend;
+    harness::parseLocalityFlag(argc, argv, options.locality);
+    harness::parseTimeBudgetFlag(argc, argv, options.timeBudgetMs);
+    harness::parseExactBackendFlag(argc, argv, options.exactBackend);
     const std::string engine_list = harness::stripValueFlag(
         argc, argv, "--engines", "a comma-separated engine list");
     std::vector<std::string> engines;

@@ -32,20 +32,19 @@ main(int argc, char **argv)
     // locality provider is selectable the same way (--locality cme |
     // oracle). ---
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
-    const std::string locality = harness::parseLocalityFlag(argc, argv);
-    const std::int64_t time_budget =
-        harness::parseTimeBudgetFlag(argc, argv);
+    RunConfig base;
+    harness::parseLocalityFlag(argc, argv, base.locality);
     std::printf("driver: %d worker(s), locality provider '%s'\n",
-                driver.jobs(), locality.empty() ? "cme" : locality.c_str());
+                driver.jobs(), base.locality.c_str());
 
     // --- 2. The workbench: every workload loop prepared once (DDG +
-    // thread-safe CME analysis); all configurations share it. Any
+    // thread-safe locality analyses, each bound on first use); all
+    // configurations share it. Any
     // workload form resolves here, e.g.
     // --workloads tomcatv,file:my.loops,gen:seed=7+loops=4. ---
     std::vector<std::string> only = harness::parseWorkloadsFlag(argc, argv);
     harness::rejectUnknownFlags(argc, argv,
-                                {"--jobs", "--locality",
-                                 "--time-budget-ms", "--workloads",
+                                {"--jobs", "--locality", "--workloads",
                                  "--log-level", "--metrics",
                                  "--trace"});
     if (only.empty())
@@ -58,12 +57,10 @@ main(int argc, char **argv)
     std::vector<RunConfig> configs;
     for (const char *backend : {"baseline", "rmca"}) {
         for (double thr : {1.0, 0.25}) {
-            RunConfig cfg;
+            RunConfig cfg = base;
             cfg.machine = withLimitedBuses(makeFourCluster(), 1, 4);
             cfg.backend = backend;
-            cfg.locality = locality;
             cfg.threshold = thr;
-            cfg.timeBudgetMs = time_budget;
             configs.push_back(cfg);
         }
     }

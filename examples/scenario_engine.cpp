@@ -60,11 +60,8 @@ main(int argc, char **argv)
     harness::ParallelDriver driver(harness::parseJobsFlag(argc, argv));
     harness::DiffOptions options;
     options.scenarios = 32;
-    options.timeBudgetMs = harness::parseTimeBudgetFlag(argc, argv);
-    const std::string exact_backend =
-        harness::parseExactBackendFlag(argc, argv);
-    if (!exact_backend.empty())
-        options.exactBackend = exact_backend;
+    harness::parseTimeBudgetFlag(argc, argv, options.timeBudgetMs);
+    harness::parseExactBackendFlag(argc, argv, options.exactBackend);
     harness::stripIntegerFlag(argc, argv, "--scenarios", "scenario count",
                               options.scenarios);
     harness::stripIntegerFlag(argc, argv, "--seed", "seed", options.seed,

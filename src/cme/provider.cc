@@ -96,4 +96,32 @@ LocalityRegistry::names() const
     return table_.names();
 }
 
+LoopLocality::LoopLocality(const ir::LoopNest &nest)
+    : nest_(nest), streams_(std::make_shared<StreamCache>(nest))
+{
+}
+
+LocalityAnalysis &
+LoopLocality::get(const std::string &name)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = bound_.find(name);
+    if (it == bound_.end())
+        it = bound_
+                 .emplace(name, LocalityRegistry::instance().bind(
+                                    name, nest_, streams_))
+                 .first;
+    return *it->second;
+}
+
+void
+LoopLocality::forEach(
+    const std::function<void(const std::string &,
+                             const LocalityAnalysis &)> &fn) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &[name, analysis] : bound_)
+        fn(name, *analysis);
+}
+
 } // namespace mvp::cme

@@ -14,15 +14,19 @@
  *
  * Every provider bound to one nest can share one StreamCache, so the
  * built access streams amortise across providers as well as
- * across queries. Out-of-tree code can register additional providers
- * through LocalityRegistry::add().
+ * across queries. LoopLocality is the one place a loop's shared
+ * analyses are bound: each name at most once, on first use, all on
+ * the loop's one StreamCache. Out-of-tree code can register additional
+ * providers through LocalityRegistry::add().
  */
 
 #ifndef MVP_CME_PROVIDER_HH
 #define MVP_CME_PROVIDER_HH
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -91,6 +95,41 @@ class LocalityRegistry
     LocalityRegistry();
 
     NamedFactoryTable<LocalityProviderFactory> table_;
+};
+
+/**
+ * The locality analyses of one loop nest, one per provider name, all
+ * drawing from the loop's one StreamCache. get() binds a name on first
+ * use under the holder's own mutex, so any number of threads may ask
+ * at once; every later call returns the same analysis, whose warm memo
+ * then serves every run of the loop.
+ */
+class LoopLocality
+{
+  public:
+    /** @p nest must outlive the holder at a stable address. */
+    explicit LoopLocality(const ir::LoopNest &nest);
+
+    /**
+     * The analysis bound under provider @p name, bound on the first
+     * call. The reference stays valid for the holder's lifetime.
+     * fatal() on unknown names, binding nothing.
+     */
+    LocalityAnalysis &get(const std::string &name);
+
+    /** Visit every bound analysis, in name order, under the lock. */
+    void forEach(const std::function<void(const std::string &,
+                                          const LocalityAnalysis &)> &fn)
+        const;
+
+    /** The access-stream cache every analysis of the loop shares. */
+    const StreamCache &streams() const { return *streams_; }
+
+  private:
+    const ir::LoopNest &nest_;
+    const std::shared_ptr<StreamCache> streams_;
+    mutable std::mutex mu_;   ///< guards bound_
+    std::map<std::string, std::unique_ptr<LocalityAnalysis>> bound_;
 };
 
 } // namespace mvp::cme

@@ -87,9 +87,7 @@ runScenario(std::uint64_t seed, const DiffOptions &options,
         eopt.searchBudget = options.searchBudget;
         eopt.timeBudgetMs = options.timeBudgetMs;
         const auto exact = sched::scheduleWithBackend(
-            options.exactBackend.empty() ? "exact"
-                                         : options.exactBackend,
-            graph, sc.machine, eopt, ctx);
+            options.exactBackend, graph, sc.machine, eopt, ctx);
         if (exact.ok && exact.stats.provenOptimal) {
             out.exactSettled = true;
             out.exactII = exact.schedule.ii();
@@ -325,9 +323,7 @@ DiffReport::summary() const
             "gap unknown on %d scenarios (certifying engine: %s; "
             "budget: %s, %lld nodes/II attempt)\n",
             static_cast<int>(rows.size()) - exactSettled(),
-            options.exactBackend.empty() ? "exact"
-                                         : options.exactBackend.c_str(),
-            clock.c_str(),
+            options.exactBackend.c_str(), clock.c_str(),
             static_cast<long long>(options.searchBudget));
     }
     for (std::size_t i = 0; i < rows.size(); ++i)

@@ -86,7 +86,7 @@ struct DiffOptions
 
     /**
      * Certifying engine of the cross-check: "exact"/"bnb" (branch and
-     * bound) or "sat" (CDCL). Empty is read as "exact".
+     * bound) or "sat" (CDCL).
      */
     std::string exactBackend = "exact";
 

@@ -14,18 +14,6 @@ namespace mvp::harness
 {
 
 std::string
-backendName(const RunConfig &config)
-{
-    return config.backend.empty() ? "baseline" : config.backend;
-}
-
-std::string
-localityName(const RunConfig &config)
-{
-    return config.locality.empty() ? "cme" : config.locality;
-}
-
-std::string
 formatSuiteResult(const SuiteResult &suite)
 {
     std::string out;
@@ -63,15 +51,20 @@ formatSuiteResult(const SuiteResult &suite)
     return out;
 }
 
+Workbench::Entry::Entry(std::string benchmark_name, ir::LoopNest loop)
+    : benchmark(std::move(benchmark_name)), nest(std::move(loop)),
+      locality(nest)
+{
+}
+
 Workbench::Workbench(const std::vector<std::string> &only)
 {
     // Any Table-1 preset provides the (shared) operation latencies.
     const MachineConfig lat_machine = makeUnified();
     for (auto &bench : workloads::resolveWorkloads(only)) {
         for (auto &nest : bench.loops) {
-            auto entry = std::make_unique<Entry>();
-            entry->benchmark = bench.name;
-            entry->nest = std::move(nest);
+            auto entry =
+                std::make_unique<Entry>(bench.name, std::move(nest));
             entry->ddg = std::make_unique<ddg::Ddg>(
                 ddg::Ddg::build(entry->nest, lat_machine));
             // Warm the DDG's lazily-computed SCC tables now, while the
@@ -80,24 +73,9 @@ Workbench::Workbench(const std::vector<std::string> &only)
             // feasibleII) is a pure read, so one graph can serve any
             // number of workers.
             entry->ddg->sccs();
-            entry->streams =
-                std::make_shared<cme::StreamCache>(entry->nest);
             entries_.push_back(std::move(entry));
         }
     }
-    ensureLocality("cme");
-}
-
-void
-Workbench::ensureLocality(const std::string &provider)
-{
-    // create() outside the entry loop: an unknown name fatals once,
-    // before any binding happens.
-    const auto p = cme::LocalityRegistry::instance().create(provider);
-    for (auto &entry : entries_)
-        if (!entry->bound.count(provider))
-            entry->bound.emplace(provider,
-                                 p->bind(entry->nest, entry->streams));
 }
 
 std::vector<std::string>
@@ -119,32 +97,22 @@ namespace
  * there would std::exit() while sibling workers still run, racing
  * static destructors and garbling the diagnostic — and report the
  * first failure (in canonical item order) from the main thread after
- * the pool joins. @p locality is resolved by the caller (workers read
- * the entry's pre-bound map; runLoop resolves under its bind lock).
+ * the pool joins.
  */
 std::string
 tryRunLoop(Workbench::Entry &entry, const RunConfig &config,
            sim::SimParams sim_params, sched::SchedContext &ctx,
-           cme::LocalityAnalysis *locality, LoopRunResult &res)
+           LoopRunResult &res)
 {
     res.benchmark = entry.benchmark;
     res.loop = entry.nest.name();
 
     sched::SchedulerOptions opt;
     opt.missThreshold = config.threshold;
-    opt.locality = locality;
-    if (opt.locality == nullptr)
-        return "locality provider '" + localityName(config) +
-               "' not prepared for '" + res.loop +
-               "' (Workbench::ensureLocality runs before fan-out)";
-    opt.searchBudget = config.searchBudget;
-    opt.timeBudgetMs = config.timeBudgetMs;
-    opt.exactBackend = config.exactBackend.empty() ? "exact"
-                                                   : config.exactBackend;
+    opt.locality = &entry.locality.get(config.locality);
     {
         MVP_TRACE_SPAN("schedule", res.loop);
-        res.sched = sched::scheduleWithBackend(backendName(config),
-                                               *entry.ddg,
+        res.sched = sched::scheduleWithBackend(config.backend, *entry.ddg,
                                                config.machine, opt, ctx);
     }
     if (!res.sched.ok)
@@ -177,16 +145,13 @@ checkErrors(const std::vector<std::string> &errors)
  * Resolve the backend and locality names on the main thread, before
  * any fan-out: an unknown name is a configuration error whose fatal
  * must not fire inside a pool worker (both registries are
- * fatal-on-unknown), and provider binding mutates the workbench, which
- * is only safe while no workers run.
+ * fatal-on-unknown).
  */
 void
-prepareConfig(Workbench &bench, const RunConfig &config)
+checkNames(const RunConfig &config)
 {
-    const std::string name = backendName(config);
-    if (!sched::BackendRegistry::instance().has(name))
-        (void)sched::BackendRegistry::instance().create(name);   // fatals
-    bench.ensureLocality(localityName(config));
+    (void)sched::BackendRegistry::instance().create(config.backend);
+    (void)cme::LocalityRegistry::instance().create(config.locality);
 }
 
 } // namespace
@@ -209,16 +174,14 @@ harvestLocalityMetrics(const Workbench &bench)
     std::int64_t ratio_solved = 0;
     std::int64_t points_evaluated = 0;
     for (const auto &entry : bench.entries()) {
-        if (entry->streams) {
-            streams_built +=
-                static_cast<std::int64_t>(entry->streams->streamsBuilt());
-            stream_requests += static_cast<std::int64_t>(
-                entry->streams->streamRequests());
-        }
-        for (const auto &[provider, analysis] : entry->bound) {
+        const cme::StreamCache &streams = entry->locality.streams();
+        streams_built += static_cast<std::int64_t>(streams.streamsBuilt());
+        stream_requests +=
+            static_cast<std::int64_t>(streams.streamRequests());
+        entry->locality.forEach([&](const std::string &,
+                                    const cme::LocalityAnalysis &analysis) {
             if (const auto *cme =
-                    dynamic_cast<const cme::CmeAnalysis *>(
-                        analysis.get())) {
+                    dynamic_cast<const cme::CmeAnalysis *>(&analysis)) {
                 ratio_lookups +=
                     static_cast<std::int64_t>(cme->ratioLookups());
                 ratio_solved +=
@@ -226,7 +189,7 @@ harvestLocalityMetrics(const Workbench &bench)
                 points_evaluated +=
                     static_cast<std::int64_t>(cme->pointsEvaluated());
             }
-        }
+        });
     }
     obs::MetricShard shard;
     shard.rtMax("cme.streams_built", streams_built);
@@ -241,23 +204,8 @@ LoopRunResult
 runLoop(Workbench::Entry &entry, const RunConfig &config,
         sim::SimParams sim_params, sched::SchedContext &ctx)
 {
-    // When the provider is not bound yet, the single-loop entry point
-    // binds a *transient* analysis instead of mutating the shared
-    // entry: entries stay read-only outside ensureLocality(), so
-    // runLoop may run concurrently with itself and with sharded
-    // sweeps. Callers that runLoop() repeatedly should prepare the
-    // workbench (ensureLocality) once to keep the analysis memo warm.
-    const std::string provider = localityName(config);
-    cme::LocalityAnalysis *locality = entry.locality(provider);
-    std::unique_ptr<cme::LocalityAnalysis> transient;
-    if (locality == nullptr) {
-        transient = cme::LocalityRegistry::instance().bind(
-            provider, entry.nest, entry.streams);
-        locality = transient.get();
-    }
     LoopRunResult res;
-    const std::string err =
-        tryRunLoop(entry, config, sim_params, ctx, locality, res);
+    const std::string err = tryRunLoop(entry, config, sim_params, ctx, res);
     if (!err.empty())
         mvp_fatal(err);
     return res;
@@ -292,58 +240,24 @@ mergeSuite(std::vector<LoopRunResult> &&loops)
 
 } // namespace
 
-SuiteResult
-runSuite(Workbench &bench, const RunConfig &config,
-         sim::SimParams sim_params, ParallelDriver &driver)
-{
-    prepareConfig(bench, config);
-    const auto &entries = bench.entries();
-    std::vector<LoopRunResult> results(entries.size());
-    std::vector<std::string> errors(entries.size());
-    const std::string provider = localityName(config);
-    driver.run(entries.size(),
-               [&](std::size_t i, sched::SchedContext &ctx) {
-                   errors[i] = tryRunLoop(
-                       *entries[i], config, sim_params, ctx,
-                       entries[i]->locality(provider), results[i]);
-               });
-    checkErrors(errors);
-    harvestLocalityMetrics(bench);
-    return mergeSuite(std::move(results));
-}
-
-SuiteResult
-runSuite(Workbench &bench, const RunConfig &config,
-         sim::SimParams sim_params)
-{
-    ParallelDriver driver;
-    return runSuite(bench, config, sim_params, driver);
-}
-
 std::vector<SuiteResult>
 runSuiteSweep(Workbench &bench, const std::vector<RunConfig> &configs,
               sim::SimParams sim_params, ParallelDriver &driver)
 {
     for (const RunConfig &config : configs)
-        prepareConfig(bench, config);
+        checkNames(config);
     const auto &entries = bench.entries();
     const std::size_t per_config = entries.size();
     std::vector<LoopRunResult> results(per_config * configs.size());
     std::vector<std::string> errors(results.size());
     // Item order is (config-major, entry-minor): the merge below walks
     // contiguous slices, and every config's loops keep workbench order.
-    // Provider names resolved once per config, not once per item.
-    std::vector<std::string> providers;
-    providers.reserve(configs.size());
-    for (const RunConfig &config : configs)
-        providers.push_back(localityName(config));
     driver.run(results.size(),
                [&](std::size_t i, sched::SchedContext &ctx) {
                    const std::size_t c = i / per_config;
                    const std::size_t e = i % per_config;
-                   errors[i] = tryRunLoop(
-                       *entries[e], configs[c], sim_params, ctx,
-                       entries[e]->locality(providers[c]), results[i]);
+                   errors[i] = tryRunLoop(*entries[e], configs[c],
+                                          sim_params, ctx, results[i]);
                });
     checkErrors(errors);
     harvestLocalityMetrics(bench);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Experiment harness: prepares every workload loop once (DDG + CME
- * analysis bound to a stable LoopNest) and runs (machine, scheduler,
- * threshold) configurations over the whole suite, reporting the paper's
- * metric — cycles executing modulo-scheduled loops, split into
- * NCYCLE_compute and NCYCLE_stall and normalised to the unified
+ * Experiment harness: prepares every workload loop once (stable
+ * LoopNest storage, DDG, and a cme::LoopLocality holder that binds each
+ * locality provider to the loop on first use) and runs (machine,
+ * scheduler, threshold) configurations over the whole suite, reporting
+ * the paper's metric — cycles executing modulo-scheduled loops, split
+ * into NCYCLE_compute and NCYCLE_stall and normalised to the unified
  * configuration.
  *
  * Suite runs go through the ParallelDriver (harness/driver.hh): every
@@ -22,8 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "cme/locality.hh"
-#include "cme/stream.hh"
+#include "cme/provider.hh"
 #include "ddg/ddg.hh"
 #include "harness/driver.hh"
 #include "machine/machine.hh"
@@ -41,46 +41,19 @@ struct RunConfig
 
     /**
      * Scheduler backend by registry name ("baseline", "rmca", "exact",
-     * "verify", or anything registered at runtime). Empty is read as
-     * "baseline".
+     * "verify", or anything registered at runtime).
      */
     std::string backend = "baseline";
 
     /**
-     * Locality provider by registry name ("cme", "oracle", or
-     * anything registered at runtime; cme/provider.hh). Empty is
-     * read as "cme" — the paper's sampling solver.
+     * Locality provider by registry name ("cme", the paper's sampling
+     * solver; "oracle"; or anything registered at runtime;
+     * cme/provider.hh).
      */
     std::string locality = "cme";
 
     double threshold = 1.0;
-
-    /**
-     * Per-II-attempt work cap of the exact backends
-     * (SchedulerOptions::searchBudget; 0 = uncapped, the default — the
-     * wall clock below is in charge).
-     */
-    std::int64_t searchBudget = 0;
-
-    /**
-     * Wall-clock budget of search-based backends per loop, in
-     * milliseconds (negative = no deadline).
-     */
-    std::int64_t timeBudgetMs = sched::DEFAULT_TIME_BUDGET_MS;
-
-    /**
-     * Certifying engine verify-mode points run ("exact"/"bnb" or
-     * "sat"); empty is read as "exact". Ignored by the heuristic
-     * backends.
-     */
-    std::string exactBackend = "exact";
 };
-
-/** The scheduler-backend registry name runLoop() resolves @p config to. */
-std::string backendName(const RunConfig &config);
-
-/** The locality-provider registry name runLoop() resolves @p config to. */
-std::string localityName(const RunConfig &config);
 
 /** Per-loop outcome. */
 struct LoopRunResult
@@ -115,11 +88,11 @@ std::string formatSuiteResult(const SuiteResult &suite);
 
 /**
  * All workload loops prepared once: stable LoopNest storage plus, per
- * loop, the DDG, one shared access-stream cache and the bound locality
- * analyses (one per provider name in use). All of it amortises across
- * every configuration of a sweep — including sharded sweeps: the
- * analyses are thread-safe and their answers do not depend on query
- * interleaving.
+ * loop, the DDG and the loop's locality analyses (bound on first use,
+ * one per provider name, all on one shared access-stream cache). All of
+ * it amortises across every configuration of a sweep — including
+ * sharded sweeps: the analyses are thread-safe and their answers do not
+ * depend on query interleaving.
  */
 class Workbench
 {
@@ -127,31 +100,14 @@ class Workbench
     /** One prepared loop. */
     struct Entry
     {
+        Entry(std::string benchmark, ir::LoopNest nest);
+
         std::string benchmark;
         ir::LoopNest nest;
         std::unique_ptr<ddg::Ddg> ddg;
 
-        /**
-         * Access-stream cache shared by every locality analysis bound
-         * to this loop (cme/stream.hh): its affine access streams
-         * amortise across providers and configurations alike.
-         */
-        std::shared_ptr<cme::StreamCache> streams;
-
-        /**
-         * Locality analyses by provider name, bound by
-         * Workbench::ensureLocality() — on the main thread, before any
-         * sharded run — and read-only afterwards.
-         */
-        std::map<std::string, std::unique_ptr<cme::LocalityAnalysis>>
-            bound;
-
-        /** The analysis bound under @p provider (nullptr if none). */
-        cme::LocalityAnalysis *locality(const std::string &provider) const
-        {
-            const auto it = bound.find(provider);
-            return it == bound.end() ? nullptr : it->second.get();
-        }
+        /** The loop's locality analyses, shared by every run of it. */
+        cme::LoopLocality locality;
     };
 
     /**
@@ -163,18 +119,9 @@ class Workbench
      * latencies are identical in all Table-1 machines, so one DDG per
      * loop serves the whole sweep. Preparation also warms each DDG's
      * lazily-computed SCC tables so the graphs are read-only — and
-     * therefore freely shared — once sharded scheduling starts. The
-     * default "cme" provider is bound to every entry up front.
+     * therefore freely shared — once sharded scheduling starts.
      */
     explicit Workbench(const std::vector<std::string> &only = {});
-
-    /**
-     * Bind @p provider (a cme::LocalityRegistry name) to every entry
-     * that does not have it yet. NOT thread-safe: call on the main
-     * thread before fanning a sweep out — the suite runners do this for
-     * every configuration they are handed. fatal() on unknown names.
-     */
-    void ensureLocality(const std::string &provider);
 
     const std::vector<std::unique_ptr<Entry>> &entries() const
     {
@@ -201,23 +148,12 @@ LoopRunResult runLoop(Workbench::Entry &entry, const RunConfig &config,
                       sim::SimParams sim_params = {});
 
 /**
- * Schedule + simulate the whole workbench under one configuration,
- * sharding the loops across @p driver.
- */
-SuiteResult runSuite(Workbench &bench, const RunConfig &config,
-                     sim::SimParams sim_params, ParallelDriver &driver);
-
-/** runSuite on a default-sized driver (MVP_JOBS / hardware size). */
-SuiteResult runSuite(Workbench &bench, const RunConfig &config,
-                     sim::SimParams sim_params = {});
-
-/**
  * Run many configurations over the workbench at once, sharding the
  * full (loop, configuration) cross product across @p driver — the
  * preferred shape for figure/table sweeps, where the item count (and
  * so the driver's load-balancing slack) is configs x loops instead of
  * loops. Returns one SuiteResult per configuration, in input order,
- * each byte-identical to what runSuite would have produced serially.
+ * byte-identical at any job count.
  */
 std::vector<SuiteResult> runSuiteSweep(
     Workbench &bench, const std::vector<RunConfig> &configs,

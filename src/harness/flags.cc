@@ -9,7 +9,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sched/backend.hh"
-#include "sched/scheduler.hh"
 
 namespace mvp::harness
 {
@@ -116,10 +115,13 @@ parseJobsFlag(int &argc, char **argv)
     return jobs;
 }
 
-std::string
-parseLocalityFlag(int &argc, char **argv)
+void
+parseLocalityFlag(int &argc, char **argv, std::string &out)
 {
-    return stripValueFlag(argc, argv, "--locality", "a provider name");
+    const std::string value =
+        stripValueFlag(argc, argv, "--locality", "a provider name");
+    if (!value.empty())
+        out = value;
 }
 
 std::vector<std::string>
@@ -145,22 +147,21 @@ parseWorkloadsFlag(int &argc, char **argv)
     return names;
 }
 
-std::int64_t
-parseTimeBudgetFlag(int &argc, char **argv)
+void
+parseTimeBudgetFlag(int &argc, char **argv, std::int64_t &out)
 {
-    std::int64_t ms = sched::DEFAULT_TIME_BUDGET_MS;
     stripIntegerFlag(argc, argv, "--time-budget-ms", "a millisecond count",
-                     ms);
-    return ms;
+                     out);
 }
 
-std::string
-parseExactBackendFlag(int &argc, char **argv)
+void
+parseExactBackendFlag(int &argc, char **argv, std::string &out)
 {
     const std::string value = stripValueFlag(
         argc, argv, "--exact-backend", "a scheduler backend name");
-    if (!value.empty() &&
-        !sched::BackendRegistry::instance().has(value)) {
+    if (value.empty())
+        return;
+    if (!sched::BackendRegistry::instance().has(value)) {
         std::string list;
         for (const std::string &n :
              sched::BackendRegistry::instance().names())
@@ -169,7 +170,7 @@ parseExactBackendFlag(int &argc, char **argv)
                   "' is not a registered scheduler backend (known: ",
                   list, ")");
     }
-    return value;
+    out = value;
 }
 
 bool

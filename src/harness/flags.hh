@@ -80,12 +80,11 @@ bool stripBoolFlag(int &argc, char **argv, const std::string &flag);
 int parseJobsFlag(int &argc, char **argv);
 
 /**
- * Parse and strip a `--locality NAME` / `--locality=NAME` flag (the
- * locality-provider registry name the suite binaries forward into
- * RunConfig::locality). Returns "" when the flag is absent — the
- * harness reads that as the default "cme" provider.
+ * Parse and strip a `--locality NAME` / `--locality=NAME` flag (a
+ * locality-provider registry name) into @p out, which keeps its value
+ * when the flag is absent.
  */
-std::string parseLocalityFlag(int &argc, char **argv);
+void parseLocalityFlag(int &argc, char **argv, std::string &out);
 
 /**
  * Parse and strip a `--workloads A,B,...` / `--workloads=A,B,...`
@@ -98,24 +97,23 @@ std::string parseLocalityFlag(int &argc, char **argv);
 std::vector<std::string> parseWorkloadsFlag(int &argc, char **argv);
 
 /**
- * Parse and strip a `--time-budget-ms N` / `--time-budget-ms=N` flag:
- * the wall-clock budget of the exact search per loop, in
+ * Parse and strip a `--time-budget-ms N` / `--time-budget-ms=N` flag
+ * into @p out: the wall-clock budget of the exact search per loop, in
  * milliseconds (SchedulerOptions::timeBudgetMs). Negative disables
- * the deadline, 0 expires it on entry. Returns
- * sched::DEFAULT_TIME_BUDGET_MS when the flag is absent.
+ * the deadline, 0 expires it on entry. @p out keeps its value when
+ * the flag is absent.
  */
-std::int64_t parseTimeBudgetFlag(int &argc, char **argv);
+void parseTimeBudgetFlag(int &argc, char **argv, std::int64_t &out);
 
 /**
  * Parse and strip an `--exact-backend NAME` / `--exact-backend=NAME`
- * flag: the certifying engine verify-mode sweeps run ("exact"/"bnb"
- * branch and bound or "sat" CDCL search;
+ * flag into @p out: the certifying engine verify-mode sweeps run
+ * ("exact"/"bnb" branch and bound or "sat" CDCL search;
  * SchedulerOptions::exactBackend). A name not in the backend registry
- * is fatal, with the registered names listed.
- * Returns "" when the flag is absent — downstream reads that as
- * "exact".
+ * is fatal, with the registered names listed. @p out keeps its value
+ * when the flag is absent.
  */
-std::string parseExactBackendFlag(int &argc, char **argv);
+void parseExactBackendFlag(int &argc, char **argv, std::string &out);
 
 /**
  * Parse and strip a `--log-level LEVEL` / `--log-level=LEVEL` flag

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <map>
 
+#include "cme/provider.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/table.hh"
@@ -49,9 +50,8 @@ GapStudy
 runGapStudy(Workbench &bench, const MachineConfig &machine,
             const GapOptions &options, ParallelDriver &driver)
 {
-    const std::string provider =
-        options.locality.empty() ? "cme" : options.locality;
-    bench.ensureLocality(provider);   // main thread, before fan-out
+    // Unknown names fail here, on the main thread, before fan-out.
+    (void)cme::LocalityRegistry::instance().create(options.locality);
     const auto &entries = bench.entries();
     auto verify = sched::BackendRegistry::instance().create("verify");
 
@@ -67,12 +67,10 @@ runGapStudy(Workbench &bench, const MachineConfig &machine,
         auto &entry = *entries[i];
         sched::SchedulerOptions opt;
         opt.missThreshold = options.threshold;
-        opt.locality = entry.locality(provider);
+        opt.locality = &entry.locality.get(options.locality);
         opt.searchBudget = options.searchBudget;
         opt.timeBudgetMs = options.timeBudgetMs;
-        opt.exactBackend = options.exactBackend.empty()
-                               ? "exact"
-                               : options.exactBackend;
+        opt.exactBackend = options.exactBackend;
         const auto res =
             verify->schedule(*entry.ddg, machine, opt, ctx);
         if (!res.ok) {
@@ -226,12 +224,10 @@ formatGapTable(const GapStudy &study)
     if (o.searchBudget > 0)
         budget += ", " + std::to_string(o.searchBudget) +
                   " nodes/II attempt";
-    const std::string backend =
-        o.exactBackend.empty() ? "exact" : o.exactBackend;
     std::string tail = strprintf(
         "gap unknown on %d of %zu loops (certifying engine: %s; "
         "budget: %s)\n",
-        study.unknown(), study.rows.size(), backend.c_str(),
+        study.unknown(), study.rows.size(), o.exactBackend.c_str(),
         budget.c_str());
 
     return table.render() + "\n" + sum.render() + "\n" + tail;

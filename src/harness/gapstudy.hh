@@ -44,12 +44,12 @@ struct GapOptions
      */
     std::int64_t timeBudgetMs = sched::DEFAULT_TIME_BUDGET_MS;
 
-    /** Locality provider for the heuristic (empty = "cme"). */
+    /** Locality provider for the heuristic. */
     std::string locality = "cme";
 
     /**
      * Certifying engine: "exact"/"bnb" (branch and bound) or "sat"
-     * (CDCL). Empty is read as "exact".
+     * (CDCL).
      */
     std::string exactBackend = "exact";
 };

@@ -26,8 +26,7 @@ bindFallbackLocality(SchedulerOptions &opt, const ddg::Ddg &graph)
         (!opt.memoryAware && opt.missThreshold >= 1.0))
         return nullptr;
     auto bound = cme::LocalityRegistry::instance().bind(
-        opt.localityProvider.empty() ? "cme" : opt.localityProvider,
-        graph.loop());
+        opt.localityProvider, graph.loop());
     opt.locality = bound.get();
     return bound;
 }
@@ -126,10 +125,9 @@ class VerifyBackend : public SchedulerBackend
 
         // The certifying engine is pluggable ("exact"/"bnb" or "sat");
         // "verify" itself falls back to "exact" rather than recursing.
-        const std::string &inner =
-            options.exactBackend == "verify" || options.exactBackend.empty()
-                ? "exact"
-                : options.exactBackend;
+        const std::string &inner = options.exactBackend == "verify"
+                                       ? "exact"
+                                       : options.exactBackend;
         const ScheduleResult ex =
             scheduleWithBackend(inner, graph, machine, options, ctx);
 

@@ -113,8 +113,7 @@ class Searcher final : public IiProber
         // The tiebreak allowance ends the phase, it is not a budget
         // failure: the minimal II (and its certificate) are already
         // secured, only pressureOptimal is forfeited.
-        if (found_ && tiebreak_cap_ > 0 &&
-            nodes_ - found_nodes_ > tiebreak_cap_)
+        if (found_ && nodes_ - found_nodes_ > DEFAULT_TIEBREAK_BUDGET)
             return false;
         if ((nodes_ & 63) == 1 && clock_->expired()) {
             budget_hit_ = true;
@@ -250,7 +249,6 @@ class Searcher final : public IiProber
     std::int64_t nodes_ = 0;
     std::int64_t attempt_limit_ = 0;   ///< nodes_ cap of this II attempt
     std::int64_t found_nodes_ = 0;     ///< nodes_ at the first leaf
-    std::int64_t tiebreak_cap_ = 0;    ///< tiebreak node allowance
     bool node_cap_ = false;
     SearchClock *clock_ = nullptr;
     bool budget_hit_ = false;
@@ -614,7 +612,6 @@ Searcher::begin(Cycle mii, SearchClock &clock)
 
     node_cap_ = options_.searchBudget > 0;
     clock_ = &clock;
-    tiebreak_cap_ = toggles_.tiebreakBudget;
 
     if (obs::metricsOn())
         bj_hist_ = &ctx_.metrics.detHist("exact.backjump_depth", 0.0,

@@ -78,19 +78,6 @@ struct ExactOptions
      */
     bool tiebreakPressure = true;
 
-    /**
-     * Node allowance of the tiebreak phase: nodes charged after the
-     * first feasible schedule before the attempt settles for the best
-     * schedule seen (pressureOptimal == false); 0 = unlimited. The II
-     * certificate is decided before the tiebreak starts, so the
-     * allowance never weakens it; node-based on purpose so the
-     * tiebreak's outcome is reproducible across machines and job
-     * counts (a wall-clock tiebreak would make reports
-     * timing-dependent). Exhausting it is a documented phase end, not
-     * a budget failure — budgetExhausted stays false.
-     */
-    std::int64_t tiebreakBudget = DEFAULT_TIEBREAK_BUDGET;
-
     /** Conflict-driven backjumping (loops of <= 64 ops). */
     bool conflictLearning = true;
 };

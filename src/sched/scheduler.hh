@@ -60,7 +60,9 @@ constexpr std::int64_t DEFAULT_TIME_BUDGET_MS = 10'000;
  * (loop, machine, options), which is what keeps gap tables and
  * differential reports byte-identical across machines and job counts.
  * The II certificate itself is never affected — it is decided before
- * the tiebreak starts.
+ * the tiebreak starts. Exhausting the allowance ends the phase with the
+ * best schedule seen (pressureOptimal == false); it is not a budget
+ * failure, so budgetExhausted stays false.
  */
 constexpr std::int64_t DEFAULT_TIEBREAK_BUDGET = 150'000;
 
@@ -91,7 +93,7 @@ struct SchedulerOptions
      * Locality provider by registry name (cme/provider.hh: "cme",
      * "oracle", or anything registered at runtime) — the
      * fallback the registry backends bind when `locality` is null.
-     * Empty is read as "cme". Callers on a hot path should bind once
+     * Callers on a hot path should bind once
      * and pass `locality` instead: a per-call binding rebuilds the
      * analysis (and its memo) every schedule.
      */

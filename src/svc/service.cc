@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "cme/provider.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "obs/metrics.hh"
@@ -25,8 +24,7 @@ constexpr std::size_t LAT_BUCKETS = 5'000;
 } // namespace
 
 SchedService::LoopContext::LoopContext(ir::LoopNest n)
-    : nest(std::move(n)),
-      streams(std::make_shared<cme::StreamCache>(nest))
+    : nest(std::move(n)), locality(nest)
 {
 }
 
@@ -44,19 +42,6 @@ SchedService::LoopContext::ddgFor(const MachineConfig &machine,
         // is read-only and safe to share across workers.
         graph->sccs();
         it = ddgs.emplace(machineKey, std::move(graph)).first;
-    }
-    return *it->second;
-}
-
-cme::LocalityAnalysis &
-SchedService::LoopContext::localityFor(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = bound.find(name);
-    if (it == bound.end()) {
-        auto analysis =
-            cme::LocalityRegistry::instance().bind(name, nest, streams);
-        it = bound.emplace(name, std::move(analysis)).first;
     }
     return *it->second;
 }
@@ -189,18 +174,13 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
                 contextFor(request.loopKey, request.scenario.loop);
             const ddg::Ddg &graph =
                 lc.ddgFor(request.scenario.machine, request.machineKey);
-            cme::LocalityAnalysis &locality =
-                lc.localityFor(request.options.locality);
 
             sched::SchedulerOptions opt;
             opt.missThreshold = request.options.threshold;
-            opt.locality = &locality;
-            opt.localityProvider = request.options.locality;
+            opt.locality = &lc.locality.get(request.options.locality);
             opt.searchBudget = request.options.nodeBudget;
             opt.timeBudgetMs = request.options.timeBudgetMs;
-            opt.exactBackend = request.options.exactBackend.empty()
-                                   ? "exact"
-                                   : request.options.exactBackend;
+            opt.exactBackend = request.options.exactBackend;
 
             const auto result = sched::scheduleWithBackend(
                 request.options.backend, graph,

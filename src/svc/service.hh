@@ -15,10 +15,11 @@
  *    same published reply pointers — a raw hit answers without
  *    parsing, printing or touching the pool at all;
  *  - per-loop contexts keyed on the canonical loop text: the owned
- *    nest, one StreamCache shared by every analysis of that loop,
- *    lazily-bound locality analyses per provider name, and per-machine
- *    DDGs with their SCC tables pre-warmed — a restarted sweep over
- *    the same loop pays the build cost once, like Workbench entries.
+ *    nest, its cme::LoopLocality (each provider bound on first use,
+ *    all on the loop's one StreamCache — the same holder a Workbench
+ *    entry owns), and per-machine DDGs with their SCC tables
+ *    pre-warmed — a restarted sweep over the same loop pays the build
+ *    cost once, like Workbench entries.
  *
  * Determinism contract: every reply payload is a pure function of its
  * request's cache key. Batching, arrival order, client count and the
@@ -62,8 +63,7 @@
 #include <string>
 #include <vector>
 
-#include "cme/locality.hh"
-#include "cme/stream.hh"
+#include "cme/provider.hh"
 #include "common/stats.hh"
 #include "ddg/ddg.hh"
 #include "harness/driver.hh"
@@ -180,30 +180,25 @@ class SchedService
   private:
     /**
      * Everything the service knows about one loop (keyed by canonical
-     * loop text). The nest is owned and address-stable; analyses and
-     * DDGs bind lazily under the context mutex and are shared by all
-     * subsequent requests for the loop.
+     * loop text). The nest is owned and address-stable; DDGs build
+     * lazily under the context mutex, analyses inside the loop's
+     * LoopLocality, and both are shared by all subsequent requests
+     * for the loop.
      */
     struct LoopContext
     {
         explicit LoopContext(ir::LoopNest n);
 
         ir::LoopNest nest;
-        std::shared_ptr<cme::StreamCache> streams;
+        cme::LoopLocality locality;
 
-        mutable std::mutex mu;   ///< guards ddgs and bound
+        mutable std::mutex mu;   ///< guards ddgs
         std::map<std::string, std::unique_ptr<ddg::Ddg>> ddgs;
-        std::map<std::string, std::unique_ptr<cme::LocalityAnalysis>>
-            bound;
 
         /** The DDG for @p machineKey, built and SCC-warmed on first
          * use. The reference stays valid for the context's lifetime. */
         const ddg::Ddg &ddgFor(const MachineConfig &machine,
                                const std::string &machineKey);
-
-        /** The bound analysis for provider @p name (lazily bound; may
-         * fatal on an unknown name — callers hold a FatalScope). */
-        cme::LocalityAnalysis &localityFor(const std::string &name);
     };
 
     /** Find-or-create the context for the request's loop (the nest is

@@ -329,32 +329,31 @@ SchedService::encodeState() const
         putU64(loops_body, contexts_.size());
         for (const auto &[loopKey, lc] : contexts_) {
             putBlob(loops_body, loopKey);
-            std::lock_guard<std::mutex> lock(lc->mu);
             // Only the concrete memoising analyses persist; wrappers
             // registered through LocalityRegistry::add() rewarm from
             // scratch.
-            std::vector<std::pair<std::string, std::string>> sections;
-            for (const auto &[name, analysis] : lc->bound) {
+            std::vector<std::string> sections;
+            lc->locality.forEach([&](const std::string &name,
+                                     const cme::LocalityAnalysis &analysis) {
+                std::string sec;
                 if (const auto *cme_a =
-                        dynamic_cast<const cme::CmeAnalysis *>(
-                            analysis.get())) {
-                    std::string sec;
+                        dynamic_cast<const cme::CmeAnalysis *>(&analysis)) {
                     putU32(sec, KIND_CME);
                     putBlob(sec, name);
                     putCmeEntries(sec, cme_a->exportMemo());
-                    sections.emplace_back(name, std::move(sec));
                 } else if (const auto *oracle =
                                dynamic_cast<const cme::CacheOracle *>(
-                                   analysis.get())) {
-                    std::string sec;
+                                   &analysis)) {
                     putU32(sec, KIND_ORACLE);
                     putBlob(sec, name);
                     putOracleEntries(sec, oracle->exportMemo());
-                    sections.emplace_back(name, std::move(sec));
+                } else {
+                    return;
                 }
-            }
+                sections.push_back(std::move(sec));
+            });
             putU64(loops_body, sections.size());
-            for (const auto &[name, sec] : sections)
+            for (const std::string &sec : sections)
                 loops_body += sec;
         }
     }
@@ -464,14 +463,14 @@ SchedService::decodeState(const std::string &bytes,
         for (StagedProvider &prov : loop.providers) {
             if (prov.kind == KIND_CME) {
                 auto *analysis = dynamic_cast<cme::CmeAnalysis *>(
-                    &lc.localityFor(prov.name));
+                    &lc.locality.get(prov.name));
                 if (analysis == nullptr)
                     mvp_fatal(origin, ": provider '", prov.name,
                               "' no longer binds a CME analysis");
                 analysis->importMemo(prov.cme);
             } else {
                 auto *analysis = dynamic_cast<cme::CacheOracle *>(
-                    &lc.localityFor(prov.name));
+                    &lc.locality.get(prov.name));
                 if (analysis == nullptr)
                     mvp_fatal(origin, ": provider '", prov.name,
                               "' no longer binds a cache oracle");

@@ -475,7 +475,8 @@ class Parser
                     addTerm(expr, iv_depth, sign * value,
                             expectIdentText("a loop variable"));
                 } else {
-                    expr.constant += sign * value;
+                    addChecked(expr.constant, sign * value,
+                               std::to_string(sign * value));
                 }
             } else if (lex_.peek().kind == Tok::Ident) {
                 addTerm(expr, iv_depth, sign, lex_.next().text);
@@ -495,7 +496,17 @@ class Parser
             fail("unknown loop variable '" + var + "'");
         if (expr.coeffs.size() <= it->second)
             expr.coeffs.resize(it->second + 1, 0);
-        expr.coeffs[it->second] += coeff;
+        addChecked(expr.coeffs[it->second], coeff,
+                   std::to_string(coeff) + "*" + var);
+    }
+
+    /** @p sum += @p term; a parse error naming @p term on overflow. */
+    void addChecked(std::int64_t &sum, std::int64_t term,
+                    const std::string &spelling)
+    {
+        if (__builtin_add_overflow(sum, term, &sum))
+            fail("affine term " + spelling +
+                 " overflows the 64-bit index expression");
     }
 
     ir::AffineRef

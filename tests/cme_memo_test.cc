@@ -8,13 +8,18 @@
  * on: a memoised answer is bit-identical to a fresh instance's answer,
  * regardless of query order, set permutation, duplicate ops in the set,
  * or how many entries the memo has absorbed (growth/rehash included).
+ * The per-loop LoopLocality holder (cme/provider.hh) is pinned too: one
+ * analysis per provider name, on the loop's one stream cache, even when
+ * eight threads race the first binding.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cme/oracle.hh"
@@ -22,6 +27,7 @@
 #include "cme/setkey.hh"
 #include "cme/solver.hh"
 #include "cme/stream.hh"
+#include "common/logging.hh"
 #include "common/memo.hh"
 #include "common/random.hh"
 #include "ir/builder.hh"
@@ -416,6 +422,74 @@ TEST(LocalityRegistry, BuiltinsAndRuntimeAdd)
     CacheOracle direct(nest);
     EXPECT_EQ(alias->missRatio(mem, mem[0], GEOM_2K),
               direct.missRatio(mem, mem[0], GEOM_2K));
+}
+
+TEST(LoopLocality, AnalysesShareTheLoopsStreamCache)
+{
+    const auto nest = interferenceLoop();
+    const auto mem = nest.memoryOps();
+    LoopLocality holder(nest);
+    EXPECT_EQ(&holder.streams().loop(), &nest);
+    auto *cme = dynamic_cast<CmeAnalysis *>(&holder.get("cme"));
+    auto *oracle = dynamic_cast<CacheOracle *>(&holder.get("oracle"));
+    ASSERT_NE(cme, nullptr);
+    ASSERT_NE(oracle, nullptr);
+    EXPECT_EQ(cme->streams().get(), &holder.streams());
+    EXPECT_EQ(oracle->streams().get(), &holder.streams());
+    for (OpId op : mem) {
+        (void)cme->missRatio(mem, op, GEOM_2K);
+        (void)oracle->missRatio(mem, op, GEOM_2K);
+    }
+    // One affine stream per memory op, whichever analysis asked first.
+    EXPECT_EQ(holder.streams().streamsBuilt(), mem.size());
+}
+
+TEST(LoopLocality, EightThreadsBindOneAnalysisPerName)
+{
+    const auto nest = interferenceLoop();
+    const auto mem = nest.memoryOps();
+    LoopLocality holder(nest);
+    constexpr int THREADS = 8;
+    const char *const names[] = {"cme", "oracle"};
+    std::vector<std::array<LocalityAnalysis *, 2>> seen(THREADS);
+    std::vector<std::array<double, 2>> ratios(THREADS);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < THREADS; ++t)
+        threads.emplace_back([&, t] {
+            // Half the threads ask for the names in the other order.
+            for (int k = 0; k < 2; ++k) {
+                const int n = (k + t) % 2;
+                seen[t][n] = &holder.get(names[n]);
+                ratios[t][n] = seen[t][n]->missRatio(mem, mem[0], GEOM_2K);
+            }
+        });
+    for (auto &th : threads)
+        th.join();
+    for (int t = 1; t < THREADS; ++t)
+        for (int n = 0; n < 2; ++n) {
+            EXPECT_EQ(seen[t][n], seen[0][n]) << names[n];
+            EXPECT_EQ(ratios[t][n], ratios[0][n]) << names[n];
+        }
+    EXPECT_NE(seen[0][0], seen[0][1]);
+    std::vector<std::string> bound;
+    holder.forEach([&](const std::string &name, const LocalityAnalysis &) {
+        bound.push_back(name);
+    });
+    EXPECT_EQ(bound, (std::vector<std::string>{"cme", "oracle"}));
+}
+
+TEST(LoopLocality, UnknownNameBindsNothing)
+{
+    const auto nest = interferenceLoop();
+    LoopLocality holder(nest);
+    {
+        FatalScope guard;
+        EXPECT_THROW((void)holder.get("no-such-provider"), FatalError);
+    }
+    int bound = 0;
+    holder.forEach(
+        [&](const std::string &, const LocalityAnalysis &) { ++bound; });
+    EXPECT_EQ(bound, 0);
 }
 
 TEST(CmeEstimate, ExposesConvergence)

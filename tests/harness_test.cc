@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests for the experiment harness: workbench preparation, suite runs,
- * aggregate consistency, and the checked integer flag parser.
+ * Tests for the experiment harness: workbench preparation, locality
+ * binding, suite runs, aggregate consistency, and the checked integer
+ * flag parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/logging.hh"
 #include "harness/driver.hh"
 #include "harness/experiment.hh"
 #include "harness/flags.hh"
@@ -19,6 +23,18 @@ namespace mvp::harness
 namespace
 {
 
+/** The providers bound to @p entry, in name order. */
+std::vector<std::string>
+boundNames(const Workbench::Entry &entry)
+{
+    std::vector<std::string> names;
+    entry.locality.forEach(
+        [&](const std::string &name, const cme::LocalityAnalysis &) {
+            names.push_back(name);
+        });
+    return names;
+}
+
 TEST(Workbench, PreparesAllSuites)
 {
     Workbench bench;
@@ -26,31 +42,60 @@ TEST(Workbench, PreparesAllSuites)
     EXPECT_GE(bench.entries().size(), 32u);
     for (const auto &e : bench.entries()) {
         EXPECT_NE(e->ddg, nullptr);
-        ASSERT_NE(e->streams, nullptr);
-        EXPECT_EQ(&e->streams->loop(), &e->nest);
-        // The default provider is bound at prep time and shares the
-        // entry's stream cache.
-        cme::LocalityAnalysis *def = e->locality("cme");
-        ASSERT_NE(def, nullptr);
-        EXPECT_EQ(&def->loop(), &e->nest);
-        EXPECT_EQ(e->locality("oracle"), nullptr);
+        EXPECT_EQ(&e->locality.streams().loop(), &e->nest);
+        // Nothing is bound until a run asks for it.
+        EXPECT_TRUE(boundNames(*e).empty());
     }
 }
 
-TEST(Workbench, EnsureLocalityBindsEveryEntryOnce)
+TEST(Workbench, ProviderBindsOnceAcrossSweepsAndRunLoop)
 {
     Workbench bench({"swim"});
-    bench.ensureLocality("oracle");
+    RunConfig config;
+    config.machine = makeTwoCluster();
+    config.backend = "rmca";
+    config.threshold = 0.25;
+    config.locality = "oracle";
+    sim::SimParams params;
+    params.maxExecutions = 2;
+    ParallelDriver driver(2);
+
+    (void)runSuiteSweep(bench, {config}, params, driver);
     std::vector<const cme::LocalityAnalysis *> first;
     for (const auto &e : bench.entries()) {
-        ASSERT_NE(e->locality("oracle"), nullptr);
-        first.push_back(e->locality("oracle"));
+        EXPECT_EQ(boundNames(*e), std::vector<std::string>{"oracle"});
+        first.push_back(&e->locality.get("oracle"));
     }
-    // Idempotent: a second call must not rebind (rebinding would drop
-    // warm memos mid-sweep).
-    bench.ensureLocality("oracle");
-    for (std::size_t i = 0; i < bench.entries().size(); ++i)
-        EXPECT_EQ(bench.entries()[i]->locality("oracle"), first[i]);
+    // A second sweep and a single-loop run reuse the bound analysis at
+    // the same address: its memo stays warm across runs.
+    (void)runSuiteSweep(bench, {config}, params, driver);
+    for (const auto &e : bench.entries())
+        (void)runLoop(*e, config, params);
+    for (std::size_t i = 0; i < bench.entries().size(); ++i) {
+        auto &e = *bench.entries()[i];
+        EXPECT_EQ(&e.locality.get("oracle"), first[i]);
+        EXPECT_EQ(boundNames(e), std::vector<std::string>{"oracle"});
+    }
+
+    config.locality = "cme";
+    (void)runLoop(*bench.entries()[0], config, params);
+    EXPECT_EQ(boundNames(*bench.entries()[0]),
+              (std::vector<std::string>{"cme", "oracle"}));
+}
+
+TEST(Workbench, UnknownProviderFailsOnTheMainThread)
+{
+    // A FatalScope turns fatals on *this* thread into exceptions; a
+    // fatal raised inside a pool worker would exit the process instead.
+    Workbench bench({"swim"});
+    RunConfig config;
+    config.locality = "no-such-provider";
+    ParallelDriver driver(2);
+    FatalScope guard;
+    EXPECT_THROW((void)runSuiteSweep(bench, {config}, {}, driver),
+                 FatalError);
+    for (const auto &e : bench.entries())
+        EXPECT_TRUE(boundNames(*e).empty());
 }
 
 TEST(Workbench, FilterSelectsSubset)
@@ -70,7 +115,8 @@ TEST(RunSuite, AggregatesMatchLoopSums)
     config.threshold = 1.0;
     sim::SimParams params;
     params.maxExecutions = 2;
-    const auto suite = runSuite(bench, config, params);
+    ParallelDriver driver;
+    const auto suite = runSuiteSweep(bench, {config}, params, driver).at(0);
 
     Cycle compute = 0;
     Cycle stall = 0;
@@ -95,8 +141,9 @@ TEST(RunSuite, DeterministicAcrossRuns)
     config.threshold = 0.25;
     sim::SimParams params;
     params.maxExecutions = 2;
-    const auto a = runSuite(bench, config, params);
-    const auto b = runSuite(bench, config, params);
+    ParallelDriver driver;
+    const auto a = runSuiteSweep(bench, {config}, params, driver).at(0);
+    const auto b = runSuiteSweep(bench, {config}, params, driver).at(0);
     EXPECT_EQ(a.compute, b.compute);
     EXPECT_EQ(a.stall, b.stall);
 }
@@ -116,29 +163,10 @@ TEST(RunSuite, RmcaNeverWorseOnConflictSuites)
     RunConfig rmca = base;
     rmca.backend = "rmca";
 
-    const auto rb = runSuite(bench, base, params);
-    const auto rr = runSuite(bench, rmca, params);
-    EXPECT_LE(rr.total(), rb.total() * 105 / 100);   // within noise, <=
-}
-
-TEST(BackendName, EmptyReadsAsBaseline)
-{
-    RunConfig config;
-    EXPECT_EQ(backendName(config), "baseline");
-    config.backend.clear();
-    EXPECT_EQ(backendName(config), "baseline");
-    config.backend = "verify";
-    EXPECT_EQ(backendName(config), "verify");
-}
-
-TEST(LocalityName, EmptyReadsAsCme)
-{
-    RunConfig config;
-    EXPECT_EQ(localityName(config), "cme");
-    config.locality.clear();
-    EXPECT_EQ(localityName(config), "cme");
-    config.locality = "oracle";
-    EXPECT_EQ(localityName(config), "oracle");
+    ParallelDriver driver;
+    const auto results = runSuiteSweep(bench, {base, rmca}, params, driver);
+    EXPECT_LE(results[1].total(),
+              results[0].total() * 105 / 100);   // within noise, <=
 }
 
 // A suite run under the exact oracle provider must produce valid
@@ -157,8 +185,11 @@ TEST(RunSuite, OracleProviderRunsEndToEnd)
     sim::SimParams params;
     params.maxExecutions = 2;
 
-    const auto with_cme = runSuite(bench, cme_cfg, params);
-    const auto with_oracle = runSuite(bench, oracle_cfg, params);
+    ParallelDriver driver;
+    const auto results =
+        runSuiteSweep(bench, {cme_cfg, oracle_cfg}, params, driver);
+    const SuiteResult &with_cme = results[0];
+    const SuiteResult &with_oracle = results[1];
     ASSERT_EQ(with_cme.loops.size(), with_oracle.loops.size());
     for (std::size_t i = 0; i < with_oracle.loops.size(); ++i) {
         EXPECT_TRUE(with_oracle.loops[i].sched.ok);

@@ -132,14 +132,14 @@ TEST_F(ObsTest, SchedulingUnperturbedByMetricsAndTrace)
     harness::ParallelDriver driver(8);
 
     const std::string off = harness::formatSuiteResult(
-        harness::runSuite(bench, config, params, driver));
+        harness::runSuiteSweep(bench, {config}, params, driver).at(0));
 
     const std::string trace_path =
         ::testing::TempDir() + "obs_test_perturb_trace.json";
     Registry::instance().enable();
     traceInit(trace_path);
     const std::string on = harness::formatSuiteResult(
-        harness::runSuite(bench, config, params, driver));
+        harness::runSuiteSweep(bench, {config}, params, driver).at(0));
     traceFinish();
     std::remove(trace_path.c_str());
 

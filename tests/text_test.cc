@@ -233,6 +233,18 @@ TEST(TextParseDeath, RejectsLoopValuesOutsideInt)
     EXPECT_EXIT((void)parseLoop(head + "%1 = fadd %0 %0@4294967297 }"),
                 ::testing::ExitedWithCode(1),
                 "operand distance value 4294967297 is out of range");
+    // Affine constants and coefficients sum in checked 64-bit
+    // arithmetic: a wrapping sum is a parse error naming the term.
+    EXPECT_EXIT((void)parseLoop(head + "%1 = load A[9223372036854775807 "
+                                       "+ 9223372036854775807 + i] }"),
+                ::testing::ExitedWithCode(1),
+                "affine term 9223372036854775807 overflows");
+    EXPECT_EXIT((void)parseLoop(head + "%1 = load A[-9223372036854775807 "
+                                       "- 2 + i] }"),
+                ::testing::ExitedWithCode(1), "affine term -2 overflows");
+    EXPECT_EXIT((void)parseLoop(head + "%1 = load A[9223372036854775807*i "
+                                       "+ i] }"),
+                ::testing::ExitedWithCode(1), "affine term 1\\*i overflows");
 }
 
 // ------------------------------------------------------------ file IO
