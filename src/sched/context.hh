@@ -2,7 +2,9 @@
  * @file
  * Explicit scheduler contexts: every scratch buffer the scheduling
  * stack reuses across runs, owned by the caller instead of hiding in
- * `thread_local` statics.
+ * `thread_local` statics — the heuristic's placement books, the
+ * ordering and lifetime tables, and the SAT engine's CDCL solver and
+ * encoder buffers.
  *
  * PR 1 removed the per-run allocations of the hot path by parking the
  * placement-loop buffers in `inline static thread_local` members. That
@@ -16,9 +18,11 @@
  *
  * A SchedContext is NOT thread-safe; it is cheap to construct (empty
  * vectors) and grows to the high-water mark of the loops scheduled
- * through it. The convenience entry points that take no context
- * (scheduleBaseline, scheduleWithBackend without a context, ...) build
- * a transient one per call, trading the buffer reuse for ergonomics.
+ * through it. Nothing is ever shrunk: a context keeps the capacity of
+ * the largest loop, and of the largest SAT formula, it has scheduled.
+ * The convenience entry points that take no context (scheduleBaseline,
+ * scheduleWithBackend without a context, ...) build a transient one per
+ * call, trading the buffer reuse for ergonomics.
  */
 
 #ifndef MVP_SCHED_CONTEXT_HH
@@ -30,6 +34,8 @@
 #include "common/types.hh"
 #include "ddg/ddg.hh"
 #include "obs/metrics.hh"
+#include "sched/sat/encode.hh"
+#include "sched/sat/solver.hh"
 #include "sched/sentinels.hh"
 #include "sched/window.hh"
 
@@ -148,6 +154,12 @@ class SchedContext
     /** The node ordering, computed once per run and kept across II
      * bumps. */
     std::vector<OpId> order;
+
+    /** The SAT engine's solver (sched/sat/): reset() at the start of
+     * each search, so a search takes a fresh solver's path. */
+    sat::Solver satSolver;
+    /** The SAT encoder's buffers, rewritten by every II probe. */
+    sat::EncodeScratch satEncoding;
 
     /** Metric accumulator riding along with the scratch: same
      * ownership, same thread-affinity. Schedulers record here with

@@ -21,10 +21,12 @@ constexpr std::int64_t MAX_ORDER_VARS = 400'000;
 } // namespace
 
 IiEncoding::IiEncoding(const ddg::Ddg &graph, const MachineConfig &machine,
-                       const std::vector<OpId> &order, Cycle ii)
+                       const std::vector<OpId> &order, Cycle ii,
+                       EncodeScratch &scratch)
     : graph_(graph), machine_(machine), order_(order), ii_(ii),
       lrb_(machine.regBusLatency), nc_(machine.nClusters),
-      n_(graph.size())
+      n_(graph.size()), sc_(scratch), ops_(scratch.ops), pos_(scratch.pos),
+      comms_(scratch.comms), pair_of_(scratch.pairOf), cut_(scratch.cut)
 {
     mvp_assert(order_.size() == n_, "ordering does not cover the loop");
 }
@@ -102,33 +104,19 @@ IiEncoding::readIn(OpId u, ClusterId d,
 }
 
 void
-IiEncoding::clause(Solver &s, std::initializer_list<Lit> ls)
+IiEncoding::clause(Solver &s, std::span<const Lit> ls)
 {
-    buf_.clear();
-    buf_.push_back(~act_);
+    std::vector<Lit> &cl = sc_.clause;
+    cl.clear();
+    cl.push_back(~act_);
     for (Lit l : ls) {
         if (l == TRUE_LIT)
             return;
         if (l == FALSE_LIT)
             continue;
-        buf_.push_back(l);
+        cl.push_back(l);
     }
-    s.addClause(buf_);
-}
-
-void
-IiEncoding::clauseV(Solver &s, const std::vector<Lit> &ls)
-{
-    buf_.clear();
-    buf_.push_back(~act_);
-    for (Lit l : ls) {
-        if (l == TRUE_LIT)
-            return;
-        if (l == FALSE_LIT)
-            continue;
-        buf_.push_back(l);
-    }
-    s.addClause(buf_);
+    s.addClause(cl);
 }
 
 void
@@ -143,8 +131,10 @@ IiEncoding::atMostK(Solver &s, const std::vector<Lit> &xs, int k)
         return;
     }
     // Sinz sequential counter: s_{i,j} <=> "at least j of x_0..x_i".
-    std::vector<Var> prev(static_cast<std::size_t>(k));
-    std::vector<Var> cur(static_cast<std::size_t>(k));
+    std::vector<Var> &prev = sc_.prev;
+    std::vector<Var> &cur = sc_.cur;
+    prev.resize(static_cast<std::size_t>(k));
+    cur.resize(static_cast<std::size_t>(k));
     for (int j = 0; j < k; ++j) {
         prev[static_cast<std::size_t>(j)] = s.newVar();
         if (j == 0)
@@ -324,10 +314,11 @@ IiEncoding::emitClusterConstraints(Solver &s)
         ov.k0 = s.newVar();
         for (int c = 1; c < nc_; ++c)
             s.newVar();
-        std::vector<Lit> alo;
+        std::vector<Lit> &alo = sc_.lits;
+        alo.clear();
         for (ClusterId c = 0; c < nc_; ++c)
             alo.push_back(klit(static_cast<OpId>(v), c));
-        clauseV(s, alo);
+        clause(s, alo);
         for (ClusterId c = 0; c < nc_; ++c)
             for (ClusterId c2 = c + 1; c2 < nc_; ++c2)
                 clause(s, {~klit(static_cast<OpId>(v), c),
@@ -339,11 +330,12 @@ IiEncoding::emitClusterConstraints(Solver &s)
     for (std::size_t k = 0; k < n_; ++k) {
         const OpId v = order_[k];
         for (ClusterId c = 1; c < nc_; ++c) {
-            std::vector<Lit> cl;
+            std::vector<Lit> &cl = sc_.lits;
+            cl.clear();
             cl.push_back(~klit(v, c));
             for (std::size_t k2 = 0; k2 < k; ++k2)
                 cl.push_back(klit(order_[k2], c - 1));
-            clauseV(s, cl);
+            clause(s, cl);
         }
     }
 }
@@ -351,6 +343,7 @@ IiEncoding::emitClusterConstraints(Solver &s)
 void
 IiEncoding::emitCommStructure(Solver &s)
 {
+    comms_.clear();
     pair_of_.assign(n_ * static_cast<std::size_t>(nc_), -1);
     if (nc_ == 1)
         return;
@@ -460,7 +453,8 @@ IiEncoding::emitDependences(Solver &s)
 void
 IiEncoding::emitWindowCaps(Solver &s)
 {
-    std::vector<int> ins, outs;
+    std::vector<int> &ins = sc_.ins, &outs = sc_.outs;
+    std::vector<Lit> &sel = sc_.lits;
     for (std::size_t k = 0; k < n_; ++k) {
         const OpId v = order_[k];
         const OpVars &ov = ops_[static_cast<std::size_t>(v)];
@@ -480,12 +474,12 @@ IiEncoding::emitWindowCaps(Solver &s)
 
         if (!ins.empty()) {
             // Ascending window: t_v <= early + II - 1.
-            std::vector<Lit> sel;
             const bool multiple = ins.size() > 1;
             if (multiple) {
+                sel.clear();
                 for (std::size_t i = 0; i < ins.size(); ++i)
                     sel.push_back(mkLit(s.newVar()));
-                clauseV(s, sel);
+                clause(s, sel);
             }
             for (std::size_t i = 0; i < ins.size(); ++i) {
                 const auto &e =
@@ -520,12 +514,12 @@ IiEncoding::emitWindowCaps(Solver &s)
             }
         } else if (!outs.empty()) {
             // Descending window: t_v >= late - II + 1.
-            std::vector<Lit> sel;
             const bool multiple = outs.size() > 1;
             if (multiple) {
+                sel.clear();
                 for (std::size_t i = 0; i < outs.size(); ++i)
                     sel.push_back(mkLit(s.newVar()));
-                clauseV(s, sel);
+                clause(s, sel);
             }
             const Cycle out_lat = graph_.opLatency(v);
             for (std::size_t i = 0; i < outs.size(); ++i) {
@@ -561,10 +555,12 @@ void
 IiEncoding::emitFuCapacity(Solver &s)
 {
     const auto &loop = graph_.loop();
+    std::vector<OpId> &members = sc_.members;
+    std::vector<Lit> &xs = sc_.xs;
     for (int f = 0; f < ir::NUM_FU_TYPES; ++f) {
         const auto type = static_cast<ir::FuType>(f);
         const int cap = machine_.fusPerCluster(type);
-        std::vector<OpId> members;
+        members.clear();
         for (std::size_t v = 0; v < n_; ++v)
             if (loop.op(static_cast<OpId>(v)).fuType() == type)
                 members.push_back(static_cast<OpId>(v));
@@ -594,7 +590,6 @@ IiEncoding::emitFuCapacity(Solver &s)
                                       static_cast<Var>(c * ii_ + sl))});
             }
         }
-        std::vector<Lit> xs;
         for (ClusterId c = 0; c < nc_; ++c)
             for (Cycle sl = 0; sl < ii_; ++sl) {
                 xs.clear();
@@ -635,7 +630,7 @@ IiEncoding::emitBusCapacity(Solver &s)
                            mkLit(cv.u0 +
                                  static_cast<Var>(modSlot(j + kk)))});
     }
-    std::vector<Lit> xs;
+    std::vector<Lit> &xs = sc_.xs;
     for (Cycle sl = 0; sl < ii_; ++sl) {
         xs.clear();
         for (const CommVars &cv : comms_)
@@ -695,7 +690,8 @@ IiEncoding::refinePressure(Solver &s, ClusterId c, Cycle slot)
         const CommVars &cv = comms_[static_cast<std::size_t>(t.pair)];
         return std::pair{cv.xlo + t.off, cv.xhi + t.off};
     };
-    std::vector<Lit> xs;
+    std::vector<Lit> &xs = sc_.xs;
+    xs.clear();
     std::vector<std::pair<Lit, Term>> ends; // (reader guard, its end)
     const auto interval = [&](Lit guard, const Term &start) {
         auto [a, a_hi] = hull(start);
@@ -808,7 +804,8 @@ IiEncoding::modelStart(const Solver &s, int pair) const
 bool
 IiEncoding::decode(const Solver &s, ModuloSchedule &out) const
 {
-    std::vector<ClusterId> cluster(n_);
+    std::vector<ClusterId> &cluster = sc_.cluster;
+    cluster.resize(n_);
     out.reset(ii_, n_, nc_);
     for (std::size_t v = 0; v < n_; ++v) {
         cluster[v] = modelCluster(s, static_cast<OpId>(v));
@@ -844,8 +841,10 @@ IiEncoding::decode(const Solver &s, ModuloSchedule &out) const
 void
 IiEncoding::blockModel(Solver &s)
 {
-    std::vector<Lit> cl;
-    std::vector<ClusterId> cluster(n_);
+    std::vector<Lit> &cl = sc_.lits;
+    std::vector<ClusterId> &cluster = sc_.cluster;
+    cl.clear();
+    cluster.resize(n_);
     for (std::size_t v = 0; v < n_; ++v) {
         const Cycle t = modelTime(s, static_cast<OpId>(v));
         cluster[v] = modelCluster(s, static_cast<OpId>(v));
@@ -863,7 +862,7 @@ IiEncoding::blockModel(Solver &s)
             cl.push_back(neg(ple(p, x)));
             cl.push_back(ple(p, x - 1));
         }
-    clauseV(s, cl);
+    clause(s, cl);
 }
 
 } // namespace mvp::sched::sat

@@ -52,6 +52,8 @@
 #define MVP_SCHED_SAT_ENCODE_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -62,6 +64,51 @@
 
 namespace mvp::sched::sat
 {
+
+/**
+ * The buffers an IiEncoding fills: the attempt's variable layout plus
+ * the emitters' temporaries. The caller keeps one (SchedContext) so
+ * successive probes and searches reuse its capacity; build() rewrites
+ * everything it reads, so nothing carries over between attempts.
+ */
+struct EncodeScratch
+{
+    /** Order-encoded time window of one op. */
+    struct OpVars
+    {
+        Cycle lo = 0;
+        Cycle hi = 0;  ///< inclusive; O vars span [lo, hi-1]
+        Var o0 = -1;   ///< first O var (j = lo); -1 when hi == lo
+        Var k0 = -1;   ///< first cluster var (multi-cluster only)
+        Var s0 = -1;   ///< first modulo-slot var (FU counting; lazy)
+        Var b0 = -1;   ///< first (cluster x slot) var (lazy)
+    };
+
+    /** One potential transfer: producer u's value into cluster d. */
+    struct CommVars
+    {
+        OpId u = INVALID_ID;
+        ClusterId d = INVALID_ID;
+        Cycle xlo = 0;
+        Cycle xhi = -1; ///< inclusive; empty range = transfer impossible
+        Var p0 = -1;    ///< order vars for the start, span [xlo, xhi-1]
+        Var e = -1;     ///< "this transfer exists"
+        Var u0 = -1;    ///< bus-occupancy indicators, one per slot (lazy)
+    };
+
+    std::vector<OpVars> ops;    ///< by OpId
+    std::vector<int> pos;       ///< by OpId: position in the order
+    std::vector<CommVars> comms;
+    std::vector<int> pairOf;    ///< [op*nc + d] -> comms index or -1
+    std::vector<bool> cut;      ///< [cluster*II + slot]: pressure cut
+    std::vector<Lit> clause;    ///< the clause being emitted
+    std::vector<Lit> lits;      ///< a clause's literals, or selectors
+    std::vector<Lit> xs;        ///< an at-most-k's inputs
+    std::vector<Var> prev, cur; ///< the sequential counter's columns
+    std::vector<int> ins, outs; ///< a window cap's edges
+    std::vector<OpId> members;  ///< the ops of one FU type
+    std::vector<ClusterId> cluster; ///< a model's clusters, by OpId
+};
 
 /**
  * Builder/decoder for one (loop, machine, II) attempt. Construct, call
@@ -80,8 +127,11 @@ class IiEncoding
         TooLarge,   ///< variable budget exceeded; treat as "unknown"
     };
 
+    /** The attempt's state lives in @p scratch, which must outlive
+     * this object and serve no other attempt meanwhile. */
     IiEncoding(const ddg::Ddg &graph, const MachineConfig &machine,
-               const std::vector<OpId> &order, Cycle ii);
+               const std::vector<OpId> &order, Cycle ii,
+               EncodeScratch &scratch);
 
     /** Emit the encoding into @p s (allocates the activation var). */
     Status build(Solver &s);
@@ -113,28 +163,8 @@ class IiEncoding
     bool refinePressure(Solver &s, ClusterId c, Cycle slot);
 
   private:
-    /** Order-encoded time window of one op. */
-    struct OpVars
-    {
-        Cycle lo = 0;
-        Cycle hi = 0;  ///< inclusive; O vars span [lo, hi-1]
-        Var o0 = -1;   ///< first O var (j = lo); -1 when hi == lo
-        Var k0 = -1;   ///< first cluster var (multi-cluster only)
-        Var s0 = -1;   ///< first modulo-slot var (FU counting; lazy)
-        Var b0 = -1;   ///< first (cluster x slot) var (lazy)
-    };
-
-    /** One potential transfer: producer u's value into cluster d. */
-    struct CommVars
-    {
-        OpId u = INVALID_ID;
-        ClusterId d = INVALID_ID;
-        Cycle xlo = 0;
-        Cycle xhi = -1; ///< inclusive; empty range = transfer impossible
-        Var p0 = -1;    ///< order vars for the start, span [xlo, xhi-1]
-        Var e = -1;     ///< "this transfer exists"
-        Var u0 = -1;    ///< bus-occupancy indicators, one per slot (lazy)
-    };
+    using OpVars = EncodeScratch::OpVars;
+    using CommVars = EncodeScratch::CommVars;
 
     // Sentinels threaded through clause construction: lit() drops
     // FALSE literals and suppresses clauses containing TRUE ones.
@@ -150,8 +180,13 @@ class IiEncoding
     bool readIn(OpId u, ClusterId d,
                 const std::vector<ClusterId> &cluster) const;
 
-    void clause(Solver &s, std::initializer_list<Lit> ls);
-    void clauseV(Solver &s, const std::vector<Lit> &ls);
+    /** Emit the clause guarded by ~activation(): TRUE_LIT drops it,
+     * FALSE_LIT literals drop out. */
+    void clause(Solver &s, std::span<const Lit> ls);
+    void clause(Solver &s, std::initializer_list<Lit> ls)
+    {
+        clause(s, std::span(ls.begin(), ls.size()));
+    }
 
     /** Guarded at-most-k (Sinz sequential counter) over plain lits. */
     void atMostK(Solver &s, const std::vector<Lit> &xs, int k);
@@ -179,13 +214,14 @@ class IiEncoding
     const std::size_t n_;
 
     Lit act_ = LIT_UNDEF;
-    std::vector<OpVars> ops_;      ///< by OpId
-    std::vector<int> pos_;         ///< by OpId: position in order_
-    std::vector<CommVars> comms_;
-    std::vector<int> pair_of_;     ///< [op*nc + d] -> comms_ index or -1
-    std::vector<Lit> buf_;         ///< clause scratch
-    std::vector<bool> cut_;        ///< [cluster*II + slot]: pressure cut
-    bool too_large_ = false;
+    // The caller's buffers; the references below name the attempt's
+    // variable layout inside them.
+    EncodeScratch &sc_;
+    std::vector<OpVars> &ops_;
+    std::vector<int> &pos_;
+    std::vector<CommVars> &comms_;
+    std::vector<int> &pair_of_;
+    std::vector<bool> &cut_;
 };
 
 } // namespace mvp::sched::sat

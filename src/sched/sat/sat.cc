@@ -19,7 +19,9 @@ namespace
 
 /**
  * Per-loop search state: one incremental solver across all II probes,
- * driven up the II ladder by climbIiLadder() (sched/ladder.hh).
+ * driven up the II ladder by climbIiLadder() (sched/ladder.hh). The
+ * solver is the context's, reset here so the search takes a fresh
+ * solver's path; each probe encodes into the context's buffers.
  */
 struct SatSearch final : IiProber
 {
@@ -28,7 +30,7 @@ struct SatSearch final : IiProber
     const SchedulerOptions &options;
     SchedContext &ctx;
 
-    sat::Solver solver;
+    sat::Solver &solver;
     SearchClock *clock = nullptr;
     ModuloSchedule best;
 
@@ -42,8 +44,9 @@ struct SatSearch final : IiProber
 
     SatSearch(const ddg::Ddg &g, const MachineConfig &m,
               const SchedulerOptions &o, SchedContext &c)
-        : graph(g), machine(m), options(o), ctx(c)
+        : graph(g), machine(m), options(o), ctx(c), solver(c.satSolver)
     {
+        solver.reset();
     }
 
     void begin(Cycle mii, SearchClock &c) override
@@ -113,7 +116,7 @@ SatSearch::probe(Cycle ii)
     if (clock->expired())
         return Probe::Aborted;
 
-    sat::IiEncoding enc(graph, machine, ctx.order, ii);
+    sat::IiEncoding enc(graph, machine, ctx.order, ii, ctx.satEncoding);
     const sat::IiEncoding::Status st = enc.build(solver);
     if (st == sat::IiEncoding::Status::Infeasible) {
         // Statically refuted (empty window hull): as certified as an

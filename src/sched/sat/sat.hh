@@ -8,7 +8,9 @@
  * hosts all probes: each II's clauses are guarded by an activation
  * literal, a probe solves under that single assumption, a refuted
  * probe is retired with the negated activation unit, and learned
- * clauses carry across probes.
+ * clauses carry across probes. The solver and the encoder's buffers
+ * are the SchedContext's, reset() when a search starts, so a warm
+ * context encodes and solves without regrowing them.
  *
  * Certificates and reporting are the B&B's because the ladder is
  * shared: UNSAT lifts iiLowerBound while refutations are gapless from

@@ -38,11 +38,41 @@ constexpr std::int64_t RESTART_BASE = 128;
 
 Solver::Solver() = default;
 
+void
+Solver::reset()
+{
+    for (std::size_t i = 0; i < vals_.size(); ++i)
+        watches_[i].clear();
+    ok_ = true;
+    arena_.clear();
+    vals_.clear();
+    model_.clear();
+    polarity_.clear();
+    level_.clear();
+    reason_.clear();
+    activity_.clear();
+    trail_.clear();
+    trail_lim_.clear();
+    qhead_ = 0;
+    var_inc_ = 1.0;
+    heap_.clear();
+    heap_pos_.clear();
+    seen_.clear();
+    conflict_core_.clear();
+    deadline_on_ = false;
+    conflict_budget_ = 0;
+    slice_mark_ = 0;
+    budget_hit_ = false;
+    stats_ = {};
+}
+
 Var
 Solver::newVar()
 {
-    const Var v = static_cast<Var>(assigns_.size());
-    assigns_.push_back(LBool::Undef);
+    const Var v = nVars();
+    vals_.push_back(LBool::Undef);
+    vals_.push_back(LBool::Undef);
+    model_.push_back(LBool::Undef);
     model_.push_back(LBool::Undef);
     polarity_.push_back(1); // saved phase starts at "false"
     level_.push_back(0);
@@ -50,8 +80,8 @@ Solver::newVar()
     activity_.push_back(0.0);
     heap_pos_.push_back(-1);
     seen_.push_back(0);
-    watches_.emplace_back();
-    watches_.emplace_back();
+    if (watches_.size() < vals_.size())
+        watches_.resize(vals_.size());
     insertVarOrder(v);
     return v;
 }
@@ -60,10 +90,9 @@ Solver::CRef
 Solver::allocClause(const std::vector<Lit> &lits, bool learnt)
 {
     const CRef c = static_cast<CRef>(arena_.size());
-    arena_.push_back(static_cast<std::int32_t>(lits.size()) << 1 |
-                     (learnt ? 1 : 0));
-    for (const Lit l : lits)
-        arena_.push_back(l.x);
+    arena_.push_back(
+        Lit{static_cast<std::int32_t>(lits.size()) << 1 | (learnt ? 1 : 0)});
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
     return c;
 }
 
@@ -87,13 +116,13 @@ Solver::addClause(const std::vector<Lit> &lits)
 
     // Sort/dedup; drop clauses satisfied at the root, drop root-false
     // literals.
-    std::vector<Lit> cl(lits);
-    std::sort(cl.begin(), cl.end(),
+    std::vector<Lit> &out = add_tmp_;
+    out.assign(lits.begin(), lits.end());
+    std::sort(out.begin(), out.end(),
               [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
-    out.reserve(cl.size());
+    std::size_t kept = 0;
     Lit prev = LIT_UNDEF;
-    for (const Lit l : cl) {
+    for (const Lit l : out) {
         mvp_assert(var(l) >= 0 && var(l) < nVars(),
                    "literal over unallocated variable");
         if (l == prev)
@@ -101,9 +130,10 @@ Solver::addClause(const std::vector<Lit> &lits)
         if (l == ~prev || value(l) == LBool::True)
             return true; // tautology or already satisfied
         if (value(l) != LBool::False)
-            out.push_back(l);
+            out[kept++] = l;
         prev = l;
     }
+    out.resize(kept);
 
     if (out.empty()) {
         ok_ = false;
@@ -123,8 +153,9 @@ void
 Solver::uncheckedEnqueue(Lit l, CRef reason)
 {
     const auto v = static_cast<std::size_t>(var(l));
-    mvp_assert(assigns_[v] == LBool::Undef, "enqueue over assignment");
-    assigns_[v] = sign(l) ? LBool::False : LBool::True;
+    mvp_assert(value(l) == LBool::Undef, "enqueue over assignment");
+    vals_[static_cast<std::size_t>(l.x)] = LBool::True;
+    vals_[static_cast<std::size_t>((~l).x)] = LBool::False;
     level_[v] = static_cast<int>(trail_lim_.size());
     reason_[v] = reason;
     trail_.push_back(l);
@@ -136,55 +167,59 @@ Solver::propagate()
     CRef conflict = CREF_UNDEF;
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
+        const Lit false_lit = ~p;
         ++stats_.propagations;
+        // Raw cursors into p's list stay valid: a moved watcher joins
+        // the list of a literal that is not false, so never p's.
         auto &ws = watches_[static_cast<std::size_t>(p.x)];
-        std::size_t i = 0, j = 0;
-        const std::size_t n = ws.size();
-        while (i < n) {
-            const Watch w = ws[i++];
+        Watch *i = ws.data();
+        Watch *j = i;
+        Watch *const end = i + ws.size();
+        while (i != end) {
             // Blocker satisfied: clause satisfied, watch stays.
-            if (value(w.blocker) == LBool::True) {
-                ws[j++] = w;
+            if (value(i->blocker) == LBool::True) {
+                *j++ = *i++;
                 continue;
             }
-            const CRef c = w.cref;
+            const CRef c = i->cref;
+            ++i;
             Lit *lits = clauseLits(c);
-            const std::int32_t size = clauseSize(c);
             // Normalise so lits[1] is the falsified watcher (~p).
-            const Lit false_lit = ~p;
-            if (lits[0] == false_lit)
-                std::swap(lits[0], lits[1]);
+            if (lits[0] == false_lit) {
+                lits[0] = lits[1];
+                lits[1] = false_lit;
+            }
             mvp_assert(lits[1] == false_lit, "watch desynchronised");
+            const Lit first = lits[0];
             // First watcher satisfied: keep watching.
-            if (value(lits[0]) == LBool::True) {
-                ws[j++] = {c, lits[0]};
+            if (value(first) == LBool::True) {
+                *j++ = {c, first};
                 continue;
             }
             // Find a new literal to watch.
-            bool moved = false;
-            for (std::int32_t k = 2; k < size; ++k) {
-                if (value(lits[k]) != LBool::False) {
-                    std::swap(lits[1], lits[k]);
-                    watches_[static_cast<std::size_t>((~lits[1]).x)]
-                        .push_back({c, lits[0]});
-                    moved = true;
-                    break;
-                }
-            }
-            if (moved)
+            const std::int32_t size = clauseSize(c);
+            std::int32_t k = 2;
+            while (k < size && value(lits[k]) == LBool::False)
+                ++k;
+            if (k < size) {
+                lits[1] = lits[k];
+                lits[k] = false_lit;
+                watches_[static_cast<std::size_t>((~lits[1]).x)]
+                    .push_back({c, first});
                 continue;
+            }
             // Unit or conflicting.
-            ws[j++] = {c, lits[0]};
-            if (value(lits[0]) == LBool::False) {
+            *j++ = {c, first};
+            if (value(first) == LBool::False) {
                 conflict = c;
                 qhead_ = trail_.size();
-                while (i < n)
-                    ws[j++] = ws[i++];
+                while (i != end)
+                    *j++ = *i++;
                 break;
             }
-            uncheckedEnqueue(lits[0], c);
+            uncheckedEnqueue(first, c);
         }
-        ws.resize(j);
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         if (conflict != CREF_UNDEF)
             break;
     }
@@ -274,7 +309,7 @@ Solver::pickBranchLit()
 {
     while (!heapEmpty()) {
         const Var v = heapRemoveMin();
-        if (assigns_[static_cast<std::size_t>(v)] == LBool::Undef)
+        if (value(mkLit(v)) == LBool::Undef)
             return mkLit(v, polarity_[static_cast<std::size_t>(v)] != 0);
     }
     return LIT_UNDEF;
@@ -291,7 +326,8 @@ Solver::cancelUntil(int lvl)
         const Lit l = trail_[i - 1];
         const auto v = static_cast<std::size_t>(var(l));
         polarity_[v] = sign(l) ? 1 : 0; // phase saving
-        assigns_[v] = LBool::Undef;
+        vals_[static_cast<std::size_t>(l.x)] = LBool::Undef;
+        vals_[static_cast<std::size_t>((~l).x)] = LBool::Undef;
         reason_[v] = CREF_UNDEF;
         insertVarOrder(var(l));
     }
@@ -460,7 +496,7 @@ Solver::solve(const std::vector<Lit> &assumptions)
     std::int64_t restart_limit =
         RESTART_BASE * luby(stats_.restarts);
     std::int64_t conflicts_this_restart = 0;
-    std::vector<Lit> learnt;
+    std::vector<Lit> &learnt = learnt_;
 
     for (;;) {
         const CRef conflict = propagate();
@@ -536,7 +572,7 @@ Solver::solve(const std::vector<Lit> &assumptions)
             next = pickBranchLit();
             if (next == LIT_UNDEF) {
                 // All variables assigned: model found.
-                model_ = assigns_;
+                model_ = vals_;
                 cancelUntil(0);
                 return SolveResult::Sat;
             }

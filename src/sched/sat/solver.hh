@@ -8,7 +8,10 @@
  * backjumping, VSIDS-style activity decay, Luby restarts, and
  * assumption-based incremental solving so successive II probes on the
  * same loop reuse the learned-clause database (each probe's encoding is
- * guarded by an activation literal; see encode.hh).
+ * guarded by an activation literal; see encode.hh). reset() clears the
+ * formula for the next loop's search but keeps every buffer's
+ * capacity, so a solver owned by a SchedContext stops allocating once
+ * warm.
  *
  * Determinism contract: the solver contains no randomness and no
  * interleaving-dependent state. Decisions pick the unassigned variable
@@ -88,7 +91,8 @@ enum class SolveResult
     Unknown, ///< a budget (deadline/conflict cap) fired first
 };
 
-/** Cumulative work counters (monotone across solve() calls). */
+/** Work counters since construction or the last reset(), summed over
+ * every solve() in between. */
 struct SolverStats
 {
     std::int64_t conflicts = 0;    ///< conflicts analysed
@@ -102,19 +106,28 @@ struct SolverStats
 /**
  * The solver. Usage: newVar()/addClause() to build, solve() to run,
  * modelValue() to read a model, addClause() again between solves for
- * incremental refinement (blocking clauses, next II probe's encoding).
+ * incremental refinement (blocking clauses, next II probe's encoding),
+ * reset() to start the next formula.
  */
 class Solver
 {
   public:
     Solver();
 
+    /**
+     * Return to the constructed state — no variables, no clauses,
+     * okay(), no deadline, no conflict cap, zeroed stats() — keeping
+     * capacity. A reset solver fed a clause sequence takes exactly the
+     * path a fresh one takes.
+     */
+    void reset();
+
     /** @name Problem construction */
     /// @{
     /** Allocate and return a fresh variable. */
     Var newVar();
 
-    int nVars() const { return static_cast<int>(assigns_.size()); }
+    int nVars() const { return static_cast<int>(level_.size()); }
 
     /**
      * Add a clause (may be called between solve()s; the trail is
@@ -161,7 +174,7 @@ class Solver
     /** Model polarity of @p v after solve() returned Sat. */
     bool modelValue(Var v) const
     {
-        return model_[static_cast<std::size_t>(v)] == LBool::True;
+        return model_[static_cast<std::size_t>(mkLit(v).x)] == LBool::True;
     }
 
     /**
@@ -201,21 +214,12 @@ class Solver
     };
 
     // Clause arena accessors: a clause is [header][lit 0..size-1] in
-    // arena_, header = size << 1 | learnt.
-    std::int32_t clauseSize(CRef c) const { return arena_[c] >> 1; }
-    Lit *clauseLits(CRef c) { return reinterpret_cast<Lit *>(&arena_[c + 1]); }
-    const Lit *clauseLits(CRef c) const
-    {
-        return reinterpret_cast<const Lit *>(&arena_[c + 1]);
-    }
+    // arena_, the header a Lit whose x = size << 1 | learnt.
+    std::int32_t clauseSize(CRef c) const { return arena_[c].x >> 1; }
+    Lit *clauseLits(CRef c) { return &arena_[c + 1]; }
+    const Lit *clauseLits(CRef c) const { return &arena_[c + 1]; }
 
-    LBool value(Lit l) const
-    {
-        const LBool v = assigns_[static_cast<std::size_t>(var(l))];
-        if (v == LBool::Undef)
-            return LBool::Undef;
-        return (v == LBool::True) != sign(l) ? LBool::True : LBool::False;
-    }
+    LBool value(Lit l) const { return vals_[static_cast<std::size_t>(l.x)]; }
 
     int level(Var v) const { return level_[static_cast<std::size_t>(v)]; }
 
@@ -240,10 +244,12 @@ class Solver
     static constexpr double ACT_RESCALE = 1e100;
 
     bool ok_ = true;
-    std::vector<std::int32_t> arena_;
-    std::vector<std::vector<Watch>> watches_; ///< indexed by Lit.x
-    std::vector<LBool> assigns_;              ///< by var
-    std::vector<LBool> model_;                ///< by var (last Sat solve)
+    std::vector<Lit> arena_;
+    /** Indexed by Lit.x; holds 2 * nVars() live lists and keeps the
+     * (cleared) lists of larger past formulas for their capacity. */
+    std::vector<std::vector<Watch>> watches_;
+    std::vector<LBool> vals_;                 ///< by Lit.x
+    std::vector<LBool> model_;                ///< by Lit.x (last Sat solve)
     std::vector<char> polarity_;              ///< saved phase, by var
     std::vector<int> level_;                  ///< by var
     std::vector<CRef> reason_;                ///< by var
@@ -260,6 +266,8 @@ class Solver
     std::vector<char> seen_; ///< by var, scratch for analyze()
     std::vector<Var> analyze_clear_; ///< vars marked in seen_ this call
     std::vector<Lit> conflict_core_;
+    std::vector<Lit> add_tmp_; ///< addClause() scratch
+    std::vector<Lit> learnt_;  ///< solve() scratch: analyze()'s clause
 
     bool deadline_on_ = false;
     std::chrono::steady_clock::time_point deadline_{};

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "sched/exact/bnb.hh"
 #include "sched/sat/sat.hh"
 #include "sched/sat/solver.hh"
+#include "sched_fingerprint.hh"
 #include "workloads/workloads.hh"
 
 namespace mvp::sched
@@ -171,6 +174,122 @@ TEST(CdclSolver, SolvesAreBitReproducible)
     EXPECT_EQ(a.stats().decisions, b.stats().decisions);
     EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
     EXPECT_EQ(a.stats().propagations, b.stats().propagations);
+}
+
+/** Everything a solve leaves observable: verdict, model, core and the
+ * work counters. */
+struct SolveOutcome
+{
+    SolveResult result = SolveResult::Unknown;
+    std::vector<bool> model;
+    std::vector<int> core;
+    sat::SolverStats stats;
+};
+
+SolveOutcome
+outcomeOf(const sat::Solver &s, SolveResult r)
+{
+    SolveOutcome o{r, {}, {}, s.stats()};
+    if (r == SolveResult::Sat)
+        for (sat::Var v = 0; v < s.nVars(); ++v)
+            o.model.push_back(s.modelValue(v));
+    for (const sat::Lit l : s.conflictCore())
+        o.core.push_back(l.x);
+    return o;
+}
+
+void
+expectSameOutcome(const SolveOutcome &a, const SolveOutcome &b,
+                  const std::string &label)
+{
+    EXPECT_EQ(a.result, b.result) << label;
+    EXPECT_EQ(a.model, b.model) << label;
+    EXPECT_EQ(a.core, b.core) << label;
+    EXPECT_EQ(a.stats.conflicts, b.stats.conflicts) << label;
+    EXPECT_EQ(a.stats.propagations, b.stats.propagations) << label;
+    EXPECT_EQ(a.stats.decisions, b.stats.decisions) << label;
+    EXPECT_EQ(a.stats.learned, b.stats.learned) << label;
+    EXPECT_EQ(a.stats.learnedLits, b.stats.learnedLits) << label;
+    EXPECT_EQ(a.stats.restarts, b.stats.restarts) << label;
+}
+
+/** Random 3-CNF over @p vars variables, @p clauses clauses, fixed
+ * seed: the same clause sequence on every call. */
+void
+addRandom3Sat(sat::Solver &s, int vars, int clauses, std::uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    std::vector<sat::Var> v;
+    for (int i = 0; i < vars; ++i)
+        v.push_back(s.newVar());
+    for (int c = 0; c < clauses; ++c) {
+        std::vector<sat::Lit> cl;
+        for (int k = 0; k < 3; ++k)
+            cl.push_back(mkLit(v[rng() % static_cast<std::uint32_t>(vars)],
+                               (rng() & 1) != 0));
+        if (!s.addClause(cl))
+            return;
+    }
+}
+
+/** The formulas a reused solver is compared on: UNSAT outright, UNSAT
+ * under assumptions (a core), and random satisfiable and unsatisfiable
+ * instances. Each leaves the solver's outcome for comparison. */
+std::vector<SolveOutcome>
+solveReferenceFormulas(sat::Solver &s, bool reset_between)
+{
+    std::vector<SolveOutcome> out;
+    const auto next = [&] {
+        if (reset_between)
+            s.reset();
+        else
+            s = sat::Solver();
+    };
+    next();
+    addPigeonhole(s, 6, 5);
+    out.push_back(outcomeOf(s, s.solve()));
+    next();
+    addPigeonhole(s, 4, 4);
+    const sat::Var x = s.newVar();
+    const sat::Var y = s.newVar();
+    EXPECT_TRUE(s.addClause({~mkLit(x), ~mkLit(y)}));
+    out.push_back(outcomeOf(s, s.solve({mkLit(x), mkLit(0), mkLit(y)})));
+    next();
+    addRandom3Sat(s, 150, 600, 7);
+    out.push_back(outcomeOf(s, s.solve()));
+    next();
+    addRandom3Sat(s, 100, 460, 11);
+    out.push_back(outcomeOf(s, s.solve()));
+    return out;
+}
+
+/** reset() is invisible: a solver that has held a larger formula
+ * (and ended root-UNSAT, past its deadline and under a conflict cap)
+ * solves every reference formula with a fresh solver's model, core
+ * and counters. */
+TEST(CdclSolver, ResetSolverTakesTheFreshSolversPath)
+{
+    sat::Solver fresh;
+    const auto want = solveReferenceFormulas(fresh, false);
+    ASSERT_EQ(want[0].result, SolveResult::Unsat);
+    ASSERT_EQ(want[1].result, SolveResult::Unsat);
+    ASSERT_FALSE(want[1].core.empty());
+    ASSERT_EQ(want[2].result, SolveResult::Sat);
+    ASSERT_EQ(want[3].result, SolveResult::Unsat);
+
+    sat::Solver reused;
+    addRandom3Sat(reused, 3000, 9000, 3);
+    ASSERT_EQ(reused.solve(), SolveResult::Sat);
+    addPigeonhole(reused, 5, 4);
+    ASSERT_EQ(reused.solve(), SolveResult::Unsat);
+    ASSERT_FALSE(reused.okay());
+    reused.setDeadline(std::chrono::steady_clock::now());
+    reused.setConflictBudget(3);
+
+    const auto got = solveReferenceFormulas(reused, true);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        expectSameOutcome(got[i], want[i], "formula " + std::to_string(i));
 }
 
 /** One unbudgeted sat search with metrics on, plus the two counters
@@ -448,6 +567,147 @@ TEST(SatBackend, ConflictCapNeverChangesTheAnswer)
         EXPECT_EQ(r.schedule.ii(), ref.schedule.ii()) << "cap " << cap;
         EXPECT_EQ(r.schedule.validate(graph, machine), "");
     }
+}
+
+/** The deterministic sat.* counters one search folds. */
+const char *const SAT_COUNTERS[] = {
+    "sat.searches",      "sat.conflicts",        "sat.propagations",
+    "sat.decisions",     "sat.learned_clauses",  "sat.learned_lits",
+    "sat.restarts",      "sat.vars",             "sat.ii_attempts",
+    "sat.ii_refuted",    "sat.lifts",            "sat.blocked_models",
+    "sat.refinements",   "sat.encodings_too_large",
+    "sat.budget_exhausted",
+};
+
+/** One sat search through @p ctx (metrics on), with the counters it
+ * folded; the context's shard is emptied for the next search. */
+struct Certification
+{
+    ScheduleResult result;
+    std::vector<std::int64_t> counters;
+};
+
+Certification
+certify(const ddg::Ddg &graph, const MachineConfig &machine,
+        const SchedulerOptions &options, SchedContext &ctx)
+{
+    Certification c{scheduleSatExact(graph, machine, options, ctx), {}};
+    for (const char *name : SAT_COUNTERS)
+        c.counters.push_back(ctx.metrics.det(name));
+    ctx.metrics.clear();
+    return c;
+}
+
+void
+expectSameCertification(const Certification &got,
+                        const Certification &want,
+                        const std::string &label)
+{
+    EXPECT_EQ(got.result.ok, want.result.ok) << label;
+    EXPECT_EQ(got.result.schedule.ii(), want.result.schedule.ii()) << label;
+    EXPECT_EQ(got.result.stats.provenOptimal,
+              want.result.stats.provenOptimal)
+        << label;
+    EXPECT_EQ(got.result.stats.searchNodes, want.result.stats.searchNodes)
+        << label;
+    EXPECT_EQ(fingerprintResult(got.result), fingerprintResult(want.result))
+        << label;
+    for (std::size_t i = 0; i < std::size(SAT_COUNTERS); ++i)
+        EXPECT_EQ(got.counters[i], want.counters[i])
+            << label << ": " << SAT_COUNTERS[i];
+}
+
+/** The context's solver and encoder buffers are reused across
+ * searches, and that reuse is invisible: every certification of the
+ * builtin corpus on both clustered machines, in either order through
+ * one context, matches the same search through a fresh context. */
+TEST(SatBackend, OneContextCertifiesLikeFreshContexts)
+{
+    obs::Registry::instance().enable();
+    const MachineConfig machines[] = {makeTwoCluster(), makeFourCluster()};
+    const auto loops = workloads::allLoops();
+    std::vector<ddg::Ddg> graphs;
+    std::vector<const MachineConfig *> machine_of;
+    std::vector<std::string> labels;
+    for (const auto &wl : loops)
+        for (const MachineConfig &m : machines) {
+            graphs.push_back(ddg::Ddg::build(wl.nest, m));
+            machine_of.push_back(&m);
+            labels.push_back(wl.nest.name() + "/" + m.name);
+        }
+    ASSERT_EQ(graphs.size(), 64u);
+    // No wall clock: a deadline under TSan/Debug would make the
+    // comparison depend on timing.
+    SchedulerOptions opt;
+    opt.timeBudgetMs = -1;
+
+    std::vector<Certification> fresh;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        SchedContext ctx;
+        fresh.push_back(certify(graphs[i], *machine_of[i], opt, ctx));
+        ASSERT_TRUE(fresh.back().result.ok) << labels[i];
+    }
+    for (const bool reversed : {false, true}) {
+        SchedContext ctx;
+        for (std::size_t k = 0; k < graphs.size(); ++k) {
+            const std::size_t i = reversed ? graphs.size() - 1 - k : k;
+            expectSameCertification(
+                certify(graphs[i], *machine_of[i], opt, ctx), fresh[i],
+                labels[i] + (reversed ? " (reversed)" : ""));
+        }
+    }
+    obs::Registry::instance().disable();
+}
+
+/** Nothing one search leaves in the context reaches the next: after a
+ * search capped at 20 conflicts, one whose deadline had already
+ * passed, and a solver left root-UNSAT, an unbudgeted search on the
+ * same context certifies exactly as it does alone. */
+TEST(SatBackend, NoSearchLeaksIntoTheNext)
+{
+    obs::Registry::instance().enable();
+    const auto bench = workloads::makeSwim();
+    const auto machine = makeFourCluster();
+    const auto graph = ddg::Ddg::build(bench.loops[2], machine);
+    SchedulerOptions plain;
+    plain.timeBudgetMs = -1;
+    SchedContext alone;
+    const Certification want = certify(graph, machine, plain, alone);
+    ASSERT_TRUE(want.result.ok);
+    // Enough work that the solver polls its deadline (sat.propagations)
+    // and outlasts the conflict cap below.
+    ASSERT_GT(want.counters[2], 10'000);
+    ASSERT_GT(want.result.stats.searchNodes, 20);
+
+    {
+        SchedContext ctx;
+        SchedulerOptions capped = plain;
+        capped.searchBudget = 20;
+        EXPECT_TRUE(
+            certify(graph, machine, capped, ctx).result.stats.budgetExhausted);
+        expectSameCertification(certify(graph, machine, plain, ctx), want,
+                                "after a capped search");
+    }
+    {
+        SchedContext ctx;
+        SchedulerOptions expired;
+        expired.timeBudgetMs = 0;
+        EXPECT_TRUE(certify(graph, machine, expired, ctx)
+                        .result.stats.budgetExhausted);
+        expectSameCertification(certify(graph, machine, plain, ctx), want,
+                                "after an expired deadline");
+    }
+    {
+        SchedContext ctx;
+        sat::Solver &s = ctx.satSolver;
+        const sat::Var x = s.newVar();
+        ASSERT_TRUE(s.addClause({mkLit(x)}));
+        EXPECT_FALSE(s.addClause({~mkLit(x)}));
+        ASSERT_FALSE(s.okay());
+        expectSameCertification(certify(graph, machine, plain, ctx), want,
+                                "after a root-UNSAT solver");
+    }
+    obs::Registry::instance().disable();
 }
 
 } // namespace
