@@ -33,7 +33,7 @@ constexpr const char *COUNTER_NAMES[] = {
 
 MemorySystem::MemorySystem(const MachineConfig &machine)
     : machine_(machine), geom_(machine.clusterCacheGeom()),
-      numSets_(geom_.numSets())
+      lineOf_(geom_.lineBytes), numSets_(geom_.numSets())
 {
     static_assert(std::size(COUNTER_NAMES) == NumCounters &&
                   NumCounters <= 32);
@@ -58,19 +58,31 @@ MemorySystem::reset()
     for (auto &cl : clusters_) {
         std::fill(cl.ways.begin(), cl.ways.end(), Way{});
         std::fill(cl.mshrBusyUntil.begin(), cl.mshrBusyUntil.end(), 0);
-        cl.inflight.clear();
+        cl.evictedInFlight.clear();
     }
     std::fill(busFreeAt_.begin(), busFreeAt_.end(), 0);
-    counts_.fill(0);   // touched counters keep their names, like StatGroup
+    touched_ = touchedMask();   // touched counters keep their names,
+    counts_.fill(0);            // like StatGroup
+}
+
+std::uint32_t
+MemorySystem::touchedMask() const
+{
+    std::uint32_t mask = touched_;
+    for (unsigned c = 0; c < NumCounters; ++c)
+        if (counts_[c] != 0)
+            mask |= 1u << c;
+    return mask;
 }
 
 StatGroup
 MemorySystem::stats() const
 {
+    const std::uint32_t touched = touchedMask();
     StatGroup group;
-    group.reserve(static_cast<std::size_t>(std::popcount(touched_)));
+    group.reserve(static_cast<std::size_t>(std::popcount(touched)));
     for (unsigned c = 0; c < NumCounters; ++c)
-        if (touched_ & (1u << c))
+        if (touched & (1u << c))
             group.set(COUNTER_NAMES[c], counts_[c]);
     return group;
 }
@@ -87,7 +99,7 @@ MemorySystem::acquireBus(Cycle ready)
             best = b;
     const Cycle grant = std::max(ready, busFreeAt_[best]);
     busFreeAt_[best] = grant + machine_.memBusLatency;
-    bump(BusWaitCycles, grant - ready);
+    bumpMaybeZero(BusWaitCycles, grant - ready);
     bump(BusTransactions);
     return grant;
 }
@@ -105,19 +117,19 @@ MemorySystem::findWay(const Cluster &cl, std::int64_t set,
 
 MemorySystem::Way
 MemorySystem::installLine(Cluster &cl, std::int64_t set, std::int64_t line,
-                          LineState state)
+                          LineState state, Cycle fill_done)
 {
     Way *ways = &cl.ways[wayIndex(set, 0)];
     const Way victim = ways[geom_.assoc - 1];
     std::copy_backward(ways, ways + geom_.assoc - 1, ways + geom_.assoc);
-    ways[0] = Way{line, state};
+    ways[0] = Way{line, fill_done, state};
     return victim;
 }
 
 void
 MemorySystem::invalidateRemote(std::int64_t line, ClusterId except)
 {
-    const std::int64_t set = line % numSets_;
+    const std::int64_t set = setOf(line);
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
         if (static_cast<ClusterId>(c) == except)
             continue;
@@ -133,71 +145,73 @@ LineState
 MemorySystem::probe(ClusterId cluster, Addr addr) const
 {
     const auto &cl = clusters_[static_cast<std::size_t>(cluster)];
-    const std::int64_t line = geom_.lineOf(addr);
-    const std::int64_t set = line % numSets_;
+    const std::int64_t line = lineOf_(addr);
+    const std::int64_t set = setOf(line);
     const int w = findWay(cl, set, line);
     return w < 0 ? LineState::Invalid : cl.ways[wayIndex(set, w)].state;
 }
 
 MemAccessResult
-MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
-                     Cycle issue)
+MemorySystem::accessSlow(Cluster &cl, ClusterId cluster, std::int64_t line,
+                         std::int64_t set, bool is_store, Cycle issue)
 {
-    auto &cl = clusters_[static_cast<std::size_t>(cluster)];
-    const std::int64_t line = geom_.lineOf(addr);
-    const std::int64_t set = line % numSets_;
+    Way *ways = &cl.ways[wayIndex(set, 0)];
     MemAccessResult res;
-    bump(is_store ? Stores : Loads);
 
-    // A fill for this line still in flight? Merge before probing tags
-    // (the tag was installed eagerly when the fill was initiated, so the
-    // probe alone would mis-report an instant hit).
-    const auto fill = std::find_if(
-        cl.inflight.begin(), cl.inflight.end(),
-        [line](const auto &entry) { return entry.first == line; });
-    if (fill != cl.inflight.end()) {
-        if (fill->second > issue) {
-            res.mergedInFlight = true;
-            bump(MshrMerges);
-            bump(LocalMisses);
-            res.completion =
-                std::max(fill->second, issue + machine_.latCacheHit);
-            if (is_store) {
-                const int w = findWay(cl, set, line);
-                const bool shared =
-                    w < 0 || cl.ways[wayIndex(set, w)].state !=
-                                 LineState::Modified;
-                if (shared) {
-                    // Ownership needs an upgrade once the data arrives.
-                    const Cycle grant = acquireBus(res.completion);
-                    invalidateRemote(line, cluster);
-                    if (w >= 0)
-                        cl.ways[wayIndex(set, w)].state =
-                            LineState::Modified;
-                    res.completion = grant + machine_.memBusLatency;
-                    bump(Upgrades);
-                }
-            }
-            return res;
+    // One scan of the set finds a fill of this line still in flight and
+    // a valid tag. A pending fill wins: the tag was installed eagerly
+    // when the fill was initiated, so the tag alone would mis-report an
+    // instant hit. A fill evicted before it completed is looked up on
+    // the side.
+    Cycle fill = 0;
+    int way = -1;
+    for (int w = 0; w < geom_.assoc; ++w) {
+        if (ways[w].line != line)
+            continue;
+        if (ways[w].fillDone > issue) {
+            fill = ways[w].fillDone;
+            break;
         }
-        *fill = cl.inflight.back();
-        cl.inflight.pop_back();
+        if (ways[w].state != LineState::Invalid)
+            way = w;
+    }
+    if (way < 0 && fill == 0)
+        for (const auto &[evicted, done] : cl.evictedInFlight)
+            if (evicted == line && done > issue)
+                fill = done;
+
+    if (fill != 0) {
+        bump(MshrMerges);
+        bump(LocalMisses);
+        res.completion = std::max(fill, issue + machine_.latCacheHit);
+        if (is_store) {
+            const int w = findWay(cl, set, line);
+            if (w < 0 || ways[w].state != LineState::Modified) {
+                // Ownership needs an upgrade once the data arrives.
+                const Cycle grant = acquireBus(res.completion);
+                invalidateRemote(line, cluster);
+                if (w >= 0)
+                    ways[w].state = LineState::Modified;
+                res.completion = grant + machine_.memBusLatency;
+                bump(Upgrades);
+            }
+        }
+        return res;
     }
 
-    const int way = findWay(cl, set, line);
     if (way >= 0) {
-        // Touch for LRU.
-        Way *ways = &cl.ways[wayIndex(set, 0)];
-        const Way touched = ways[way];
-        std::copy_backward(ways, ways + way, ways + way + 1);
-        ways[0] = touched;
+        // Touch for LRU (a direct-mapped hit is always way 0).
+        if (way > 0) {
+            const Way touched = ways[way];
+            std::copy_backward(ways, ways + way, ways + way + 1);
+            ways[0] = touched;
+        }
         Way &mru = ways[0];
 
-        if (!is_store || touched.state == LineState::Modified) {
+        if (!is_store || mru.state == LineState::Modified) {
             // Plain hit.
             if (is_store)
                 mru.state = LineState::Modified;
-            res.localHit = true;
             res.completion = issue + machine_.latCacheHit;
             bump(LocalHits);
             return res;
@@ -206,7 +220,6 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
         const Cycle grant = acquireBus(issue + machine_.latCacheHit);
         invalidateRemote(line, cluster);
         mru.state = LineState::Modified;
-        res.localHit = true;
         res.completion = grant + machine_.memBusLatency;
         bump(Upgrades);
         return res;
@@ -229,17 +242,27 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
     const Cycle ready = alloc + machine_.latCacheHit;
     const Cycle grant = acquireBus(ready);
 
-    // Snoop the other clusters at grant time.
-    bool remote_dirty = false;
+    // Snoop the other clusters at grant time. The first holder found
+    // supplies the line; every holder downgrades (load) or is
+    // invalidated (store).
     bool remote_has = false;
-    for (std::size_t c = 0; c < clusters_.size() && !remote_has; ++c) {
+    bool remote_dirty = false;
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
         if (static_cast<ClusterId>(c) == cluster)
             continue;
         const int w = findWay(clusters_[c], set, line);
-        if (w >= 0) {
+        if (w < 0)
+            continue;
+        Way &held = clusters_[c].ways[wayIndex(set, w)];
+        if (!remote_has) {
             remote_has = true;
-            remote_dirty = clusters_[c].ways[wayIndex(set, w)].state ==
-                           LineState::Modified;
+            remote_dirty = held.state == LineState::Modified;
+        }
+        if (is_store) {
+            held.state = LineState::Invalid;
+            bump(Invalidations);
+        } else {
+            held.state = LineState::Shared;
         }
     }
 
@@ -248,45 +271,35 @@ MemorySystem::access(ClusterId cluster, Addr addr, bool is_store,
         // Cache-to-cache transfer: the bus transaction plus the remote
         // cache's access time.
         fill_done = grant + machine_.memBusLatency + machine_.latCacheHit;
-        res.remoteHit = true;
         bump(RemoteHits);
         if (remote_dirty)
             bump(DirtySupplies);
-        // Supplier downgrades (load) or invalidates (store below).
-        for (std::size_t c = 0; c < clusters_.size(); ++c) {
-            if (static_cast<ClusterId>(c) == cluster)
-                continue;
-            const int w = findWay(clusters_[c], set, line);
-            if (w >= 0)
-                clusters_[c].ways[wayIndex(set, w)].state =
-                    LineState::Shared;
-        }
     } else {
         fill_done = grant + machine_.memBusLatency + machine_.latMainMemory;
         bump(MemoryFills);
     }
 
-    if (is_store)
-        invalidateRemote(line, cluster);
-
     // Install the line, write back a dirty victim (write buffer: the
     // writeback occupies a bus but does not delay this fill).
-    const Way victim = installLine(
-        cl, set, line, is_store ? LineState::Modified : LineState::Shared);
+    const Way victim =
+        installLine(cl, set, line,
+                    is_store ? LineState::Modified : LineState::Shared,
+                    fill_done);
     if (victim.state == LineState::Modified) {
         acquireBus(fill_done);
         bump(Writebacks);
     }
+    if (victim.fillDone > issue) {
+        // The victim's fill is still on its way: later accesses merge
+        // into it. Entries that completed by now can never merge again
+        // (issue cycles never decrease), so drop them here.
+        std::erase_if(cl.evictedInFlight, [issue](const auto &entry) {
+            return entry.second <= issue;
+        });
+        cl.evictedInFlight.emplace_back(victim.line, victim.fillDone);
+    }
 
     *mshr = fill_done;
-    // The line has no in-flight entry here: a pending one merged above,
-    // a completed one was dropped.
-    cl.inflight.emplace_back(line, fill_done);
-    // Retire completed in-flight markers lazily (keeps the table tiny;
-    // stale entries are also dropped on lookup).
-    std::erase_if(cl.inflight,
-                  [issue](const auto &entry) { return entry.second < issue; });
-
     res.completion = fill_done;
     return res;
 }

@@ -35,7 +35,6 @@
 #define MVP_CME_STREAM_HH
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -46,47 +45,6 @@
 
 namespace mvp::cme
 {
-
-/**
- * Address -> cache line under one line size: a shift when the size is a
- * power of two, else CacheGeom::lineOf's division. The two agree on
- * every address of a validated loop (LoopNest::validate() keeps them
- * below 2^63).
- */
-class LineMap
-{
-  public:
-    explicit LineMap(int line_bytes)
-        : bytes_(line_bytes),
-          shift_((line_bytes & (line_bytes - 1)) == 0
-                     ? std::countr_zero(static_cast<unsigned>(line_bytes))
-                     : -1)
-    {
-    }
-
-    std::int64_t operator()(Addr addr) const
-    {
-        return shifts() ? map<true>(addr) : map<false>(addr);
-    }
-
-    /** True when the line size is a power of two. */
-    bool shifts() const { return shift_ >= 0; }
-
-    /**
-     * operator() with the shift-or-divide choice made by the caller,
-     * for hot loops that dispatch on shifts() once, outside the loop.
-     */
-    template <bool SHIFT>
-    std::int64_t map(Addr addr) const
-    {
-        const auto a = static_cast<std::int64_t>(addr);
-        return SHIFT ? a >> shift_ : a / bytes_;
-    }
-
-  private:
-    std::int64_t bytes_;
-    int shift_;   ///< log2 of the line size, or -1 when not a power of 2
-};
 
 /**
  * Affine access stream of one memory operation: the address it touches

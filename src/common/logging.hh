@@ -96,10 +96,18 @@ composeMessage(Args &&...args)
     ::mvp::detail::informImpl(::mvp::LogLevel::Normal,                       \
                               ::mvp::detail::composeMessage(__VA_ARGS__))
 
-/** Status message only shown at Verbose or Debug verbosity. */
+/**
+ * Status message only shown at Verbose or Debug verbosity. Below that
+ * the message is not composed at all: hot paths (every refuted II)
+ * call this.
+ */
 #define mvp_verbose(...)                                                     \
-    ::mvp::detail::informImpl(::mvp::LogLevel::Verbose,                      \
-                              ::mvp::detail::composeMessage(__VA_ARGS__))
+    do {                                                                     \
+        if (::mvp::logLevel() >= ::mvp::LogLevel::Verbose)                   \
+            ::mvp::detail::informImpl(                                       \
+                ::mvp::LogLevel::Verbose,                                    \
+                ::mvp::detail::composeMessage(__VA_ARGS__));                 \
+    } while (0)
 
 /** panic() unless the condition holds. */
 #define mvp_assert(cond, ...)                                                \

@@ -86,7 +86,7 @@ runScenario(std::uint64_t seed, const DiffOptions &options,
         sched::SchedulerOptions eopt = sopt;
         eopt.searchBudget = options.searchBudget;
         eopt.timeBudgetMs = options.timeBudgetMs;
-        const auto exact = sched::scheduleWithBackend(
+        const auto exact = sched::certifyWithBackend(
             options.exactBackend, graph, sc.machine, eopt, ctx);
         if (exact.ok && exact.stats.provenOptimal) {
             out.exactSettled = true;

@@ -105,7 +105,8 @@ class SatBackend : public SchedulerBackend
  * Runs the rmca heuristic and the exact scheduler on the same loop and
  * reports the II optimality gap of the heuristic. The heuristic
  * schedule is the one returned (verify is a *measurement* mode, not a
- * better scheduler); the gap fields land in the stats.
+ * better scheduler); the gap fields land in the stats. Only the exact
+ * engine's certificate is read, so it runs through certifyWithBackend.
  */
 class VerifyBackend : public SchedulerBackend
 {
@@ -129,7 +130,7 @@ class VerifyBackend : public SchedulerBackend
                                        ? "exact"
                                        : options.exactBackend;
         const ScheduleResult ex =
-            scheduleWithBackend(inner, graph, machine, options, ctx);
+            certifyWithBackend(inner, graph, machine, options, ctx);
 
         res.stats.searchNodes = ex.stats.searchNodes;
         res.stats.budgetExhausted = ex.stats.budgetExhausted;
@@ -213,6 +214,19 @@ scheduleWithBackend(const std::string &backend_name,
     SchedContext ctx;
     return scheduleWithBackend(backend_name, graph, machine, options,
                                ctx);
+}
+
+ScheduleResult
+certifyWithBackend(const std::string &backend_name, const ddg::Ddg &graph,
+                   const MachineConfig &machine,
+                   const SchedulerOptions &options, SchedContext &ctx)
+{
+    if (backend_name == "exact" || backend_name == "bnb") {
+        exact::ExactOptions toggles;
+        toggles.tiebreakPressure = false;
+        return exact::scheduleExact(graph, machine, options, ctx, toggles);
+    }
+    return scheduleWithBackend(backend_name, graph, machine, options, ctx);
 }
 
 } // namespace mvp::sched

@@ -121,6 +121,20 @@ ScheduleResult scheduleWithBackend(const std::string &backend_name,
                                    const MachineConfig &machine,
                                    const SchedulerOptions &options);
 
+/**
+ * Certify @p graph's minimal II with the exact engine registered under
+ * @p backend_name, for callers that read only the certificate: the II,
+ * provenOptimal, iiLowerBound, the budget flags and a schedule that
+ * validates. The branch and bound ("exact", "bnb") then runs without
+ * its register-pressure tiebreak, which only chooses among schedules
+ * of the certified II; any other name runs as scheduleWithBackend.
+ */
+ScheduleResult certifyWithBackend(const std::string &backend_name,
+                                  const ddg::Ddg &graph,
+                                  const MachineConfig &machine,
+                                  const SchedulerOptions &options,
+                                  SchedContext &ctx);
+
 } // namespace mvp::sched
 
 #endif // MVP_SCHED_BACKEND_HH

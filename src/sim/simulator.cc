@@ -22,23 +22,36 @@ struct DynCheck
     int distance;
 };
 
-/** One op of a modulo slot: everything the cycle loop reads about it. */
-struct SlotOp
+/** An op of a modulo slot whose operands are checked dynamically. */
+struct CheckedOp
 {
     std::int64_t stage;        ///< schedule time / II
-    ClusterId cluster;
-    int mem;                   ///< index into the memory table, or -1
-    bool isStore;
     std::uint32_t checksBegin; ///< its DynChecks: [checksBegin, checksEnd)
     std::uint32_t checksEnd;
 };
 
-/** One memory op: its reference and this execution's addresses. */
-struct MemOp
+/** A memory op of a modulo slot: everything the issue pass reads. */
+struct IssuedOp
 {
-    const ir::AffineRef *ref;
-    ir::StridedAddress addr;
+    std::int64_t stage;        ///< schedule time / II
+    ir::StridedAddress addr;   ///< this execution's addresses
     std::size_t row;           ///< start of its completion records
+    const ir::AffineRef *ref;
+    ClusterId cluster;
+    bool isStore;
+};
+
+/**
+ * The ops of one modulo slot, in program order: checked[checkedBegin,
+ * checkedEnd) for the hazard pass, issued[issuedBegin, issuedEnd) for
+ * the issue pass.
+ */
+struct Slot
+{
+    std::uint32_t checkedBegin = 0;
+    std::uint32_t checkedEnd = 0;
+    std::uint32_t issuedBegin = 0;
+    std::uint32_t issuedEnd = 0;
 };
 
 } // namespace
@@ -58,53 +71,68 @@ simulateLoop(const ddg::Ddg &graph, const sched::ModuloSchedule &sched,
     const Cycle flat_len = rows * ii;
     const std::size_t n_ops = loop.size();
 
-    // Memory ops get completion records (one slot per iteration).
-    std::vector<int> mem_of(n_ops, -1);
-    std::vector<MemOp> mems;
+    // Memory ops get completion records (one slot per iteration), in
+    // program order.
+    std::vector<std::size_t> row_of(n_ops, 0);
+    std::size_t n_rows = 0;
     for (const auto &op : loop.ops())
         if (op.isMemory()) {
-            mem_of[static_cast<std::size_t>(op.id)] =
-                static_cast<int>(mems.size());
-            mems.push_back({&*op.memRef, {},
-                            mems.size() * static_cast<std::size_t>(n_iter)});
+            row_of[static_cast<std::size_t>(op.id)] = n_rows;
+            n_rows += static_cast<std::size_t>(n_iter);
         }
-    std::vector<Cycle> completion(mems.size() *
-                                  static_cast<std::size_t>(n_iter));
+    std::vector<Cycle> completion(n_rows);
 
-    // Issue table: the ops of each modulo slot in program order, slot
-    // s spanning [slot_at[s], slot_at[s + 1]), each op with its dynamic
-    // checks.
+    // Issue tables, by modulo slot in program order: the ops with
+    // dynamic checks (the hazard pass) and the memory ops (the issue
+    // pass). An op in neither does nothing the cycle loop can see, so it
+    // is left out; opsExecuted and memAccesses are counted in closed
+    // form.
     std::vector<OpId> order(n_ops);
     std::iota(order.begin(), order.end(), OpId{0});
     std::stable_sort(order.begin(), order.end(), [&](OpId a, OpId b) {
         return sched.slot(a) < sched.slot(b);
     });
-    std::vector<std::size_t> slot_at(static_cast<std::size_t>(ii) + 1, 0);
-    for (const OpId v : order)
-        ++slot_at[static_cast<std::size_t>(sched.slot(v)) + 1];
-    std::partial_sum(slot_at.begin(), slot_at.end(), slot_at.begin());
-    std::vector<SlotOp> table;
+    std::vector<Slot> slots(static_cast<std::size_t>(ii));
+    std::vector<CheckedOp> checked;
+    std::vector<IssuedOp> issued;
     std::vector<DynCheck> checks;
-    table.reserve(n_ops);
-    for (const OpId v : order) {
-        const auto &p = sched.placed(v);
-        const auto checks_begin = static_cast<std::uint32_t>(checks.size());
-        for (const auto &e : graph.edges()) {
-            const auto &src = loop.op(e.src);
-            const bool dyn =
-                (e.isRegFlow() && src.isLoad()) ||
-                (e.kind == ddg::EdgeKind::MemFlow && src.isStore());
-            if (dyn && e.dst == v && e.src != e.dst)
-                checks.push_back(
-                    {mems[static_cast<std::size_t>(
-                              mem_of[static_cast<std::size_t>(e.src)])]
-                         .row,
-                     e.distance});
+    auto next = order.begin();
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+        Slot &slot = slots[s];
+        slot.checkedBegin = static_cast<std::uint32_t>(checked.size());
+        slot.issuedBegin = static_cast<std::uint32_t>(issued.size());
+        for (; next != order.end() &&
+               static_cast<std::size_t>(sched.slot(*next)) == s;
+             ++next) {
+            const OpId v = *next;
+            const auto &op = loop.op(v);
+            const auto &p = sched.placed(v);
+            const auto checks_begin =
+                static_cast<std::uint32_t>(checks.size());
+            for (const auto &e : graph.edges()) {
+                const auto &src = loop.op(e.src);
+                const bool dyn =
+                    (e.isRegFlow() && src.isLoad()) ||
+                    (e.kind == ddg::EdgeKind::MemFlow && src.isStore());
+                if (dyn && e.dst == v && e.src != e.dst)
+                    checks.push_back(
+                        {row_of[static_cast<std::size_t>(e.src)],
+                         e.distance});
+            }
+            const auto checks_end =
+                static_cast<std::uint32_t>(checks.size());
+            if (checks_end != checks_begin)
+                checked.push_back({p.time / ii, checks_begin, checks_end});
+            if (op.isMemory())
+                issued.push_back({p.time / ii,
+                                  {},
+                                  row_of[static_cast<std::size_t>(v)],
+                                  &*op.memRef,
+                                  p.cluster,
+                                  op.isStore()});
         }
-        table.push_back({p.time / ii, p.cluster,
-                         mem_of[static_cast<std::size_t>(v)],
-                         loop.op(v).isStore(), checks_begin,
-                         static_cast<std::uint32_t>(checks.size())});
+        slot.checkedEnd = static_cast<std::uint32_t>(checked.size());
+        slot.issuedEnd = static_cast<std::uint32_t>(issued.size());
     }
 
     cache::MemorySystem memsys(machine);
@@ -121,27 +149,24 @@ simulateLoop(const ddg::Ddg &graph, const sched::ModuloSchedule &sched,
         // Outer induction variables of this execution, and every
         // reference's addresses along it.
         space.at(exec * n_iter, ivs);
-        for (auto &m : mems)
+        for (IssuedOp &m : issued)
             m.addr = loop.stridedAddressOf(*m.ref, ivs);
 
         // Flat cycle c = row * II + slot; an op of stage st issues
         // iteration k = row - st.
         Cycle c = 0;
         for (std::int64_t row = 0; row < rows; ++row) {
-            for (std::size_t slot = 0; slot < static_cast<std::size_t>(ii);
-                 ++slot, ++c) {
-                const SlotOp *first = table.data() + slot_at[slot];
-                const SlotOp *last = table.data() + slot_at[slot + 1];
-
+            for (const Slot &slot : slots) {
                 // --- Hazard check: stall all clusters until every
                 // operand consumed this cycle is available. ---
                 Cycle stall_here = 0;
                 const Cycle dyn_issue = flat_base + c + stall_total;
-                for (const SlotOp *e = first; e != last; ++e) {
-                    const std::int64_t k = row - e->stage;
+                for (auto o = slot.checkedBegin; o != slot.checkedEnd; ++o) {
+                    const CheckedOp &e = checked[o];
+                    const std::int64_t k = row - e.stage;
                     if (k < 0 || k >= n_iter)
                         continue;
-                    for (auto i = e->checksBegin; i != e->checksEnd; ++i) {
+                    for (auto i = e.checksBegin; i != e.checksEnd; ++i) {
                         const std::int64_t src_k = k - checks[i].distance;
                         if (src_k < 0)
                             continue;   // value from before this execution
@@ -156,21 +181,18 @@ simulateLoop(const ddg::Ddg &graph, const sched::ModuloSchedule &sched,
 
                 // --- Issue. ---
                 const Cycle dyn_now = flat_base + c + stall_total;
-                for (const SlotOp *e = first; e != last; ++e) {
-                    const std::int64_t k = row - e->stage;
+                for (auto o = slot.issuedBegin; o != slot.issuedEnd; ++o) {
+                    const IssuedOp &m = issued[o];
+                    const std::int64_t k = row - m.stage;
                     if (k < 0 || k >= n_iter)
                         continue;
-                    ++res.opsExecuted;
-                    if (e->mem < 0)
-                        continue;
-                    const MemOp &m = mems[static_cast<std::size_t>(e->mem)];
-                    const auto acc = memsys.access(
-                        e->cluster, m.addr.at(k), e->isStore, dyn_now);
-                    ++res.memAccesses;
+                    const auto acc = memsys.access(m.cluster, m.addr.at(k),
+                                                   m.isStore, dyn_now);
                     stall_total += acc.issueStall;
                     completion[m.row + static_cast<std::size_t>(k)] =
                         acc.completion;
                 }
+                ++c;
             }
         }
 
@@ -178,6 +200,9 @@ simulateLoop(const ddg::Ddg &graph, const sched::ModuloSchedule &sched,
         flat_base += flat_len;
     }
 
+    res.opsExecuted = static_cast<std::int64_t>(n_ops) * res.iterations;
+    res.memAccesses = static_cast<std::int64_t>(issued.size()) *
+                      res.iterations;
     res.computeCycles = flat_base;
     res.stallCycles = stall_total;
     res.memStats = memsys.stats();

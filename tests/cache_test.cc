@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/memsys.hh"
 #include "machine/presets.hh"
 
@@ -30,12 +32,11 @@ TEST(MemSys, ColdMissThenHit)
     MemorySystem sys(m);
     // Miss: LAT_cache + LAT_bus + LAT_mainmemory = 2 + 1 + 10.
     const auto miss = sys.access(0, 0x1000, false, 100);
-    EXPECT_FALSE(miss.localHit);
+    EXPECT_EQ(sys.stats().value("local_misses"), 1);
     EXPECT_EQ(miss.completion, 100 + 2 + 1 + 10);
     EXPECT_EQ(miss.issueStall, 0);
     // Second access to the same line: local hit at LAT_cache.
     const auto hit = sys.access(0, 0x101c, false, 200);
-    EXPECT_TRUE(hit.localHit);
     EXPECT_EQ(hit.completion, 200 + 2);
     EXPECT_EQ(sys.stats().value("local_hits"), 1);
     EXPECT_EQ(sys.stats().value("local_misses"), 1);
@@ -50,7 +51,6 @@ TEST(MemSys, RemoteCacheHitIsFasterThanMemory)
     // Cluster 1 misses locally but finds the line in cluster 0:
     // LAT_cache + bus + remote LAT_cache.
     const auto remote = sys.access(1, 0x1000, false, 100);
-    EXPECT_TRUE(remote.remoteHit);
     EXPECT_EQ(remote.completion, 100 + 2 + 1 + 2);
     EXPECT_LT(remote.completion, 100 + m.missLatency());
     EXPECT_EQ(sys.stats().value("remote_hits"), 1);
@@ -61,8 +61,8 @@ TEST(MemSys, DifferentLinesDifferentSets)
     const auto m = twoClusterUnbounded();
     MemorySystem sys(m);
     (void)sys.access(0, 0x1000, false, 0);
-    const auto other = sys.access(0, 0x1020, false, 100);   // next line
-    EXPECT_FALSE(other.localHit);
+    (void)sys.access(0, 0x1020, false, 100);   // next line
+    EXPECT_EQ(sys.stats().value("local_misses"), 2);
 }
 
 // ------------------------------------------------------------- coherence
@@ -100,7 +100,7 @@ TEST(MemSys, UpgradeOnSharedStorePaysBusTransaction)
     (void)sys.access(0, 0x1000, false, 0);
     const auto up = sys.access(0, 0x1000, true, 100);
     // Upgrade: local tag check + invalidation transaction on the bus.
-    EXPECT_TRUE(up.localHit);
+    EXPECT_EQ(sys.stats().value("local_misses"), 1);
     EXPECT_EQ(up.completion, 100 + 2 + 1);
     EXPECT_EQ(sys.stats().value("upgrades"), 1);
 }
@@ -111,8 +111,8 @@ TEST(MemSys, DirtyRemoteLineIsSupplied)
     MemorySystem sys(m);
     (void)sys.access(0, 0x1000, true, 0);   // cluster 0 owns it dirty
     EXPECT_EQ(sys.probe(0, 0x1000), LineState::Modified);
-    const auto r = sys.access(1, 0x1000, false, 100);
-    EXPECT_TRUE(r.remoteHit);
+    (void)sys.access(1, 0x1000, false, 100);
+    EXPECT_EQ(sys.stats().value("remote_hits"), 1);
     EXPECT_EQ(sys.stats().value("dirty_supplies"), 1);
     // Supplier downgrades to Shared.
     EXPECT_EQ(sys.probe(0, 0x1000), LineState::Shared);
@@ -139,11 +139,32 @@ TEST(MemSys, InFlightMergeCompletesWithTheFill)
     const auto first = sys.access(0, 0x1000, false, 0);
     // Second access to the same line while the fill is in flight.
     const auto merged = sys.access(0, 0x1008, false, 2);
-    EXPECT_TRUE(merged.mergedInFlight);
     EXPECT_EQ(merged.completion, first.completion);
     EXPECT_EQ(sys.stats().value("mshr_merges"), 1);
     // Only one memory fill was issued.
     EXPECT_EQ(sys.stats().value("memory_fills"), 1);
+}
+
+TEST(MemSys, EvictedLineStillInFlightMerges)
+{
+    const auto m = twoClusterUnbounded();   // 128 direct-mapped sets
+    MemorySystem sys(m);
+    const auto first = sys.access(0, 0x1000, false, 0);
+    // A conflicting line (same set, 4 KiB on) evicts the tag while the
+    // first fill is still on its way.
+    (void)sys.access(0, 0x1000 + 4096, false, 1);
+    EXPECT_EQ(sys.probe(0, 0x1000), LineState::Invalid);
+    // Read again before the fill completes: it merges into that fill
+    // instead of fetching the line a second time.
+    const auto again = sys.access(0, 0x1004, false, 3);
+    EXPECT_EQ(again.completion, first.completion);
+    EXPECT_EQ(sys.stats().value("memory_fills"), 2);
+    EXPECT_EQ(sys.stats().value("mshr_merges"), 1);
+    // Once the fill has completed its entry is stale: the evicted line
+    // misses and is fetched again.
+    (void)sys.access(0, 0x1000, false, first.completion + 5);
+    EXPECT_EQ(sys.stats().value("mshr_merges"), 1);
+    EXPECT_EQ(sys.stats().value("memory_fills"), 3);
 }
 
 TEST(MemSys, FullMshrStallsAtIssue)
@@ -200,8 +221,10 @@ TEST(MemSys, ResetClearsEverything)
     sys.reset();
     EXPECT_EQ(sys.probe(0, 0x1000), LineState::Invalid);
     EXPECT_EQ(sys.stats().value("stores"), 0);
-    const auto again = sys.access(0, 0x1000, false, 0);
-    EXPECT_FALSE(again.localHit);
+    // A counter that counted before the reset keeps its name at 0.
+    EXPECT_NE(sys.stats().dump().find("stores = 0"), std::string::npos);
+    (void)sys.access(0, 0x1000, false, 0);
+    EXPECT_EQ(sys.stats().value("local_misses"), 1);
 }
 
 TEST(MemSys, AssociativityKeepsConflictingLines)
@@ -213,10 +236,9 @@ TEST(MemSys, AssociativityKeepsConflictingLines)
     // (per-cluster capacity 4KB -> 64 sets of 2 ways).
     (void)sys.access(0, 0x0000, false, 0);
     (void)sys.access(0, 0x0000 + 2048, false, 10);
-    const auto a = sys.access(0, 0x0000, false, 100);
-    const auto b = sys.access(0, 0x0000 + 2048, false, 110);
-    EXPECT_TRUE(a.localHit);
-    EXPECT_TRUE(b.localHit);
+    (void)sys.access(0, 0x0000, false, 100);
+    (void)sys.access(0, 0x0000 + 2048, false, 110);
+    EXPECT_EQ(sys.stats().value("local_hits"), 2);
 }
 
 } // namespace

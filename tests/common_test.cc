@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/memo.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -23,6 +24,33 @@ namespace mvp
 {
 namespace
 {
+
+// ---------------------------------------------------------------- logging
+
+TEST(Logging, VerboseComposesOnlyAtVerboseLevel)
+{
+    int composed = 0;
+    const auto part = [&composed] {
+        ++composed;
+        return "II=";
+    };
+    const LogLevel saved = logLevel();
+
+    setLogLevel(LogLevel::Normal);
+    ::testing::internal::CaptureStdout();
+    mvp_verbose("loop 'x' ", part(), 3, " failed");
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
+    EXPECT_EQ(composed, 0);
+
+    setLogLevel(LogLevel::Verbose);
+    ::testing::internal::CaptureStdout();
+    mvp_verbose("loop 'x' ", part(), 3, " failed");
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+              "info: loop 'x' II=3 failed\n");
+    EXPECT_EQ(composed, 1);
+
+    setLogLevel(saved);
+}
 
 // ---------------------------------------------------------------- stats
 

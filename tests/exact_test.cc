@@ -17,6 +17,8 @@
  *    the tiebreak off, the first feasible leaf); the node-based
  *    tiebreak budget is reproducible and never reads as a budget
  *    failure.
+ *  - Pinned trees: the tiebreak search and the certificate-only
+ *    search node totals over the 64 builtin clustered combos.
  *  - Registry: built-in names resolve, unknown ones do not, runtime
  *    registration works, and the verify backend fills the gap stats.
  */
@@ -101,6 +103,53 @@ TEST(ExactVsRmcaGap, ExactNeverWorseAndAlwaysValid)
     // The sweep really covered the suite (8 benchmarks x 4 loops x 3
     // machines).
     EXPECT_EQ(solved, 96);
+}
+
+/**
+ * The B&B search tree, pinned on the 64 builtin (loop, clustered
+ * machine) combos under the gap study's options. The "exact" backend
+ * runs the register-pressure tiebreak; certifyWithBackend, which the
+ * gap study and the differential cross-check use, runs without it.
+ * The two must certify the same II, lower bound and optimality, with
+ * schedules that validate. Their node totals are pinned: a change to
+ * the placement kernel it shares with the heuristic (sched/window.hh)
+ * that alters either tree fails here.
+ */
+TEST(ExactBackend, TiebreakAndCertificateTreesArePinned)
+{
+    std::int64_t tiebreak_nodes = 0;
+    std::int64_t certificate_nodes = 0;
+    for (int nc : {2, 4}) {
+        const auto machine = makeConfig(nc);
+        for (const auto &wl : workloads::allLoops()) {
+            const auto &nest = wl.nest;
+            const std::string label =
+                nest.name() + "/c" + std::to_string(nc);
+            cme::CmeAnalysis cme(nest);
+            const auto graph = ddg::Ddg::build(nest, machine);
+            SchedulerOptions opt;
+            opt.missThreshold = 0.25;
+            opt.locality = &cme;
+            opt.timeBudgetMs = -1;
+            SchedContext ctx;
+            const auto full =
+                scheduleWithBackend("exact", graph, machine, opt, ctx);
+            const auto cert =
+                certifyWithBackend("exact", graph, machine, opt, ctx);
+            ASSERT_TRUE(full.ok && cert.ok) << label;
+            EXPECT_EQ(cert.schedule.ii(), full.schedule.ii()) << label;
+            EXPECT_EQ(cert.stats.iiLowerBound, full.stats.iiLowerBound)
+                << label;
+            EXPECT_EQ(cert.stats.provenOptimal, full.stats.provenOptimal)
+                << label;
+            EXPECT_FALSE(cert.stats.pressureOptimal) << label;
+            EXPECT_EQ(cert.schedule.validate(graph, machine), "") << label;
+            tiebreak_nodes += full.stats.searchNodes;
+            certificate_nodes += cert.stats.searchNodes;
+        }
+    }
+    EXPECT_EQ(tiebreak_nodes, 2678981);
+    EXPECT_EQ(certificate_nodes, 586770);
 }
 
 TEST(ExactBackend, Deterministic)

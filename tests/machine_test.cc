@@ -110,6 +110,22 @@ TEST(CacheGeom, SetMapping)
     EXPECT_NE(g.setOf(0), g.setOf(64));
 }
 
+TEST(CacheGeom, LineMapMatchesLineOf)
+{
+    // The shift (power-of-two lines) and the division give lineOf's
+    // line on every address a validated loop can produce: [0, 2^63).
+    const Addr top = (Addr{1} << 63) - 1;
+    for (const int bytes : {1, 8, 24, 32, 48, 64, 4096}) {
+        const CacheGeom g{4096 * 24, bytes, 1};
+        const LineMap line_of(bytes);
+        EXPECT_EQ(line_of.shifts(), (bytes & (bytes - 1)) == 0) << bytes;
+        const auto b = static_cast<Addr>(bytes);
+        for (const Addr a : {Addr{0}, b - 1, b, 2 * b + 1, Addr{0x10000},
+                             Addr{0x7fffffff}, top - b, top})
+            EXPECT_EQ(line_of(a), g.lineOf(a)) << bytes << " @ " << a;
+    }
+}
+
 TEST(CacheGeom, Associativity)
 {
     const CacheGeom g{4096, 32, 2};

@@ -2,8 +2,10 @@
  * @file
  * Tests for the lockstep simulator: the NCYCLE decomposition of §2.2,
  * zero-stall execution when latencies are honoured, stalls from cache
- * misses, the effect of binding prefetching, stat consistency, and a
- * pin of every SimResult field over the builtin corpus.
+ * misses, the effect of binding prefetching, stat consistency, and
+ * pins of every SimResult field over the builtin corpus, on the Table-1
+ * machines and on geometries, associativities, bus counts and MSHR
+ * depths those machines never use.
  */
 
 #include <gtest/gtest.h>
@@ -210,6 +212,46 @@ TEST(Simulator, StatsCarryAcrossExecutions)
               all.memStats.value("local_misses"));
 }
 
+/** Every field of @p r, the memory counter dump included, as text. */
+std::string
+describe(const SimResult &r)
+{
+    return std::to_string(r.computeCycles) + ' ' +
+           std::to_string(r.stallCycles) + ' ' +
+           std::to_string(r.iterations) + ' ' +
+           std::to_string(r.executions) + ' ' +
+           std::to_string(r.opsExecuted) + ' ' +
+           std::to_string(r.memAccesses) + '\n' + r.memStats.dump("  ");
+}
+
+/**
+ * Schedule and simulate the whole builtin corpus on @p machine, both
+ * heuristics at thresholds 1.0 and 0.0, and fold every SimResult into
+ * one string, in a fixed order. @p totals sums each memory counter over
+ * the runs, so a caller can check which memory-system paths ran.
+ */
+std::string
+corpusFold(const MachineConfig &machine, StatGroup *totals = nullptr)
+{
+    static harness::Workbench bench;
+    std::string fold;
+    for (const char *backend : {"baseline", "rmca"})
+        for (const double thr : {1.0, 0.0}) {
+            harness::RunConfig cfg;
+            cfg.machine = machine;
+            cfg.backend = backend;
+            cfg.threshold = thr;
+            for (const auto &entry : bench.entries()) {
+                const auto run = harness::runLoop(*entry, cfg);
+                EXPECT_TRUE(run.sched.ok) << run.loop;
+                fold += run.loop + ' ' + describe(run.sim);
+                if (totals != nullptr)
+                    totals->merge(run.sim.memStats);
+            }
+        }
+    return fold;
+}
+
 TEST(Simulator, WholeResultFingerprintIsPinned)
 {
     // Every field of SimResult — cycles, counts and the full memory
@@ -218,32 +260,143 @@ TEST(Simulator, WholeResultFingerprintIsPinned)
     // table1 fingerprint covers only compute + stall; this pins the
     // rest, so a simulator or memory-system rewrite must reproduce it
     // bit for bit.
-    harness::Workbench bench;
     std::string fold;
     for (const auto &machine :
          {makeUnified(), makeTwoCluster(), makeFourCluster()})
-        for (const char *backend : {"baseline", "rmca"})
-            for (const double thr : {1.0, 0.0}) {
-                harness::RunConfig cfg;
-                cfg.machine = machine;
-                cfg.backend = backend;
-                cfg.threshold = thr;
-                for (const auto &entry : bench.entries()) {
-                    const auto run = harness::runLoop(*entry, cfg);
-                    ASSERT_TRUE(run.sched.ok) << run.loop;
-                    const SimResult &r = run.sim;
-                    fold += run.loop + ' ' +
-                            std::to_string(r.computeCycles) + ' ' +
-                            std::to_string(r.stallCycles) + ' ' +
-                            std::to_string(r.iterations) + ' ' +
-                            std::to_string(r.executions) + ' ' +
-                            std::to_string(r.opsExecuted) + ' ' +
-                            std::to_string(r.memAccesses) + '\n' +
-                            r.memStats.dump("  ");
-                }
-            }
+        fold += corpusFold(machine);
     EXPECT_EQ(fnv1a(fold), 0x4188fc591caca180ULL)
         << std::hex << "0x" << fnv1a(fold);
+}
+
+// ------------------------------------------------- characterization pins
+//
+// The Table-1 machines are direct-mapped, with power-of-two lines and
+// set counts, one memory bus and ten MSHR entries, so the pin above
+// never runs the memory system's other paths. These pins were recorded
+// before the kernel got its fast paths (shift-and-mask indexing, the
+// direct-mapped hit, the in-flight table); each one also checks that
+// the path it is named for really ran.
+
+/** Pin the corpus fold on @p machine; @p counter must have counted. */
+void
+expectCorpusPin(const MachineConfig &machine, const char *counter,
+                std::uint64_t pin)
+{
+    StatGroup totals;
+    const std::uint64_t fp = fnv1a(corpusFold(machine, &totals));
+    EXPECT_GT(totals.value(counter), 0) << counter;
+    EXPECT_EQ(fp, pin) << std::hex << "0x" << fp;
+}
+
+/** @p base with its line size and per-cluster set count replaced. */
+MachineConfig
+withGeometry(MachineConfig base, int line_bytes, std::int64_t sets)
+{
+    base.cacheLineBytes = line_bytes;
+    base.totalCacheBytes = sets * line_bytes * base.cacheAssoc *
+                           base.nClusters;
+    return base;
+}
+
+TEST(SimulatorPins, NonPowerOfTwoLineAndSetCount)
+{
+    expectCorpusPin(withGeometry(makeTwoCluster(), 24, 100),
+                    "memory_fills", 0x2e3d533943e2ec8fULL);
+}
+
+TEST(SimulatorPins, NonPowerOfTwoSetCount)
+{
+    expectCorpusPin(withGeometry(makeTwoCluster(), 32, 96),
+                    "memory_fills", 0xb5bafb1970862fcaULL);
+}
+
+TEST(SimulatorPins, NonPowerOfTwoLineSize)
+{
+    expectCorpusPin(withGeometry(makeFourCluster(), 48, 64),
+                    "memory_fills", 0x112f268dbc214e69ULL);
+}
+
+TEST(SimulatorPins, TwoWayLru)
+{
+    auto machine = makeFourCluster();
+    machine.cacheAssoc = 2;
+    expectCorpusPin(machine, "local_hits", 0xa46f66e27d785736ULL);
+}
+
+TEST(SimulatorPins, FourWayLru)
+{
+    auto machine = makeTwoCluster();
+    machine.cacheAssoc = 4;
+    expectCorpusPin(machine, "local_hits", 0x417bdfbbfc9d0592ULL);
+}
+
+TEST(SimulatorPins, UnboundedMemoryBuses)
+{
+    expectCorpusPin(withUnboundedBuses(makeFourCluster(), 1, 2),
+                    "remote_hits", 0x196e1f1fc16cacdfULL);
+}
+
+TEST(SimulatorPins, ThreeMemoryBuses)
+{
+    expectCorpusPin(withLimitedBuses(makeFourCluster(), 3, 4),
+                    "bus_wait_cycles", 0x32cb9c6de0650318ULL);
+}
+
+TEST(SimulatorPins, MshrFullStalls)
+{
+    auto machine = makeFourCluster();
+    machine.mshrEntries = 1;
+    expectCorpusPin(machine, "mshr_full_stall_cycles", 0xaf870d15a3346660ULL);
+}
+
+/**
+ * Store-heavy loop: every array is both read and written a line apart
+ * across iterations, and C aliases A's sets in a 4-cluster cache, so
+ * spread over clusters it upgrades, invalidates, supplies dirty lines
+ * and writes back Modified victims.
+ */
+LoopNest
+storeHeavyLoop()
+{
+    LoopNestBuilder b("stores");
+    b.loop("r", 0, 3);
+    b.loop("i", 0, 192);
+    const auto A = b.arrayAt("A", {208}, 0x10000);
+    const auto B = b.arrayAt("B", {208}, 0x11000);
+    const auto C = b.arrayAt("C", {208}, 0x10800);
+    const auto la = b.load(A, {affineVar(1, 1, 8)}, "la");
+    const auto lb = b.load(B, {affineVar(1)}, "lb");
+    const auto lc = b.load(C, {affineVar(1, 1, 4)}, "lc");
+    const auto m = b.op(Opcode::FMul, {use(la), use(lb)}, "m");
+    const auto a = b.op(Opcode::FAdd, {use(m), use(lc)}, "a");
+    b.store(A, {affineVar(1)}, use(m), "sa");
+    b.store(B, {affineVar(1, 1, 8)}, use(a), "sb");
+    b.store(C, {affineVar(1)}, use(a), "sc");
+    return b.build();
+}
+
+TEST(SimulatorPins, StoreHeavyLoopCoherenceTraffic)
+{
+    const auto nest = storeHeavyLoop();
+    cme::CmeAnalysis cme(nest);
+    StatGroup totals;
+    std::string fold;
+    for (const auto &machine : {makeTwoCluster(), makeFourCluster()}) {
+        const auto g = ddg::Ddg::build(nest, machine);
+        for (const bool rmca : {false, true}) {
+            const auto r = rmca ? sched::scheduleRmca(g, machine, 0.0, cme)
+                                : sched::scheduleBaseline(g, machine);
+            ASSERT_TRUE(r.ok);
+            const auto res = simulateLoop(g, r.schedule, machine);
+            totals.merge(res.memStats);
+            fold += describe(res);
+        }
+    }
+    for (const char *counter :
+         {"upgrades", "invalidations", "dirty_supplies", "writebacks"})
+        EXPECT_GT(totals.value(counter), 0) << counter;
+    EXPECT_EQ(fnv1a(fold), 0x369ee0be5b54c8e8ULL) << std::hex << "0x" << fnv1a(fold) << '\n'
+                                 << fold;
 }
 
 } // namespace
