@@ -159,7 +159,7 @@ formatGapTable(const GapStudy &study)
 {
     TextTable table({"benchmark", "loop", "MII", "rmca II", "exact II",
                      "gap", "certificate"});
-    table.setTitle("RMCA optimality gap (exact = branch-and-bound)");
+    table.setTitle("RMCA optimality gap");
     std::string last_bench;
     for (const auto &r : study.rows) {
         if (!last_bench.empty() && r.benchmark != last_bench)

@@ -63,17 +63,11 @@ class Searcher final : public IiProber
              const SchedulerOptions &options, const ExactOptions &toggles,
              SchedContext &ctx)
         : graph_(graph), machine_(machine), options_(options),
-          toggles_(toggles), ctx_(ctx), mrt_(machine, 1),
-          sched_(1, graph.size(), machine.nClusters)
+          toggles_(toggles), ctx_(ctx), s_(ctx.search),
+          mrt_(s_.mrt), sched_(s_.sched), comm_start_(s_.commStart),
+          booked_(s_.booked), cluster_pop_(s_.clusterPop),
+          pressure_(s_.pressure)
     {
-        const auto n = graph_.size();
-        const auto nc = static_cast<std::size_t>(machine_.nClusters);
-        placed_.assign(n, 0);
-        cluster_pop_.assign(nc, 0);
-        nbs_.resize(n);
-        win_.resize(n);
-        nb_mask_.assign(n, 0);
-        c_order_.resize(n);
     }
 
     /** @name The ladder's probe (sched/ladder.hh) */
@@ -87,10 +81,10 @@ class Searcher final : public IiProber
   private:
     Walk dfs(std::size_t k);
     Walk leaf();
-    Walk tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
-                  std::size_t k, std::uint64_t &conf);
-    bool applyPressure(OpId v, ClusterId c, Cycle t,
-                       std::size_t comm_mark);
+    Walk tryPlace(const SearchLevel &lv, ClusterId c, Cycle t,
+                  std::size_t slot, std::size_t k, std::uint64_t &conf);
+    bool applyPressure(const SearchLevel &lv, ClusterId c, Cycle t,
+                       std::span<const NewComm> booked);
 
     /**
      * Charge one search node against the budgets; false means the
@@ -161,15 +155,6 @@ class Searcher final : public IiProber
         }
     }
 
-    /** Depths whose transfers currently hold buses. */
-    std::uint64_t bookedDepthMask() const
-    {
-        std::uint64_t m = 0;
-        for (const NewComm &bc : booked_)
-            m |= 1ull << bc.depth;
-        return m;
-    }
-
     /** Index into the occupant-depth table (maintained when cbj_). */
     std::size_t fuCell(ClusterId c, std::size_t slot,
                        ir::FuType fu) const
@@ -185,53 +170,49 @@ class Searcher final : public IiProber
     std::uint64_t fuOccupantMask(ClusterId c, std::size_t slot,
                                  ir::FuType fu) const
     {
-        return fu_depth_mask_[fuCell(c, slot, fu)];
+        return s_.fuDepthMask[fuCell(c, slot, fu)];
     }
     /// @}
+
+    /** Entries [@p from, @p to) of the per-depth edge table. */
+    std::span<const NbEdge> edges(std::uint32_t from,
+                                  std::uint32_t to) const
+    {
+        return std::span(s_.edges).subspan(from, to - from);
+    }
 
     const ddg::Ddg &graph_;
     const MachineConfig &machine_;
     const SchedulerOptions &options_;
     const ExactOptions &toggles_;
     SchedContext &ctx_;   ///< ordering + lifetime scratch
+    /**
+     * The search state lives in the context (SchedContext::search), so
+     * a warm context searches allocation-free; the members below are
+     * the hot parts of it under their own names.
+     */
+    SearchScratch &s_;
 
     Cycle ii_ = 1;
-    Mrt mrt_;
-    ModuloSchedule sched_;
-    std::vector<OpId> order_;
-    std::vector<char> placed_;
-    CommStarts comm_start_;
+    Mrt &mrt_;
+    ModuloSchedule &sched_;
+    CommStarts &comm_start_;
     /**
      * Undo stack of booked transfers: backtracking releases the bus
-     * and the comm-start entry. Each is tagged with the depth that
-     * booked it, so a candidate refuted by bus saturation cites the
-     * decisions whose transfers crowd the window.
+     * and the comm-start entry.
      */
-    std::vector<NewComm> booked_;
-    std::vector<int> cluster_pop_;     ///< ops per cluster
+    std::vector<NewComm> &booked_;
+    /**
+     * Depths whose placements booked the transfers booked_ holds, so
+     * a candidate refuted by bus saturation cites the decisions whose
+     * transfers crowd the window.
+     */
+    std::uint64_t booked_mask_ = 0;
+    std::vector<int> &cluster_pop_;    ///< ops per cluster
     ClusterId opened_ = 0;             ///< populated clusters
 
-    /**
-     * Depth-indexed scratch: unlike the heuristic's flat thread-local
-     * buffers, the search re-enters the placement logic recursively,
-     * so everything a level still needs after recursing lives in a
-     * per-depth slot.
-     */
-    std::vector<Neighbours> nbs_;
-    /** Window of the cluster being tried at each depth. */
-    std::vector<Window> win_;
-    /** Placed-neighbour depths of the op at each depth (conflicts). */
-    std::vector<std::uint64_t> nb_mask_;
-    /** (slot, cluster, fu) -> depth bits of the current occupants. */
-    std::vector<std::uint64_t> fu_depth_mask_;
-
-    std::vector<int> cluster_score_scratch_;
-    /** Per-depth cluster visit order (survives the recursion). */
-    std::vector<std::vector<ClusterId>> c_order_;
-
     /** Search accelerators. */
-    PressureTracker pressure_;
-    std::vector<int> order_pos_;     ///< op -> DFS depth
+    PressureTracker &pressure_;
     bool cbj_ = false;
     /**
      * Incremental pressure tracking is maintained only when the
@@ -256,8 +237,6 @@ class Searcher final : public IiProber
     bool found_ = false;
     bool pressure_optimal_ = false;
     Cycle best_pressure_ = CYCLE_MAX;
-    ModuloSchedule best_;
-    std::vector<int> best_max_live_;
 
     /**
      * @name Observability tallies
@@ -286,7 +265,7 @@ class Searcher final : public IiProber
 /**
  * Mirror the placement (v -> c at t) into the pressure tracker: a new
  * local interval when v produces a value, a local extension plus a
- * remote interval per transfer this placement booked, and extensions
+ * remote interval per transfer this placement @p booked, and extensions
  * of every placed register neighbour's interval to the new read
  * times — exactly the intervals lifetimes.cc would derive from the
  * full schedule (a debug assert in leaf() keeps the two honest).
@@ -294,45 +273,53 @@ class Searcher final : public IiProber
  * register file (sound in both phases — intervals only grow), or a
  * summed MaxLive already at the incumbent (tiebreak phase; leaf
  * acceptance needs a strict improvement, so the winner is unchanged).
+ * Both only rise as intervals are added or extended, so the mirroring
+ * stops at the first mutation that cuts; the caller's undoTo() rolls
+ * back whatever was applied.
  */
 bool
-Searcher::applyPressure(OpId v, ClusterId c, Cycle t,
-                        std::size_t comm_mark)
+Searcher::applyPressure(const SearchLevel &lv, ClusterId c, Cycle t,
+                        std::span<const NewComm> booked)
 {
+    const auto cut = [&] {
+        return pressure_.overflown() ||
+               (found_ && pressure_.sumMax() >= best_pressure_);
+    };
     const Cycle lrb = machine_.regBusLatency;
-    if (graph_.loop().op(v).producesValue())
-        pressure_.addLocal(v, c, t + graph_.opLatency(v));
-    for (std::size_t i = comm_mark; i < booked_.size(); ++i) {
-        const NewComm &bc = booked_[i];
+    const OpId v = lv.op;
+    if (lv.producesValue) {
+        pressure_.addLocal(v, c, t + lv.outLat);
+        if (cut())
+            return false;
+    }
+    for (const NewComm &bc : booked) {
         pressure_.extendLocal(bc.producer, bc.xferStart);
         pressure_.addRemote(bc.producer, bc.to, bc.xferStart + lrb);
+        if (cut())
+            return false;
     }
-    for (int ei : graph_.inEdges(v)) {
-        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-        if (e.src == v || !e.isRegFlow() ||
-            !placed_[static_cast<std::size_t>(e.src)])
+    for (const NbEdge &e : edges(lv.in, lv.out)) {
+        if (!e.isReg)
             continue;
         const Cycle read = t + ii_ * e.distance;
-        const auto &pu = sched_.placed(e.src);
-        if (pu.cluster == c)
-            pressure_.extendLocal(e.src, read);
+        if (sched_.placed(e.op).cluster == c)
+            pressure_.extendLocal(e.op, read);
         else
-            pressure_.extendRemote(e.src, c, read);
+            pressure_.extendRemote(e.op, c, read);
+        if (cut())
+            return false;
     }
-    for (int ei : graph_.outEdges(v)) {
-        const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
-        if (!e.isRegFlow() || !placed_[static_cast<std::size_t>(e.dst)])
-            continue;
-        const auto &pw = sched_.placed(e.dst);
+    for (const NbEdge &e : edges(lv.regOut, lv.end)) {
+        const PlacedOp &pw = sched_.placed(e.op);
         const Cycle read = pw.time + ii_ * e.distance;
         if (pw.cluster == c)
             pressure_.extendLocal(v, read);
         else
             pressure_.extendRemote(v, pw.cluster, read);
+        if (cut())
+            return false;
     }
-    if (pressure_.overflown())
-        return false;
-    return !(found_ && pressure_.sumMax() >= best_pressure_);
+    return true;
 }
 
 Walk
@@ -356,8 +343,8 @@ Searcher::leaf()
                        "computeLifetimes at a leaf");
 #endif
         if (!found_ || pressure < best_pressure_) {
-            best_ = sched_;
-            best_max_live_ = pressure_.clusterMaxes();
+            s_.best = sched_;
+            s_.bestMaxLive = pressure_.clusterMaxes();
             best_pressure_ = pressure;
         }
     } else {
@@ -369,14 +356,14 @@ Searcher::leaf()
                 // lifetimes, which every decision shaped.
                 ++dead_leaves_;
                 if (cbj_)
-                    setJump(prefixMask(order_.size()), order_.size());
+                    setJump(prefixMask(s_.order.size()), s_.order.size());
                 return Walk::Continue;
             }
         for (int ml : lt.maxLivePerCluster)
             pressure += ml;
         if (!found_ || pressure < best_pressure_) {
-            best_ = sched_;
-            best_max_live_ = lt.maxLivePerCluster;
+            s_.best = sched_;
+            s_.bestMaxLive = lt.maxLivePerCluster;
             best_pressure_ = pressure;
         }
     }
@@ -388,19 +375,20 @@ Searcher::leaf()
     // it must stay chronological (backjumping may only skip certified
     // refutations, never unexplored schedules).
     if (cbj_)
-        setJump(prefixMask(order_.size()), order_.size());
+        setJump(prefixMask(s_.order.size()), s_.order.size());
     // Keep searching this II for a lower-pressure schedule (bounded by
     // the budgets), or stop at the first one when the tiebreak is off.
     return toggles_.tiebreakPressure ? Walk::Continue : Walk::Stop;
 }
 
 Walk
-Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
-                   std::size_t k, std::uint64_t &conf)
+Searcher::tryPlace(const SearchLevel &lv, ClusterId c, Cycle t,
+                   std::size_t slot, std::size_t k, std::uint64_t &conf)
 {
     if (!chargeNode())
         return Walk::Abort;
-    const auto fu = graph_.loop().op(v).fuType();
+    const OpId v = lv.op;
+    const ir::FuType fu = lv.fu;
     if (!mrt_.fuFreeAt(slot, c, fu)) {
         ++prune_fu_;
         if (cbj_)
@@ -409,59 +397,61 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
     }
 
     const std::size_t comm_mark = booked_.size();
-    const std::size_t sched_comm_mark = sched_.comms().size();
-    if (!win_[k].book(mrt_, sched_, v, t, booked_, static_cast<int>(k))) {
+    if (!s_.win[k].book(mrt_, sched_, v, t, booked_)) {
         ++prune_bus_;
         if (cbj_)
-            conf |= nb_mask_[k] | bookedDepthMask();
+            conf |= lv.nbMask | booked_mask_;
         return Walk::Continue;
     }
 
-    // Commit the placement.
-    auto &pv = sched_.placed(v);
-    pv.cluster = c;
-    pv.time = t;
-    pv.outLatency = graph_.opLatency(v);
-    pv.missScheduled = false;
-    placed_[static_cast<std::size_t>(v)] = 1;
-    mrt_.placeFu(t, c, fu);
-    if (cbj_)
-        fu_depth_mask_[fuCell(c, slot, fu)] |= 1ull << k;
-    if (cluster_pop_[static_cast<std::size_t>(c)]++ == 0)
-        ++opened_;
-    for (std::size_t i = comm_mark; i < booked_.size(); ++i) {
-        const NewComm &bc = booked_[i];
-        comm_start_(bc.producer, bc.to) = bc.xferStart;
-        sched_.comms().push_back(
-            {bc.producer, bc.from, bc.to, bc.xferStart, bc.bus});
-    }
-
+    // The placement itself: the pressure bound reads it (through a
+    // register self-edge), the levels below read everything else.
+    PlacedOp &pv = sched_.placed(v);
+    pv = {c, t, lv.outLat, false};
+    const auto fresh = std::span<const NewComm>(booked_).subspan(comm_mark);
+    const std::size_t pressure_mark = pressure_.mark();
     Walk w = Walk::Continue;
-    if (pressure_on_) {
-        const std::size_t pressure_mark = pressure_.mark();
-        if (applyPressure(v, c, t, comm_mark)) {
-            w = dfs(k + 1);
-        } else {
-            ++prune_pressure_;
-            if (cbj_)
-                conf |= prefixMask(k);
-        }
-        pressure_.undoTo(pressure_mark);
+    if (pressure_on_ && !applyPressure(lv, c, t, fresh)) {
+        // Cut by the register bound before anything below could read
+        // the rest of the commit, so it is skipped.
+        ++prune_pressure_;
+        if (cbj_)
+            conf |= prefixMask(k);
     } else {
-        w = dfs(k + 1);
-    }
+        // Commit the placement.
+        mrt_.placeFuAt(slot, c, fu);
+        if (cbj_)
+            s_.fuDepthMask[fuCell(c, slot, fu)] |= 1ull << k;
+        if (cluster_pop_[static_cast<std::size_t>(c)]++ == 0)
+            ++opened_;
+        const std::uint64_t booked_mask = booked_mask_;
+        if (!fresh.empty())
+            booked_mask_ |= 1ull << k;
+        const std::size_t sched_comm_mark = sched_.comms().size();
+        for (const NewComm &bc : fresh) {
+            comm_start_(bc.producer, bc.to) = bc.xferStart;
+            sched_.comms().push_back(
+                {bc.producer, bc.from, bc.to, bc.xferStart, bc.bus});
+        }
 
-    // Undo in reverse commit order.
-    sched_.comms().resize(sched_comm_mark);
-    if (--cluster_pop_[static_cast<std::size_t>(c)] == 0)
-        --opened_;
-    if (cbj_)
-        fu_depth_mask_[fuCell(c, slot, fu)] &= ~(1ull << k);
-    mrt_.removeFu(t, c, fu);
-    placed_[static_cast<std::size_t>(v)] = 0;
+        w = dfs(k + 1);
+
+        // Undo in reverse commit order (re-reading this placement's
+        // transfers: the levels below may have moved booked_).
+        for (const NewComm &bc :
+             std::span<const NewComm>(booked_).subspan(comm_mark))
+            comm_start_(bc.producer, bc.to) = CYCLE_MAX;
+        sched_.comms().resize(sched_comm_mark);
+        booked_mask_ = booked_mask;
+        if (--cluster_pop_[static_cast<std::size_t>(c)] == 0)
+            --opened_;
+        if (cbj_)
+            s_.fuDepthMask[fuCell(c, slot, fu)] &= ~(1ull << k);
+        mrt_.removeFuAt(slot, c, fu);
+    }
+    if (pressure_on_)
+        pressure_.undoTo(pressure_mark);
     pv = PlacedOp{};
-    for (std::size_t i = comm_mark; i < booked_.size(); ++i)
-        comm_start_(booked_[i].producer, booked_[i].to) = CYCLE_MAX;
     releaseTransfers(mrt_, std::span(booked_).subspan(comm_mark));
     booked_.resize(comm_mark);
     return w;
@@ -470,21 +460,16 @@ Searcher::tryPlace(OpId v, ClusterId c, Cycle t, std::size_t slot,
 Walk
 Searcher::dfs(std::size_t k)
 {
-    if (k == order_.size())
+    if (k == s_.order.size())
         return leaf();
 
-    const OpId v = order_[k];
-    const Cycle out_lat = graph_.opLatency(v);
-    Neighbours &nbs = nbs_[k];
-    nbs.snapshot(graph_, sched_, placed_, v);
-    if (cbj_) {
-        std::uint64_t mask = 0;
-        for (const InNb &nb : nbs.in)
-            mask |= 1ull << order_pos_[static_cast<std::size_t>(nb.src)];
-        for (const OutNb &nb : nbs.out)
-            mask |= 1ull << order_pos_[static_cast<std::size_t>(nb.dst)];
-        nb_mask_[k] = mask;
-    }
+    const SearchLevel &lv = s_.levels[k];
+    Neighbours &nbs = s_.nbs[k];
+    nbs.clear();
+    for (const NbEdge &e : edges(lv.in, lv.out))
+        nbs.addIn(e, sched_);
+    for (const NbEdge &e : edges(lv.out, lv.regOut))
+        nbs.addOut(e, sched_);
 
     // Union of conflict citations over every refuted candidate below.
     std::uint64_t conf = 0;
@@ -496,40 +481,45 @@ Searcher::dfs(std::size_t k)
     // incumbent bound starts cutting while the allowance lasts.
     const ClusterId c_limit = std::min<ClusterId>(
         machine_.nClusters, opened_ + 1);
-    auto &c_order = c_order_[k];
-    c_order.resize(static_cast<std::size_t>(c_limit));
+    ClusterId *c_order =
+        s_.clusterOrder.data() +
+        k * static_cast<std::size_t>(machine_.nClusters);
     for (ClusterId i = 0; i < c_limit; ++i)
-        c_order[static_cast<std::size_t>(i)] = i;
+        c_order[i] = i;
     if (found_ && c_limit > 1) {
-        auto &score = cluster_score_scratch_;
-        score.assign(static_cast<std::size_t>(c_limit), 0);
+        int *score = s_.clusterScore.data();
+        std::fill(score, score + c_limit, 0);
         for (const InNb &nb : nbs.in)
             if (nb.isReg && nb.cluster < c_limit)
-                ++score[static_cast<std::size_t>(nb.cluster)];
+                ++score[nb.cluster];
         for (const OutNb &nb : nbs.out)
             if (nb.isReg && nb.cluster < c_limit)
-                ++score[static_cast<std::size_t>(nb.cluster)];
-        std::stable_sort(c_order.begin(), c_order.end(),
-                         [&](ClusterId a, ClusterId b) {
-                             return score[static_cast<std::size_t>(a)] >
-                                    score[static_cast<std::size_t>(b)];
-                         });
+                ++score[nb.cluster];
+        // Stable insertion sort by descending score: a handful of
+        // clusters, sorted in place.
+        for (ClusterId i = 1; i < c_limit; ++i) {
+            const ClusterId x = c_order[i];
+            ClusterId j = i;
+            for (; j > 0 && score[c_order[j - 1]] < score[x]; --j)
+                c_order[j] = c_order[j - 1];
+            c_order[j] = x;
+        }
     }
     // The window lives in this depth's slot, so recursion below cannot
     // clobber it.
-    Window &win = win_[k];
+    Window &win = s_.win[k];
     for (ClusterId ci = 0; ci < c_limit; ++ci) {
-        const ClusterId c = c_order[static_cast<std::size_t>(ci)];
+        const ClusterId c = c_order[ci];
         // A cluster whose dependence window is empty is a pruned child:
         // charge it like any candidate so budget exhaustion triggers at
         // a node count fixed by the tree alone. The window was pinched
         // by this op's placed neighbours (and any transfers consulted),
         // so those are the conflict citations.
-        if (!win.compute(nbs, c, out_lat, machine_.regBusLatency,
+        if (!win.compute(nbs, c, lv.outLat, machine_.regBusLatency,
                          comm_start_)) {
             ++prune_window_;
             if (cbj_)
-                conf |= nb_mask_[k] | bookedDepthMask();
+                conf |= lv.nbMask | booked_mask_;
             if (!chargeNode())
                 return Walk::Abort;
             continue;
@@ -541,7 +531,7 @@ Searcher::dfs(std::size_t k)
         // shallower depth skips the rest of this level. ---
         Walk w = Walk::Continue;
         win.scan(mrt_, k == 0, [&](Cycle t, std::size_t s) {
-            w = tryPlace(v, c, t, s, k, conf);
+            w = tryPlace(lv, c, t, s, k, conf);
             if (w != Walk::Continue)
                 return true;
             if (jump_active_) {
@@ -563,7 +553,7 @@ Searcher::dfs(std::size_t k)
     // moving one shifts the window to cycles this enumeration never
     // saw.
     if (cbj_)
-        setJump(conf | nb_mask_[k] | bookedDepthMask(), k);
+        setJump(conf | lv.nbMask | booked_mask_, k);
     return Walk::Continue;
 }
 
@@ -580,6 +570,7 @@ Searcher::foldMetrics(const ScheduleResult &result)
     };
     c("searches") += 1;
     c("nodes") += nodes_;
+    c("tiebreak_nodes") += found_ ? nodes_ - found_nodes_ : 0;
     c("ii_attempts") += result.stats.iiAttempts;
     c("ii_refuted") += ii_refuted_;
     c("lifts") += result.stats.iiLowerBound - result.stats.mii;
@@ -600,15 +591,77 @@ Searcher::begin(Cycle mii, SearchClock &clock)
 {
     // Same placement order as the heuristic (computed once at MII):
     // the search tree then contains every heuristic run as one path.
-    computeOrdering(graph_, mii, order_, ctx_.ordering);
+    computeOrdering(graph_, mii, s_.order, ctx_.ordering);
 
-    const std::size_t n = order_.size();
+    const std::size_t n = s_.order.size();
+    const auto nc = static_cast<std::size_t>(machine_.nClusters);
     cbj_ = toggles_.conflictLearning && n <= 64;
     pressure_on_ = toggles_.tiebreakPressure;
-    order_pos_.assign(graph_.size(), 0);
+    s_.orderPos.assign(graph_.size(), 0);
     for (std::size_t d = 0; d < n; ++d)
-        order_pos_[static_cast<std::size_t>(order_[d])] =
+        s_.orderPos[static_cast<std::size_t>(s_.order[d])] =
             static_cast<int>(d);
+
+    // Per-depth tables: depth d has order[0..d) placed, so a neighbour
+    // is placed there iff its depth is below d.
+    s_.levels.resize(n);
+    s_.edges.clear();
+    const auto placedBefore = [&](OpId u, std::size_t d) {
+        return static_cast<std::size_t>(
+                   s_.orderPos[static_cast<std::size_t>(u)]) < d;
+    };
+    const auto edgeCount = [&] {
+        return static_cast<std::uint32_t>(s_.edges.size());
+    };
+    const auto depthBit = [&](OpId u) {
+        return cbj_ ? 1ull << s_.orderPos[static_cast<std::size_t>(u)]
+                    : 0;
+    };
+    for (std::size_t d = 0; d < n; ++d) {
+        const OpId v = s_.order[d];
+        SearchLevel &lv = s_.levels[d];
+        const ir::Operation &op = graph_.loop().op(v);
+        lv.op = v;
+        lv.fu = op.fuType();
+        lv.outLat = graph_.opLatency(v);
+        lv.producesValue = op.producesValue();
+        lv.nbMask = 0;
+        lv.in = edgeCount();
+        for (int ei : graph_.inEdges(v)) {
+            const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
+            if (e.src == v || !placedBefore(e.src, d))
+                continue;
+            s_.edges.push_back(
+                {e.src, e.distance, e.latency, e.isRegFlow()});
+            lv.nbMask |= depthBit(e.src);
+        }
+        lv.out = edgeCount();
+        for (int ei : graph_.outEdges(v)) {
+            const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
+            if (e.dst == v || !placedBefore(e.dst, d))
+                continue;
+            s_.edges.push_back(
+                {e.dst, e.distance, e.latency, e.isRegFlow()});
+            lv.nbMask |= depthBit(e.dst);
+        }
+        lv.regOut = edgeCount();
+        for (int ei : graph_.outEdges(v)) {
+            const auto &e = graph_.edges()[static_cast<std::size_t>(ei)];
+            if (e.isRegFlow() && (e.dst == v || placedBefore(e.dst, d)))
+                s_.edges.push_back({e.dst, e.distance, e.latency, true});
+        }
+        lv.end = edgeCount();
+    }
+
+    // Per-depth slots grow to the deepest search and never shrink, so
+    // their buffers keep their capacity across searches.
+    if (s_.nbs.size() < n)
+        s_.nbs.resize(n);
+    if (s_.win.size() < n)
+        s_.win.resize(n);
+    s_.clusterOrder.resize(n * nc);
+    s_.clusterScore.resize(nc);
+    cluster_pop_.assign(nc, 0);
 
     node_cap_ = options_.searchBudget > 0;
     clock_ = &clock;
@@ -624,17 +677,17 @@ Searcher::probe(Cycle ii)
     MVP_TRACE_SPAN("exact-ii", graph_.loop().name(),
                    static_cast<std::int64_t>(ii));
     ii_ = ii;
-    mrt_.reset(ii);
+    mrt_.reset(machine_, ii);
     sched_.reset(ii, graph_.size(), machine_.nClusters);
-    std::fill(placed_.begin(), placed_.end(), 0);
     comm_start_.reset(graph_.size(), machine_.nClusters);
     std::fill(cluster_pop_.begin(), cluster_pop_.end(), 0);
     opened_ = 0;
     booked_.clear();
+    booked_mask_ = 0;
     pressure_.reset(ii, machine_.nClusters, graph_.size(),
                     machine_.regsPerCluster);
     if (cbj_)
-        fu_depth_mask_.assign(static_cast<std::size_t>(ii) *
+        s_.fuDepthMask.assign(static_cast<std::size_t>(ii) *
                                   static_cast<std::size_t>(
                                       machine_.nClusters) *
                                   ir::NUM_FU_TYPES,
@@ -668,9 +721,10 @@ Searcher::finish(ScheduleResult &result)
         return;
     result.stats.pressureOptimal = pressure_optimal_;
 
-    best_.normalize();
-    best_.setMaxLive(best_max_live_);
-    result.schedule = std::move(best_);
+    // Copy the incumbent out: the context keeps its buffers.
+    result.schedule = s_.best;
+    result.schedule.normalize();
+    result.schedule.setMaxLive(s_.bestMaxLive);
     result.stats.comms = static_cast<int>(result.schedule.numComms());
 }
 

@@ -36,11 +36,13 @@
 #ifndef MVP_SCHED_EXACT_PRESSURE_HH
 #define MVP_SCHED_EXACT_PRESSURE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sched/mrt.hh"
 
 namespace mvp::sched::exact
 {
@@ -54,6 +56,7 @@ class PressureTracker
                int reg_limit)
     {
         ii_ = ii;
+        slot_of_ = SlotMap(ii);
         nc_ = n_clusters;
         limit_ = reg_limit;
         live_.assign(static_cast<std::size_t>(nc_) *
@@ -102,17 +105,17 @@ class PressureTracker
             journal_.pop_back();
             Interval &iv = ivs_[static_cast<std::size_t>(e.iv)];
             if (e.map_slot >= 0) {
-                // Undo add: one count at the start slot, drop the
-                // interval (adds/removes are LIFO by construction).
-                --live_[row(iv.cluster) + slotOf(iv.from)];
+                // Undo add: one count at the start slot (its extensions
+                // are undone, so it ends there too), drop the interval
+                // (adds/removes are LIFO by construction).
+                --live_[row(iv.cluster) + iv.toSlot];
                 map_[static_cast<std::size_t>(e.map_slot)] = -1;
                 mvp_assert(static_cast<std::size_t>(e.iv) + 1 ==
                                ivs_.size(),
                            "pressure journal out of order");
                 ivs_.pop_back();
             } else {
-                applyRange(iv.cluster, e.old_to + 1, iv.to, -1);
-                iv.to = e.old_to;
+                dropRange(iv, e.old_to);
             }
             restoreMax(e.cluster, e.old_max);
         }
@@ -135,7 +138,7 @@ class PressureTracker
     struct Interval
     {
         ClusterId cluster;
-        Cycle from;
+        std::uint32_t toSlot;   ///< to mod II, kept to step from
         Cycle to;
     };
 
@@ -168,14 +171,6 @@ class PressureTracker
                static_cast<std::size_t>(ii_);
     }
 
-    std::size_t slotOf(Cycle t) const
-    {
-        Cycle m = t % ii_;
-        if (m < 0)
-            m += ii_;
-        return static_cast<std::size_t>(m);
-    }
-
     void setMax(ClusterId c, int val)
     {
         int &m = max_[static_cast<std::size_t>(c)];
@@ -198,11 +193,12 @@ class PressureTracker
     {
         mvp_assert(map_[map_slot] < 0, "duplicate pressure interval");
         const auto iv = static_cast<std::int32_t>(ivs_.size());
-        ivs_.push_back({c, from, from});
+        const std::size_t slot = slot_of_(from);
+        ivs_.push_back({c, static_cast<std::uint32_t>(slot), from});
         map_[map_slot] = iv;
         journal_.push_back({iv, static_cast<std::int32_t>(map_slot), c,
                             max_[static_cast<std::size_t>(c)], 0});
-        int &cell = live_[row(c) + slotOf(from)];
+        int &cell = live_[row(c) + slot];
         if (++cell > max_[static_cast<std::size_t>(c)])
             setMax(c, cell);
     }
@@ -216,44 +212,68 @@ class PressureTracker
         journal_.push_back({iv_idx, -1, iv.cluster,
                             max_[static_cast<std::size_t>(iv.cluster)],
                             iv.to});
-        applyRange(iv.cluster, iv.to + 1, end, +1);
-        iv.to = end;
+        addRange(iv, end);
     }
 
     /**
-     * Add @p delta to live(c, s) for every cycle in [from, to]. A span
-     * of b full II periods touches every slot b times (closed form);
-     * the remainder walks slot by slot. Positive deltas maintain the
-     * cluster max (counts never pass the max unseen because the max
-     * only ever grows along a committed path); negative deltas are
-     * undo, whose caller restores the journalled max exactly.
+     * Extend @p iv to @p end, adding one to live(c, s) for every cycle
+     * in (iv.to, end] and keeping the cluster max: a span of b full II
+     * periods touches every slot b times (closed form), the remainder
+     * walks slot by slot on from iv.toSlot. Counts never pass the max
+     * unseen, because along a committed path they only grow.
      */
-    void applyRange(ClusterId c, Cycle from, Cycle to, int delta)
+    void addRange(Interval &iv, Cycle end)
     {
-        if (from > to)
-            return;
+        const ClusterId c = iv.cluster;
         int *r = live_.data() + row(c);
         int new_max = max_[static_cast<std::size_t>(c)];
-        Cycle span = to - from + 1;
+        Cycle span = end - iv.to;
         if (span >= ii_) {
             const auto base = static_cast<int>(span / ii_);
             for (Cycle s = 0; s < ii_; ++s)
-                r[static_cast<std::size_t>(s)] += base * delta;
-            new_max += base * delta;
-            from += static_cast<Cycle>(base) * ii_;
+                r[static_cast<std::size_t>(s)] += base;
+            new_max += base;
+            span -= static_cast<Cycle>(base) * ii_;
         }
-        std::size_t s = slotOf(from);
-        for (Cycle x = from; x <= to; ++x) {
-            const int v = (r[s] += delta);
-            if (v > new_max)
-                new_max = v;
-            s = s + 1 == static_cast<std::size_t>(ii_) ? 0 : s + 1;
+        std::size_t s = iv.toSlot;
+        for (; span > 0; --span) {
+            s = nextSlot(s);
+            new_max = std::max(new_max, ++r[s]);
         }
-        if (delta > 0 && new_max > max_[static_cast<std::size_t>(c)])
+        iv.toSlot = static_cast<std::uint32_t>(s);
+        iv.to = end;
+        if (new_max > max_[static_cast<std::size_t>(c)])
             setMax(c, new_max);
     }
 
+    /** Undo addRange: shrink @p iv back to @p old_to, walking down
+     * from iv.toSlot. The caller restores the journalled max. */
+    void dropRange(Interval &iv, Cycle old_to)
+    {
+        int *r = live_.data() + row(iv.cluster);
+        Cycle span = iv.to - old_to;
+        if (span >= ii_) {
+            const auto base = static_cast<int>(span / ii_);
+            for (Cycle s = 0; s < ii_; ++s)
+                r[static_cast<std::size_t>(s)] -= base;
+            span -= static_cast<Cycle>(base) * ii_;
+        }
+        std::size_t s = iv.toSlot;
+        for (; span > 0; --span) {
+            --r[s];
+            s = s == 0 ? static_cast<std::size_t>(ii_) - 1 : s - 1;
+        }
+        iv.toSlot = static_cast<std::uint32_t>(s);
+        iv.to = old_to;
+    }
+
+    std::size_t nextSlot(std::size_t s) const
+    {
+        return s + 1 == static_cast<std::size_t>(ii_) ? 0 : s + 1;
+    }
+
     Cycle ii_ = 1;
+    SlotMap slot_of_;
     int nc_ = 0;
     int limit_ = 0;
     std::vector<int> live_;           ///< [cluster][slot] live counts

@@ -36,22 +36,6 @@ ModuloSchedule::stageCount() const
     return static_cast<int>(max_time / ii_) + 1;
 }
 
-const PlacedOp &
-ModuloSchedule::placed(OpId op) const
-{
-    mvp_assert(op >= 0 && static_cast<std::size_t>(op) < placed_.size(),
-               "bad op id");
-    return placed_[static_cast<std::size_t>(op)];
-}
-
-PlacedOp &
-ModuloSchedule::placed(OpId op)
-{
-    mvp_assert(op >= 0 && static_cast<std::size_t>(op) < placed_.size(),
-               "bad op id");
-    return placed_[static_cast<std::size_t>(op)];
-}
-
 void
 ModuloSchedule::normalize()
 {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "ddg/ddg.hh"
 #include "machine/machine.hh"
@@ -79,10 +80,20 @@ class ModuloSchedule
     int stageCount() const;
 
     /** Placement of @p op. */
-    const PlacedOp &placed(OpId op) const;
+    const PlacedOp &placed(OpId op) const
+    {
+        mvp_assert(op >= 0 && static_cast<std::size_t>(op) < placed_.size(),
+                   "bad op id");
+        return placed_[static_cast<std::size_t>(op)];
+    }
 
     /** Mutable placement (used by the scheduler). */
-    PlacedOp &placed(OpId op);
+    PlacedOp &placed(OpId op)
+    {
+        mvp_assert(op >= 0 && static_cast<std::size_t>(op) < placed_.size(),
+                   "bad op id");
+        return placed_[static_cast<std::size_t>(op)];
+    }
 
     /** All placements, indexed by OpId. */
     const std::vector<PlacedOp> &placements() const { return placed_; }

@@ -145,7 +145,7 @@ Attempt::tryCandidate(OpId v, Cycle t, std::size_t slot, Placement &out)
     // Fast path: no bus transfer to book, the FU slot alone decides.
     if (w.needIn.empty() && w.needOut.empty())
         return true;
-    if (!w.book(mrt_, sched_, v, t, out.newComms, 0))
+    if (!w.book(mrt_, sched_, v, t, out.newComms))
         return false;
     releaseTransfers(mrt_, out.newComms);
     return true;

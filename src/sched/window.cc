@@ -28,29 +28,16 @@ void
 Neighbours::snapshot(const ddg::Ddg &graph, const ModuloSchedule &sched,
                      const std::vector<char> &placed, OpId v)
 {
-    const Cycle ii = sched.ii();
-    in.clear();
-    out.clear();
+    clear();
     for (int ei : graph.inEdges(v)) {
         const auto &e = graph.edges()[static_cast<std::size_t>(ei)];
-        if (e.src == v || !placed[static_cast<std::size_t>(e.src)])
-            continue;
-        const auto &pu = sched.placed(e.src);
-        const Cycle ii_dist = ii * e.distance;
-        const Cycle ready = pu.time + pu.outLatency;
-        const Cycle base_early =
-            (e.isRegFlow() ? ready : pu.time + e.latency) - ii_dist;
-        in.push_back({e.src, e.distance, e.isRegFlow(), pu.cluster,
-                      ii_dist, ready, base_early});
+        if (e.src != v && placed[static_cast<std::size_t>(e.src)])
+            addIn({e.src, e.distance, e.latency, e.isRegFlow()}, sched);
     }
     for (int ei : graph.outEdges(v)) {
         const auto &e = graph.edges()[static_cast<std::size_t>(ei)];
-        if (e.dst == v || !placed[static_cast<std::size_t>(e.dst)])
-            continue;
-        const auto &pw = sched.placed(e.dst);
-        const Cycle budget = pw.time + ii * e.distance;
-        out.push_back({e.dst, e.isRegFlow(), pw.cluster, budget,
-                       budget - e.latency});
+        if (e.dst != v && placed[static_cast<std::size_t>(e.dst)])
+            addOut({e.dst, e.distance, e.latency, e.isRegFlow()}, sched);
     }
 }
 
@@ -96,7 +83,7 @@ Window::compute(const Neighbours &nbs, ClusterId c, Cycle out_lat,
 
 bool
 Window::book(Mrt &mrt, const ModuloSchedule &sched, OpId v, Cycle t,
-             std::vector<NewComm> &booked, int depth) const
+             std::vector<NewComm> &booked) const
 {
     const std::size_t mark = booked.size();
     const Cycle ii = mrt.ii();
@@ -112,7 +99,7 @@ Window::book(Mrt &mrt, const ModuloSchedule &sched, OpId v, Cycle t,
             const int bus = mrt.findFreeBusAt(sx);
             if (bus != BUS_NONE) {
                 mrt.reserveBusAt(bus, sx);
-                booked.push_back({producer, from, to, x, sx, bus, depth});
+                booked.push_back({producer, from, to, x, sx, bus});
                 return true;
             }
             sx = mrt.nextSlot(sx);

@@ -63,6 +63,21 @@ struct OutNb
 };
 
 /**
+ * The placement-independent part of a dependence edge between the op
+ * being placed and one neighbour: what Neighbours reads from the edge
+ * table. The branch and bound, whose placed set at each depth is fixed,
+ * keeps these per depth instead of filtering the edge table per node.
+ */
+struct NbEdge
+{
+    OpId op;        ///< the neighbour (producer of an in-edge,
+                    ///< consumer of an out-edge)
+    int distance;
+    Cycle latency;
+    bool isReg;
+};
+
+/**
  * The placed neighbourhood of the op being placed. Built once per op
  * and read once per candidate cluster, so the cluster sweep never
  * re-walks the edge table.
@@ -79,6 +94,36 @@ struct Neighbours
      */
     void snapshot(const ddg::Ddg &graph, const ModuloSchedule &sched,
                   const std::vector<char> &placed, OpId v);
+
+    /** @name One edge at a time (what snapshot() does per edge) */
+    /// @{
+    void clear()
+    {
+        in.clear();
+        out.clear();
+    }
+
+    /** Add the in-edge @p e from its placed producer in @p sched. */
+    void addIn(const NbEdge &e, const ModuloSchedule &sched)
+    {
+        const PlacedOp &pu = sched.placed(e.op);
+        const Cycle ii_dist = sched.ii() * e.distance;
+        const Cycle ready = pu.time + pu.outLatency;
+        const Cycle base_early =
+            (e.isReg ? ready : pu.time + e.latency) - ii_dist;
+        in.push_back({e.op, e.distance, e.isReg, pu.cluster, ii_dist,
+                      ready, base_early});
+    }
+
+    /** Add the out-edge @p e to its placed consumer in @p sched. */
+    void addOut(const NbEdge &e, const ModuloSchedule &sched)
+    {
+        const PlacedOp &pw = sched.placed(e.op);
+        const Cycle budget = pw.time + sched.ii() * e.distance;
+        out.push_back(
+            {e.op, e.isReg, pw.cluster, budget, budget - e.latency});
+    }
+    /// @}
 };
 
 /** [producer x cluster] start of the committed transfer. */
@@ -118,7 +163,6 @@ struct NewComm
     Cycle xferStart;
     std::size_t xferSlot;   ///< xferStart mod II, precomputed
     int bus;
-    int depth;              ///< caller's tag (the B&B's DFS depth)
 };
 
 /** Free the buses of @p comms (the bookings stay listed). */
@@ -201,11 +245,11 @@ struct Window
      * Book every transfer of a placement of @p v at @p t onto @p mrt,
      * each at the earliest cycle of its window that has a free bus, on
      * the lowest such bus; inbound transfers first, then outbound.
-     * Each booking is appended to @p booked with tag @p depth. On
-     * failure everything this call booked is released and removed.
+     * Each booking is appended to @p booked. On failure everything
+     * this call booked is released and removed.
      */
     bool book(Mrt &mrt, const ModuloSchedule &sched, OpId v, Cycle t,
-              std::vector<NewComm> &booked, int depth) const;
+              std::vector<NewComm> &booked) const;
 };
 
 } // namespace mvp::sched

@@ -18,7 +18,9 @@
  *    tiebreak budget is reproducible and never reads as a budget
  *    failure.
  *  - Pinned trees: the tiebreak search and the certificate-only
- *    search node totals over the 64 builtin clustered combos.
+ *    search node totals over the 64 builtin clustered combos, the
+ *    tiebreak's share of them, and every field of the tiebreak
+ *    winners; a warm context searches without allocating.
  *  - Registry: built-in names resolve, unknown ones do not, runtime
  *    registration works, and the verify backend fills the gap stats.
  */
@@ -26,14 +28,47 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 
 #include "cme/solver.hh"
 #include "ddg/ddg.hh"
 #include "machine/presets.hh"
+#include "obs/metrics.hh"
 #include "sched/backend.hh"
 #include "sched/exact/bnb.hh"
+#include "sched_fingerprint.hh"
 #include "workloads/workloads.hh"
+
+namespace
+{
+/** Every `operator new` this binary makes (the array forms route
+ * through it), for the allocation-free search test. */
+std::atomic<std::int64_t> g_allocations{0};
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace mvp::sched
 {
@@ -119,6 +154,8 @@ TEST(ExactBackend, TiebreakAndCertificateTreesArePinned)
 {
     std::int64_t tiebreak_nodes = 0;
     std::int64_t certificate_nodes = 0;
+    std::int64_t after_first_leaf = 0;   // exact.tiebreak_nodes
+    obs::Registry::instance().enable();
     for (int nc : {2, 4}) {
         const auto machine = makeConfig(nc);
         for (const auto &wl : workloads::allLoops()) {
@@ -134,8 +171,13 @@ TEST(ExactBackend, TiebreakAndCertificateTreesArePinned)
             SchedContext ctx;
             const auto full =
                 scheduleWithBackend("exact", graph, machine, opt, ctx);
+            after_first_leaf += ctx.metrics.det("exact.tiebreak_nodes");
+            ctx.metrics.clear();
             const auto cert =
                 certifyWithBackend("exact", graph, machine, opt, ctx);
+            // The certificate search stops at its first leaf.
+            EXPECT_EQ(ctx.metrics.det("exact.tiebreak_nodes"), 0) << label;
+            ctx.metrics.clear();
             ASSERT_TRUE(full.ok && cert.ok) << label;
             EXPECT_EQ(cert.schedule.ii(), full.schedule.ii()) << label;
             EXPECT_EQ(cert.stats.iiLowerBound, full.stats.iiLowerBound)
@@ -148,8 +190,55 @@ TEST(ExactBackend, TiebreakAndCertificateTreesArePinned)
             certificate_nodes += cert.stats.searchNodes;
         }
     }
+    obs::Registry::instance().disable();
     EXPECT_EQ(tiebreak_nodes, 2678981);
     EXPECT_EQ(certificate_nodes, 586770);
+    // The tiebreak's share of the tree: the nodes charged after the
+    // first leaf at the final II.
+    EXPECT_EQ(after_first_leaf, 2092211);
+}
+
+/**
+ * The tiebreak winners, pinned: every field of the 64 `exact` results
+ * on the builtin clustered combos under the library's default options
+ * (the perfbench certify corpus), with the deadline off so load cannot
+ * cut a search short. 10 of the 64 tiebreaks end at
+ * DEFAULT_TIEBREAK_BUDGET, so their winner depends on the exact node
+ * sequence: a kernel change that keeps the node total but reorders the
+ * tree fails here. One context serves every search, as in certify.
+ */
+TEST(ExactBackend, TiebreakWinnersArePinned)
+{
+    Fingerprint fold;
+    SchedContext ctx;
+    int budget_cut = 0;
+    for (int nc : {2, 4}) {
+        const auto machine = makeConfig(nc);
+        for (const auto &wl : workloads::allLoops()) {
+            const auto graph = ddg::Ddg::build(wl.nest, machine);
+            SchedulerOptions opt;
+            opt.timeBudgetMs = -1;
+            const auto r =
+                scheduleWithBackend("exact", graph, machine, opt, ctx);
+            ASSERT_TRUE(r.ok) << wl.nest.name() << "/c" << nc;
+            const SchedStats &st = r.stats;
+            fold.add(fingerprintResult(r));
+            fold.add(st.resMii);
+            fold.add(st.recMii);
+            fold.add(st.mii);
+            fold.add(static_cast<std::int64_t>(st.comms));
+            fold.add(st.iiLowerBound);
+            fold.add(st.provenOptimal);
+            fold.add(st.pressureOptimal);
+            fold.add(st.searchNodes);
+            fold.add(st.budgetExhausted);
+            fold.add(st.deadlineHit);
+            if (!st.pressureOptimal)
+                ++budget_cut;
+        }
+    }
+    EXPECT_EQ(budget_cut, 10);
+    EXPECT_EQ(fold.value(), 0xcf938554da30b015ull);
 }
 
 TEST(ExactBackend, Deterministic)
@@ -306,6 +395,50 @@ TEST(ExactEngine, TiebreakBudgetIsDeterministicAndBenign)
     const auto plain = exact::scheduleExact(graph, machine, {}, first);
     ASSERT_TRUE(plain.ok);
     EXPECT_EQ(plain.schedule.ii(), a.schedule.ii());
+}
+
+/**
+ * A warm context makes the search allocation-free: every buffer the
+ * branch and bound touches per node lives in the SchedContext, so a
+ * repeated search allocates only the schedule it returns (placements,
+ * transfers and MaxLive). The bound does not depend on the node count;
+ * the two loops below charge 645,815 and 150,045 nodes.
+ */
+TEST(ExactEngine, WarmSearchAllocatesOnlyItsResult)
+{
+#ifndef NDEBUG
+    GTEST_SKIP() << "debug builds cross-check every leaf against "
+                    "computeLifetimes(), which allocates its result";
+#endif
+    constexpr std::int64_t RESULT_ALLOCATIONS = 3;
+    const struct
+    {
+        const char *loop;
+        int clusters;
+        std::int64_t nodes;
+    } cases[] = {{"su2cor.matvec", 4, 645815}, {"tomcatv.rxry", 2, 150045}};
+    const auto loops = workloads::allLoops();
+    for (const auto &tc : cases) {
+        const auto it = std::find_if(
+            loops.begin(), loops.end(),
+            [&](const auto &wl) { return wl.nest.name() == tc.loop; });
+        ASSERT_NE(it, loops.end()) << tc.loop;
+        const auto machine = makeConfig(tc.clusters);
+        const auto graph = ddg::Ddg::build(it->nest, machine);
+        SchedulerOptions opt;
+        opt.timeBudgetMs = -1;
+        SchedContext ctx;
+        const auto warm = exact::scheduleExact(graph, machine, opt, ctx);
+        ASSERT_TRUE(warm.ok) << tc.loop;
+        const std::int64_t before = g_allocations.load();
+        const auto r = exact::scheduleExact(graph, machine, opt, ctx);
+        const std::int64_t allocations = g_allocations.load() - before;
+        ASSERT_TRUE(r.ok) << tc.loop;
+        EXPECT_EQ(r.stats.searchNodes, tc.nodes) << tc.loop;
+        EXPECT_EQ(fingerprintResult(r), fingerprintResult(warm))
+            << tc.loop;
+        EXPECT_LE(allocations, RESULT_ALLOCATIONS) << tc.loop;
+    }
 }
 
 TEST(BackendRegistry, BuiltinsResolve)

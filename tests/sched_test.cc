@@ -328,7 +328,7 @@ TEST(Window, BookingIsEarliestFitOnTheLowestFreeBus)
 
     // Bus 0 is busy at the earliest cycle: bus 1 takes it.
     mrt.reserveBusAt(0, mrt.slot(2));
-    ASSERT_TRUE(w.book(mrt, sched, 1, 5, booked, 7));
+    ASSERT_TRUE(w.book(mrt, sched, 1, 5, booked));
     ASSERT_EQ(booked.size(), 1u);
     EXPECT_EQ(booked[0].producer, 0);
     EXPECT_EQ(booked[0].from, 0);
@@ -336,10 +336,9 @@ TEST(Window, BookingIsEarliestFitOnTheLowestFreeBus)
     EXPECT_EQ(booked[0].xferStart, 2);
     EXPECT_EQ(booked[0].xferSlot, 2u);
     EXPECT_EQ(booked[0].bus, 1);
-    EXPECT_EQ(booked[0].depth, 7);
 
     // Both buses busy at cycle 2: the next cycle, lowest bus.
-    ASSERT_TRUE(w.book(mrt, sched, 1, 5, booked, 7));
+    ASSERT_TRUE(w.book(mrt, sched, 1, 5, booked));
     ASSERT_EQ(booked.size(), 2u);
     EXPECT_EQ(booked[1].xferStart, 3);
     EXPECT_EQ(booked[1].bus, 0);
@@ -351,7 +350,7 @@ TEST(Window, BookingIsEarliestFitOnTheLowestFreeBus)
     // ends before the result is ready): the call books nothing.
     w.needOut = {{0, 3}};
     const int used = mrt.busSlotsUsed();
-    EXPECT_FALSE(w.book(mrt, sched, 1, 5, booked, 7));
+    EXPECT_FALSE(w.book(mrt, sched, 1, 5, booked));
     EXPECT_TRUE(booked.empty());
     EXPECT_EQ(mrt.busSlotsUsed(), used);
 
@@ -362,7 +361,7 @@ TEST(Window, BookingIsEarliestFitOnTheLowestFreeBus)
     for (Cycle x = 2; x <= 4; ++x)
         mrt.reserveBusAt(1, mrt.slot(x));
     const int full = mrt.busSlotsUsed();
-    EXPECT_FALSE(w.book(mrt, sched, 1, 5, booked, 7));
+    EXPECT_FALSE(w.book(mrt, sched, 1, 5, booked));
     EXPECT_TRUE(booked.empty());
     EXPECT_EQ(mrt.busSlotsUsed(), full);
 }
