@@ -119,6 +119,8 @@ Ddg::build(const ir::LoopNest &nest, const MachineConfig &machine)
         }
     }
 
+    g.computeSccs();
+    g.computeRecurrences();
     return g;
 }
 
@@ -134,7 +136,6 @@ Ddg::addEdge(DdgEdge edge)
     edges_.push_back(edge);
     out_[static_cast<std::size_t>(edge.src)].push_back(idx);
     in_[static_cast<std::size_t>(edge.dst)].push_back(idx);
-    sccs_valid_ = false;
 }
 
 const std::vector<int> &
@@ -162,56 +163,94 @@ namespace
 {
 
 /**
- * Bellman-Ford longest-path relaxation; a positive cycle exists iff
- * some distance still relaxes after n rounds. @p edge_weight maps a
- * DdgEdge to its (possibly overridden) weight latency - II*distance.
+ * Bellman-Ford longest paths: raise @p dist (the caller's starting
+ * values, one per node) to the fixpoint of
+ * dist[to] >= dist[from] + edge_weight(e) over @p edges, an edge
+ * running src -> dst, or dst -> src when @p Backward. The edges join
+ * @p nodes nodes; returns false when a distance still rises after
+ * that many rounds, which proves a positive cycle.
  */
-template <typename WeightFn>
+template <bool Backward, typename WeightFn>
 bool
-feasibleCore(std::size_t n, const std::vector<DdgEdge> &edges,
-             WeightFn &&edge_weight)
+relax(std::vector<Cycle> &dist, const std::vector<DdgEdge> &edges,
+      std::size_t nodes, WeightFn &&edge_weight)
 {
-    // Reused across calls: the scheduler probes feasibility once per
-    // miss-promoted load per II attempt.
-    static thread_local std::vector<Cycle> dist;
-    dist.assign(n, 0);
-    for (std::size_t round = 0; round < n; ++round) {
+    for (std::size_t round = 0; round <= nodes; ++round) {
         bool changed = false;
         for (const auto &e : edges) {
-            const Cycle cand =
-                dist[static_cast<std::size_t>(e.src)] + edge_weight(e);
-            if (cand > dist[static_cast<std::size_t>(e.dst)]) {
-                dist[static_cast<std::size_t>(e.dst)] = cand;
+            const auto from = static_cast<std::size_t>(Backward ? e.dst
+                                                                : e.src);
+            const auto to = static_cast<std::size_t>(Backward ? e.src
+                                                              : e.dst);
+            const Cycle cand = dist[from] + edge_weight(e);
+            if (cand > dist[to]) {
+                if (round == nodes)
+                    return false;
+                dist[to] = cand;
                 changed = true;
             }
         }
         if (!changed)
             return true;
     }
-    // One more round: any further relaxation proves a positive cycle.
-    for (const auto &e : edges) {
-        if (dist[static_cast<std::size_t>(e.src)] + edge_weight(e) >
-            dist[static_cast<std::size_t>(e.dst)])
-            return false;
-    }
     return true;
+}
+
+/** The edge weights latency - ii*distance of a modulo schedule at @p ii. */
+auto
+weightsAt(Cycle ii)
+{
+    return [ii](const DdgEdge &e) { return e.latency - ii * e.distance; };
+}
+
+/**
+ * @p n zeroed distances for a feasibility probe, in a per-thread table
+ * reused across calls: the scheduler probes feasibility once per
+ * miss-promoted load per II attempt.
+ */
+std::vector<Cycle> &
+zeroDist(std::size_t n)
+{
+    static thread_local std::vector<Cycle> dist;
+    dist.assign(n, 0);
+    return dist;
+}
+
+/**
+ * The smallest feasible II of @p edges, which join nodes 0..n-1.
+ * Feasibility is monotone in II (every cycle carries distance >= 1,
+ * since the distance-0 subgraph follows program order) and holds at
+ * one more than the sum of the latencies, so binary search it.
+ */
+Cycle
+smallestFeasibleII(std::size_t n, const std::vector<DdgEdge> &edges)
+{
+    auto feasible_at = [&](Cycle ii) {
+        return relax<false>(zeroDist(n), edges, n, weightsAt(ii));
+    };
+    Cycle lo = 1;
+    Cycle hi = 1;
+    for (const auto &e : edges)
+        hi += std::max<Cycle>(e.latency, 0);
+    if (feasible_at(lo))
+        return lo;
+    while (lo + 1 < hi) {
+        const Cycle mid = lo + (hi - lo) / 2;
+        if (feasible_at(mid))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return hi;
 }
 
 } // namespace
 
 bool
-Ddg::feasibleII(Cycle ii, const LatencyOverrides &overrides) const
+Ddg::feasibleII(Cycle ii) const
 {
     mvp_assert(ii >= 1, "II must be positive");
-    return feasibleCore(n_, edges_, [&](const DdgEdge &e) -> Cycle {
-        Cycle lat = e.latency;
-        if (e.isRegFlow()) {
-            auto it = overrides.find(e.src);
-            if (it != overrides.end())
-                lat = it->second;
-        }
-        return lat - ii * e.distance;
-    });
+    return relax<false>(zeroDist(n_), edges_, n_, weightsAt(ii));
 }
 
 bool
@@ -220,7 +259,7 @@ Ddg::feasibleII(Cycle ii, const std::vector<Cycle> &override_lat) const
     mvp_assert(ii >= 1, "II must be positive");
     mvp_assert(override_lat.size() == n_,
                "override table size mismatch");
-    return feasibleCore(n_, edges_, [&](const DdgEdge &e) -> Cycle {
+    auto weight = [&](const DdgEdge &e) -> Cycle {
         Cycle lat = e.latency;
         if (e.isRegFlow()) {
             const Cycle o =
@@ -229,40 +268,14 @@ Ddg::feasibleII(Cycle ii, const std::vector<Cycle> &override_lat) const
                 lat = o;
         }
         return lat - ii * e.distance;
-    });
-}
-
-Cycle
-Ddg::recMii() const
-{
-    // Feasibility is monotone in II (every cycle carries distance >= 1,
-    // since the distance-0 subgraph follows program order), so binary
-    // search the smallest feasible II.
-    Cycle lo = 1;
-    Cycle hi = 1;
-    for (const auto &e : edges_)
-        hi += std::max<Cycle>(e.latency, 0);
-    if (feasibleII(lo))
-        return lo;
-    while (lo + 1 < hi) {
-        const Cycle mid = lo + (hi - lo) / 2;
-        if (feasibleII(mid))
-            hi = mid;
-        else
-            lo = mid;
-    }
-    mvp_assert(feasibleII(hi), "recMii upper bound infeasible");
-    return hi;
+    };
+    return relax<false>(zeroDist(n_), edges_, n_, weight);
 }
 
 void
-Ddg::computeSccs() const
+Ddg::computeSccs()
 {
-    if (sccs_valid_)
-        return;
-    sccs_.clear();
     scc_of_.assign(n_, -1);
-    in_recurrence_.assign(n_, false);
 
     // Iterative Tarjan.
     std::vector<int> index(n_, -1);
@@ -276,11 +289,11 @@ Ddg::computeSccs() const
         OpId node;
         std::size_t edge_pos;
     };
+    std::vector<Frame> frames;
 
     for (std::size_t start = 0; start < n_; ++start) {
         if (index[start] != -1)
             continue;
-        std::vector<Frame> frames;
         frames.push_back({static_cast<OpId>(start), 0});
         index[start] = lowlink[start] = next_index++;
         stack.push_back(static_cast<OpId>(start));
@@ -325,95 +338,41 @@ Ddg::computeSccs() const
             }
         }
     }
+}
 
-    // A node is on a recurrence iff its SCC has >1 node or a self-loop.
-    for (const auto &comp : sccs_) {
-        bool cyclic = comp.size() > 1;
-        if (!cyclic) {
-            for (int ei : out_[static_cast<std::size_t>(comp[0])])
-                if (edges_[static_cast<std::size_t>(ei)].dst == comp[0])
-                    cyclic = true;
-        }
-        if (cyclic)
-            for (OpId v : comp)
-                in_recurrence_[static_cast<std::size_t>(v)] = true;
+void
+Ddg::computeRecurrences()
+{
+    // Every cycle lies inside one component, so each component's
+    // RecMII comes from its own edges (renumbered to the component's
+    // positions) and the graph's is the largest. A component is a
+    // recurrence iff it has an inner edge: more than one node, or a
+    // self-loop.
+    std::vector<int> local(n_);
+    for (const auto &comp : sccs_)
+        for (std::size_t i = 0; i < comp.size(); ++i)
+            local[static_cast<std::size_t>(comp[i])] = static_cast<int>(i);
+    std::vector<std::vector<DdgEdge>> inner(sccs_.size());
+    for (DdgEdge e : edges_) {
+        const int s = scc_of_[static_cast<std::size_t>(e.src)];
+        if (s != scc_of_[static_cast<std::size_t>(e.dst)])
+            continue;
+        e.src = local[static_cast<std::size_t>(e.src)];
+        e.dst = local[static_cast<std::size_t>(e.dst)];
+        inner[static_cast<std::size_t>(s)].push_back(e);
     }
-    sccs_valid_ = true;
-}
 
-const std::vector<std::vector<OpId>> &
-Ddg::sccs() const
-{
-    computeSccs();
-    return sccs_;
-}
-
-int
-Ddg::sccOf(OpId op) const
-{
-    computeSccs();
-    return scc_of_[static_cast<std::size_t>(op)];
-}
-
-bool
-Ddg::inRecurrence(OpId op) const
-{
-    computeSccs();
-    return in_recurrence_[static_cast<std::size_t>(op)];
-}
-
-Cycle
-Ddg::sccRecMii(int scc_index) const
-{
-    computeSccs();
-    const auto &comp = sccs_[static_cast<std::size_t>(scc_index)];
-    if (comp.size() == 1 && !in_recurrence_[static_cast<std::size_t>(
-                                comp[0])])
-        return 1;
-
-    // Feasibility check restricted to edges inside the component.
-    std::vector<char> in_comp(n_, 0);
-    for (OpId v : comp)
-        in_comp[static_cast<std::size_t>(v)] = 1;
-    auto feasible = [&](Cycle ii) {
-        std::vector<Cycle> dist(n_, 0);
-        for (std::size_t round = 0; round <= comp.size(); ++round) {
-            bool changed = false;
-            for (const auto &e : edges_) {
-                if (!in_comp[static_cast<std::size_t>(e.src)] ||
-                    !in_comp[static_cast<std::size_t>(e.dst)])
-                    continue;
-                const Cycle cand = dist[static_cast<std::size_t>(e.src)] +
-                                   e.latency - ii * e.distance;
-                if (cand > dist[static_cast<std::size_t>(e.dst)]) {
-                    if (round == comp.size())
-                        return false;
-                    dist[static_cast<std::size_t>(e.dst)] = cand;
-                    changed = true;
-                }
-            }
-            if (!changed)
-                return true;
-        }
-        return true;
-    };
-
-    Cycle lo = 1;
-    Cycle hi = 1;
-    for (const auto &e : edges_)
-        if (in_comp[static_cast<std::size_t>(e.src)] &&
-            in_comp[static_cast<std::size_t>(e.dst)])
-            hi += std::max<Cycle>(e.latency, 0);
-    if (feasible(lo))
-        return lo;
-    while (lo + 1 < hi) {
-        const Cycle mid = lo + (hi - lo) / 2;
-        if (feasible(mid))
-            hi = mid;
-        else
-            lo = mid;
+    in_recurrence_.assign(n_, false);
+    scc_rec_mii_.assign(sccs_.size(), 1);
+    rec_mii_ = 1;
+    for (std::size_t s = 0; s < sccs_.size(); ++s) {
+        if (inner[s].empty())
+            continue;
+        for (OpId v : sccs_[s])
+            in_recurrence_[static_cast<std::size_t>(v)] = true;
+        scc_rec_mii_[s] = smallestFeasibleII(sccs_[s].size(), inner[s]);
+        rec_mii_ = std::max(rec_mii_, scc_rec_mii_[s]);
     }
-    return hi;
 }
 
 Ddg::TimeBounds
@@ -427,41 +386,21 @@ Ddg::timeBounds(Cycle ii) const
 void
 Ddg::timeBounds(Cycle ii, TimeBounds &tb) const
 {
-    mvp_assert(feasibleII(ii), "timeBounds at infeasible II");
+    const auto weight = weightsAt(ii);
+    // ASAP: the longest path from any source, which fails to converge
+    // exactly when ii is infeasible.
     tb.asap.assign(n_, 0);
-
-    // Longest path from sources (Bellman-Ford to fixpoint).
-    for (std::size_t round = 0; round < n_; ++round) {
-        bool changed = false;
-        for (const auto &e : edges_) {
-            const Cycle cand = tb.asap[static_cast<std::size_t>(e.src)] +
-                               e.latency - ii * e.distance;
-            if (cand > tb.asap[static_cast<std::size_t>(e.dst)]) {
-                tb.asap[static_cast<std::size_t>(e.dst)] = cand;
-                changed = true;
-            }
-        }
-        if (!changed)
-            break;
-    }
+    const bool feasible_ii = relax<false>(tb.asap, edges_, n_, weight);
+    mvp_assert(feasible_ii, "timeBounds at infeasible II");
     tb.criticalPath = 0;
     for (std::size_t v = 0; v < n_; ++v)
         tb.criticalPath = std::max(tb.criticalPath, tb.asap[v]);
 
-    tb.alap.assign(n_, tb.criticalPath);
-    for (std::size_t round = 0; round < n_; ++round) {
-        bool changed = false;
-        for (const auto &e : edges_) {
-            const Cycle cand = tb.alap[static_cast<std::size_t>(e.dst)] -
-                               (e.latency - ii * e.distance);
-            if (cand < tb.alap[static_cast<std::size_t>(e.src)]) {
-                tb.alap[static_cast<std::size_t>(e.src)] = cand;
-                changed = true;
-            }
-        }
-        if (!changed)
-            break;
-    }
+    // ALAP: the critical path minus the longest path to any sink.
+    tb.alap.assign(n_, 0);
+    relax<true>(tb.alap, edges_, n_, weight);
+    for (auto &t : tb.alap)
+        t = tb.criticalPath - t;
 }
 
 std::string

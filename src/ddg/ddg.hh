@@ -14,7 +14,6 @@
 #define MVP_DDG_DDG_HH
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -51,14 +50,12 @@ struct DdgEdge
 };
 
 /**
- * Per-operation latency overrides, used when the RMCA scheduler promotes
- * a load to the cache-miss latency: every RegFlow edge leaving the op
- * adopts the override.
- */
-using LatencyOverrides = std::unordered_map<OpId, Cycle>;
-
-/**
  * The data dependence graph.
+ *
+ * Immutable once build() returns: the recurrence facts the schedulers
+ * read (components, recurrence membership, per-component and
+ * whole-graph RecMII) are computed there, once, so every const member
+ * is a pure read and one graph may be shared by any number of threads.
  */
 class Ddg
 {
@@ -93,24 +90,22 @@ class Ddg
     /**
      * Recurrence-constrained minimum initiation interval: the smallest II
      * with no positive-weight cycle under weights latency - II*distance.
-     * Returns 1 for acyclic graphs.
+     * Returns 1 for acyclic graphs. Every cycle lies inside one
+     * component, so this is the largest sccRecMii().
      */
-    Cycle recMii() const;
+    Cycle recMii() const { return rec_mii_; }
 
     /**
      * True when @p ii admits a legal schedule as far as recurrences are
-     * concerned, with optional per-op out-latency overrides (used to ask
-     * "may this load adopt the miss latency without raising the II?").
+     * concerned (one Bellman-Ford run over the whole graph).
      */
-    bool feasibleII(Cycle ii,
-                    const LatencyOverrides &overrides = {}) const;
+    bool feasibleII(Cycle ii) const;
 
     /**
-     * feasibleII with a dense override table: override_lat[op] >= 0
-     * replaces the out-latency of op's register-flow edges, negative
-     * entries mean "no override". The scheduler's inner loop uses this
-     * form to probe miss-latency promotion without building a map per
-     * probe.
+     * feasibleII with per-op out-latency overrides, used to ask "may
+     * this load adopt the miss latency without raising the II?":
+     * override_lat[op] >= 0 replaces the out-latency of op's
+     * register-flow edges, negative entries mean "no override".
      */
     bool feasibleII(Cycle ii,
                     const std::vector<Cycle> &override_lat) const;
@@ -120,19 +115,28 @@ class Ddg
      * reverse topological order; singleton components without a self-loop
      * are included.
      */
-    const std::vector<std::vector<OpId>> &sccs() const;
+    const std::vector<std::vector<OpId>> &sccs() const { return sccs_; }
 
     /** Component index of @p op in sccs(). */
-    int sccOf(OpId op) const;
+    int sccOf(OpId op) const
+    {
+        return scc_of_[static_cast<std::size_t>(op)];
+    }
 
     /** True when @p op lies on some dependence cycle. */
-    bool inRecurrence(OpId op) const;
+    bool inRecurrence(OpId op) const
+    {
+        return in_recurrence_[static_cast<std::size_t>(op)];
+    }
 
     /**
-     * RecMII restricted to one component of sccs() (1 for trivial
-     * components).
+     * RecMII restricted to the edges inside one component of sccs()
+     * (1 for trivial components).
      */
-    Cycle sccRecMii(int scc_index) const;
+    Cycle sccRecMii(int scc_index) const
+    {
+        return scc_rec_mii_[static_cast<std::size_t>(scc_index)];
+    }
 
     /** ASAP/ALAP times at a given II (Bellman-Ford longest paths). */
     struct TimeBounds
@@ -163,14 +167,15 @@ class Ddg
 
     /**
      * Compute ASAP/ALAP under weights latency - ii*distance. Requires
-     * feasibleII(ii).
+     * feasibleII(ii); the ASAP pass itself checks it.
      */
     TimeBounds timeBounds(Cycle ii) const;
 
     /**
      * timeBounds into a caller-owned result, reusing its vectors'
-     * capacity (the scheduler keeps one thread-local TimeBounds and
-     * recomputes it once per scheduled loop without reallocating).
+     * capacity (the scheduler keeps one TimeBounds in its ordering
+     * scratch and recomputes it once per scheduled loop without
+     * reallocating).
      */
     void timeBounds(Cycle ii, TimeBounds &out) const;
 
@@ -181,7 +186,8 @@ class Ddg
     Ddg() = default;
 
     void addEdge(DdgEdge edge);
-    void computeSccs() const;
+    void computeSccs();
+    void computeRecurrences();
 
     const ir::LoopNest *nest_ = nullptr;
     std::size_t n_ = 0;
@@ -190,10 +196,11 @@ class Ddg
     std::vector<std::vector<int>> in_;
     std::vector<Cycle> op_latency_;
 
-    mutable bool sccs_valid_ = false;
-    mutable std::vector<std::vector<OpId>> sccs_;
-    mutable std::vector<int> scc_of_;
-    mutable std::vector<bool> in_recurrence_;
+    std::vector<std::vector<OpId>> sccs_;
+    std::vector<int> scc_of_;
+    std::vector<bool> in_recurrence_;
+    std::vector<Cycle> scc_rec_mii_;
+    Cycle rec_mii_ = 1;
 };
 
 } // namespace mvp::ddg

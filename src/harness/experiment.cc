@@ -67,12 +67,6 @@ Workbench::Workbench(const std::vector<std::string> &only)
                 std::make_unique<Entry>(bench.name, std::move(nest));
             entry->ddg = std::make_unique<ddg::Ddg>(
                 ddg::Ddg::build(entry->nest, lat_machine));
-            // Warm the DDG's lazily-computed SCC tables now, while the
-            // graph is still private: from here on every query the
-            // schedulers issue (sccs, inRecurrence, timeBounds,
-            // feasibleII) is a pure read, so one graph can serve any
-            // number of workers.
-            entry->ddg->sccs();
             entries_.push_back(std::move(entry));
         }
     }

@@ -117,9 +117,8 @@ class Workbench
      * `gen:<spec>` generated suites mix freely with builtin names (and
      * unknown names fail with the list of valid ones). Operation
      * latencies are identical in all Table-1 machines, so one DDG per
-     * loop serves the whole sweep. Preparation also warms each DDG's
-     * lazily-computed SCC tables so the graphs are read-only — and
-     * therefore freely shared — once sharded scheduling starts.
+     * loop serves the whole sweep; a DDG is immutable once built, so
+     * the sharded workers share it freely.
      */
     explicit Workbench(const std::vector<std::string> &only = {});
 

@@ -37,10 +37,6 @@ SchedService::LoopContext::ddgFor(const MachineConfig &machine,
     if (it == ddgs.end()) {
         auto graph = std::make_unique<ddg::Ddg>(
             ddg::Ddg::build(nest, machine));
-        // Warm the lazily-built SCC tables while we hold the context
-        // lock, exactly like Workbench::prepare — afterwards the DDG
-        // is read-only and safe to share across workers.
-        graph->sccs();
         it = ddgs.emplace(machineKey, std::move(graph)).first;
     }
     return *it->second;

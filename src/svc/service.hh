@@ -195,8 +195,9 @@ class SchedService
         mutable std::mutex mu;   ///< guards ddgs
         std::map<std::string, std::unique_ptr<ddg::Ddg>> ddgs;
 
-        /** The DDG for @p machineKey, built and SCC-warmed on first
-         * use. The reference stays valid for the context's lifetime. */
+        /** The DDG for @p machineKey, built on first use (immutable,
+         * so shared across workers). The reference stays valid for the
+         * context's lifetime. */
         const ddg::Ddg &ddgFor(const MachineConfig &machine,
                                const std::string &machineKey);
     };

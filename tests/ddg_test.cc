@@ -1,17 +1,23 @@
 /**
  * @file
  * Unit tests for DDG construction: register and memory dependence
- * edges, RecMII, SCCs, latency overrides and time bounds.
+ * edges, RecMII, SCCs, latency overrides and time bounds, checked
+ * against a Floyd-Warshall reference on the builtin loops and generated
+ * scenarios, and a graph shared by threads straight after build().
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <thread>
 
 #include "ddg/ddg.hh"
 #include "ddg/memdep.hh"
+#include "gen/generator.hh"
 #include "ir/builder.hh"
 #include "machine/presets.hh"
+#include "workloads/workloads.hh"
 
 namespace mvp::ddg
 {
@@ -305,10 +311,12 @@ TEST(FeasibleII, OverrideRaisesRequiredII)
     EXPECT_FALSE(g.feasibleII(rec - 1));
     // The load is not on the cycle; overriding its latency leaves the
     // recurrence intact but lengthens the x->y edge, which is acyclic.
-    LatencyOverrides ov{{x, 50}};
+    std::vector<Cycle> ov(g.size(), -1);
+    ov[static_cast<std::size_t>(x)] = 50;
     EXPECT_TRUE(g.feasibleII(rec, ov));
     // Overriding an op on the cycle (y) does raise the bound.
-    LatencyOverrides ov2{{y, 50}};
+    std::vector<Cycle> ov2(g.size(), -1);
+    ov2[static_cast<std::size_t>(y)] = 50;
     EXPECT_FALSE(g.feasibleII(rec, ov2));
 }
 
@@ -379,6 +387,219 @@ TEST(TimeBounds, MobilityOfSideBranch)
     EXPECT_GT(tb.mobility(fast), 0);
     EXPECT_EQ(tb.mobility(slow1), 0);
     EXPECT_EQ(tb.mobility(slow2), 0);
+}
+
+// ------------------------------------------------- reference longest paths
+
+/**
+ * Max-plus all-pairs longest walks by Floyd-Warshall, independent of
+ * the DDG's own Bellman-Ford: best[u][v] is the heaviest walk of one
+ * or more edges from u to v under latency - ii*distance, restricted to
+ * the nodes in @p member (NONE when there is no such walk). Sums are
+ * clamped so a positive cycle cannot overflow; the diagonal stays
+ * positive, which is all the feasibility test needs.
+ */
+struct MaxPlusPaths
+{
+    static constexpr Cycle NONE = std::numeric_limits<Cycle>::min();
+    static constexpr Cycle CAP = Cycle{1} << 40;
+
+    std::size_t n = 0;
+    std::vector<Cycle> best;
+
+    MaxPlusPaths(const Ddg &g, Cycle ii, const std::vector<char> &member)
+        : n(g.size()), best(n * n, NONE)
+    {
+        for (const auto &e : g.edges()) {
+            const auto u = static_cast<std::size_t>(e.src);
+            const auto v = static_cast<std::size_t>(e.dst);
+            if (member[u] && member[v])
+                best[u * n + v] = std::max(best[u * n + v],
+                                           e.latency - ii * e.distance);
+        }
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t i = 0; i < n; ++i) {
+                if (best[i * n + k] == NONE)
+                    continue;
+                for (std::size_t j = 0; j < n; ++j) {
+                    if (best[k * n + j] == NONE)
+                        continue;
+                    const Cycle via = std::min(
+                        best[i * n + k] + best[k * n + j], CAP);
+                    best[i * n + j] = std::max(best[i * n + j], via);
+                }
+            }
+    }
+
+    Cycle at(std::size_t u, std::size_t v) const { return best[u * n + v]; }
+
+    /** No positive-weight cycle among the member nodes. */
+    bool feasible() const
+    {
+        for (std::size_t v = 0; v < n; ++v)
+            if (at(v, v) != NONE && at(v, v) > 0)
+                return false;
+        return true;
+    }
+};
+
+/** Smallest II >= 1 at which the member subgraph has no positive cycle,
+ * found by counting up (no monotonicity assumed). */
+Cycle
+referenceRecMii(const Ddg &g, const std::vector<char> &member)
+{
+    for (Cycle ii = 1;; ++ii)
+        if (MaxPlusPaths(g, ii, member).feasible())
+            return ii;
+}
+
+/** Check every recurrence fact of @p g against the Floyd-Warshall
+ * reference. */
+void
+expectMatchesReference(const Ddg &g, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const std::size_t n = g.size();
+    const std::vector<char> all(n, 1);
+    const Cycle rec = referenceRecMii(g, all);
+    ASSERT_EQ(g.recMii(), rec);
+    EXPECT_TRUE(g.feasibleII(rec));
+    if (rec > 1) {
+        EXPECT_FALSE(g.feasibleII(rec - 1));
+    }
+
+    // Components: mutual reachability at any II (edge existence only).
+    const MaxPlusPaths paths(g, rec, all);
+    auto reaches = [&](std::size_t u, std::size_t v) {
+        return paths.at(u, v) != MaxPlusPaths::NONE;
+    };
+    std::size_t covered = 0;
+    for (std::size_t s = 0; s < g.sccs().size(); ++s) {
+        const auto &comp = g.sccs()[s];
+        ASSERT_FALSE(comp.empty());
+        covered += comp.size();
+        std::vector<char> member(n, 0);
+        for (OpId v : comp) {
+            EXPECT_EQ(g.sccOf(v), static_cast<int>(s));
+            member[static_cast<std::size_t>(v)] = 1;
+        }
+        const bool cyclic =
+            reaches(static_cast<std::size_t>(comp[0]),
+                    static_cast<std::size_t>(comp[0]));
+        EXPECT_EQ(g.sccRecMii(static_cast<int>(s)),
+                  cyclic ? referenceRecMii(g, member) : 1)
+            << "scc " << s;
+    }
+    EXPECT_EQ(covered, n);
+    for (std::size_t u = 0; u < n; ++u) {
+        const auto ou = static_cast<OpId>(u);
+        EXPECT_EQ(g.inRecurrence(ou), reaches(u, u)) << "op " << u;
+        for (std::size_t v = 0; v < n; ++v) {
+            const auto ov = static_cast<OpId>(v);
+            const bool same = u == v || (reaches(u, v) && reaches(v, u));
+            EXPECT_EQ(g.sccOf(ou) == g.sccOf(ov), same)
+                << "ops " << u << ", " << v;
+        }
+    }
+    // Reverse topological order: an edge between components points to
+    // an earlier one.
+    for (const auto &e : g.edges()) {
+        if (g.sccOf(e.src) != g.sccOf(e.dst)) {
+            EXPECT_GT(g.sccOf(e.src), g.sccOf(e.dst));
+        }
+    }
+
+    // ASAP: heaviest walk ending at the node (0 for sources); ALAP:
+    // the critical path minus the heaviest walk leaving the node.
+    const auto tb = g.timeBounds(rec);
+    std::vector<Cycle> asap(n, 0);
+    std::vector<Cycle> tail(n, 0);
+    for (std::size_t u = 0; u < n; ++u)
+        for (std::size_t v = 0; v < n; ++v) {
+            if (!reaches(u, v))
+                continue;
+            asap[v] = std::max(asap[v], paths.at(u, v));
+            tail[u] = std::max(tail[u], paths.at(u, v));
+        }
+    const Cycle cp = n == 0 ? 0 : *std::max_element(asap.begin(), asap.end());
+    EXPECT_EQ(tb.criticalPath, cp);
+    EXPECT_EQ(tb.asap, asap);
+    for (std::size_t v = 0; v < n; ++v)
+        EXPECT_EQ(tb.alap[v], cp - tail[v]) << "op " << v;
+}
+
+TEST(DdgReference, BuiltinLoopsOnTable1PresetsMatchFloydWarshall)
+{
+    const auto loops = workloads::allLoops();
+    ASSERT_EQ(loops.size(), 32u);
+    for (const auto &machine :
+         {makeUnified(), makeTwoCluster(), makeFourCluster()})
+        for (const auto &wl : loops)
+            expectMatchesReference(Ddg::build(wl.nest, machine),
+                                   wl.nest.name() + " on " + machine.name);
+}
+
+TEST(DdgReference, GeneratedScenariosMatchFloydWarshall)
+{
+    int with_recurrence = 0;
+    for (std::uint64_t s = 0; s < 240; ++s) {
+        const auto sc = gen::generateScenario(gen::deriveSeed(0xddf1ULL, s));
+        const auto g = Ddg::build(sc.nest, sc.machine);
+        expectMatchesReference(g, "scenario " + std::to_string(s));
+        if (g.recMii() > 1)
+            ++with_recurrence;
+    }
+    // The corpus must exercise recurrences, not only acyclic graphs.
+    EXPECT_GE(with_recurrence, 60);
+}
+
+// ------------------------------------------------------------ sharing
+
+/** Every recurrence fact and time bound of @p g, folded into one list. */
+std::vector<Cycle>
+readAll(const Ddg &g)
+{
+    std::vector<Cycle> out;
+    for (std::size_t s = 0; s < g.sccs().size(); ++s) {
+        out.push_back(static_cast<Cycle>(g.sccs()[s].size()));
+        out.push_back(g.sccRecMii(static_cast<int>(s)));
+    }
+    for (std::size_t v = 0; v < g.size(); ++v) {
+        out.push_back(g.sccOf(static_cast<OpId>(v)));
+        out.push_back(g.inRecurrence(static_cast<OpId>(v)) ? 1 : 0);
+    }
+    out.push_back(g.recMii());
+    const auto tb = g.timeBounds(g.recMii());
+    out.insert(out.end(), tb.asap.begin(), tb.asap.end());
+    out.insert(out.end(), tb.alap.begin(), tb.alap.end());
+    return out;
+}
+
+// The graph is complete when build() returns: threads that share a
+// fresh, never-queried graph only read it (the TSan job runs this).
+TEST(Ddg, SharedWithoutWarmUpIsReadOnly)
+{
+    const auto loops = workloads::allLoops();
+    const auto it = std::find_if(
+        loops.begin(), loops.end(),
+        [](const auto &wl) { return wl.nest.name() == "applu.blts"; });
+    ASSERT_NE(it, loops.end());
+    const auto g = Ddg::build(it->nest, kMachine);
+
+    constexpr int THREADS = 8;
+    std::vector<std::vector<Cycle>> seen(THREADS);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < THREADS; ++t)
+        workers.emplace_back([&g, &seen, t] {
+            seen[static_cast<std::size_t>(t)] = readAll(g);
+        });
+    for (auto &w : workers)
+        w.join();
+
+    const auto expected = readAll(g);
+    EXPECT_GT(g.recMii(), 1);
+    for (const auto &s : seen)
+        EXPECT_EQ(s, expected);
 }
 
 TEST(DdgDump, MentionsEdges)

@@ -402,7 +402,9 @@ TEST(ExactEngine, TiebreakBudgetIsDeterministicAndBenign)
  * branch and bound touches per node lives in the SchedContext, so a
  * repeated search allocates only the schedule it returns (placements,
  * transfers and MaxLive). The bound does not depend on the node count;
- * the two loops below charge 645,815 and 150,045 nodes.
+ * the first two loops below charge 645,815 and 150,045 nodes. The
+ * third has recurrences, so its node ordering reads the DDG's per-SCC
+ * RecMII, which must not be recomputed (or allocate) per search.
  */
 TEST(ExactEngine, WarmSearchAllocatesOnlyItsResult)
 {
@@ -416,7 +418,9 @@ TEST(ExactEngine, WarmSearchAllocatesOnlyItsResult)
         const char *loop;
         int clusters;
         std::int64_t nodes;
-    } cases[] = {{"su2cor.matvec", 4, 645815}, {"tomcatv.rxry", 2, 150045}};
+    } cases[] = {{"su2cor.matvec", 4, 645815},
+                 {"tomcatv.rxry", 2, 150045},
+                 {"applu.blts", 2, 127}};
     const auto loops = workloads::allLoops();
     for (const auto &tc : cases) {
         const auto it = std::find_if(
