@@ -10,14 +10,17 @@
  * Usage: mvp_served [--jobs N] [--state FILE] [--listen PORT]
  *                   [--log-level L] [--metrics[=F]] [--trace=F]
  *
- * --state FILE loads warm state (schedule cache + locality memos)
- * from FILE at startup when it exists — a missing file is a cold
- * start, not an error — and, in stdio mode, saves back to FILE when
- * the session ends. TCP sessions persist on demand via the protocol's
- * SAVE/LOAD frames (there is no clean shutdown hook on a listener
- * that runs until killed).
+ * --state FILE loads warm state (the schedule cache) from FILE at
+ * startup when it exists — a missing or unreadable file is a cold
+ * start, not an error — and saves back to FILE on the way out: in
+ * stdio mode when the session ends, in TCP mode when SIGTERM or SIGINT
+ * stops the listener. The save is atomic (svc/service.hh), so a
+ * process killed mid-save leaves the previous snapshot intact.
  */
 
+#include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -29,6 +32,65 @@
 #include "svc/service.hh"
 
 using namespace mvp;
+
+namespace
+{
+
+/** The running TCP listener, for the signal handler (which may run on
+ * any thread, the worker pool's included). */
+std::atomic<svc::TcpReactor *> g_reactor{nullptr};
+
+/** SIGTERM/SIGINT: wake the reactor through its self-pipe (a write(2),
+ * so async-signal-safe); run() returns and main() saves the state. */
+void
+stopReactor(int)
+{
+    const int saved = errno;
+    if (svc::TcpReactor *reactor = g_reactor.load())
+        reactor->stop();
+    errno = saved;
+}
+
+/** Serve TCP on 127.0.0.1:@p port until SIGTERM/SIGINT; the chosen
+ * port is announced on stdout as `listening on <port>` (so scripted
+ * clients can scrape it when 0 asked the kernel for one). */
+int
+serveTcp(svc::SchedService &service, int port)
+{
+    svc::TcpReactor reactor(service, port);
+    if (!reactor.ok()) {
+        mvp_warn("svc: ", reactor.error());
+        return 1;
+    }
+    // Handlers go in before the announcement: a supervisor may signal
+    // as soon as it reads it. A stop() before run() is a pending
+    // wakeup, so run() returns at its first poll.
+    g_reactor = &reactor;
+    std::signal(SIGTERM, stopReactor);
+    std::signal(SIGINT, stopReactor);
+    std::printf("listening on %d\n", reactor.port());
+    std::fflush(stdout);
+    const int rc = reactor.run();
+    // From here a second signal kills the process; the save is atomic.
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
+    g_reactor = nullptr;
+    return rc;
+}
+
+/** Save to --state (when given); a failure is a warning, not an
+ * error — the previous snapshot stays as it was. */
+void
+saveState(const svc::SchedService &service, const std::string &state)
+{
+    if (state.empty())
+        return;
+    std::string err;
+    if (!service.saveStateFile(state, &err))
+        mvp_warn("svc: warm state not saved: ", err);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -66,15 +128,13 @@ main(int argc, char **argv)
             port > 65535)
             mvp_fatal("--listen wants a TCP port, got '", listen,
                       "'");
-        return svc::runTcpServer(service, static_cast<int>(port));
+        const int rc = serveTcp(service, static_cast<int>(port));
+        if (rc == 0)
+            saveState(service, state);
+        return rc;
     }
 
     svc::runStdioSession(service, std::cin, std::cout);
-
-    if (!state.empty()) {
-        std::string err;
-        if (!service.saveStateFile(state, &err))
-            mvp_warn("svc: warm state not saved: ", err);
-    }
+    saveState(service, state);
     return 0;
 }

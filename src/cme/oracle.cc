@@ -1,7 +1,6 @@
 #include "cme/oracle.hh"
 
-#include <algorithm>
-#include <tuple>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -188,54 +187,6 @@ CacheOracle::missCounts(const std::vector<OpId> &set, const CacheGeom &geom)
     return simulate(detail::canonicalInto(oracleScratch().canonical, set),
                     geom)
         .misses;
-}
-
-std::vector<OracleMemoEntry>
-CacheOracle::exportMemo() const
-{
-    std::vector<OracleMemoEntry> out;
-    memo_.forEach([&](const detail::QueryKey &key, const SimResult &res) {
-        OracleMemoEntry entry;
-        entry.geom = key.geom;
-        entry.set = key.set;
-        entry.points = res.points;
-        entry.misses.reserve(key.set.size());
-        for (const OpId op : key.set)
-            entry.misses.push_back(res.misses.at(op));
-        out.push_back(std::move(entry));
-    });
-    std::sort(out.begin(), out.end(),
-              [](const OracleMemoEntry &a, const OracleMemoEntry &b) {
-                  const auto ka =
-                      std::tie(a.geom.capacityBytes, a.geom.lineBytes,
-                               a.geom.assoc, a.set);
-                  const auto kb =
-                      std::tie(b.geom.capacityBytes, b.geom.lineBytes,
-                               b.geom.assoc, b.set);
-                  return ka < kb;
-              });
-    return out;
-}
-
-void
-CacheOracle::importMemo(const std::vector<OracleMemoEntry> &entries)
-{
-    for (const OracleMemoEntry &entry : entries) {
-        if (entry.set.empty() ||
-            entry.misses.size() != entry.set.size() || entry.points <= 0)
-            mvp_fatal("malformed oracle warm-state entry (",
-                      entry.set.size(), " ops, ", entry.misses.size(),
-                      " miss totals, ", entry.points, " points)");
-        SimResult res;
-        res.points = entry.points;
-        for (std::size_t i = 0; i < entry.set.size(); ++i)
-            res.misses[entry.set[i]] = entry.misses[i];
-        memo_.tryInsert(
-            detail::QueryKey{
-                detail::queryHash(entry.geom, INVALID_ID, entry.set),
-                entry.geom, INVALID_ID, entry.set},
-            std::move(res));
-    }
 }
 
 } // namespace mvp::cme

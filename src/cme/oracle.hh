@@ -39,20 +39,6 @@
 namespace mvp::cme
 {
 
-/**
- * One exported oracle simulation: the query key (geometry + canonical
- * set) and its answer (per-position miss totals + point count).
- * `misses[i]` is the total for `set[i]`, so the flattened form is
- * deterministic where the in-memory unordered_map is not.
- */
-struct OracleMemoEntry
-{
-    CacheGeom geom;
-    std::vector<OpId> set;
-    std::vector<std::int64_t> misses;   ///< aligned with `set`
-    std::int64_t points = 0;
-};
-
 /** Exact cache-behaviour oracle bound to one loop nest. */
 class CacheOracle : public LocalityAnalysis
 {
@@ -82,21 +68,6 @@ class CacheOracle : public LocalityAnalysis
     {
         return streams_;
     }
-
-    /**
-     * Snapshot every memoised simulation, deterministically sorted
-     * by (geometry, set) so identical oracle states export
-     * byte-identical warm-state files.
-     */
-    std::vector<OracleMemoEntry> exportMemo() const;
-
-    /**
-     * Publish @p entries into the memo (keep-the-winner: keys already
-     * memoised are dropped). Entries must come from an exportMemo()
-     * of an oracle of the same nest — the simulation is
-     * deterministic, so imported and recomputed values coincide.
-     */
-    void importMemo(const std::vector<OracleMemoEntry> &entries);
 
   private:
     /** One memoised simulation. Immutable once published. */

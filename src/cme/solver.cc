@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -353,39 +352,6 @@ CmeAnalysis::missesPerIteration(const std::vector<OpId> &set,
     for (std::size_t i = 0; i < s.size(); ++i)
         total += solveRatio(s, s[i], geom).ratio;
     return total;
-}
-
-std::vector<CmeMemoEntry>
-CmeAnalysis::exportMemo() const
-{
-    std::vector<CmeMemoEntry> out;
-    memo_.forEach([&](const detail::QueryKey &key,
-                      const detail::RatioValue &value) {
-        out.push_back({key.geom, key.op, key.set, value});
-    });
-    std::sort(out.begin(), out.end(),
-              [](const CmeMemoEntry &a, const CmeMemoEntry &b) {
-                  const auto ka = std::tie(a.geom.capacityBytes,
-                                           a.geom.lineBytes, a.geom.assoc,
-                                           a.op, a.set);
-                  const auto kb = std::tie(b.geom.capacityBytes,
-                                           b.geom.lineBytes, b.geom.assoc,
-                                           b.op, b.set);
-                  return ka < kb;
-              });
-    return out;
-}
-
-void
-CmeAnalysis::importMemo(const std::vector<CmeMemoEntry> &entries)
-{
-    for (const CmeMemoEntry &entry : entries) {
-        memo_.tryInsert(
-            detail::QueryKey{
-                detail::queryHash(entry.geom, entry.op, entry.set),
-                entry.geom, entry.op, entry.set},
-            entry.value);
-    }
 }
 
 } // namespace mvp::cme

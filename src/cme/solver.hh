@@ -94,20 +94,6 @@ struct CmeParams
 using RatioEstimate = detail::RatioValue;
 
 /**
- * One exported memo entry: the full query key (geometry, target
- * op, canonical set) plus the memoised estimate. This is the unit the
- * scheduling service persists so a restarted server rewarms the
- * sampling solver without re-solving a single equation.
- */
-struct CmeMemoEntry
-{
-    CacheGeom geom;
-    OpId op = INVALID_ID;
-    std::vector<OpId> set;
-    RatioEstimate value;
-};
-
-/**
  * Sampling CME solver bound to one loop nest. Thread-safe: any number
  * of threads may query one instance concurrently (the experiment
  * driver's workers share the per-loop analysis of a sweep). The memo is
@@ -174,22 +160,6 @@ class CmeAnalysis : public LocalityAnalysis
     {
         return lookups_.load(std::memory_order_relaxed);
     }
-
-    /**
-     * Snapshot every memoised ratio, deterministically sorted by
-     * (geometry, op, set) so identical analysis states export
-     * byte-identical warm-state files.
-     */
-    std::vector<CmeMemoEntry> exportMemo() const;
-
-    /**
-     * Publish @p entries into the memo (keep-the-winner: entries whose
-     * key is already memoised are dropped). Values must come from an
-     * exportMemo() of an analysis of the same nest — the solver is
-     * deterministic, so imported and recomputed values coincide and
-     * determinism is unaffected.
-     */
-    void importMemo(const std::vector<CmeMemoEntry> &entries);
 
   private:
     /**

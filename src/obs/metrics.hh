@@ -183,7 +183,7 @@ class Registry
 
 /** @name One-shot folds
  * For code that records a metric outside any SchedContext — the
- * service's session/reactor layers, snapshot SAVE/LOAD — where
+ * service's raw-lane probe and its TCP reactor — where
  * building and folding a whole MetricShard per event is noise. All
  * are no-ops (one relaxed load) when the registry is disabled, and
  * take the registry mutex once when it is on; hot loops that fire

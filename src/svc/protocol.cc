@@ -24,24 +24,6 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-std::vector<std::string>
-splitWords(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
-            ++i;
-        std::size_t j = i;
-        while (j < s.size() && s[j] != ' ' && s[j] != '\t')
-            ++j;
-        if (j > i)
-            out.push_back(s.substr(i, j - i));
-        i = j;
-    }
-    return out;
-}
-
 /** %.17g: distinct doubles render distinctly, equal ones identically —
  * exactly what a canonical key and a lossless reply need. */
 std::string
@@ -111,6 +93,24 @@ boolWord(bool v)
 }
 
 } // namespace
+
+std::vector<std::string>
+splitWords(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::size_t i = 0;
+    while (i < s.size()) {
+        while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
+            ++i;
+        std::size_t j = i;
+        while (j < s.size() && s[j] != ' ' && s[j] != '\t')
+            ++j;
+        if (j > i)
+            out.push_back(s.substr(i, j - i));
+        i = j;
+    }
+    return out;
+}
 
 std::string
 canonicalOptionsText(const RequestOptions &options)

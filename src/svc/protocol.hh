@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sched/scheduler.hh"
 #include "text/format.hh"
@@ -101,6 +102,10 @@ Request parseRequest(const std::string &payload,
  * line, then printScenario().
  */
 std::string canonicalOptionsText(const RequestOptions &options);
+
+/** The words of @p line, split on spaces and tabs: the tokeniser of
+ * `config` lines and of the session's frame headers. */
+std::vector<std::string> splitWords(const std::string &line);
 
 /** Render the reply payload for a scheduling result. */
 std::string renderReply(const Request &request,

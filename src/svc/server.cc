@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -275,21 +274,6 @@ TcpReactor::run()
             conns_.erase(fd);
         }
     }
-}
-
-int
-runTcpServer(SchedService &service, int port)
-{
-    TcpReactor reactor(service, port);
-    if (!reactor.ok()) {
-        mvp_warn("svc: ", reactor.error());
-        return 1;
-    }
-    // Announced on stdout so scripted clients can scrape the
-    // kernel-assigned port when --listen 0 was asked for.
-    std::printf("listening on %d\n", reactor.port());
-    std::fflush(stdout);
-    return reactor.run();
 }
 
 } // namespace mvp::svc

@@ -48,9 +48,9 @@ void runStdioSession(SchedService &service, std::istream &in,
                      std::ostream &out);
 
 /**
- * The poll(2) event loop behind runTcpServer, exposed so tests can
- * bind an ephemeral port, run the loop on a thread, and stop it
- * cleanly. Not thread-safe except for stop().
+ * The poll(2) event loop behind `mvp_served --listen`: bind a port
+ * (0 = kernel-assigned), run() the loop, and stop() it from another
+ * thread or a signal handler. Not thread-safe except for stop().
  */
 class TcpReactor
 {
@@ -72,8 +72,9 @@ class TcpReactor
     /** Serve until stop(). Returns 0, or 1 when setup had failed. */
     int run();
 
-    /** Ask a running loop to exit (thread-safe: self-pipe wakeup).
-     * Open connections are closed; pending batches are dropped. */
+    /** Ask a running loop to exit (thread-safe and
+     * async-signal-safe: one write(2) to the self-pipe). Open
+     * connections are closed; pending batches are dropped. */
     void stop();
 
   private:
@@ -105,14 +106,6 @@ class TcpReactor
     std::string error_;
     std::map<int, std::unique_ptr<Conn>> conns_;
 };
-
-/**
- * Listen on 127.0.0.1:@p port (0 = kernel-assigned; the chosen port
- * is announced on stdout as `listening on <port>`) and serve
- * connections on a TcpReactor until the process dies. Returns a
- * nonzero exit code only when the socket cannot be set up.
- */
-int runTcpServer(SchedService &service, int port);
 
 } // namespace mvp::svc
 

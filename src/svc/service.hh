@@ -17,9 +17,9 @@
  *  - per-loop contexts keyed on the canonical loop text: the owned
  *    nest, its cme::LoopLocality (each provider bound on first use,
  *    all on the loop's one StreamCache — the same holder a Workbench
- *    entry owns), and per-machine DDGs with their SCC tables
- *    pre-warmed — a restarted sweep over the same loop pays the build
- *    cost once, like Workbench entries.
+ *    entry owns), and per-machine DDGs, each built once (immutable
+ *    from Ddg::build() on) and shared by every later request for the
+ *    loop.
  *
  * Determinism contract: every reply payload is a pure function of its
  * request's cache key. Batching, arrival order, client count and the
@@ -36,13 +36,15 @@
  * node-budget work cap is deterministic and is cached).
  *
  * Warm-state persistence (svc/state.cc): encodeState() snapshots the
- * schedule cache plus every loop's CME/oracle memo through their
- * export APIs into the binary v3 format (svc/state.hh); decodeState()
- * republishes them into a fresh service and rejects anything else
- * whole (a retired text v1 snapshot means a cold start). The
- * raw lane is not persisted: it repopulates on first
- * canonicalization, and raw bytes are client-specific spellings with
- * unbounded variety — the canonical cache is the durable state.
+ * schedule cache, and nothing else, into the binary v4 format
+ * (svc/state.hh); decodeState() republishes it into a service and
+ * rejects anything else whole. The operator's `mvp_served --state
+ * FILE` is the only path to and from disk. Locality memos are not
+ * persisted: they are a deterministic function of the loop, the cache
+ * geometry and the op set, so a restarted service recomputes them on
+ * demand. The raw lane is not persisted either: it repopulates on
+ * first canonicalization, and raw bytes are client-specific spellings
+ * with unbounded variety — the canonical cache is the durable state.
  *
  * Error containment: request payloads are user input, and the repo's
  * registries and parsers fatal on bad input. Every worker wraps the
@@ -149,19 +151,18 @@ class SchedService
     /// @{
 
     /**
-     * Serialise the schedule cache and every loop context's CME /
-     * oracle memos as a binary v3 snapshot (svc/state.hh).
-     * Deterministic: identical service state encodes to identical
-     * bytes (all sections sorted canonically), and
+     * Serialise the schedule cache as a binary v4 snapshot
+     * (svc/state.hh). Deterministic: identical caches encode to
+     * identical bytes (entries sorted by key), and
      * encode(decode(s)) == s.
      */
     std::string encodeState() const;
 
     /**
      * Republish a previous encodeState() snapshot into this service
-     * (keep-the-winner everywhere, so loading into a non-empty
-     * service is safe). Accepts only the binary v3 format; anything
-     * else (including the retired v1 text format) is rejected whole —
+     * (keep-the-winner, so loading into a non-empty service is safe).
+     * Accepts only the binary v4 format; anything else (an older
+     * version, the retired v1 text format) is rejected whole —
      * decoding stages the entire snapshot in memory before publishing
      * a single entry. fatal() on a malformed or version-mismatched
      * snapshot — callers serving user input wrap this in FatalScope.
@@ -169,7 +170,13 @@ class SchedService
     void decodeState(const std::string &bytes,
                      const std::string &origin = "<state>");
 
-    /** encodeState() to @p path; returns false with @p error set. */
+    /**
+     * encodeState() to @p path, atomically: the bytes go to
+     * `<path>.tmp.<pid>`, which is fsync()ed and renamed over @p
+     * path, so a failed or killed save, or a host crash, leaves the
+     * previous snapshot or the new one, never a torn file. Returns
+     * false with @p error set (and no temporary file left behind).
+     */
     bool saveStateFile(const std::string &path, std::string *error) const;
 
     /** decodeState() from @p path; returns false with @p error set. */

@@ -11,24 +11,6 @@ namespace mvp::svc
 namespace
 {
 
-std::vector<std::string>
-splitWords(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
-            ++i;
-        std::size_t j = i;
-        while (j < s.size() && s[j] != ' ' && s[j] != '\t')
-            ++j;
-        if (j > i)
-            out.push_back(s.substr(i, j - i));
-        i = j;
-    }
-    return out;
-}
-
 void
 appendFrame(std::string &out, const std::string &head,
             const std::string &payload)
@@ -72,7 +54,7 @@ ServiceSession::consume(const char *data, std::size_t n,
             std::string payload = buffer_.substr(0, pending_bytes_);
             buffer_.erase(0, pending_bytes_ + 1);
             mode_ = Mode::Line;
-            handlePayload(std::move(payload), out);
+            handlePayload(std::move(payload));
         }
     }
     return !closed_;
@@ -113,24 +95,7 @@ ServiceSession::handleLine(const std::string &line, std::string &out)
                           out);
             return;
         }
-        pending_cmd_ = "REQ";
         pending_id_ = words[1];
-        pending_bytes_ = nbytes;
-        mode_ = Mode::Payload;
-        return;
-    }
-    if (cmd == "SAVE" || cmd == "LOAD") {
-        std::uint64_t nbytes = 0;
-        if (words.size() != 2 ||
-            !harness::tryParseInteger(words[1], cmd, nbytes).empty() ||
-            nbytes > MAX_FRAME_BYTES) {
-            protocolError(cmd + " wants '" + cmd + " <nbytes>', got '" +
-                              line + "'",
-                          out);
-            return;
-        }
-        pending_cmd_ = cmd;
-        pending_id_.clear();
         pending_bytes_ = nbytes;
         mode_ = Mode::Payload;
         return;
@@ -150,35 +115,23 @@ ServiceSession::handleLine(const std::string &line, std::string &out)
         return;
     }
     protocolError("unknown command '" + cmd +
-                      "' (known: REQ, FLUSH, STATS, SAVE, LOAD, QUIT)",
+                      "' (known: REQ, FLUSH, STATS, QUIT)",
                   out);
 }
 
 void
-ServiceSession::handlePayload(std::string &&payload, std::string &out)
+ServiceSession::handlePayload(std::string &&payload)
 {
-    if (pending_cmd_ == "REQ") {
-        PendingReq p;
-        p.id = std::move(pending_id_);
-        // The zero-parse lane: byte-identical repeats resolve here,
-        // before the parser ever sees the payload.
-        p.resolved = svc_.rawProbe(payload);
-        if (p.resolved == nullptr) {
-            p.parsed = parseRequest(payload, "request '" + p.id + "'");
-            p.parsed.id = p.id;
-        }
-        pending_.push_back(std::move(p));
-        return;
+    PendingReq p;
+    p.id = std::move(pending_id_);
+    // The zero-parse lane: byte-identical repeats resolve here,
+    // before the parser ever sees the payload.
+    p.resolved = svc_.rawProbe(payload);
+    if (p.resolved == nullptr) {
+        p.parsed = parseRequest(payload, "request '" + p.id + "'");
+        p.parsed.id = p.id;
     }
-    // SAVE / LOAD: the payload is a file path, acted on immediately.
-    std::string err;
-    const bool ok = pending_cmd_ == "SAVE"
-                        ? svc_.saveStateFile(payload, &err)
-                        : svc_.loadStateFile(payload, &err);
-    if (ok)
-        out += pending_cmd_ == "SAVE" ? "OK save\n" : "OK load\n";
-    else
-        appendFrame(out, "ERR", err);
+    pending_.push_back(std::move(p));
 }
 
 void

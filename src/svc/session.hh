@@ -9,8 +9,6 @@
  *                                      svc/protocol.hh grammar)
  *     FLUSH\n                          serve the queued batch
  *     STATS\n                          service counters snapshot
- *     SAVE <nbytes>\n<path>\n          persist warm state to <path>
- *     LOAD <nbytes>\n<path>\n          load warm state from <path>
  *     QUIT\n                           flush, say BYE, end the session
  *
  * Server -> client:
@@ -18,17 +16,17 @@
  *     REP <id> <nbytes>\n<payload>\n   one per REQ, in submission
  *                                      order, after FLUSH
  *     STATS <nbytes>\n<payload>\n
- *     OK save\n / OK load\n
- *     ERR <nbytes>\n<message>\n        SAVE/LOAD failure (session
- *                                      continues) or a framing error
- *                                      (session closes — the stream
- *                                      is desynchronised)
+ *     ERR <nbytes>\n<message>\n        a framing error; the session
+ *                                      closes (the stream is
+ *                                      desynchronised)
  *     BYE\n
  *
  * A malformed *payload* is not a framing error: it produces a normal
  * REP whose body is `status error` — ids stay aligned and the server
  * survives (svc/service.hh error containment). Only an unparseable
- * frame header closes the session.
+ * frame header or an unknown command closes the session. No command
+ * touches the file system: warm state reaches disk only through the
+ * operator's `mvp_served --state FILE`.
  *
  * ServiceSession is a pure byte transformer — feed it input chunks of
  * any size, collect output bytes — so the stdio server, the TCP
@@ -100,7 +98,7 @@ class ServiceSession
     };
 
     void handleLine(const std::string &line, std::string &out);
-    void handlePayload(std::string &&payload, std::string &out);
+    void handlePayload(std::string &&payload);
     void flushBatch(std::string &out);
     void protocolError(const std::string &message, std::string &out);
 
@@ -109,8 +107,7 @@ class ServiceSession
     Mode mode_ = Mode::Line;
     bool closed_ = false;
 
-    std::string pending_cmd_;   ///< REQ / SAVE / LOAD awaiting payload
-    std::string pending_id_;
+    std::string pending_id_;   ///< the REQ awaiting its payload
     std::size_t pending_bytes_ = 0;
 
     std::vector<PendingReq> pending_;

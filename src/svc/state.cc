@@ -1,24 +1,25 @@
 /**
  * @file
  * SchedService warm-state persistence (format: svc/state.hh): the
- * binary v3 writer and its staged, reject-whole reader.
+ * binary v4 writer, its reject-whole reader and the atomic file save.
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cme/oracle.hh"
-#include "cme/solver.hh"
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "svc/service.hh"
 #include "svc/state.hh"
-#include "text/format.hh"
 
 namespace mvp::svc
 {
@@ -26,9 +27,6 @@ namespace
 {
 
 constexpr std::uint32_t TAG_CACHE = 1;
-constexpr std::uint32_t TAG_LOOPS = 2;
-constexpr std::uint32_t KIND_CME = 1;
-constexpr std::uint32_t KIND_ORACLE = 2;
 
 /** @name Binary primitives (explicit little-endian byte order, so
  * snapshots are portable across hosts) */
@@ -55,20 +53,6 @@ putU64(std::string &out, std::uint64_t v)
 }
 
 void
-putI64(std::string &out, std::int64_t v)
-{
-    putU64(out, static_cast<std::uint64_t>(v));
-}
-
-void
-putF64(std::string &out, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
-}
-
-void
 putBlob(std::string &out, const std::string &s)
 {
     putU64(out, s.size());
@@ -87,7 +71,6 @@ class BinReader
     }
 
     std::size_t pos() const { return pos_; }
-    const std::string &origin() const { return origin_; }
     bool atEnd() const { return pos_ >= bytes_.size(); }
 
     void bytes(void *dst, std::size_t n)
@@ -118,16 +101,6 @@ class BinReader
                      static_cast<unsigned char>(bytes_[pos_ + i]))
                  << (8 * i);
         pos_ += 8;
-        return v;
-    }
-
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double f64()
-    {
-        const std::uint64_t bits = u64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof v);
         return v;
     }
 
@@ -165,211 +138,33 @@ class BinReader
 
 /// @}
 
-/** @name Staging — the decoded-but-not-yet-published snapshot */
-/// @{
-
-struct StagedProvider
-{
-    std::string name;
-    std::uint32_t kind = 0;
-    std::vector<cme::CmeMemoEntry> cme;
-    std::vector<cme::OracleMemoEntry> oracle;
-};
-
-struct StagedLoop
-{
-    std::string text;
-    ir::LoopNest nest;
-    std::vector<StagedProvider> providers;
-};
-
-struct StagedState
-{
-    std::vector<std::pair<std::string, std::string>> cache;
-    std::vector<StagedLoop> loops;
-};
-
-/// @}
-
-/** @name Binary provider entry records */
-/// @{
-
-void
-putCmeEntries(std::string &out,
-              const std::vector<cme::CmeMemoEntry> &entries)
-{
-    putU64(out, entries.size());
-    for (const auto &e : entries) {
-        putI64(out, e.geom.capacityBytes);
-        putI64(out, e.geom.lineBytes);
-        putU32(out, static_cast<std::uint32_t>(e.geom.assoc));
-        putU32(out, static_cast<std::uint32_t>(e.op));
-        putU64(out, e.set.size());
-        for (const OpId id : e.set)
-            putU32(out, static_cast<std::uint32_t>(id));
-        putF64(out, e.value.ratio);
-        putF64(out, e.value.ciHalfWidth);
-    }
-}
-
-void
-putOracleEntries(std::string &out,
-                 const std::vector<cme::OracleMemoEntry> &entries)
-{
-    putU64(out, entries.size());
-    for (const auto &e : entries) {
-        putI64(out, e.geom.capacityBytes);
-        putI64(out, e.geom.lineBytes);
-        putU32(out, static_cast<std::uint32_t>(e.geom.assoc));
-        putU64(out, e.set.size());
-        for (const OpId id : e.set)
-            putU32(out, static_cast<std::uint32_t>(id));
-        putI64(out, e.points);
-        for (const std::int64_t v : e.misses)
-            putI64(out, v);
-    }
-}
-
-/** A memo entry's cache geometry. Anything a cache cannot have — a
- * line or associativity below 1, or fewer than one set — rejects the
- * snapshot here, before the entry can reach a simulation or a
- * solver that divides by it. */
-CacheGeom
-takeGeom(BinReader &in)
-{
-    CacheGeom geom;
-    geom.capacityBytes = in.i64();
-    const std::int64_t line = in.i64();
-    const std::uint32_t assoc = in.u32();
-    if (line < 1 || line > std::numeric_limits<int>::max() || assoc < 1 ||
-        assoc > static_cast<std::uint32_t>(std::numeric_limits<int>::max()))
-        mvp_fatal(in.origin(), ": memo entry with cache line ", line,
-                  " and associativity ", assoc);
-    geom.lineBytes = static_cast<int>(line);
-    geom.assoc = static_cast<int>(assoc);
-    if (geom.numSets() < 1)
-        mvp_fatal(in.origin(), ": memo entry with a ",
-                  geom.capacityBytes, "-byte cache that has no sets");
-    return geom;
-}
-
-std::vector<cme::CmeMemoEntry>
-takeCmeEntries(BinReader &in)
-{
-    const std::uint64_t count = in.count();
-    std::vector<cme::CmeMemoEntry> out;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        cme::CmeMemoEntry e;
-        e.geom = takeGeom(in);
-        e.op = static_cast<OpId>(in.u32());
-        const std::uint64_t n = in.count();
-        e.set.reserve(n);
-        for (std::uint64_t j = 0; j < n; ++j)
-            e.set.push_back(static_cast<OpId>(in.u32()));
-        e.value.ratio = in.f64();
-        e.value.ciHalfWidth = in.f64();
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
-std::vector<cme::OracleMemoEntry>
-takeOracleEntries(BinReader &in)
-{
-    const std::uint64_t count = in.count();
-    std::vector<cme::OracleMemoEntry> out;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        cme::OracleMemoEntry e;
-        e.geom = takeGeom(in);
-        const std::uint64_t n = in.count();
-        e.set.reserve(n);
-        for (std::uint64_t j = 0; j < n; ++j)
-            e.set.push_back(static_cast<OpId>(in.u32()));
-        e.points = in.i64();
-        e.misses.reserve(n);
-        for (std::uint64_t j = 0; j < n; ++j)
-            e.misses.push_back(in.i64());
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
-/// @}
-
 } // namespace
 
 std::string
 SchedService::encodeState() const
 {
-    // Section bodies first; the header's table needs their sizes.
-    std::string cache_body;
-    {
-        std::vector<std::pair<std::string, std::string>> entries;
-        cache_.forEach([&](const std::string &key,
-                           const ReplyBytes &payload) {
-            entries.emplace_back(key, *payload);
-        });
-        std::sort(entries.begin(), entries.end());
-        std::size_t want = 8;
-        for (const auto &[key, payload] : entries)
-            want += 16 + key.size() + payload.size();
-        cache_body.reserve(want);
-        putU64(cache_body, entries.size());
-        for (const auto &[key, payload] : entries) {
-            putBlob(cache_body, key);
-            putBlob(cache_body, payload);
-        }
-    }
+    std::vector<std::pair<std::string, std::string>> entries;
+    cache_.forEach([&](const std::string &key, const ReplyBytes &payload) {
+        entries.emplace_back(key, *payload);
+    });
+    std::sort(entries.begin(), entries.end());
 
-    std::string loops_body;
-    {
-        std::lock_guard<std::mutex> ctx_lock(ctx_mu_);
-        putU64(loops_body, contexts_.size());
-        for (const auto &[loopKey, lc] : contexts_) {
-            putBlob(loops_body, loopKey);
-            // Only the concrete memoising analyses persist; wrappers
-            // registered through LocalityRegistry::add() rewarm from
-            // scratch.
-            std::vector<std::string> sections;
-            lc->locality.forEach([&](const std::string &name,
-                                     const cme::LocalityAnalysis &analysis) {
-                std::string sec;
-                if (const auto *cme_a =
-                        dynamic_cast<const cme::CmeAnalysis *>(&analysis)) {
-                    putU32(sec, KIND_CME);
-                    putBlob(sec, name);
-                    putCmeEntries(sec, cme_a->exportMemo());
-                } else if (const auto *oracle =
-                               dynamic_cast<const cme::CacheOracle *>(
-                                   &analysis)) {
-                    putU32(sec, KIND_ORACLE);
-                    putBlob(sec, name);
-                    putOracleEntries(sec, oracle->exportMemo());
-                } else {
-                    return;
-                }
-                sections.push_back(std::move(sec));
-            });
-            putU64(loops_body, sections.size());
-            for (const std::string &sec : sections)
-                loops_body += sec;
-        }
-    }
+    std::size_t body_size = 8;
+    for (const auto &[key, payload] : entries)
+        body_size += 16 + key.size() + payload.size();
 
     std::string out;
-    out.reserve(8 + 8 + 2 * 12 + cache_body.size() +
-                loops_body.size());
+    out.reserve(sizeof WARM_STATE_MAGIC + 8 + 12 + body_size);
     out.append(WARM_STATE_MAGIC, sizeof WARM_STATE_MAGIC);
     putU32(out, WARM_STATE_VERSION_BINARY);
-    putU32(out, 2);   // section count
+    putU32(out, 1);   // section count
     putU32(out, TAG_CACHE);
-    putU64(out, cache_body.size());
-    putU32(out, TAG_LOOPS);
-    putU64(out, loops_body.size());
-    out += cache_body;
-    out += loops_body;
+    putU64(out, body_size);
+    putU64(out, entries.size());
+    for (const auto &[key, payload] : entries) {
+        putBlob(out, key);
+        putBlob(out, payload);
+    }
     return out;
 }
 
@@ -377,10 +172,10 @@ void
 SchedService::decodeState(const std::string &bytes,
                           const std::string &origin)
 {
-    StagedState staged;
+    // Stage the whole snapshot, publish only at the end: a bad byte
+    // anywhere rejects everything.
+    std::vector<std::pair<std::string, std::string>> staged;
 
-    // Binary v3 only: stage the whole snapshot, publish only at the
-    // end — a bad byte anywhere rejects everything.
     if (bytes.size() < sizeof WARM_STATE_MAGIC ||
         std::memcmp(bytes.data(), WARM_STATE_MAGIC,
                     sizeof WARM_STATE_MAGIC) != 0)
@@ -397,53 +192,23 @@ SchedService::decodeState(const std::string &bytes,
                   " (this build reads ", WARM_STATE_VERSION_BINARY,
                   "); start cold instead");
     const std::uint32_t nsections = in.u32();
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> table;
-    table.reserve(nsections);
+    std::vector<std::uint64_t> lengths;
     for (std::uint32_t s = 0; s < nsections; ++s) {
         const std::uint32_t tag = in.u32();
-        const std::uint64_t len = in.u64();
-        table.emplace_back(tag, len);
-    }
-    for (const auto &[tag, len] : table) {
-        const std::size_t body_end = in.pos() + len;
-        if (body_end > bytes.size())
-            mvp_fatal(origin, ": section overruns the snapshot");
-        if (tag == TAG_CACHE) {
-            const std::uint64_t count = in.count();
-            staged.cache.reserve(count);
-            for (std::uint64_t i = 0; i < count; ++i) {
-                std::string key = in.blob();
-                std::string payload = in.blob();
-                staged.cache.emplace_back(std::move(key),
-                                          std::move(payload));
-            }
-        } else if (tag == TAG_LOOPS) {
-            const std::uint64_t count = in.count();
-            staged.loops.reserve(count);
-            for (std::uint64_t i = 0; i < count; ++i) {
-                StagedLoop loop;
-                loop.text = in.blob();
-                loop.nest = text::parseLoop(loop.text, origin);
-                const std::uint64_t nprov = in.count();
-                loop.providers.reserve(nprov);
-                for (std::uint64_t p = 0; p < nprov; ++p) {
-                    StagedProvider prov;
-                    prov.kind = in.u32();
-                    prov.name = in.blob();
-                    if (prov.kind == KIND_CME)
-                        prov.cme = takeCmeEntries(in);
-                    else if (prov.kind == KIND_ORACLE)
-                        prov.oracle = takeOracleEntries(in);
-                    else
-                        mvp_fatal(origin, ": unknown provider kind ",
-                                  prov.kind, " (known: cme=1, oracle=2)");
-                    loop.providers.push_back(std::move(prov));
-                }
-                staged.loops.push_back(std::move(loop));
-            }
-        } else {
+        if (tag != TAG_CACHE)
             mvp_fatal(origin, ": unknown section tag ", tag,
-                      " (known: cache=1, loops=2)");
+                      " (known: cache=1)");
+        lengths.push_back(in.u64());
+    }
+    for (const std::uint64_t len : lengths) {
+        if (len > bytes.size() - in.pos())
+            mvp_fatal(origin, ": section overruns the snapshot");
+        const std::size_t body_end = in.pos() + len;
+        const std::uint64_t count = in.count();
+        for (std::uint64_t i = 0; i < count; ++i) {
+            std::string key = in.blob();
+            std::string payload = in.blob();
+            staged.emplace_back(std::move(key), std::move(payload));
         }
         if (in.pos() != body_end)
             mvp_fatal(origin, ": section body size mismatch ",
@@ -452,54 +217,53 @@ SchedService::decodeState(const std::string &bytes,
     if (!in.atEnd())
         mvp_fatal(origin, ": trailing bytes after the last section");
 
-    // Publish. Everything below is keep-the-winner, so loading into a
-    // non-empty service merges instead of clobbering.
-    for (auto &[key, payload] : staged.cache)
+    // Publish keep-the-winner, so loading into a non-empty service
+    // merges instead of clobbering.
+    for (auto &[key, payload] : staged)
         cache_.tryInsert(
             key, std::make_shared<const std::string>(std::move(payload)));
-    for (StagedLoop &loop : staged.loops) {
-        LoopContext &lc =
-            contextFor(text::printLoop(loop.nest), loop.nest);
-        for (StagedProvider &prov : loop.providers) {
-            if (prov.kind == KIND_CME) {
-                auto *analysis = dynamic_cast<cme::CmeAnalysis *>(
-                    &lc.locality.get(prov.name));
-                if (analysis == nullptr)
-                    mvp_fatal(origin, ": provider '", prov.name,
-                              "' no longer binds a CME analysis");
-                analysis->importMemo(prov.cme);
-            } else {
-                auto *analysis = dynamic_cast<cme::CacheOracle *>(
-                    &lc.locality.get(prov.name));
-                if (analysis == nullptr)
-                    mvp_fatal(origin, ": provider '", prov.name,
-                              "' no longer binds a cache oracle");
-                analysis->importMemo(prov.oracle);
-            }
-        }
-    }
 }
 
 bool
 SchedService::saveStateFile(const std::string &path,
                             std::string *error) const
 {
+    // Write a sibling file, fsync it and rename it over the target: a
+    // failed or killed save, or a crash of the host, leaves either the
+    // previous snapshot or the new one, never a torn file. The pid in
+    // the temporary's name keeps two processes sharing one path from
+    // writing into the same temporary.
     const std::string bytes = encodeState();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    const int fd = ::open(tmp.c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) {
         if (error != nullptr)
-            *error = "cannot open '" + path + "' for writing";
+            *error = "cannot open '" + tmp + "' for writing";
         return false;
     }
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-        if (error != nullptr)
-            *error = "short write to '" + path + "'";
-        return false;
+    std::string failure;
+    for (std::size_t off = 0; off < bytes.size() && failure.empty();) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n > 0)
+            off += static_cast<std::size_t>(n);
+        else if (n < 0 && errno != EINTR)
+            failure = "short write to '" + tmp + "'";
     }
-    return true;
+    if (failure.empty() && ::fsync(fd) != 0)
+        failure = "cannot sync '" + tmp + "'";
+    if (::close(fd) != 0 && failure.empty())
+        failure = "cannot close '" + tmp + "'";
+    if (failure.empty() && std::rename(tmp.c_str(), path.c_str()) != 0)
+        failure = "cannot rename '" + tmp + "' to '" + path + "'";
+    if (failure.empty())
+        return true;
+    std::remove(tmp.c_str());
+    if (error != nullptr)
+        *error = failure;
+    return false;
 }
 
 bool

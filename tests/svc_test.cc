@@ -14,17 +14,19 @@
  *    byte-identical to the cold reply.
  *  - A warm service replays cold replies byte for byte, and a service
  *    rebuilt from encodeState() does the same — including the
- *    encode(decode(s)) == s round trip of the binary v3 snapshot,
- *    whole-snapshot rejection of version skew, truncation and the
- *    retired text v1 format, and merge-on-LOAD.
+ *    encode(decode(s)) == s round trip of the binary v4 snapshot,
+ *    whole-snapshot rejection of version skew, truncation, a v3
+ *    locality-memo section and the retired text v1 format, merge on
+ *    decode, and the atomic file save.
  *  - Replies whose search hit the wall-clock deadline never enter a
  *    cache lane; replies stopped by the work cap are cached, and the
  *    cap binds the sat engine as it binds the branch and bound.
  *  - Batches are deterministic across --jobs and arrival order.
- *  - The session survives malformed payloads and out-of-range inputs
- *    (error REP, not a dead server), keeps REP ids aligned with
- *    submission order, and the
- *    CME/oracle memo export/import APIs round-trip.
+ *  - The session survives malformed payloads, out-of-range inputs and
+ *    unknown registry names (error REP, not a dead server, and never a
+ *    cache entry), keeps REP ids aligned with submission order, and
+ *    closes on a command it does not know — the retired SAVE/LOAD
+ *    frames included.
  *  - The TCP reactor serves interleaved connections whose frames
  *    arrive in tiny chunks split across reads (run under TSan in CI).
  */
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -423,8 +426,8 @@ TEST(SvcService, BatchesAreDeterministicAcrossJobsAndOrder)
 TEST(SvcService, WarmStateRoundTripsAcrossServices)
 {
     auto payloads = samplePayloads();
-    // Add an oracle-provider request so the snapshot carries oracle
-    // miss totals alongside the CME memo.
+    // An oracle-provider request too: its reply is one more cache
+    // entry, like every other.
     const auto bench = workloads::benchmarkByName("tomcatv");
     const text::ScenarioText scenario{bench.loops[0],
                                       makeTwoCluster()};
@@ -451,15 +454,15 @@ TEST(SvcService, WarmStateRoundTripsAcrossServices)
         EXPECT_EQ(warm[i].bytes(), cold[i].bytes()) << i;
     }
 
-    // The snapshot is the binary v3 format, not text.
+    // The snapshot is the binary format, not text.
     ASSERT_GE(snapshot.size(), sizeof WARM_STATE_MAGIC);
     EXPECT_EQ(std::memcmp(snapshot.data(), WARM_STATE_MAGIC,
                           sizeof WARM_STATE_MAGIC),
               0);
 }
 
-/** LOAD merges: two half-snapshots loaded into one service equal one
- * service that computed everything itself. */
+/** Decoding merges: two half-snapshots loaded into one service equal
+ * one service that computed everything itself. */
 TEST(SvcService, LoadingTwoSnapshotsMergesKeepTheWinner)
 {
     const auto payloads = samplePayloads();
@@ -484,8 +487,9 @@ TEST(SvcService, LoadingTwoSnapshotsMergesKeepTheWinner)
     EXPECT_EQ(merged.encodeState(), all.encodeState());
 }
 
-/** Version skew, truncation and the retired text v1 format reject the
- * *whole* snapshot: the service is untouched, not half-loaded. */
+/** Version skew, truncation, the retired text v1 format and a tag-2
+ * section (the per-loop locality memos v3 wrote) reject the *whole*
+ * snapshot: the service is untouched, not half-loaded. */
 TEST(SvcService, CorruptSnapshotsAreRejectedWhole)
 {
     const auto payloads = samplePayloads();
@@ -505,103 +509,78 @@ TEST(SvcService, CorruptSnapshotsAreRejectedWhole)
     const std::string text_v1 =
         "mvp-warm-state 1\ncache 0\nloops 0\nend\n";
 
+    // The good cache section plus an empty tag-2 section. good is
+    // magic, version, nsections = 1, {tag 1, len}, cache body; a table
+    // entry is a u32 tag and a u64 length.
+    const std::size_t table_at = sizeof WARM_STATE_MAGIC + 8;
+    std::string with_loops = good.substr(0, sizeof WARM_STATE_MAGIC + 4);
+    with_loops += std::string("\x02\x00\x00\x00", 4);   // two sections
+    with_loops += good.substr(table_at, 12);
+    with_loops += std::string("\x02\x00\x00\x00", 4);   // tag 2
+    with_loops += std::string("\x08\0\0\0\0\0\0\0", 8); // 8 bytes
+    with_loops += good.substr(table_at + 12);
+    with_loops += std::string(8, '\0');                 // zero loops
+
     SchedService victim(1);
     FatalScope guard;
     EXPECT_THROW(victim.decodeState(skewed, "skewed"), FatalError);
     EXPECT_THROW(victim.decodeState(truncated, "truncated"),
                  FatalError);
     EXPECT_THROW(victim.decodeState(text_v1, "text-v1"), FatalError);
+    try {
+        victim.decodeState(with_loops, "with-loops");
+        ADD_FAILURE() << "a tag-2 section was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown section tag 2"),
+                  std::string::npos)
+            << e.what();
+    }
     const auto st = victim.stats();
     EXPECT_EQ(st.cacheEntries, 0);
     EXPECT_EQ(st.loopContexts, 0);
     EXPECT_EQ(victim.encodeState(), SchedService(1).encodeState());
 }
 
-/** A hand-built one-entry snapshot: one loop (tomcatv's first), one
- * provider of @p kind (1 = cme, 2 = oracle) holding one memo entry
- * for the set {first memory op} under the given geometry. */
-std::string
-oneEntrySnapshot(std::uint32_t kind, std::int64_t capacity,
-                 std::int64_t line, std::uint32_t assoc)
+/** saveStateFile() writes `<path>.tmp.<pid>` and renames it over the
+ * path:
+ * a good save leaves no temporary behind, a failed one leaves the
+ * previous snapshot as it was, and a save into a missing directory
+ * fails with an error and creates nothing. */
+TEST(SvcService, SnapshotFilesAreWrittenAtomically)
 {
-    const auto put = [](std::string &out, std::uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    };
-    const auto nest = workloads::benchmarkByName("tomcatv").loops[0];
-    const std::string loop_text = text::printLoop(nest);
-    const std::string name = kind == 1 ? "cme" : "oracle";
-    const auto op = static_cast<std::uint64_t>(nest.memoryOps()[0]);
+    namespace fs = std::filesystem;
+    const std::string path = ::testing::TempDir() + "svc_test_state.bin";
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    fs::remove_all(tmp);
 
-    std::string loops;
-    put(loops, 1, 8);   // loops
-    put(loops, loop_text.size(), 8);
-    loops += loop_text;
-    put(loops, 1, 8);   // providers
-    put(loops, kind, 4);
-    put(loops, name.size(), 8);
-    loops += name;
-    put(loops, 1, 8);   // entries
-    put(loops, static_cast<std::uint64_t>(capacity), 8);
-    put(loops, static_cast<std::uint64_t>(line), 8);
-    put(loops, assoc, 4);
-    if (kind == 1)
-        put(loops, op, 4);
-    put(loops, 1, 8);   // set size
-    put(loops, op, 4);
-    if (kind == 1) {
-        put(loops, 0x3fe0000000000000ULL, 8);   // ratio 0.5
-        put(loops, 0, 8);                        // CI half-width
-    } else {
-        put(loops, 100, 8);   // points
-        put(loops, 7, 8);     // misses of the one op
-    }
-    std::string cache;
-    put(cache, 0, 8);
+    SchedService donor(1);
+    donor.processBatch(parseAll(samplePayloads()));
+    std::string error;
+    ASSERT_TRUE(donor.saveStateFile(path, &error)) << error;
+    EXPECT_FALSE(fs::exists(tmp));
+    SchedService loaded(1);
+    ASSERT_TRUE(loaded.loadStateFile(path, &error)) << error;
+    EXPECT_EQ(loaded.encodeState(), donor.encodeState());
 
-    std::string out(WARM_STATE_MAGIC, sizeof WARM_STATE_MAGIC);
-    put(out, WARM_STATE_VERSION_BINARY, 4);
-    put(out, 2, 4);   // sections
-    put(out, 1, 4);
-    put(out, cache.size(), 8);
-    put(out, 2, 4);
-    put(out, loops.size(), 8);
-    return out + cache + loops;
-}
+    // A save that cannot write its temporary fails and leaves the
+    // previous snapshot intact.
+    fs::create_directory(tmp);
+    EXPECT_FALSE(SchedService(1).saveStateFile(path, &error));
+    EXPECT_NE(error.find(tmp), std::string::npos) << error;
+    SchedService reloaded(1);
+    ASSERT_TRUE(reloaded.loadStateFile(path, &error)) << error;
+    EXPECT_EQ(reloaded.encodeState(), donor.encodeState());
+    fs::remove_all(tmp);
+    fs::remove(path);
 
-/** A memo entry whose geometry no cache can have — it would divide by
- * zero in the first simulation or ratio query — rejects the whole
- * snapshot at LOAD. The same snapshot with a real geometry loads and
- * re-encodes byte-identically, so the refusal is the geometry's. */
-TEST(SvcService, DegenerateMemoGeometryRejectsTheSnapshot)
-{
-    for (const std::uint32_t kind : {1u, 2u}) {
-        SCOPED_TRACE(kind);
-        const std::string good = oneEntrySnapshot(kind, 8192, 32, 1);
-        SchedService accepting(1);
-        accepting.decodeState(good, "good");
-        EXPECT_EQ(accepting.encodeState(), good);
-
-        SchedService victim(1);
-        FatalScope guard;
-        EXPECT_THROW(victim.decodeState(oneEntrySnapshot(kind, 8192, 0, 1),
-                                        "line0"),
-                     FatalError);
-        EXPECT_THROW(victim.decodeState(oneEntrySnapshot(kind, 8192, 32, 0),
-                                        "assoc0"),
-                     FatalError);
-        EXPECT_THROW(victim.decodeState(oneEntrySnapshot(kind, 16, 32, 1),
-                                        "nosets"),
-                     FatalError);
-        EXPECT_THROW(
-            victim.decodeState(oneEntrySnapshot(kind, 8192, 1LL << 32, 1),
-                               "line2p32"),
-            FatalError);
-        const auto st = victim.stats();
-        EXPECT_EQ(st.cacheEntries, 0);
-        EXPECT_EQ(st.loopContexts, 0);
-        EXPECT_EQ(victim.encodeState(), SchedService(1).encodeState());
-    }
+    const std::string missing =
+        ::testing::TempDir() + "svc_test_no_such_dir/state.bin";
+    error.clear();
+    EXPECT_FALSE(donor.saveStateFile(missing, &error));
+    EXPECT_NE(error, "");
+    EXPECT_FALSE(fs::exists(missing));
+    EXPECT_FALSE(fs::exists(fs::path(missing).parent_path()));
 }
 
 TEST(SvcService, DecodeRejectsVersionSkewInsideFatalScope)
@@ -760,6 +739,58 @@ TEST(SvcSession, FramingErrorsCloseTheSession)
     out.clear();
     EXPECT_FALSE(session.consume(std::string("STATS\n"), out));
     EXPECT_EQ(out, "");
+}
+
+/** SAVE and LOAD are gone: the session answers them like any unknown
+ * command, with ERR and a closed session, and touches no file. Warm
+ * state reaches disk only through the operator's --state. */
+TEST(SvcSession, SaveAndLoadFramesAreUnknownCommands)
+{
+    const std::string path = ::testing::TempDir() + "svc_test_save.bin";
+    std::filesystem::remove(path);
+    for (const std::string cmd : {"SAVE", "LOAD"}) {
+        SchedService service(1);
+        ServiceSession session(service);
+        std::string out;
+        const std::string frame = cmd + " " + std::to_string(path.size()) +
+                                  "\n" + path + "\nSTATS\n";
+        EXPECT_FALSE(session.consume(frame, out)) << cmd;
+        EXPECT_TRUE(session.closed()) << cmd;
+        EXPECT_EQ(out.compare(0, 4, "ERR "), 0) << out;
+        EXPECT_NE(out.find("unknown command '" + cmd + "'"),
+                  std::string::npos)
+            << out;
+        EXPECT_EQ(out.find("\nSTATS "), std::string::npos) << out;
+        EXPECT_FALSE(std::filesystem::exists(path)) << cmd;
+    }
+}
+
+/** An unknown backend or locality provider passes the parser (names
+ * are checked when the request is scheduled) and gets an error reply —
+ * every time, because the reply is never cached in either lane. */
+TEST(SvcSession, UnknownRegistryNamesAreUncachedErrors)
+{
+    const auto bench = workloads::benchmarkByName("swim");
+    const std::string scenario = text::printScenario(
+        text::ScenarioText{bench.loops[0], makeTwoCluster()});
+    for (const std::string config :
+         {"config backend no-such-backend\n",
+          "config locality no-such-provider\n"}) {
+        SCOPED_TRACE(config);
+        SchedService service(1);
+        const auto reps =
+            replayAcrossFlushes(service, config + "\n" + scenario, 2);
+        ASSERT_EQ(reps.size(), 2u);
+        for (const std::string &rep : reps)
+            EXPECT_EQ(rep.compare(0, 13, "status error\n"), 0) << rep;
+        EXPECT_EQ(reps[0], reps[1]);
+        const std::string stats = service.renderStats();
+        EXPECT_NE(stats.find("\ncache-entries 0\n"), std::string::npos)
+            << stats;
+        EXPECT_NE(stats.find("\nraw-entries 0\n"), std::string::npos)
+            << stats;
+        EXPECT_EQ(service.stats().errors, 2);
+    }
 }
 
 /** The poll() reactor: two concurrent connections whose frames arrive
