@@ -22,7 +22,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -122,13 +121,11 @@ main(int argc, char **argv)
     }
 
     if (!listen.empty()) {
-        char *end = nullptr;
-        const long port = std::strtol(listen.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || port < 0 ||
-            port > 65535)
-            mvp_fatal("--listen wants a TCP port, got '", listen,
-                      "'");
-        const int rc = serveTcp(service, static_cast<int>(port));
+        const int port = harness::parseInteger<int>(listen, "--listen");
+        if (port < 0 || port > 65535)
+            mvp_fatal("--listen wants a TCP port in 0..65535, got ",
+                      port);
+        const int rc = serveTcp(service, port);
         if (rc == 0)
             saveState(service, state);
         return rc;

@@ -83,27 +83,6 @@ RunningStat::ciHalfWidth(double z) const
 }
 
 void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    // Chan et al. parallel combination of Welford states.
-    const double delta = other.mean_ - mean_;
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double nab = na + nb;
-    m2_ += other.m2_ + delta * delta * na * nb / nab;
-    mean_ += delta * nb / nab;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
 RunningStat::reset()
 {
     *this = RunningStat{};

@@ -58,9 +58,6 @@ class RunningStat
      */
     double ciHalfWidth(double z = 1.96) const;
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
     /** Reset to the empty state. */
     void reset();
 

@@ -106,18 +106,8 @@ ParallelDriver::workerMain(int w)
             if (i >= items)
                 break;
             MVP_TRACE_SPAN("item", {}, static_cast<std::int64_t>(i));
-            const auto item_start =
-                mets ? ObsClock::now() : ObsClock::time_point{};
             (*work)(i, ctx);
             ++items_done;
-            if (mets) {
-                const auto ms =
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        ObsClock::now() - item_start)
-                        .count();
-                ctx.metrics.timer("pool.item_ms")
-                    .add(static_cast<double>(ms) / 1000.0);
-            }
         }
 
         if (mets) {

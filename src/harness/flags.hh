@@ -127,8 +127,8 @@ bool parseLogLevelFlag(int &argc, char **argv);
  * Parse and strip the observability flags every suite binary shares:
  *
  *  - `--log-level=LEVEL` (see parseLogLevelFlag);
- *  - `--metrics[=FILE]`: enable the obs::Registry; the report goes to
- *    FILE as JSON, or to stdout as text with the bare form;
+ *  - `--metrics[=FILE]`: enable the obs::Registry; its text report
+ *    goes to stdout with the bare form, into FILE otherwise;
  *  - `--trace=FILE`: record Chrome trace-event JSON into FILE.
  *
  * The reports are written by an atexit hook (obs::metricsFinish /

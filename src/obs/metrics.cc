@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <cstdio>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -16,72 +15,10 @@ std::atomic<bool> g_metrics_on{false};
 namespace
 {
 
-/** See fmtStatDouble in common/stats.cc: snprintf + comma fix. */
-std::string
-fmtMetricDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    for (char *p = buf; *p != '\0'; ++p)
-        if (*p == ',')
-            *p = '.';
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Append `"name": value` pairs for a whole map, comma-separated. */
-template <typename Map, typename Fmt>
-void
-appendJsonMap(std::string &out, const Map &map, Fmt &&fmt)
-{
-    bool first = true;
-    for (const auto &[name, value] : map) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += jsonEscape(name);
-        out += "\":";
-        out += fmt(value);
-    }
-}
-
 struct SessionState
 {
     bool active = false;
-    bool to_file = false;
-    std::string path;
+    std::string path;   ///< "" = stdout
 };
 
 SessionState &
@@ -130,8 +67,6 @@ MetricShard::merge(const MetricShard &other)
         else
             it->second.merge(hist);
     }
-    for (const auto &[name, stat] : other.timers_)
-        timers_[name].merge(stat);
 }
 
 void
@@ -139,7 +74,6 @@ MetricShard::clear()
 {
     det_ = Section{};
     rt_ = Section{};
-    timers_.clear();
 }
 
 bool
@@ -147,8 +81,7 @@ MetricShard::empty() const
 {
     return det_.counters.all().empty() && det_.counters_max.all().empty() &&
            det_.hists.empty() && rt_.counters.all().empty() &&
-           rt_.counters_max.all().empty() && rt_.hists.empty() &&
-           timers_.empty();
+           rt_.counters_max.all().empty() && rt_.hists.empty();
 }
 
 Registry &
@@ -172,27 +105,6 @@ foldRtCounter(const std::string &name, std::int64_t delta)
         return;
     MetricShard shard;
     shard.rt(name) += delta;
-    Registry::instance().fold(shard);
-}
-
-void
-foldRtMax(const std::string &name, std::int64_t v)
-{
-    if (!metricsOn())
-        return;
-    MetricShard shard;
-    shard.rtMax(name, v);
-    Registry::instance().fold(shard);
-}
-
-void
-foldRtHist(const std::string &name, double lo, double hi,
-           std::size_t buckets, double sample)
-{
-    if (!metricsOn())
-        return;
-    MetricShard shard;
-    shard.rtHist(name, lo, hi, buckets).add(sample);
     Registry::instance().fold(shard);
 }
 
@@ -224,45 +136,6 @@ sectionText(const MetricShard::Section &sec)
     return out;
 }
 
-std::string
-timerText(const std::map<std::string, RunningStat> &timers)
-{
-    std::string out;
-    for (const auto &[name, stat] : timers) {
-        out += "timer " + name + " count=" +
-               std::to_string(stat.count()) +
-               " sum=" + fmtMetricDouble(stat.sum()) +
-               " mean=" + fmtMetricDouble(stat.mean()) +
-               " max=" + fmtMetricDouble(stat.max()) + '\n';
-    }
-    return out;
-}
-
-std::string
-sectionJson(const MetricShard::Section &sec)
-{
-    std::string out = "{\"counters\":{";
-    appendJsonMap(out, sec.counters.all(),
-                  [](std::int64_t v) { return std::to_string(v); });
-    out += "},\"gauges\":{";
-    appendJsonMap(out, sec.counters_max.all(),
-                  [](std::int64_t v) { return std::to_string(v); });
-    out += "},\"histograms\":{";
-    appendJsonMap(out, sec.hists, [](const Histogram &h) {
-        std::string j = "{\"count\":" + std::to_string(h.count());
-        j += ",\"mean\":" + fmtMetricDouble(h.mean());
-        j += ",\"p50\":" + fmtMetricDouble(h.percentile(50.0));
-        j += ",\"p90\":" + fmtMetricDouble(h.percentile(90.0));
-        j += ",\"p99\":" + fmtMetricDouble(h.percentile(99.0));
-        j += ",\"underflow\":" + std::to_string(h.underflow());
-        j += ",\"overflow\":" + std::to_string(h.overflow());
-        j += '}';
-        return j;
-    });
-    out += "}}";
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -273,7 +146,6 @@ Registry::textReport() const
     out += sectionText(total_.det_);
     out += "# runtime\n";
     out += sectionText(total_.rt_);
-    out += timerText(total_.timers_);
     return out;
 }
 
@@ -284,38 +156,11 @@ Registry::deterministicReport() const
     return sectionText(total_.det_);
 }
 
-std::string
-Registry::jsonReport() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string out = "{\"deterministic\":";
-    out += sectionJson(total_.det_);
-    out += ",\"runtime\":";
-    std::string rt = sectionJson(total_.rt_);
-    // Splice the timers member into the runtime object (before its
-    // closing brace) so the runtime section is one flat object.
-    rt.pop_back();
-    rt += ",\"timers\":{";
-    appendJsonMap(rt, total_.timers_, [](const RunningStat &s) {
-        std::string j = "{\"count\":" + std::to_string(s.count());
-        j += ",\"sum\":" + fmtMetricDouble(s.sum());
-        j += ",\"mean\":" + fmtMetricDouble(s.mean());
-        j += ",\"max\":" + fmtMetricDouble(s.max());
-        j += '}';
-        return j;
-    });
-    rt += "}}";
-    out += rt;
-    out += "}\n";
-    return out;
-}
-
 void
 metricsInit(const std::string &path)
 {
     auto &s = session();
     s.active = true;
-    s.to_file = !path.empty();
     s.path = path;
     Registry::instance().enable();
 }
@@ -327,22 +172,20 @@ metricsFinish()
     if (!s.active)
         return;
     s.active = false;
-    auto &reg = Registry::instance();
-    if (s.to_file) {
-        std::FILE *f = std::fopen(s.path.c_str(), "w");
-        if (f == nullptr) {
-            mvp_warn("cannot write metrics file '", s.path, "'");
-            return;
-        }
-        const std::string json = reg.jsonReport();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        mvp_inform("metrics written to ", s.path);
-    } else {
-        const std::string text = reg.textReport();
+    const std::string text = Registry::instance().textReport();
+    if (s.path.empty()) {
         std::fwrite(text.data(), 1, text.size(), stdout);
         std::fflush(stdout);
+        return;
     }
+    std::FILE *f = std::fopen(s.path.c_str(), "w");
+    if (f == nullptr) {
+        mvp_warn("cannot write metrics file '", s.path, "'");
+        return;
+    }
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+    mvp_inform("metrics written to ", s.path);
 }
 
 } // namespace mvp::obs

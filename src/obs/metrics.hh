@@ -15,7 +15,7 @@
  * trustworthy under the `--jobs` pool — splits every report in two:
  *
  *  - the *deterministic* section holds content-derived integer
- *    counters, max-gauges and histograms: search nodes, prune-reason
+ *    counters and histograms: search nodes, prune-reason
  *    counts, memo probes/hits, backjump depths, II attempts, pool
  *    item totals. Each work item's contribution is a pure function of
  *    the item (the same property the schedule fingerprints rely on),
@@ -27,10 +27,15 @@
  *    timing-dependent "gap unknown" row.
  *
  *  - the *runtime* section holds everything interleaving- or
- *    clock-shaped: wall-time timers (RunningStat; its Chan merge is
- *    float-order-dependent), pool busy time, queue-claim latency and
- *    shared-cache totals (two workers racing on one memo key
- *    legitimately both count). Useful, but never byte-compared.
+ *    clock-shaped: pool busy time, queue-claim latency, flush and
+ *    reactor timings, shared-cache totals (two workers racing on one
+ *    memo key legitimately both count). Useful, but never
+ *    byte-compared.
+ *
+ * Three metric kinds: counters (added on merge), histograms
+ * (bucket-added) in either section, and gauges (max-merged high-water
+ * marks) in the runtime section. The registry renders one plain-text
+ * report, on stdout or into a file.
  *
  * Cost model: recording is gated on metricsOn(), a single relaxed
  * atomic load, so the disabled path is one predictable branch. Hot
@@ -79,12 +84,6 @@ class MetricShard
         return det_.counters.counter(name);
     }
 
-    /** Deterministic max-gauge (high-water mark). */
-    void detMax(const std::string &name, std::int64_t v)
-    {
-        det_.counters_max.setMax(name, v);
-    }
-
     /** Deterministic histogram, created with the given binning on
      * first use (later calls must repeat the same binning). */
     Histogram &detHist(const std::string &name, double lo, double hi,
@@ -105,16 +104,10 @@ class MetricShard
 
     Histogram &rtHist(const std::string &name, double lo, double hi,
                       std::size_t buckets);
-
-    /** Wall-time accumulator (milliseconds by convention). */
-    RunningStat &timer(const std::string &name)
-    {
-        return timers_[name];
-    }
     /// @}
 
-    /** Fold @p other into this shard (commutative per section rules:
-     * counters add, gauges max, histograms add, timers Chan-merge). */
+    /** Fold @p other into this shard (commutative: counters add,
+     * gauges max, histograms add). */
     void merge(const MetricShard &other);
 
     /** Drop every value (capacity may be kept by the maps). */
@@ -123,7 +116,7 @@ class MetricShard
     /** True when nothing has been recorded. */
     bool empty() const;
 
-    /** One half of the report (named publicly so the renderers in
+    /** One half of the report (named publicly so the renderer in
      * metrics.cc can take it by reference; the instances stay
      * private). */
     struct Section
@@ -138,7 +131,6 @@ class MetricShard
 
     Section det_;
     Section rt_;
-    std::map<std::string, RunningStat> timers_;   ///< runtime only
 };
 
 /**
@@ -161,18 +153,15 @@ class Registry
     void fold(MetricShard &shard);
 
     /**
-     * Stable-sorted plain-text report, deterministic section first.
-     * Lines are "counter NAME = V", "gauge NAME = V",
-     * "hist NAME <Histogram::dump()>", "timer NAME ...".
+     * The report: stable-sorted plain text, a "# deterministic" header
+     * and its section, then "# runtime" and its section. Lines are
+     * "counter NAME = V", "gauge NAME = V" and
+     * "hist NAME <Histogram::dump()>".
      */
     std::string textReport() const;
 
     /** The deterministic section only — the byte-compared half. */
     std::string deterministicReport() const;
-
-    /** The same report as stable-ordered JSON (one object with
-     * "deterministic" and "runtime" members). */
-    std::string jsonReport() const;
 
   private:
     Registry() = default;
@@ -181,33 +170,19 @@ class Registry
     MetricShard total_;
 };
 
-/** @name One-shot folds
- * For code that records a metric outside any SchedContext — the
- * service's raw-lane probe and its TCP reactor — where
- * building and folding a whole MetricShard per event is noise. All
- * are no-ops (one relaxed load) when the registry is disabled, and
- * take the registry mutex once when it is on; hot loops that fire
- * many times per item should still batch into a MetricShard.
+/**
+ * One-shot fold: add @p delta to the runtime counter @p name, for code
+ * that records outside any SchedContext (the service's TCP reactor),
+ * where building and folding a whole MetricShard per event is noise.
+ * A no-op (one relaxed load) when the registry is disabled; takes the
+ * registry mutex once when it is on.
  */
-/// @{
-
-/** Add @p delta to the runtime counter @p name. */
 void foldRtCounter(const std::string &name, std::int64_t delta);
-
-/** Max-merge @p v into the runtime gauge @p name. */
-void foldRtMax(const std::string &name, std::int64_t v);
-
-/** Record @p sample into the runtime histogram @p name (created with
- * the given binning on first use; later binnings must match). */
-void foldRtHist(const std::string &name, double lo, double hi,
-                std::size_t buckets, double sample);
-
-/// @}
 
 /**
  * Flag-level session: remember where `--metrics[=<file>]` wants the
- * report and enable the registry. Empty @p path = text report on
- * stdout at metricsFinish(); otherwise JSON into the file.
+ * report and enable the registry. metricsFinish() writes textReport()
+ * to stdout when @p path is empty, else into the file.
  */
 void metricsInit(const std::string &path);
 

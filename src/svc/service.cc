@@ -67,10 +67,8 @@ SchedService::rawProbe(const std::string &rawPayload)
 {
     const auto start = std::chrono::steady_clock::now();
     const ReplyBytes *stored = raw_.find(rawPayload);
-    if (stored == nullptr) {
-        obs::foldRtCounter("svc.rawlane.misses", 1);
+    if (stored == nullptr)
         return nullptr;
-    }
     const double us =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - start)
@@ -81,11 +79,6 @@ SchedService::rawProbe(const std::string &rawPayload)
         hits_ += 1;
         raw_hits_ += 1;
         latency_us_.add(us);
-    }
-    if (obs::metricsOn()) {
-        obs::foldRtCounter("svc.rawlane.hits", 1);
-        obs::foldRtHist("svc.rawlane.probe_us", LAT_LO, LAT_HI, 500,
-                        us);
     }
     return *stored;
 }
@@ -102,19 +95,6 @@ SchedService::processBatch(std::vector<Request> &&requests)
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
         batches_ += 1;
-    }
-    if (obs::metricsOn()) {
-        obs::MetricShard shard;
-        shard.rtMax("svc.cache_entries",
-                    static_cast<std::int64_t>(cache_.size()));
-        shard.rtMax("svc.rawlane.entries",
-                    static_cast<std::int64_t>(raw_.size()));
-        {
-            std::lock_guard<std::mutex> lock(ctx_mu_);
-            shard.rtMax("svc.loop_contexts",
-                        static_cast<std::int64_t>(contexts_.size()));
-        }
-        obs::Registry::instance().fold(shard);
     }
     return replies;
 }
@@ -140,7 +120,7 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
         out.payload =
             std::make_shared<const std::string>(renderErrorReply(
                 request.error));
-        noteRequest(start, false, true, ctx);
+        noteRequest(start, false, true);
         return out;
     }
 
@@ -152,7 +132,7 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
         // payload skips the parser too.
         if (!request.raw.empty())
             raw_.tryInsert(request.raw, out.payload);
-        noteRequest(start, true, false, ctx);
+        noteRequest(start, true, false);
         return out;
     }
 
@@ -228,7 +208,7 @@ SchedService::serveOne(Request &request, sched::SchedContext &ctx)
         out.payload =
             std::make_shared<const std::string>(std::move(payload));
     }
-    noteRequest(start, false, is_error, ctx);
+    noteRequest(start, false, is_error);
     return out;
 }
 
@@ -249,7 +229,7 @@ SchedService::noteFlush(std::size_t frames, std::size_t bytes,
 
 void
 SchedService::noteRequest(std::chrono::steady_clock::time_point start,
-                          bool hit, bool error, sched::SchedContext &ctx)
+                          bool hit, bool error)
 {
     const double us =
         std::chrono::duration<double, std::micro>(
@@ -265,15 +245,6 @@ SchedService::noteRequest(std::chrono::steady_clock::time_point start,
         if (error)
             errors_ += 1;
         latency_us_.add(us);
-    }
-    if (obs::metricsOn()) {
-        ctx.metrics.rt("svc.requests") += 1;
-        ctx.metrics.rt(hit ? "svc.cache_hits" : "svc.cache_misses") +=
-            1;
-        if (error)
-            ctx.metrics.rt("svc.errors") += 1;
-        ctx.metrics.rtHist("svc.request_us", LAT_LO, LAT_HI, 500)
-            .add(us);
     }
 }
 

@@ -46,6 +46,11 @@
  * first canonicalization, and raw bytes are client-specific spellings
  * with unbounded variety — the canonical cache is the durable state.
  *
+ * Accounting: ServiceStats is the one record of requests, hits,
+ * errors, entry counts and latency (STATS renders it); the obs
+ * registry adds only what it does not hold, the svc.flush.* reply
+ * bursts and the reactor's svc.reactor.* events.
+ *
  * Error containment: request payloads are user input, and the repo's
  * registries and parsers fatal on bad input. Every worker wraps the
  * scheduling call in a FatalScope (common/logging.hh), so a malformed
@@ -76,7 +81,8 @@
 namespace mvp::svc
 {
 
-/** A point-in-time snapshot of the service counters. */
+/** A point-in-time snapshot of the service counters (see
+ * "Accounting" above). */
 struct ServiceStats
 {
     std::int64_t requests = 0;
@@ -217,8 +223,9 @@ class SchedService
     /** Serve one request on a worker (never throws). */
     Reply serveOne(Request &request, sched::SchedContext &ctx);
 
+    /** Count one worker-served request in the ServiceStats. */
     void noteRequest(std::chrono::steady_clock::time_point start,
-                     bool hit, bool error, sched::SchedContext &ctx);
+                     bool hit, bool error);
 
     harness::ParallelDriver driver_;
     ReplyMemo cache_;   ///< canonical request key -> reply

@@ -1,6 +1,8 @@
 #include "svc/session.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.hh"
@@ -29,35 +31,51 @@ ServiceSession::consume(const char *data, std::size_t n,
     if (closed_)
         return false;
     buffer_.append(data, n);
-    for (;;) {
-        if (closed_) {
-            buffer_.clear();
-            return false;
-        }
+    // Frames are parsed from an offset and the consumed prefix is
+    // erased once per call, so a chunk of many small frames costs time
+    // linear in its size.
+    std::size_t pos = 0;
+    while (!closed_) {
+        const std::size_t avail = buffer_.size() - pos;
         if (mode_ == Mode::Line) {
-            const std::size_t eol = buffer_.find('\n');
-            if (eol == std::string::npos)
+            // Scan at most one byte past the cap: a longer line is
+            // refused without reading the rest of it.
+            const char *head = buffer_.data() + pos;
+            const auto *nl = static_cast<const char *>(std::memchr(
+                head, '\n', std::min(avail, MAX_HEADER_BYTES + 1)));
+            if (nl == nullptr) {
+                if (avail > MAX_HEADER_BYTES)
+                    protocolError("frame header exceeds " +
+                                      std::to_string(MAX_HEADER_BYTES) +
+                                      " bytes",
+                                  out);
                 break;
-            std::string line = buffer_.substr(0, eol);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            buffer_.erase(0, eol + 1);
-            handleLine(line, out);
+            }
+            std::size_t len = static_cast<std::size_t>(nl - head);
+            pos += len + 1;
+            if (len > 0 && head[len - 1] == '\r')
+                --len;
+            handleLine(std::string(head, len), out);
         } else {
             // Payload plus its terminating newline.
-            if (buffer_.size() < pending_bytes_ + 1)
+            if (avail < pending_bytes_ + 1)
                 break;
-            if (buffer_[pending_bytes_] != '\n') {
+            if (buffer_[pos + pending_bytes_] != '\n') {
                 protocolError("payload not followed by newline", out);
-                continue;
+                break;
             }
-            std::string payload = buffer_.substr(0, pending_bytes_);
-            buffer_.erase(0, pending_bytes_ + 1);
+            std::string payload = buffer_.substr(pos, pending_bytes_);
+            pos += pending_bytes_ + 1;
             mode_ = Mode::Line;
             handlePayload(std::move(payload));
         }
     }
-    return !closed_;
+    if (closed_) {
+        buffer_.clear();
+        return false;
+    }
+    buffer_.erase(0, pos);
+    return true;
 }
 
 void
@@ -65,7 +83,7 @@ ServiceSession::finish(std::string &out)
 {
     if (closed_)
         return;
-    if (!buffer_.empty())
+    if (!buffer_.empty() || mode_ == Mode::Payload)
         protocolError("input ended mid-frame", out);
     else
         flushBatch(out);

@@ -24,7 +24,8 @@
  * A malformed *payload* is not a framing error: it produces a normal
  * REP whose body is `status error` — ids stay aligned and the server
  * survives (svc/service.hh error containment). Only an unparseable
- * frame header or an unknown command closes the session. No command
+ * frame header, a header longer than MAX_HEADER_BYTES or an unknown
+ * command closes the session. No command
  * touches the file system: warm state reaches disk only through the
  * operator's `mvp_served --state FILE`.
  *
@@ -57,6 +58,10 @@ namespace mvp::svc
 
 /** Refuse absurd frames before allocating for them. */
 constexpr std::size_t MAX_FRAME_BYTES = std::size_t(1) << 26;
+
+/** Refuse a command line (a frame header) longer than this, so input
+ * without a newline cannot grow the session's buffer without bound. */
+constexpr std::size_t MAX_HEADER_BYTES = std::size_t(1) << 12;
 
 class ServiceSession
 {

@@ -89,38 +89,6 @@ TEST(RunningStat, MeanAndVarianceMatchClosedForm)
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStat, MergeEqualsSequential)
-{
-    RunningStat a;
-    RunningStat b;
-    RunningStat all;
-    for (int i = 0; i < 100; ++i) {
-        const double x = 0.37 * i - 3.0;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmptySides)
-{
-    RunningStat a;
-    RunningStat empty;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    RunningStat c;
-    c.merge(a);
-    EXPECT_EQ(c.count(), 2u);
-    EXPECT_DOUBLE_EQ(c.mean(), 2.0);
-}
-
 TEST(RunningStat, CiShrinksWithSamples)
 {
     Rng rng(7);

@@ -225,24 +225,37 @@ TEST_F(ObsTest, TraceIsWellFormedWithPerWorkerTracks)
     EXPECT_NE(text.find("\"name\":\"sweep\""), std::string::npos);
 }
 
-TEST_F(ObsTest, JsonReportIsBalancedAndSplitsSections)
+TEST_F(ObsTest, MetricsFileHoldsTheStdoutReport)
 {
     harness::Workbench bench({"tomcatv"});
     Registry::instance().enable();
     runInstrumentedSweep(bench, 2);
 
-    const std::string json = Registry::instance().jsonReport();
-    EXPECT_TRUE(balancedJson(json));
-    EXPECT_NE(json.find("\"deterministic\""), std::string::npos);
-    EXPECT_NE(json.find("\"runtime\""), std::string::npos);
-    EXPECT_NE(json.find("\"exact.nodes\""), std::string::npos);
-    EXPECT_NE(json.find("\"pool.busy_ms\""), std::string::npos);
+    // `--metrics` prints the report; `--metrics=FILE` writes the same
+    // bytes into FILE.
+    metricsInit("");
+    ::testing::internal::CaptureStdout();
+    metricsFinish();
+    const std::string printed = ::testing::internal::GetCapturedStdout();
+
+    const std::string path = ::testing::TempDir() + "obs_test_metrics.txt";
+    metricsInit(path);
+    metricsFinish();
+    const std::string written = slurp(path);
+    std::remove(path.c_str());
+
+    const std::string text = Registry::instance().textReport();
+    EXPECT_EQ(printed, text);
+    EXPECT_EQ(written, text);
+    EXPECT_EQ(text.rfind("# deterministic\n", 0), 0u);
+    EXPECT_NE(text.find("\ncounter exact.nodes = "), std::string::npos);
+    EXPECT_NE(text.find("\n# runtime\n"), std::string::npos);
+    EXPECT_NE(text.find("\ncounter pool.busy_ms = "), std::string::npos);
 
     // Runtime pool-utilisation facts exist without leaking into the
     // byte-compared half (pool.workers is jobs-dependent).
     const std::string det = Registry::instance().deterministicReport();
     EXPECT_EQ(det.find("pool.workers"), std::string::npos);
-    const std::string text = Registry::instance().textReport();
     EXPECT_NE(text.find("gauge pool.workers = 2"), std::string::npos);
 }
 
@@ -252,12 +265,11 @@ TEST_F(ObsTest, ShardMergeAddsMaxesAndFolds)
     MetricShard b;
     a.det("n") += 3;
     b.det("n") += 4;
-    a.detMax("hw", 7);
-    b.detMax("hw", 5);
+    a.rtMax("hw", 7);
+    b.rtMax("hw", 5);
     a.detHist("h", 0.0, 10.0, 10).add(1.0);
     b.detHist("h", 0.0, 10.0, 10).add(2.0);
     b.rt("r") += 1;
-    b.timer("t").add(2.5);
 
     a.merge(b);
     Registry::instance().reset();
@@ -269,7 +281,6 @@ TEST_F(ObsTest, ShardMergeAddsMaxesAndFolds)
     EXPECT_NE(text.find("gauge hw = 7"), std::string::npos);
     EXPECT_NE(text.find("hist h count=2"), std::string::npos);
     EXPECT_NE(text.find("counter r = 1"), std::string::npos);
-    EXPECT_NE(text.find("timer t count=1"), std::string::npos);
 }
 
 TEST(HistogramStats, PercentileInterpolatesAndClamps)

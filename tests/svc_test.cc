@@ -26,7 +26,8 @@
  *    unknown registry names (error REP, not a dead server, and never a
  *    cache entry), keeps REP ids aligned with submission order, and
  *    closes on a command it does not know — the retired SAVE/LOAD
- *    frames included.
+ *    frames included — or on a header longer than MAX_HEADER_BYTES.
+ *    Frames parse the same however the input is chunked.
  *  - The TCP reactor serves interleaved connections whose frames
  *    arrive in tiny chunks split across reads (run under TSan in CI).
  */
@@ -739,6 +740,100 @@ TEST(SvcSession, FramingErrorsCloseTheSession)
     out.clear();
     EXPECT_FALSE(session.consume(std::string("STATS\n"), out));
     EXPECT_EQ(out, "");
+}
+
+/** A frame header is capped at MAX_HEADER_BYTES: a longer line gets
+ * one ERR and closes the session instead of growing its buffer. */
+TEST(SvcSession, OverlongHeadersAreRefused)
+{
+    SchedService service(1);
+    {
+        ServiceSession session(service);
+        std::string out;
+        EXPECT_FALSE(session.consume(std::string(1 << 20, 'x'), out));
+        EXPECT_TRUE(session.closed());
+        EXPECT_EQ(out.compare(0, 4, "ERR "), 0) << out;
+        EXPECT_EQ(out.find("ERR ", 1), std::string::npos) << out;
+        EXPECT_NE(out.find("frame header exceeds"), std::string::npos)
+            << out;
+    }
+    // The cap holds across calls, and a line of exactly the cap is
+    // still a line (a blank one here).
+    ServiceSession session(service);
+    std::string out;
+    const std::string at_cap(MAX_HEADER_BYTES, ' ');
+    EXPECT_TRUE(session.consume(at_cap.substr(0, 100), out));
+    EXPECT_TRUE(session.consume(at_cap.substr(100) + "\nSTATS\n", out));
+    EXPECT_EQ(out.compare(0, 6, "STATS "), 0) << out;
+    out.clear();
+    EXPECT_TRUE(session.consume(at_cap, out));
+    EXPECT_FALSE(session.consume(std::string(" "), out));
+    EXPECT_EQ(out.compare(0, 4, "ERR "), 0) << out;
+}
+
+/** Input that ends after a REQ header but before its payload is a
+ * framing error, not a silently dropped request. */
+TEST(SvcSession, InputEndingBeforeAPayloadIsAnError)
+{
+    SchedService service(1);
+    ServiceSession session(service);
+    std::string out;
+    EXPECT_TRUE(session.consume(std::string("REQ a 5\n"), out));
+    session.finish(out);
+    EXPECT_EQ(out.compare(0, 4, "ERR "), 0) << out;
+    EXPECT_NE(out.find("input ended mid-frame"), std::string::npos)
+        << out;
+}
+
+/** One REQ frame plus FLUSH, for the chunking tests below. */
+std::string
+sampleFrame()
+{
+    const std::string payload = samplePayloads().front();
+    return "REQ r0 " + std::to_string(payload.size()) + "\n" + payload +
+           "\nFLUSH\n";
+}
+
+/** 262,144 blank lines ahead of a REQ and a FLUSH, all in one call,
+ * give the reply a fresh session gives (the session used to erase each
+ * line from the front of its buffer, quadratic in the line count). */
+TEST(SvcSession, ManyFramesInOneChunkMatchAFreshSession)
+{
+    const std::string frame = sampleFrame();
+    std::string want;
+    {
+        SchedService service(1);
+        ServiceSession session(service);
+        EXPECT_TRUE(session.consume(frame, want));
+    }
+    ASSERT_EQ(want.compare(0, 7, "REP r0 "), 0) << want;
+
+    SchedService service(1);
+    ServiceSession session(service);
+    std::string out;
+    EXPECT_TRUE(session.consume(std::string(262144, '\n') + frame, out));
+    EXPECT_EQ(out, want);
+}
+
+/** A REQ frame split at every byte offset across two consume() calls
+ * still parses to the same reply. */
+TEST(SvcSession, FramesSplitAtEveryOffsetStillParse)
+{
+    const std::string frame = sampleFrame();
+    SchedService service(1);
+    std::string want;
+    {
+        ServiceSession session(service);
+        EXPECT_TRUE(session.consume(frame, want));
+    }
+    ASSERT_EQ(want.compare(0, 7, "REP r0 "), 0) << want;
+    for (std::size_t cut = 0; cut <= frame.size(); ++cut) {
+        ServiceSession session(service);
+        std::string out;
+        EXPECT_TRUE(session.consume(frame.substr(0, cut), out));
+        EXPECT_TRUE(session.consume(frame.substr(cut), out));
+        ASSERT_EQ(out, want) << "split at byte " << cut;
+    }
 }
 
 /** SAVE and LOAD are gone: the session answers them like any unknown
