@@ -9,6 +9,12 @@
  *
  *   sweep=table1 jobs=4 items=768 wall_ms=1234 fingerprint=0x...
  *
+ * and, after the table1 line, a `sweep=sim` line: the simulator alone,
+ * re-simulating the table1 sweep's schedules on one thread and timing
+ * only sim::simulateLoop (`ns_per_access` is that time over the
+ * simulated memory accesses). Its fingerprint folds every SimResult
+ * field, memory counters included.
+ *
  * CI runs this at jobs=1 and jobs=nproc, and diffs the fingerprints
  * of a plain and an instrumented (--trace/--metrics) run. The
  * fingerprint folds every emitted table, so a speedup that changes
@@ -104,6 +110,30 @@ main(int argc, char **argv)
                     driver.jobs(),
                     configs.size() * bench.entries().size(), ms,
                     static_cast<unsigned long long>(fnv1a(all)));
+
+        const auto &entries = bench.entries();
+        std::int64_t accesses = 0;
+        double sim_ms = 0;
+        std::string fold;
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            for (std::size_t e = 0; e < entries.size(); ++e) {
+                const auto sim_start = std::chrono::steady_clock::now();
+                const sim::SimResult r = sim::simulateLoop(
+                    *entries[e]->ddg, results[c].loops[e].sched.schedule,
+                    configs[c].machine);
+                sim_ms += wallMs(sim_start);
+                accesses += r.memAccesses;
+                fold += std::to_string(r.computeCycles) + ' ' +
+                        std::to_string(r.stallCycles) + ' ' +
+                        std::to_string(r.opsExecuted) + ' ' +
+                        std::to_string(r.memAccesses) + '\n' +
+                        r.memStats.dump();
+            }
+        std::printf("sweep=sim accesses=%lld wall_ms=%.1f "
+                    "ns_per_access=%.2f fingerprint=0x%016llx\n",
+                    static_cast<long long>(accesses), sim_ms,
+                    sim_ms * 1e6 / static_cast<double>(accesses),
+                    static_cast<unsigned long long>(fnv1a(fold)));
     }
 
     // --- 96-combo exact sweep: the optimality-gap study over every

@@ -12,6 +12,27 @@
 namespace mvp::harness
 {
 
+namespace
+{
+
+using ObsClock = std::chrono::steady_clock;
+
+/** One worker's share of a sweep: its busy time and its item count. */
+void
+recordBusy(obs::MetricShard &metrics, ObsClock::time_point busy_start,
+           std::int64_t items_done)
+{
+    const auto busy_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            ObsClock::now() - busy_start)
+            .count();
+    metrics.rt("pool.busy_ms") += busy_us / 1000;
+    metrics.rtHist("pool.items_per_worker", 0.0, 1024.0, 64)
+        .add(static_cast<double>(items_done));
+}
+
+} // namespace
+
 int
 defaultJobs()
 {
@@ -54,8 +75,6 @@ ParallelDriver::ensurePool()
 void
 ParallelDriver::workerMain(int w)
 {
-    using ObsClock = std::chrono::steady_clock;
-
     // One context per worker for the driver's whole lifetime: scratch
     // buffers grown by one sweep stay warm for every later sweep.
     sched::SchedContext ctx;
@@ -81,7 +100,8 @@ ParallelDriver::workerMain(int w)
         if (obs::traceOn())
             obs::traceSetThreadName("worker-" + std::to_string(w));
         const bool mets = obs::metricsOn();
-        const auto busy_start = mets ? ObsClock::now() : ObsClock::time_point{};
+        const auto busy_start =
+            mets ? ObsClock::now() : ObsClock::time_point{};
         std::int64_t items_done = 0;
 
         // Dynamic self-scheduling: each idle worker claims (steals) the
@@ -90,19 +110,8 @@ ParallelDriver::workerMain(int w)
         // heuristic one, which static round-robin sharding would
         // serialise behind the unluckiest worker.
         for (;;) {
-            const auto claim_start =
-                mets ? ObsClock::now() : ObsClock::time_point{};
             const std::size_t i =
                 next_.fetch_add(1, std::memory_order_relaxed);
-            if (mets) {
-                const auto us =
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        ObsClock::now() - claim_start)
-                        .count();
-                ctx.metrics
-                    .rtHist("pool.claim_latency_us", 0.0, 1000.0, 50)
-                    .add(static_cast<double>(us));
-            }
             if (i >= items)
                 break;
             MVP_TRACE_SPAN("item", {}, static_cast<std::int64_t>(i));
@@ -111,13 +120,7 @@ ParallelDriver::workerMain(int w)
         }
 
         if (mets) {
-            const auto busy_us =
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    ObsClock::now() - busy_start)
-                    .count();
-            ctx.metrics.rt("pool.busy_ms") += busy_us / 1000;
-            ctx.metrics.rtHist("pool.items_per_worker", 0.0, 1024.0, 64)
-                .add(static_cast<double>(items_done));
+            recordBusy(ctx.metrics, busy_start, items_done);
             // Fold before --active_: when run() returns, every
             // worker's sweep contribution is already in the registry.
             obs::Registry::instance().fold(ctx.metrics);
@@ -140,7 +143,8 @@ ParallelDriver::run(
         return;
 
     MVP_TRACE_SPAN("sweep", {}, static_cast<std::int64_t>(n));
-    if (obs::metricsOn()) {
+    const bool mets = obs::metricsOn();
+    if (mets) {
         // Deterministic totals: the same items run whatever the job
         // count, so these byte-compare across --jobs values.
         serialCtx_.metrics.det("pool.sweeps") += 1;
@@ -153,12 +157,17 @@ ParallelDriver::run(
         // Serial fast path: same code path as a one-worker pool, minus
         // the thread. The determinism tests compare this against the
         // sharded runs.
+        const auto busy_start =
+            mets ? ObsClock::now() : ObsClock::time_point{};
         for (std::size_t i = 0; i < n; ++i) {
             MVP_TRACE_SPAN("item", {}, static_cast<std::int64_t>(i));
             work(i, serialCtx_);
         }
-        if (obs::metricsOn())
+        if (mets) {
+            recordBusy(serialCtx_.metrics, busy_start,
+                       static_cast<std::int64_t>(n));
             obs::Registry::instance().fold(serialCtx_.metrics);
+        }
         return;
     }
 
@@ -178,7 +187,7 @@ ParallelDriver::run(
         done_.wait(lock, [&] { return active_ == 0; });
         work_ = nullptr;
     }
-    if (obs::metricsOn())
+    if (mets)
         obs::Registry::instance().fold(serialCtx_.metrics);
 }
 

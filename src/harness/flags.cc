@@ -263,7 +263,8 @@ rejectUnknownFlags(int argc, char **argv,
         std::string list;
         for (const std::string &k : known)
             list += (list.empty() ? "" : ", ") + k;
-        mvp_fatal("unknown flag '", bare, "' (known: ", list, ")");
+        mvp_fatal("unknown flag '", bare, "' (known: ",
+                  list.empty() ? "none" : list, ")");
     }
 }
 

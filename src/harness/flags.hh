@@ -1,10 +1,10 @@
 /**
  * @file
- * Command-line flags shared by every suite binary (bench/ and
- * examples/): one strip-and-parse helper plus the typed parsers built
- * on it. Each parser removes its flag from argv (compacting in place)
- * so a binary can layer its own argument handling after the shared
- * ones; an ill-formed value is fatal with a uniform message.
+ * Command-line flags shared by every suite binary in bench/: one
+ * strip-and-parse helper plus the typed parsers built on it. Each
+ * parser removes its flag from argv (compacting in place) so a binary
+ * can layer its own argument handling after the shared ones; an
+ * ill-formed value is fatal with a uniform message.
  *
  * Formerly these lived in harness/driver.{hh,cc}; they moved here when
  * the budget and backend flags joined, so binaries that only parse

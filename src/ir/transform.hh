@@ -8,8 +8,8 @@
  * to generate multiple instances of the same instruction such that one
  * of them always misses and the others always hit", letting the
  * threshold mechanism schedule only the missing instance with the miss
- * latency. unrollInner() implements that transformation; the
- * ablation_unroll bench evaluates the suggestion.
+ * latency. unrollInner() implements that transformation; `repro
+ * unroll` (harness::reproduceUnroll) evaluates the suggestion.
  */
 
 #ifndef MVP_IR_TRANSFORM_HH

@@ -27,7 +27,7 @@
  *    timing-dependent "gap unknown" row.
  *
  *  - the *runtime* section holds everything interleaving- or
- *    clock-shaped: pool busy time, queue-claim latency, flush and
+ *    clock-shaped: pool busy time and items per worker, flush and
  *    reactor timings, shared-cache totals (two workers racing on one
  *    memo key legitimately both count). Useful, but never
  *    byte-compared.

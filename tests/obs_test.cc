@@ -259,6 +259,22 @@ TEST_F(ObsTest, MetricsFileHoldsTheStdoutReport)
     EXPECT_NE(text.find("gauge pool.workers = 2"), std::string::npos);
 }
 
+TEST_F(ObsTest, SerialSweepReportsPoolUtilisation)
+{
+    // jobs=1 runs every item on the calling thread, not on a pool
+    // worker; its busy time and item count are reported all the same.
+    harness::Workbench bench({"tomcatv"});
+    Registry::instance().enable();
+    runInstrumentedSweep(bench, 1);
+
+    const std::string text = Registry::instance().textReport();
+    EXPECT_NE(text.find("\ncounter pool.busy_ms = "), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\nhist pool.items_per_worker count="),
+              std::string::npos)
+        << text;
+}
+
 TEST_F(ObsTest, ShardMergeAddsMaxesAndFolds)
 {
     MetricShard a;

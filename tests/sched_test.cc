@@ -697,7 +697,7 @@ TEST(Scheduler, FailsGracefullyWhenImpossible)
 
 TEST(ScheduleText, MotivatingLoopTablesArePinned)
 {
-    // The exact modulo reservation tables fig3_motivating prints:
+    // The exact modulo reservation tables `repro fig3` prints:
     // stage-annotated ops per cluster and slot, "*" on miss-scheduled
     // loads, and the register-bus column (an empty one keeps its
     // leading space).
