@@ -6,8 +6,13 @@
 #ifndef MVP_COMMON_STRUTIL_HH
 #define MVP_COMMON_STRUTIL_HH
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mvp
@@ -29,6 +34,38 @@ fnv1a(const std::string &s)
         h *= 1099511628211ULL;
     }
     return h;
+}
+
+/** Append integer @p v to @p out in @p base (lower-case digits), with
+ * no temporary string. */
+template <std::integral T>
+void
+appendInt(std::string &out, T v, int base = 10)
+{
+    char buf[std::numeric_limits<T>::digits + 2];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v, base).ptr);
+}
+
+/**
+ * Append every piece to @p out: text as it is, a char as one byte, an
+ * integer in decimal (a bool does not compile). The text printers and
+ * the service's renderers compose their lines this way, so a line
+ * costs no temporary strings.
+ */
+template <class... Pieces>
+void
+strappend(std::string &out, const Pieces &...pieces)
+{
+    const auto one = [&out](const auto &piece) {
+        using P = std::decay_t<decltype(piece)>;
+        if constexpr (std::is_same_v<P, char>)
+            out += piece;
+        else if constexpr (std::is_integral_v<P>)
+            appendInt(out, piece);
+        else
+            out += std::string_view(piece);
+    };
+    (one(pieces), ...);
 }
 
 /** printf-style formatting into a std::string. */

@@ -1,9 +1,9 @@
 #include "svc/protocol.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -14,22 +14,24 @@ namespace mvp::svc
 namespace
 {
 
-std::string
-trim(const std::string &s)
+std::string_view
+trim(std::string_view s)
 {
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
+    const std::size_t b = s.find_first_not_of(" \t\r");
+    if (b == std::string_view::npos)
+        return {};
+    return s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
 }
 
-/** %.17g: distinct doubles render distinctly, equal ones identically —
- * exactly what a canonical key and a lossless reply need. */
-std::string
-fmtG(double v)
+/** Append @p v as %.17g: distinct doubles render distinctly, equal ones
+ * identically — exactly what a canonical key and a lossless reply
+ * need. */
+void
+appendG(std::string &out, double v)
 {
-    return strprintf("%.17g", v);
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+    out.append(buf, static_cast<std::size_t>(n));
 }
 
 bool
@@ -51,42 +53,38 @@ const char *KNOWN_CONFIG_KEYS = "backend, exact-backend, locality, "
  * holds replies the registries actually produced.
  */
 std::string
-applyConfig(RequestOptions &opt, const std::string &key,
-            const std::string &value)
+applyConfig(RequestOptions &opt, std::string_view key,
+            std::string_view value)
 {
-    if (key == "backend") {
-        opt.backend = value;
+    std::string *name = key == "backend"         ? &opt.backend
+                        : key == "locality"      ? &opt.locality
+                        : key == "exact-backend" ? &opt.exactBackend
+                                                 : nullptr;
+    if (name != nullptr) {
+        *name = value;
         return "";
     }
-    if (key == "locality") {
-        opt.locality = value;
-        return "";
-    }
-    if (key == "exact-backend") {
-        opt.exactBackend = value;
-        return "";
-    }
+    const std::string text(value);
     if (key == "threshold") {
-        if (!parseDouble(value, &opt.threshold))
-            return "config threshold wants a number, got '" + value +
-                   "'";
+        if (!parseDouble(text, &opt.threshold))
+            return "config threshold wants a number, got '" + text + "'";
         if (!std::isfinite(opt.threshold) || opt.threshold < 0.0 ||
             opt.threshold > 1.0)
             return "config threshold wants a ratio in [0, 1], got '" +
-                   value + "'";
+                   text + "'";
         return "";
     }
     if (key == "time-budget-ms")
-        return harness::tryParseInteger(value, "config time-budget-ms",
+        return harness::tryParseInteger(text, "config time-budget-ms",
                                         opt.timeBudgetMs);
     if (key == "node-budget")
-        return harness::tryParseInteger(value, "config node-budget",
+        return harness::tryParseInteger(text, "config node-budget",
                                         opt.nodeBudget);
-    return "unknown config key '" + key +
+    return "unknown config key '" + std::string(key) +
            "' (known: " + KNOWN_CONFIG_KEYS + ")";
 }
 
-std::string
+const char *
 boolWord(bool v)
 {
     return v ? "true" : "false";
@@ -94,41 +92,41 @@ boolWord(bool v)
 
 } // namespace
 
-std::vector<std::string>
-splitWords(const std::string &s)
+std::size_t
+splitWords(std::string_view line, Words &words)
 {
-    std::vector<std::string> out;
+    std::size_t count = 0;
     std::size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
+    while (i < line.size()) {
+        while (i < line.size() && (line[i] == ' ' || line[i] == '\t'))
             ++i;
         std::size_t j = i;
-        while (j < s.size() && s[j] != ' ' && s[j] != '\t')
+        while (j < line.size() && line[j] != ' ' && line[j] != '\t')
             ++j;
-        if (j > i)
-            out.push_back(s.substr(i, j - i));
+        if (j > i && count < words.size())
+            words[count] = line.substr(i, j - i);
+        count += j > i ? 1 : 0;
         i = j;
     }
-    return out;
+    return count;
 }
 
 std::string
 canonicalOptionsText(const RequestOptions &options)
 {
     std::string out;
-    out += "config backend " + options.backend + "\n";
-    out += "config exact-backend " + options.exactBackend + "\n";
-    out += "config locality " + options.locality + "\n";
-    out += "config node-budget " + std::to_string(options.nodeBudget) +
-           "\n";
-    out += "config threshold " + fmtG(options.threshold) + "\n";
-    out += "config time-budget-ms " +
-           std::to_string(options.timeBudgetMs) + "\n";
+    strappend(out, "config backend ", options.backend,
+              "\nconfig exact-backend ", options.exactBackend,
+              "\nconfig locality ", options.locality,
+              "\nconfig node-budget ", options.nodeBudget,
+              "\nconfig threshold ");
+    appendG(out, options.threshold);
+    strappend(out, "\nconfig time-budget-ms ", options.timeBudgetMs, '\n');
     return out;
 }
 
 Request
-parseRequest(const std::string &payload, const std::string &origin)
+parseRequest(std::string payload, const std::string &origin)
 {
     Request req;
 
@@ -136,25 +134,27 @@ parseRequest(const std::string &payload, const std::string &origin)
     // scenario line. Blank lines and comments inside the prefix are
     // skipped (comments cannot change a parse); everything from the
     // first non-config content line on is the scenario text.
+    const std::string_view text(payload);
     std::size_t pos = 0;
-    std::size_t scenario_start = payload.size();
-    while (pos < payload.size()) {
-        std::size_t eol = payload.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = payload.size();
-        const std::string line = trim(payload.substr(pos, eol - pos));
+    std::size_t scenario_start = text.size();
+    while (pos < text.size()) {
+        std::size_t eol = text.find('\n', pos);
+        if (eol == std::string_view::npos)
+            eol = text.size();
+        const std::string_view line = trim(text.substr(pos, eol - pos));
         if (line.empty() || line[0] == '#') {
             pos = eol + 1;
             continue;
         }
-        const std::vector<std::string> words = splitWords(line);
+        Words words;
+        const std::size_t count = splitWords(line, words);
         if (words[0] != "config") {
             scenario_start = pos;
             break;
         }
-        if (words.size() != 3) {
+        if (count != 3) {
             req.error = origin + ": config lines are 'config KEY " +
-                        "VALUE', got '" + line + "'";
+                        "VALUE', got '" + std::string(line) + "'";
             return req;
         }
         req.error = applyConfig(req.options, words[1], words[2]);
@@ -168,19 +168,21 @@ parseRequest(const std::string &payload, const std::string &origin)
     {
         FatalScope guard;
         try {
-            req.scenario = text::parseScenario(
-                payload.substr(scenario_start), origin);
+            req.scenario =
+                text::parseScenario(text.substr(scenario_start), origin);
         } catch (const FatalError &e) {
             req.error = e.what();
             return req;
         }
     }
 
-    req.raw = payload;
+    req.raw = std::move(payload);
     req.loopKey = text::printLoop(req.scenario.loop);
     req.machineKey = text::printMachine(req.scenario.machine);
-    req.key = canonicalOptionsText(req.options) + "\n" + req.loopKey +
-              "\n" + req.machineKey;
+    req.key = canonicalOptionsText(req.options);
+    req.key.reserve(req.key.size() + req.loopKey.size() +
+                    req.machineKey.size() + 2);
+    strappend(req.key, '\n', req.loopKey, '\n', req.machineKey);
     return req;
 }
 
@@ -190,58 +192,42 @@ renderReply(const Request &request, const sched::ScheduleResult &result)
     const sched::SchedStats &st = result.stats;
     const sched::ModuloSchedule &sch = result.schedule;
     std::string out;
-    out += "status ok\n";
-    out += "loop \"" + request.scenario.loop.name() + "\"\n";
-    out += "machine \"" + request.scenario.machine.name + "\"\n";
-    out += "backend " + request.options.backend + "\n";
-    out += "ii " + std::to_string(sch.ii()) + "\n";
-    out += "stages " + std::to_string(sch.stageCount()) + "\n";
-    out += "clusters " + std::to_string(sch.numClusters()) + "\n";
-    out += "res-mii " + std::to_string(st.resMii) + "\n";
-    out += "rec-mii " + std::to_string(st.recMii) + "\n";
-    out += "mii " + std::to_string(st.mii) + "\n";
-    out += "ii-attempts " + std::to_string(st.iiAttempts) + "\n";
-    out += "comms " + std::to_string(st.comms) + "\n";
-    out += "miss-scheduled-loads " +
-           std::to_string(st.missScheduledLoads) + "\n";
-    out += "ordering-both-neighbours " +
-           std::to_string(st.orderingBothNeighbours) + "\n";
-    out += "predicted-misses-per-iter " +
-           fmtG(st.predictedMissesPerIter) + "\n";
-    out += "proven-optimal " + boolWord(st.provenOptimal) + "\n";
-    out += "ii-lower-bound " + std::to_string(st.iiLowerBound) + "\n";
-    out += "pressure-optimal " + boolWord(st.pressureOptimal) + "\n";
-    out += "search-nodes " + std::to_string(st.searchNodes) + "\n";
-    out += "budget-exhausted " + boolWord(st.budgetExhausted) + "\n";
-    out += "gap-known " + boolWord(st.gapKnown) + "\n";
-    out += "exact-ii " + std::to_string(st.exactII) + "\n";
-    out += "ii-gap " + std::to_string(st.iiGap) + "\n";
-
-    std::string live;
-    for (const int v : sch.maxLive()) {
-        live += ' ';
-        live += std::to_string(v);
-    }
-    out += "max-live" + live + "\n";
+    strappend(out, "status ok\nloop \"", request.scenario.loop.name(),
+              "\"\nmachine \"", request.scenario.machine.name,
+              "\"\nbackend ", request.options.backend,
+              "\nii ", sch.ii(), "\nstages ", sch.stageCount(),
+              "\nclusters ", sch.numClusters(), "\nres-mii ", st.resMii,
+              "\nrec-mii ", st.recMii, "\nmii ", st.mii,
+              "\nii-attempts ", st.iiAttempts, "\ncomms ", st.comms,
+              "\nmiss-scheduled-loads ", st.missScheduledLoads,
+              "\nordering-both-neighbours ", st.orderingBothNeighbours,
+              "\npredicted-misses-per-iter ");
+    appendG(out, st.predictedMissesPerIter);
+    strappend(out, "\nproven-optimal ", boolWord(st.provenOptimal),
+              "\nii-lower-bound ", st.iiLowerBound,
+              "\npressure-optimal ", boolWord(st.pressureOptimal),
+              "\nsearch-nodes ", st.searchNodes,
+              "\nbudget-exhausted ", boolWord(st.budgetExhausted),
+              "\ngap-known ", boolWord(st.gapKnown),
+              "\nexact-ii ", st.exactII, "\nii-gap ", st.iiGap,
+              "\nmax-live");
+    for (const int v : sch.maxLive())
+        strappend(out, ' ', v);
 
     const auto &placed = sch.placements();
-    out += "ops " + std::to_string(placed.size()) + "\n";
+    strappend(out, "\nops ", placed.size(), '\n');
     for (std::size_t v = 0; v < placed.size(); ++v) {
         const auto &p = placed[v];
-        out += "op " + std::to_string(v) + " cluster " +
-               std::to_string(p.cluster) + " time " +
-               std::to_string(p.time) + " latency " +
-               std::to_string(p.outLatency) + " miss " +
-               boolWord(p.missScheduled) + "\n";
+        strappend(out, "op ", v, " cluster ", p.cluster, " time ", p.time,
+                  " latency ", p.outLatency, " miss ",
+                  boolWord(p.missScheduled), '\n');
     }
 
-    out += "transfers " + std::to_string(sch.comms().size()) + "\n";
+    strappend(out, "transfers ", sch.comms().size(), '\n');
     for (const auto &c : sch.comms())
-        out += "comm producer " + std::to_string(c.producer) +
-               " from " + std::to_string(c.from) + " to " +
-               std::to_string(c.to) + " start " +
-               std::to_string(c.xferStart) + " bus " +
-               std::to_string(c.bus) + "\n";
+        strappend(out, "comm producer ", c.producer, " from ", c.from,
+                  " to ", c.to, " start ", c.xferStart, " bus ", c.bus,
+                  '\n');
     return out;
 }
 

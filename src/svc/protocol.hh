@@ -34,9 +34,10 @@
 #ifndef MVP_SVC_PROTOCOL_HH
 #define MVP_SVC_PROTOCOL_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "sched/scheduler.hh"
 #include "text/format.hh"
@@ -93,7 +94,7 @@ struct Request
  * are captured (FatalScope) into Request::error, so a malformed
  * payload costs its sender one error reply, not the server.
  */
-Request parseRequest(const std::string &payload,
+Request parseRequest(std::string payload,
                      const std::string &origin = "<request>");
 
 /**
@@ -103,9 +104,13 @@ Request parseRequest(const std::string &payload,
  */
 std::string canonicalOptionsText(const RequestOptions &options);
 
-/** The words of @p line, split on spaces and tabs: the tokeniser of
- * `config` lines and of the session's frame headers. */
-std::vector<std::string> splitWords(const std::string &line);
+/** The first words of a line: views into the line, unused ones empty. */
+using Words = std::array<std::string_view, 3>;
+
+/** Split @p line on spaces and tabs into @p words and return how many
+ * words it holds (possibly more than fit): the tokeniser of `config`
+ * lines and of the session's frame headers. */
+std::size_t splitWords(std::string_view line, Words &words);
 
 /** Render the reply payload for a scheduling result. */
 std::string renderReply(const Request &request,

@@ -55,7 +55,7 @@ ServiceSession::consume(const char *data, std::size_t n,
             pos += len + 1;
             if (len > 0 && head[len - 1] == '\r')
                 --len;
-            handleLine(std::string(head, len), out);
+            handleLine(std::string_view(head, len), out);
         } else {
             // Payload plus its terminating newline.
             if (avail < pending_bytes_ + 1)
@@ -91,24 +91,26 @@ ServiceSession::finish(std::string &out)
 }
 
 void
-ServiceSession::handleLine(const std::string &line, std::string &out)
+ServiceSession::handleLine(std::string_view line, std::string &out)
 {
-    const std::vector<std::string> words = splitWords(line);
-    if (words.empty())
+    Words words;
+    const std::size_t count = splitWords(line, words);
+    if (count == 0)
         return;   // blank lines between frames are tolerated
-    const std::string &cmd = words[0];
+    const std::string_view cmd = words[0];
 
     if (cmd == "REQ") {
         std::uint64_t nbytes = 0;
-        if (words.size() != 3 ||
-            !harness::tryParseInteger(words[2], "REQ", nbytes).empty()) {
+        const std::string size(words[2]);
+        if (count != 3 ||
+            !harness::tryParseInteger(size, "REQ", nbytes).empty()) {
             protocolError("REQ wants 'REQ <id> <nbytes>', got '" +
-                              line + "'",
+                              std::string(line) + "'",
                           out);
             return;
         }
         if (nbytes > MAX_FRAME_BYTES) {
-            protocolError("REQ payload of " + words[2] +
+            protocolError("REQ payload of " + size +
                               " bytes exceeds the frame cap",
                           out);
             return;
@@ -132,7 +134,7 @@ ServiceSession::handleLine(const std::string &line, std::string &out)
         closed_ = true;
         return;
     }
-    protocolError("unknown command '" + cmd +
+    protocolError("unknown command '" + std::string(cmd) +
                       "' (known: REQ, FLUSH, STATS, QUIT)",
                   out);
 }
@@ -146,7 +148,8 @@ ServiceSession::handlePayload(std::string &&payload)
     // before the parser ever sees the payload.
     p.resolved = svc_.rawProbe(payload);
     if (p.resolved == nullptr) {
-        p.parsed = parseRequest(payload, "request '" + p.id + "'");
+        p.parsed =
+            parseRequest(std::move(payload), "request '" + p.id + "'");
         p.parsed.id = p.id;
     }
     pending_.push_back(std::move(p));

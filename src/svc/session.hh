@@ -48,6 +48,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/protocol.hh"
@@ -102,7 +103,7 @@ class ServiceSession
         Request parsed;        ///< meaningful only while !resolved
     };
 
-    void handleLine(const std::string &line, std::string &out);
+    void handleLine(std::string_view line, std::string &out);
     void handlePayload(std::string &&payload);
     void flushBatch(std::string &out);
     void protocolError(const std::string &message, std::string &out);

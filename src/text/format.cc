@@ -1,12 +1,16 @@
 #include "text/format.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
-#include <sstream>
+#include <variant>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 
 namespace mvp::text
 {
@@ -15,16 +19,19 @@ namespace
 {
 
 // ----------------------------------------------------------- printing
+//
+// Every printer appends to one caller-owned buffer through strappend()
+// and appendInt() (std::to_chars): a printed nest or machine costs the
+// buffer's growth and nothing else.
 
-/** Quote a name for the text format; embedded quotes are unsupported. */
-std::string
-quoted(const std::string &name)
+/** Append a quoted name; embedded quotes and newlines are unsupported. */
+void
+appendQuoted(std::string &out, const std::string &name)
 {
-    if (name.find('"') != std::string::npos ||
-        name.find('\n') != std::string::npos)
+    if (name.find_first_of("\"\n") != std::string::npos)
         mvp_fatal("name '", name,
                   "' cannot be printed: contains a quote or newline");
-    return '"' + name + '"';
+    strappend(out, '"', name, '"');
 }
 
 /**
@@ -32,57 +39,147 @@ quoted(const std::string &name)
  * non-zero coefficient terms outermost first, the constant last (alone
  * when nothing else prints), e.g. "2*i + j - 1".
  */
-std::string
-affineToText(const ir::AffineExpr &expr,
+void
+appendAffine(std::string &out, const ir::AffineExpr &expr,
              const std::vector<ir::LoopDim> &loops)
 {
-    std::string out;
-    auto term = [&](std::int64_t value, const std::string &var) {
+    const std::size_t start = out.size();
+    auto term = [&](std::int64_t value, std::string_view var) {
         if (value == 0)
             return;
         const std::int64_t mag = value < 0 ? -value : value;
-        if (out.empty())
+        if (out.size() == start)
             out += value < 0 ? "-" : "";
         else
             out += value < 0 ? " - " : " + ";
         if (var.empty())
-            out += std::to_string(mag);
+            appendInt(out, mag);
         else if (mag == 1)
             out += var;
         else
-            out += std::to_string(mag) + "*" + var;
+            strappend(out, mag, '*', var);
     };
     for (std::size_t d = 0; d < loops.size(); ++d)
         term(expr.coeff(d), loops[d].name);
     if (expr.coeffs.size() > loops.size())
         mvp_fatal("affine expression has more coefficients than loops");
     term(expr.constant, "");
-    return out.empty() ? "0" : out;
+    if (out.size() == start)
+        out += '0';
 }
 
-std::string
-operandToText(const ir::Operand &in)
+void
+appendLoop(std::string &out, const ir::LoopNest &nest)
 {
-    if (in.isLiveIn())
-        return "_";
-    std::string out("%");
-    out += std::to_string(in.producer);
-    if (in.distance != 0)
-        out += "@" + std::to_string(in.distance);
-    return out;
-}
-
-std::string
-refToText(const ir::AffineRef &ref, const ir::LoopNest &nest)
-{
-    std::string out = nest.array(ref.array).name + "[";
-    for (std::size_t d = 0; d < ref.index.size(); ++d) {
-        if (d)
-            out += ", ";
-        out += affineToText(ref.index[d], nest.loops());
+    // About 30 bytes a line: one reservation covers the usual nest.
+    out.reserve(out.size() + 64 +
+                40 * (nest.depth() + nest.arrays().size() + nest.size()));
+    out += "loop ";
+    appendQuoted(out, nest.name());
+    out += " {\n";
+    for (const auto &dim : nest.loops()) {
+        strappend(out, "  for ", dim.name, " = ", dim.lower, " to ",
+                  dim.upper);
+        if (dim.step != 1)
+            strappend(out, " step ", dim.step);
+        out += '\n';
     }
-    out += "]";
-    return out;
+    for (const auto &arr : nest.arrays()) {
+        strappend(out, "  array ", arr.name);
+        for (const auto d : arr.dims)
+            strappend(out, '[', d, ']');
+        strappend(out, " elem=", arr.elemSize, " base=0x");
+        appendInt(out, arr.base, 16);
+        out += '\n';
+    }
+    for (const auto &op : nest.ops()) {
+        strappend(out, "  %", op.id, " = ", ir::opcodeName(op.opcode));
+        if (!op.name.empty()) {
+            out += ' ';
+            appendQuoted(out, op.name);
+        }
+        for (const auto &in : op.inputs) {
+            if (in.isLiveIn()) {
+                out += " _";
+                continue;
+            }
+            strappend(out, " %", in.producer);
+            if (in.distance != 0)
+                strappend(out, '@', in.distance);
+        }
+        if (op.memRef) {
+            const ir::AffineRef &ref = *op.memRef;
+            strappend(out, op.isStore() ? " -> " : " ",
+                      nest.array(ref.array).name, '[');
+            for (std::size_t d = 0; d < ref.index.size(); ++d) {
+                if (d)
+                    out += ", ";
+                appendAffine(out, ref.index[d], nest.loops());
+            }
+            out += ']';
+        }
+        out += '\n';
+    }
+    out += "}\n";
+}
+
+/** One machine key: its spelling and the field it sets. An `int`
+ * field is a range-checked count, an int64 one a plain number. */
+struct MachineKey
+{
+    const char *name;
+    std::variant<int MachineConfig::*, std::int64_t MachineConfig::*,
+                 bool MachineConfig::*>
+        field;
+};
+
+/** Every machine key, in canonical print order. */
+const MachineKey MACHINE_KEYS[] = {
+    {"clusters", &MachineConfig::nClusters},
+    {"int_fus", &MachineConfig::intFusPerCluster},
+    {"fp_fus", &MachineConfig::fpFusPerCluster},
+    {"mem_fus", &MachineConfig::memFusPerCluster},
+    {"regs", &MachineConfig::regsPerCluster},
+    {"reg_buses", &MachineConfig::nRegBuses},
+    {"reg_bus_latency", &MachineConfig::regBusLatency},
+    {"unbounded_reg_buses", &MachineConfig::unboundedRegBuses},
+    {"mem_buses", &MachineConfig::nMemBuses},
+    {"mem_bus_latency", &MachineConfig::memBusLatency},
+    {"unbounded_mem_buses", &MachineConfig::unboundedMemBuses},
+    {"cache_bytes", &MachineConfig::totalCacheBytes},
+    {"cache_line", &MachineConfig::cacheLineBytes},
+    {"cache_assoc", &MachineConfig::cacheAssoc},
+    {"mshr", &MachineConfig::mshrEntries},
+    {"lat_cache_hit", &MachineConfig::latCacheHit},
+    {"lat_main_memory", &MachineConfig::latMainMemory},
+    {"lat_int", &MachineConfig::latInt},
+    {"lat_int_mul", &MachineConfig::latIntMul},
+    {"lat_int_div", &MachineConfig::latIntDiv},
+    {"lat_fp", &MachineConfig::latFp},
+    {"lat_fp_div", &MachineConfig::latFpDiv},
+    {"lat_store", &MachineConfig::latStore},
+};
+
+void
+appendMachine(std::string &out, const MachineConfig &cfg)
+{
+    out.reserve(out.size() + 512);   // the preset machines print 390
+    out += "machine ";
+    appendQuoted(out, cfg.name);
+    out += " {\n";
+    for (const MachineKey &key : MACHINE_KEYS) {
+        strappend(out, "  ", key.name, ' ');
+        if (const auto *flag = std::get_if<bool MachineConfig::*>(&key.field))
+            out += cfg.**flag ? "true" : "false";
+        else if (const auto *count =
+                     std::get_if<int MachineConfig::*>(&key.field))
+            appendInt(out, cfg.**count);
+        else
+            appendInt(out, cfg.*std::get<std::int64_t MachineConfig::*>(
+                                   key.field));
+        out += '\n';
+    }
+    out += "}\n";
 }
 
 // ------------------------------------------------------------ lexing
@@ -97,42 +194,42 @@ enum class Tok
     End,
 };
 
+/** A token; its text views the lexed input, which outlives it. */
 struct Token
 {
     Tok kind = Tok::End;
-    std::string text;        ///< ident/punct spelling, string contents
+    std::string_view text;   ///< ident/punct spelling, string contents
     std::int64_t number = 0; ///< Number and OpRef payload
     int line = 0;
 };
 
 /**
- * Tokenise the whole input. `#` starts a comment running to the end of
- * the line; newlines are otherwise insignificant, so the grammar is
- * free-form even though the canonical printer is line-oriented.
+ * Tokenise the input on demand, at most two tokens ahead. `#` starts a
+ * comment running to the end of the line; newlines are otherwise
+ * insignificant, so the grammar is free-form even though the canonical
+ * printer is line-oriented.
  */
 class Lexer
 {
   public:
-    Lexer(const std::string &text, std::string origin)
-        : text_(text), origin_(std::move(origin))
+    Lexer(std::string_view text, const std::string &origin)
+        : text_(text), origin_(origin)
     {
     }
 
-    const std::string &origin() const { return origin_; }
-
-    /** Token @p ahead positions from the cursor (0 = next). */
+    /** Token @p ahead positions from the cursor (0 = next, at most 1). */
     const Token &peek(std::size_t ahead = 0)
     {
-        while (tokens_.size() <= ahead)
-            tokens_.push_back(lexNext());
-        return tokens_[ahead];
+        while (buffered_ <= ahead)
+            ahead_[buffered_++] = lexNext();
+        return ahead_[ahead];
     }
 
     Token next()
     {
-        peek();
-        Token tok = std::move(tokens_.front());
-        tokens_.erase(tokens_.begin());
+        const Token tok = peek();
+        ahead_[0] = ahead_[1];
+        --buffered_;
         return tok;
     }
 
@@ -166,7 +263,7 @@ class Lexer
         const char c = text_[pos_];
         if (c == '"') {
             const auto end = text_.find('"', pos_ + 1);
-            if (end == std::string::npos ||
+            if (end == std::string_view::npos ||
                 text_.find('\n', pos_) < end)
                 mvp_fatal(origin_, ":", line_, ": unterminated string");
             tok.kind = Tok::String;
@@ -200,64 +297,71 @@ class Lexer
             tok.number = lexNumber();
             return tok;
         }
-        if (c == '-' && pos_ + 1 < text_.size() &&
-            text_[pos_ + 1] == '>') {
-            tok.kind = Tok::Punct;
-            tok.text = "->";
-            pos_ += 2;
-            return tok;
-        }
-        if (std::string("{}[](),=*+-@").find(c) != std::string::npos) {
-            tok.kind = Tok::Punct;
-            tok.text = std::string(1, c);
-            ++pos_;
-            return tok;
-        }
-        mvp_fatal(origin_, ":", line_, ": unexpected character '", c, "'");
+        const std::size_t len = text_.compare(pos_, 2, "->") == 0 ? 2
+                                : PUNCT.find(c) != PUNCT.npos   ? 1
+                                                                : 0;
+        if (len == 0)
+            mvp_fatal(origin_, ":", line_, ": unexpected character '", c,
+                      "'");
+        tok.kind = Tok::Punct;
+        tok.text = text_.substr(pos_, len);
+        pos_ += len;
+        return tok;
     }
 
+    /**
+     * A number: decimal, or hex after 0x, spanning every alphanumeric
+     * character from here. Accepts exactly what std::stoll accepts of
+     * that span as a whole, including its optional second 0x prefix
+     * in hex ("0x0x1f" is 31).
+     */
     std::int64_t lexNumber()
     {
-        std::size_t end = pos_;
-        int base = 10;
-        if (text_[pos_] == '0' && pos_ + 1 < text_.size() &&
-            (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
-            base = 16;
-            end += 2;
-        }
-        const std::size_t digits = end;
+        const auto hexPrefix = [&](std::size_t at) {
+            return text_.size() - at > 1 && text_[at] == '0' &&
+                   (text_[at + 1] == 'x' || text_[at + 1] == 'X');
+        };
+        const int base = hexPrefix(pos_) ? 16 : 10;
+        std::size_t digits = base == 16 ? pos_ + 2 : pos_;
+        std::size_t end = digits;
         while (end < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[end]))))
+               std::isalnum(static_cast<unsigned char>(text_[end])))
             ++end;
-        const std::string spelling = text_.substr(pos_, end - pos_);
-        std::size_t used = 0;
+        if (base == 16 && end - digits > 2 && hexPrefix(digits) &&
+            std::isxdigit(static_cast<unsigned char>(text_[digits + 2])))
+            digits += 2;
         std::int64_t value = 0;
-        try {
-            value = std::stoll(text_.substr(digits, end - digits), &used,
-                               base);
-        } catch (...) {
-            mvp_fatal(origin_, ":", line_, ": bad number '", spelling, "'");
-        }
-        if (used != end - digits)
-            mvp_fatal(origin_, ":", line_, ": bad number '", spelling, "'");
+        const char *last = text_.data() + end;
+        const auto [ptr, ec] =
+            std::from_chars(text_.data() + digits, last, value, base);
+        if (ec != std::errc() || ptr != last)
+            mvp_fatal(origin_, ":", line_, ": bad number '",
+                      text_.substr(pos_, end - pos_), "'");
         pos_ = end;
         return value;
     }
 
-    const std::string &text_;
-    std::string origin_;
+    static constexpr std::string_view PUNCT = "{}[](),=*+-@";
+
+    std::string_view text_;
+    const std::string &origin_;
     std::size_t pos_ = 0;
     int line_ = 1;
-    std::vector<Token> tokens_;   ///< one-token lookahead buffer
+    Token ahead_[2];
+    std::size_t buffered_ = 0;   ///< tokens lexed into ahead_
 };
 
 // ----------------------------------------------------------- parsing
+
+/** Names seen so far in a block, looked up by the token's view. */
+template <class Id>
+using NameMap = std::map<std::string, Id, std::less<>>;
 
 /** Recursive-descent parser over the token stream. */
 class Parser
 {
   public:
-    Parser(const std::string &text, const std::string &origin)
+    Parser(std::string_view text, const std::string &origin)
         : lex_(text, origin)
     {
     }
@@ -271,16 +375,14 @@ class Parser
 
     void expectIdent(const char *word)
     {
-        if (!atIdent(word))
-            lex_.fail(std::string("expected '") + word + "'");
-        lex_.next();
+        if (!acceptIdent(word))
+            fail(std::string("expected '") + word + "'");
     }
 
     void expectPunct(const char *punct)
     {
-        if (lex_.peek().kind != Tok::Punct || lex_.peek().text != punct)
-            lex_.fail(std::string("expected '") + punct + "'");
-        lex_.next();
+        if (!acceptPunct(punct))
+            fail(std::string("expected '") + punct + "'");
     }
 
     bool acceptPunct(const char *punct)
@@ -299,17 +401,11 @@ class Parser
         return true;
     }
 
-    std::string expectString(const char *what)
+    /** The text of the next token, which must be a @p kind. */
+    std::string_view expectText(Tok kind, const char *what)
     {
-        if (lex_.peek().kind != Tok::String)
-            lex_.fail(std::string("expected a quoted ") + what);
-        return lex_.next().text;
-    }
-
-    std::string expectIdentText(const char *what)
-    {
-        if (lex_.peek().kind != Tok::Ident)
-            lex_.fail(std::string("expected ") + what);
+        if (lex_.peek().kind != kind)
+            fail(std::string("expected ") + what);
         return lex_.next().text;
     }
 
@@ -317,7 +413,7 @@ class Parser
     {
         const bool negative = acceptPunct("-");
         if (lex_.peek().kind != Tok::Number)
-            lex_.fail(std::string("expected ") + what);
+            fail(std::string("expected ") + what);
         const std::int64_t value = lex_.next().number;
         return negative ? -value : value;
     }
@@ -325,15 +421,17 @@ class Parser
     [[noreturn]] void fail(const std::string &what) { lex_.fail(what); }
 
     /**
-     * @p v as an int; a parse error naming @p field when it does not
-     * fit (a silent cast would wrap 2^32 + 4 to 4).
+     * @p v as an int; a parse error naming the field (@p what, then
+     * @p name and @p after) when it does not fit: a silent cast would
+     * wrap 2^32 + 4 to 4.
      */
-    int checkedInt(std::int64_t v, const std::string &field)
+    int checkedInt(std::int64_t v, const char *what,
+                   std::string_view name = {}, const char *after = "")
     {
         if (v < std::numeric_limits<int>::min() ||
             v > std::numeric_limits<int>::max())
-            fail(field + " value " + std::to_string(v) +
-                 " is out of range");
+            fail(what + std::string(name) + after + " value " +
+                 std::to_string(v) + " is out of range");
         return static_cast<int>(v);
     }
 
@@ -344,7 +442,7 @@ class Parser
         LoopFile file;
         while (!atEnd()) {
             if (acceptIdent("suite")) {
-                file.suite = expectString("suite name");
+                file.suite = expectText(Tok::String, "a quoted suite name");
             } else if (atIdent("loop")) {
                 file.loops.push_back(parseLoopBlock());
             } else {
@@ -357,11 +455,12 @@ class Parser
     ir::LoopNest parseLoopBlock()
     {
         expectIdent("loop");
-        ir::LoopNest nest(expectString("loop name"));
+        ir::LoopNest nest(
+            std::string(expectText(Tok::String, "a quoted loop name")));
         expectPunct("{");
 
-        std::map<std::string, std::size_t> iv_depth;
-        std::map<std::string, ArrayId> array_ids;
+        NameMap<std::size_t> iv_depth;
+        NameMap<ArrayId> array_ids;
         while (!acceptPunct("}")) {
             if (atEnd())
                 fail("unterminated loop block");
@@ -384,25 +483,23 @@ class Parser
     {
         expectIdent("machine");
         MachineConfig cfg;
-        cfg.name = expectString("machine name");
+        cfg.name = expectText(Tok::String, "a quoted machine name");
         expectPunct("{");
         while (!acceptPunct("}")) {
             if (atEnd())
                 fail("unterminated machine block");
-            const std::string key = expectIdentText("a machine key");
-            parseMachineKey(cfg, key);
+            parseMachineKey(cfg, expectText(Tok::Ident, "a machine key"));
         }
         cfg.validate();
         return cfg;
     }
 
   private:
-    void parseForDim(ir::LoopNest &nest,
-                     std::map<std::string, std::size_t> &iv_depth)
+    void parseForDim(ir::LoopNest &nest, NameMap<std::size_t> &iv_depth)
     {
         expectIdent("for");
         ir::LoopDim dim;
-        dim.name = expectIdentText("a loop-variable name");
+        dim.name = expectText(Tok::Ident, "a loop-variable name");
         if (iv_depth.count(dim.name))
             fail("duplicate loop variable '" + dim.name + "'");
         expectPunct("=");
@@ -414,12 +511,11 @@ class Parser
         iv_depth.emplace(dim.name, nest.addLoop(dim));
     }
 
-    void parseArrayDecl(ir::LoopNest &nest,
-                        std::map<std::string, ArrayId> &array_ids)
+    void parseArrayDecl(ir::LoopNest &nest, NameMap<ArrayId> &array_ids)
     {
         expectIdent("array");
         ir::ArrayDecl decl;
-        decl.name = expectIdentText("an array name");
+        decl.name = expectText(Tok::Ident, "an array name");
         if (array_ids.count(decl.name))
             fail("duplicate array '" + decl.name + "'");
         while (acceptPunct("[")) {
@@ -431,17 +527,18 @@ class Parser
         expectIdent("elem");
         expectPunct("=");
         decl.elemSize = checkedInt(expectNumber("an element size"),
-                                   "array '" + decl.name + "' elem");
+                                   "array '", decl.name, "' elem");
         expectIdent("base");
         expectPunct("=");
         const std::int64_t base = expectNumber("a base address");
         if (base < 0)
             fail("array '" + decl.name + "' has a negative base address");
         decl.base = static_cast<Addr>(base);
-        array_ids.emplace(decl.name, nest.addArray(decl));
+        std::string name = decl.name;
+        array_ids.emplace(std::move(name), nest.addArray(std::move(decl)));
     }
 
-    ir::Opcode parseOpcode(const std::string &word)
+    ir::Opcode parseOpcode(std::string_view word)
     {
         using ir::Opcode;
         for (const Opcode op :
@@ -450,11 +547,10 @@ class Parser
               Opcode::FDiv, Opcode::FMadd, Opcode::Load, Opcode::Store})
             if (ir::opcodeName(op) == word)
                 return op;
-        fail("unknown opcode '" + word + "'");
+        fail("unknown opcode '" + std::string(word) + "'");
     }
 
-    ir::AffineExpr
-    parseAffine(const std::map<std::string, std::size_t> &iv_depth)
+    ir::AffineExpr parseAffine(const NameMap<std::size_t> &iv_depth)
     {
         ir::AffineExpr expr;
         bool first = true;
@@ -473,10 +569,9 @@ class Parser
                 if (acceptPunct("*")) {
                     // coefficient * variable
                     addTerm(expr, iv_depth, sign * value,
-                            expectIdentText("a loop variable"));
+                            expectText(Tok::Ident, "a loop variable"));
                 } else {
-                    addChecked(expr.constant, sign * value,
-                               std::to_string(sign * value));
+                    addChecked(expr.constant, sign * value, "");
                 }
             } else if (lex_.peek().kind == Tok::Ident) {
                 addTerm(expr, iv_depth, sign, lex_.next().text);
@@ -487,36 +582,36 @@ class Parser
         return expr;
     }
 
-    void addTerm(ir::AffineExpr &expr,
-                 const std::map<std::string, std::size_t> &iv_depth,
-                 std::int64_t coeff, const std::string &var)
+    void addTerm(ir::AffineExpr &expr, const NameMap<std::size_t> &iv_depth,
+                 std::int64_t coeff, std::string_view var)
     {
         const auto it = iv_depth.find(var);
         if (it == iv_depth.end())
-            fail("unknown loop variable '" + var + "'");
+            fail("unknown loop variable '" + std::string(var) + "'");
         if (expr.coeffs.size() <= it->second)
             expr.coeffs.resize(it->second + 1, 0);
-        addChecked(expr.coeffs[it->second], coeff,
-                   std::to_string(coeff) + "*" + var);
+        addChecked(expr.coeffs[it->second], coeff, var);
     }
 
-    /** @p sum += @p term; a parse error naming @p term on overflow. */
+    /** @p sum += @p term; on overflow a parse error spelling the term
+     * ("-3", or "2*i" when it scales loop variable @p var). */
     void addChecked(std::int64_t &sum, std::int64_t term,
-                    const std::string &spelling)
+                    std::string_view var)
     {
         if (__builtin_add_overflow(sum, term, &sum))
-            fail("affine term " + spelling +
+            fail("affine term " + std::to_string(term) +
+                 (var.empty() ? "" : "*") + std::string(var) +
                  " overflows the 64-bit index expression");
     }
 
-    ir::AffineRef
-    parseRef(const std::map<std::string, std::size_t> &iv_depth,
-             const std::map<std::string, ArrayId> &array_ids)
+    ir::AffineRef parseRef(const NameMap<std::size_t> &iv_depth,
+                           const NameMap<ArrayId> &array_ids)
     {
-        const std::string name = expectIdentText("an array name");
+        const std::string_view name = expectText(Tok::Ident, "an array name");
         const auto it = array_ids.find(name);
         if (it == array_ids.end())
-            fail("reference to undeclared array '" + name + "'");
+            fail("reference to undeclared array '" + std::string(name) +
+                 "'");
         ir::AffineRef ref;
         ref.array = it->second;
         expectPunct("[");
@@ -529,9 +624,8 @@ class Parser
         return ref;
     }
 
-    void parseOp(ir::LoopNest &nest,
-                 const std::map<std::string, std::size_t> &iv_depth,
-                 const std::map<std::string, ArrayId> &array_ids)
+    void parseOp(ir::LoopNest &nest, const NameMap<std::size_t> &iv_depth,
+                 const NameMap<ArrayId> &array_ids)
     {
         const std::int64_t id = lex_.next().number;
         if (id != static_cast<std::int64_t>(nest.size()))
@@ -540,7 +634,7 @@ class Parser
                  std::to_string(id));
         expectPunct("=");
         ir::Operation op;
-        op.opcode = parseOpcode(expectIdentText("an opcode"));
+        op.opcode = parseOpcode(expectText(Tok::Ident, "an opcode"));
         if (lex_.peek().kind == Tok::String)
             op.name = lex_.next().text;
 
@@ -574,67 +668,29 @@ class Parser
         nest.addOp(std::move(op));
     }
 
-    void parseMachineKey(MachineConfig &cfg, const std::string &key)
+    void parseMachineKey(MachineConfig &cfg, std::string_view key)
     {
-        auto num = [&] { return expectNumber("a value"); };
-        auto count = [&] {
-            return checkedInt(num(), "machine key '" + key + "'");
-        };
-        auto flag = [&] {
+        const auto *k = std::find_if(
+            std::begin(MACHINE_KEYS), std::end(MACHINE_KEYS),
+            [&](const MachineKey &m) { return key == m.name; });
+        if (k == std::end(MACHINE_KEYS))
+            fail("unknown machine key '" + std::string(key) + "'");
+        if (const auto *flag = std::get_if<bool MachineConfig::*>(&k->field)) {
             if (acceptIdent("true"))
-                return true;
-            if (acceptIdent("false"))
-                return false;
-            fail("expected 'true' or 'false' after '" + key + "'");
-        };
-        if (key == "clusters")
-            cfg.nClusters = count();
-        else if (key == "int_fus")
-            cfg.intFusPerCluster = count();
-        else if (key == "fp_fus")
-            cfg.fpFusPerCluster = count();
-        else if (key == "mem_fus")
-            cfg.memFusPerCluster = count();
-        else if (key == "regs")
-            cfg.regsPerCluster = count();
-        else if (key == "reg_buses")
-            cfg.nRegBuses = count();
-        else if (key == "reg_bus_latency")
-            cfg.regBusLatency = num();
-        else if (key == "unbounded_reg_buses")
-            cfg.unboundedRegBuses = flag();
-        else if (key == "mem_buses")
-            cfg.nMemBuses = count();
-        else if (key == "mem_bus_latency")
-            cfg.memBusLatency = num();
-        else if (key == "unbounded_mem_buses")
-            cfg.unboundedMemBuses = flag();
-        else if (key == "cache_bytes")
-            cfg.totalCacheBytes = num();
-        else if (key == "cache_line")
-            cfg.cacheLineBytes = count();
-        else if (key == "cache_assoc")
-            cfg.cacheAssoc = count();
-        else if (key == "mshr")
-            cfg.mshrEntries = count();
-        else if (key == "lat_cache_hit")
-            cfg.latCacheHit = num();
-        else if (key == "lat_main_memory")
-            cfg.latMainMemory = num();
-        else if (key == "lat_int")
-            cfg.latInt = num();
-        else if (key == "lat_int_mul")
-            cfg.latIntMul = num();
-        else if (key == "lat_int_div")
-            cfg.latIntDiv = num();
-        else if (key == "lat_fp")
-            cfg.latFp = num();
-        else if (key == "lat_fp_div")
-            cfg.latFpDiv = num();
-        else if (key == "lat_store")
-            cfg.latStore = num();
-        else
-            fail("unknown machine key '" + key + "'");
+                cfg.**flag = true;
+            else if (acceptIdent("false"))
+                cfg.**flag = false;
+            else
+                fail("expected 'true' or 'false' after '" +
+                     std::string(key) + "'");
+        } else if (const auto *count =
+                       std::get_if<int MachineConfig::*>(&k->field)) {
+            cfg.**count = checkedInt(expectNumber("a value"),
+                                     "machine key '", key, "'");
+        } else {
+            cfg.*std::get<std::int64_t MachineConfig::*>(k->field) =
+                expectNumber("a value");
+        }
     }
 
     Lexer lex_;
@@ -646,9 +702,7 @@ readFileOrFatal(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         mvp_fatal("cannot read '", path, "'");
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
+    return {std::istreambuf_iterator<char>(in), {}};
 }
 
 void
@@ -669,61 +723,36 @@ writeFileOrFatal(const std::string &path, const std::string &contents)
 std::string
 printLoop(const ir::LoopNest &nest)
 {
-    std::ostringstream os;
-    os << "loop " << quoted(nest.name()) << " {\n";
-    for (const auto &dim : nest.loops()) {
-        os << "  for " << dim.name << " = " << dim.lower << " to "
-           << dim.upper;
-        if (dim.step != 1)
-            os << " step " << dim.step;
-        os << "\n";
-    }
-    for (const auto &arr : nest.arrays()) {
-        os << "  array " << arr.name;
-        for (const auto d : arr.dims)
-            os << "[" << d << "]";
-        os << " elem=" << arr.elemSize << " base=0x" << std::hex
-           << arr.base << std::dec << "\n";
-    }
-    for (const auto &op : nest.ops()) {
-        os << "  %" << op.id << " = " << ir::opcodeName(op.opcode);
-        if (!op.name.empty())
-            os << " " << quoted(op.name);
-        for (const auto &in : op.inputs)
-            os << " " << operandToText(in);
-        if (op.memRef) {
-            if (op.isStore())
-                os << " ->";
-            os << " " << refToText(*op.memRef, nest);
-        }
-        os << "\n";
-    }
-    os << "}\n";
-    return os.str();
+    std::string out;
+    appendLoop(out, nest);
+    return out;
 }
 
 std::string
 printLoopFile(const LoopFile &file)
 {
     std::string out;
-    if (!file.suite.empty())
-        out += "suite " + quoted(file.suite) + "\n\n";
+    if (!file.suite.empty()) {
+        out += "suite ";
+        appendQuoted(out, file.suite);
+        out += "\n\n";
+    }
     for (std::size_t i = 0; i < file.loops.size(); ++i) {
         if (i)
-            out += "\n";
-        out += printLoop(file.loops[i]);
+            out += '\n';
+        appendLoop(out, file.loops[i]);
     }
     return out;
 }
 
 LoopFile
-parseLoops(const std::string &text, const std::string &origin)
+parseLoops(std::string_view text, const std::string &origin)
 {
     return Parser(text, origin).parseLoopFile();
 }
 
 ir::LoopNest
-parseLoop(const std::string &text, const std::string &origin)
+parseLoop(std::string_view text, const std::string &origin)
 {
     LoopFile file = parseLoops(text, origin);
     if (file.loops.size() != 1)
@@ -749,39 +778,13 @@ saveLoopFile(const LoopFile &file, const std::string &path)
 std::string
 printMachine(const MachineConfig &cfg)
 {
-    std::ostringstream os;
-    os << "machine " << quoted(cfg.name) << " {\n";
-    os << "  clusters " << cfg.nClusters << "\n";
-    os << "  int_fus " << cfg.intFusPerCluster << "\n";
-    os << "  fp_fus " << cfg.fpFusPerCluster << "\n";
-    os << "  mem_fus " << cfg.memFusPerCluster << "\n";
-    os << "  regs " << cfg.regsPerCluster << "\n";
-    os << "  reg_buses " << cfg.nRegBuses << "\n";
-    os << "  reg_bus_latency " << cfg.regBusLatency << "\n";
-    os << "  unbounded_reg_buses "
-       << (cfg.unboundedRegBuses ? "true" : "false") << "\n";
-    os << "  mem_buses " << cfg.nMemBuses << "\n";
-    os << "  mem_bus_latency " << cfg.memBusLatency << "\n";
-    os << "  unbounded_mem_buses "
-       << (cfg.unboundedMemBuses ? "true" : "false") << "\n";
-    os << "  cache_bytes " << cfg.totalCacheBytes << "\n";
-    os << "  cache_line " << cfg.cacheLineBytes << "\n";
-    os << "  cache_assoc " << cfg.cacheAssoc << "\n";
-    os << "  mshr " << cfg.mshrEntries << "\n";
-    os << "  lat_cache_hit " << cfg.latCacheHit << "\n";
-    os << "  lat_main_memory " << cfg.latMainMemory << "\n";
-    os << "  lat_int " << cfg.latInt << "\n";
-    os << "  lat_int_mul " << cfg.latIntMul << "\n";
-    os << "  lat_int_div " << cfg.latIntDiv << "\n";
-    os << "  lat_fp " << cfg.latFp << "\n";
-    os << "  lat_fp_div " << cfg.latFpDiv << "\n";
-    os << "  lat_store " << cfg.latStore << "\n";
-    os << "}\n";
-    return os.str();
+    std::string out;
+    appendMachine(out, cfg);
+    return out;
 }
 
 MachineConfig
-parseMachine(const std::string &text, const std::string &origin)
+parseMachine(std::string_view text, const std::string &origin)
 {
     Parser parser(text, origin);
     MachineConfig cfg = parser.parseMachineBlock();
@@ -807,11 +810,15 @@ saveMachineFile(const MachineConfig &cfg, const std::string &path)
 std::string
 printScenario(const ScenarioText &scenario)
 {
-    return printLoop(scenario.loop) + "\n" + printMachine(scenario.machine);
+    std::string out;
+    appendLoop(out, scenario.loop);
+    out += '\n';
+    appendMachine(out, scenario.machine);
+    return out;
 }
 
 ScenarioText
-parseScenario(const std::string &text, const std::string &origin)
+parseScenario(std::string_view text, const std::string &origin)
 {
     Parser parser(text, origin);
     ScenarioText out;
@@ -831,7 +838,7 @@ parseScenario(const std::string &text, const std::string &origin)
         } else if (parser.acceptIdent("suite")) {
             // Tolerated so loop-file text pastes in unchanged; the
             // suite name plays no part in scheduling one scenario.
-            (void)parser.expectString("suite name");
+            (void)parser.expectText(Tok::String, "a quoted suite name");
         } else {
             parser.fail("expected a 'loop' or 'machine' block");
         }

@@ -25,6 +25,7 @@
 #define MVP_TEXT_FORMAT_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/loop.hh"
@@ -59,11 +60,11 @@ std::string printLoopFile(const LoopFile &file);
  * (a file path, or e.g. "<string>"). fatal() on malformed input;
  * every parsed nest is validate()d.
  */
-LoopFile parseLoops(const std::string &text,
+LoopFile parseLoops(std::string_view text,
                     const std::string &origin = "<string>");
 
 /** Parse text holding exactly one loop nest. */
-ir::LoopNest parseLoop(const std::string &text,
+ir::LoopNest parseLoop(std::string_view text,
                        const std::string &origin = "<string>");
 
 /** Read and parse @p path; fatal() when unreadable. */
@@ -84,7 +85,7 @@ std::string printMachine(const MachineConfig &cfg);
  * Parse one `machine` block. Omitted keys keep their MachineConfig
  * defaults; the result is validate()d. fatal() on malformed input.
  */
-MachineConfig parseMachine(const std::string &text,
+MachineConfig parseMachine(std::string_view text,
                            const std::string &origin = "<string>");
 
 /** Read and parse @p path; fatal() when unreadable. */
@@ -121,7 +122,7 @@ std::string printScenario(const ScenarioText &scenario);
  * order (a `suite` directive is tolerated and ignored). fatal() unless
  * exactly one of each is present.
  */
-ScenarioText parseScenario(const std::string &text,
+ScenarioText parseScenario(std::string_view text,
                            const std::string &origin = "<string>");
 
 /// @}
