@@ -69,6 +69,10 @@ class Ddg
      */
     static Ddg build(const ir::LoopNest &nest, const MachineConfig &machine);
 
+    /** The graph keeps a pointer to its nest (loop()), so a temporary
+     * nest would dangle: bind it to a variable first. */
+    static Ddg build(ir::LoopNest &&, const MachineConfig &) = delete;
+
     /** The underlying loop nest. */
     const ir::LoopNest &loop() const { return *nest_; }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "ddg/ddg.hh"
 #include "ddg/memdep.hh"
@@ -27,6 +28,18 @@ namespace
 using namespace mvp::ir;
 
 const MachineConfig kMachine = makeUnified();
+
+/** Whether Ddg::build() accepts a nest of value category @p Nest. */
+template <class Nest>
+constexpr bool BUILDS_FROM = requires(Nest &&nest) {
+    Ddg::build(std::forward<Nest>(nest), kMachine);
+};
+
+// The graph points at its nest, so a temporary nest must not compile:
+// Ddg::build(ir::unrollInner(loop, f), m) would read a dead object.
+static_assert(!BUILDS_FROM<LoopNest>);
+static_assert(BUILDS_FROM<LoopNest &>);
+static_assert(BUILDS_FROM<const LoopNest &>);
 
 /** Count edges matching a predicate. */
 template <typename Pred>
@@ -76,7 +89,8 @@ TEST(DdgBuild, LiveInsCreateNoEdges)
     const auto A = b.array("A", {8});
     const auto l = b.load(A, {affineVar(0)});
     b.op(Opcode::FMul, {use(l), liveIn()});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     EXPECT_EQ(g.edges().size(), 1u);
 }
 
@@ -87,7 +101,8 @@ TEST(DdgBuild, LoopCarriedOperandDistance)
     const auto A = b.array("A", {16});
     const auto l = b.load(A, {affineVar(0)});
     const auto acc = b.op(Opcode::FAdd, {use(l), use(b.nextOpId(), 1)});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     const auto *self = findEdge(g, acc, acc);
     ASSERT_NE(self, nullptr);
     EXPECT_EQ(self->distance, 1);
@@ -190,7 +205,8 @@ TEST(DdgBuild, StoreLoadFlowEdgeAcrossIterations)
     const auto vw = b.load(V, {affineVar(0), affineVar(1, 1, -1)}, "vw");
     const auto v = b.op(Opcode::FMul, {use(vw), liveIn()}, "v");
     const auto st = b.store(V, {affineVar(0), affineVar(1)}, use(v), "sv");
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
 
     const auto *flow = findEdge(g, st, vw);
     ASSERT_NE(flow, nullptr);
@@ -210,7 +226,8 @@ TEST(DdgBuild, LoadLoadPairsUnordered)
     const auto l1 = b.load(A, {affineVar(0)});
     const auto l2 = b.load(A, {affineVar(0, 1, 1)});
     b.op(Opcode::FAdd, {use(l1), use(l2)});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     EXPECT_EQ(countEdges(g, [](const DdgEdge &e) {
                   return e.kind != EdgeKind::RegFlow;
               }),
@@ -225,7 +242,8 @@ TEST(DdgBuild, SameLocationStoreLoadSameIteration)
     const auto l = b.load(A, {affineVar(0)});
     const auto m = b.op(Opcode::FMul, {use(l), liveIn()});
     const auto st = b.store(A, {affineVar(0)}, use(m));
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     // Anti edge load -> store at distance 0.
     const auto *anti = findEdge(g, l, st);
     ASSERT_NE(anti, nullptr);
@@ -241,7 +259,8 @@ TEST(DdgBuild, UnknownPairSerialisedBothWays)
     const auto l = b.load(A, {affineVar(0)});
     const auto m = b.op(Opcode::FMul, {use(l), liveIn()});
     const auto st = b.store(A, {affineVar(0, 3, 1)}, use(m));
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     ASSERT_NE(findEdge(g, l, st), nullptr);    // program order
     ASSERT_NE(findEdge(g, st, l), nullptr);    // distance-1 back edge
     EXPECT_EQ(findEdge(g, st, l)->distance, 1);
@@ -256,7 +275,8 @@ TEST(RecMii, AcyclicIsOne)
     const auto A = b.array("A", {8});
     const auto l = b.load(A, {affineVar(0)});
     b.op(Opcode::FMul, {use(l), liveIn()});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     EXPECT_EQ(g.recMii(), 1);
 }
 
@@ -267,7 +287,8 @@ TEST(RecMii, SelfLoopAccumulator)
     const auto A = b.array("A", {8});
     const auto l = b.load(A, {affineVar(0)});
     b.op(Opcode::FAdd, {use(l), use(b.nextOpId(), 1)});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     // One FAdd of latency 2 per iteration distance 1.
     EXPECT_EQ(g.recMii(), kMachine.latFp);
 }
@@ -279,7 +300,8 @@ TEST(RecMii, TwoOpCycleDistanceOne)
     // r = a * d@-1 ; d = r - c  => cycle latency 4, distance 1.
     const auto r = b.op(Opcode::FMul, {liveIn(), use(1, 1)});
     b.op(Opcode::FSub, {use(r), liveIn()});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     EXPECT_EQ(g.recMii(), 2 * kMachine.latFp);
 }
 
@@ -289,7 +311,8 @@ TEST(RecMii, DistanceTwoHalvesTheBound)
     b.loop("i", 0, 8);
     const auto r = b.op(Opcode::FMul, {liveIn(), use(1, 2)});
     b.op(Opcode::FSub, {use(r), liveIn()});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     EXPECT_EQ(g.recMii(), 2);   // ceil(4 / 2)
 }
 
@@ -305,7 +328,8 @@ TEST(FeasibleII, OverrideRaisesRequiredII)
     const auto x = b.load(A, {affineVar(0)});
     const auto y = b.op(Opcode::FMul, {use(x), use(b.nextOpId() + 1, 1)});
     b.op(Opcode::FAdd, {use(y), liveIn()});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     const Cycle rec = g.recMii();
     EXPECT_TRUE(g.feasibleII(rec));
     EXPECT_FALSE(g.feasibleII(rec - 1));
@@ -331,7 +355,8 @@ TEST(Sccs, PartitionAndRecurrenceFlags)
     const auto y = b.op(Opcode::FMul, {use(l), use(b.nextOpId() + 1, 1)});
     const auto z = b.op(Opcode::FAdd, {use(y), liveIn()});
     b.store(A, {affineVar(0)}, use(z));
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
 
     // {y, z} form one SCC; l and the store are trivial.
     int cyclic = 0;
@@ -356,7 +381,8 @@ TEST(TimeBounds, ChainAsapAlap)
     const auto m = b.op(Opcode::FMul, {use(l), liveIn()});      // lat 2
     const auto s = b.op(Opcode::FAdd, {use(m), liveIn()});      // lat 2
     b.store(A, {affineVar(0)}, use(s));
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     const auto tb = g.timeBounds(4);
 
     EXPECT_EQ(tb.asap[0], 0);
@@ -382,7 +408,8 @@ TEST(TimeBounds, MobilityOfSideBranch)
     const auto fast = b.op(Opcode::Copy, {use(l)});   // lat 1 branch
     const auto join = b.op(Opcode::FAdd, {use(slow2), use(fast)});
     b.store(A, {affineVar(0)}, use(join));
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     const auto tb = g.timeBounds(3);
     EXPECT_GT(tb.mobility(fast), 0);
     EXPECT_EQ(tb.mobility(slow1), 0);
@@ -609,7 +636,8 @@ TEST(DdgDump, MentionsEdges)
     const auto A = b.array("A", {8});
     const auto l = b.load(A, {affineVar(0)});
     b.op(Opcode::FMul, {use(l), liveIn()});
-    const auto g = Ddg::build(b.build(), kMachine);
+    const LoopNest nest = b.build();
+    const auto g = Ddg::build(nest, kMachine);
     EXPECT_NE(g.toString().find("recMII"), std::string::npos);
     EXPECT_NE(g.toString().find("[reg]"), std::string::npos);
 }

@@ -435,7 +435,8 @@ TEST(Ordering, CoversAllNodesOnce)
     const auto m = b.op(Opcode::FMul, {use(l1), use(l2)});
     const auto s = b.op(Opcode::FAdd, {use(m), use(b.nextOpId(), 1)});
     b.store(A, {affineVar(0)}, use(s));
-    const auto g = ddg::Ddg::build(b.build(), makeUnified());
+    const ir::LoopNest nest = b.build();
+    const auto g = ddg::Ddg::build(nest, makeUnified());
     const auto order = computeOrdering(g, g.recMii());
     ASSERT_EQ(order.size(), g.size());
     std::vector<char> seen(g.size(), 0);
@@ -460,7 +461,8 @@ TEST(Ordering, DagNeverFacesBothSides)
     const auto s = b.op(Opcode::FAdd, {use(m1), use(m2)});
     const auto t = b.op(Opcode::FAdd, {use(s), use(l1)});
     b.store(A, {affineVar(0)}, use(t));
-    const auto g = ddg::Ddg::build(b.build(), makeUnified());
+    const ir::LoopNest nest = b.build();
+    const auto g = ddg::Ddg::build(nest, makeUnified());
     const auto order = computeOrdering(g, 2);
     EXPECT_EQ(bothNeighbourCount(g, order), 0);
 }
@@ -474,7 +476,8 @@ TEST(Ordering, MostCriticalRecurrenceFirst)
     b.op(Opcode::FAdd, {use(d), liveIn()}, "e");
     // Fast cycle: fadd self-loop -> RecMII 2.
     b.op(Opcode::FAdd, {liveIn(), use(b.nextOpId(), 1)}, "f");
-    const auto g = ddg::Ddg::build(b.build(), makeUnified());
+    const ir::LoopNest nest = b.build();
+    const auto g = ddg::Ddg::build(nest, makeUnified());
     const auto order = computeOrdering(g, g.recMii());
     // d or e must come before f.
     std::size_t pos_d = 99;
