@@ -441,13 +441,38 @@ formatUnroll(const UnrollResult &result)
             table.addRule();
     }
     table.addRule();
-    return out + table.render() + "\n" +
-           "Reading the table: at threshold 0.75 the un-unrolled loops "
-           "promote nothing\n(spatial loads miss only 12-25% of the "
-           "time), so stalls stay; unrolling by the\nline length "
-           "concentrates the misses in one instance whose ratio ~100% "
-           "crosses\nany threshold -- stalls drop without paying the "
-           "miss latency on every copy.\n";
+    out += table.render() +
+           "\nReading the table: unrolling by the line length should leave "
+           "one instance of\neach spatial load with all of its misses "
+           "(ratio ~100%), which any threshold\nthen promotes, so stalls "
+           "drop. At threshold 0.75:\n";
+    // Per suite, from its smallest factor to its largest (the cells run
+    // in factor order).
+    for (std::size_t i = 0; i < result.cells.size();) {
+        const std::string &suite = result.cells[i].suite;
+        const UnrollCell *first = nullptr;
+        const UnrollCell *last = nullptr;
+        bool any_promoted = false;
+        for (; i < result.cells.size() && result.cells[i].suite == suite; ++i)
+            if (result.cells[i].thr == 0.75) {
+                first = first ? first : &result.cells[i];
+                last = &result.cells[i];
+                any_promoted = any_promoted || result.cells[i].promoted > 0;
+            }
+        if (first == nullptr)
+            continue;
+        const std::string promoted =
+            any_promoted ? strprintf("%d -> %d loads promoted",
+                                     first->promoted, last->promoted)
+                         : "no load promoted at any factor";
+        out += strprintf("  %s: %s; stall %s %lld -> %lld (x%d -> x%d)\n",
+                         suite.c_str(), promoted.c_str(),
+                         last->stall < first->stall ? "drops" : "rises",
+                         static_cast<long long>(first->stall),
+                         static_cast<long long>(last->stall), first->factor,
+                         last->factor);
+    }
+    return out;
 }
 
 } // namespace mvp::harness
