@@ -2,6 +2,7 @@
 
 #include "cme/oracle.hh"
 #include "cme/solver.hh"
+#include "obs/metrics.hh"
 
 namespace mvp::cme
 {
@@ -122,6 +123,43 @@ LoopLocality::forEach(
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto &[name, analysis] : bound_)
         fn(name, *analysis);
+}
+
+void
+harvestMetrics(const std::vector<const LoopLocality *> &loops)
+{
+    if (!obs::metricsOn())
+        return;
+    std::int64_t streams_built = 0;
+    std::int64_t stream_requests = 0;
+    std::int64_t ratio_lookups = 0;
+    std::int64_t ratio_solved = 0;
+    std::int64_t points_evaluated = 0;
+    for (const LoopLocality *loop : loops) {
+        streams_built +=
+            static_cast<std::int64_t>(loop->streams().streamsBuilt());
+        stream_requests +=
+            static_cast<std::int64_t>(loop->streams().streamRequests());
+        loop->forEach([&](const std::string &,
+                          const LocalityAnalysis &analysis) {
+            if (const auto *cme =
+                    dynamic_cast<const CmeAnalysis *>(&analysis)) {
+                ratio_lookups +=
+                    static_cast<std::int64_t>(cme->ratioLookups());
+                ratio_solved +=
+                    static_cast<std::int64_t>(cme->queriesSolved());
+                points_evaluated +=
+                    static_cast<std::int64_t>(cme->pointsEvaluated());
+            }
+        });
+    }
+    obs::MetricShard shard;
+    shard.rtMax("cme.streams_built", streams_built);
+    shard.rtMax("cme.stream_requests", stream_requests);
+    shard.rtMax("cme.ratio_lookups", ratio_lookups);
+    shard.rtMax("cme.ratio_queries_solved", ratio_solved);
+    shard.rtMax("cme.points_evaluated", points_evaluated);
+    obs::Registry::instance().fold(shard);
 }
 
 } // namespace mvp::cme

@@ -132,6 +132,17 @@ class LoopLocality
     std::map<std::string, std::unique_ptr<LocalityAnalysis>> bound_;
 };
 
+/**
+ * Snapshot the shared-cache tallies of @p loops (StreamCache requests
+ * and builds, CME memo lookups, solved queries and evaluated points)
+ * into the obs::Registry as max-merged runtime gauges `cme.*`. Gauges,
+ * not counters: the tallies are monotone over each holder's life, so
+ * "keep the largest seen" makes repeated harvests idempotent instead
+ * of double-counting. Runtime section — two workers racing one memo
+ * key legitimately both count a miss. No-op when metrics are off.
+ */
+void harvestMetrics(const std::vector<const LoopLocality *> &loops);
+
 } // namespace mvp::cme
 
 #endif // MVP_CME_PROVIDER_HH

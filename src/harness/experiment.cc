@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cme/provider.hh"
-#include "cme/solver.hh"
 #include "common/logging.hh"
 #include "machine/presets.hh"
 #include "obs/metrics.hh"
@@ -150,48 +149,13 @@ checkNames(const RunConfig &config)
 
 } // namespace
 
-/**
- * Snapshot the shared caches' cumulative tallies into the registry.
- * Max-merged gauges, not counters: the atomics are monotone over the
- * process, so "keep the largest seen" makes repeated harvests (one
- * per sweep) idempotent instead of double-counting. Runtime section —
- * two workers racing one memo key legitimately both count a miss.
- */
 void
 harvestLocalityMetrics(const Workbench &bench)
 {
-    if (!obs::metricsOn())
-        return;
-    std::int64_t streams_built = 0;
-    std::int64_t stream_requests = 0;
-    std::int64_t ratio_lookups = 0;
-    std::int64_t ratio_solved = 0;
-    std::int64_t points_evaluated = 0;
-    for (const auto &entry : bench.entries()) {
-        const cme::StreamCache &streams = entry->locality.streams();
-        streams_built += static_cast<std::int64_t>(streams.streamsBuilt());
-        stream_requests +=
-            static_cast<std::int64_t>(streams.streamRequests());
-        entry->locality.forEach([&](const std::string &,
-                                    const cme::LocalityAnalysis &analysis) {
-            if (const auto *cme =
-                    dynamic_cast<const cme::CmeAnalysis *>(&analysis)) {
-                ratio_lookups +=
-                    static_cast<std::int64_t>(cme->ratioLookups());
-                ratio_solved +=
-                    static_cast<std::int64_t>(cme->queriesSolved());
-                points_evaluated +=
-                    static_cast<std::int64_t>(cme->pointsEvaluated());
-            }
-        });
-    }
-    obs::MetricShard shard;
-    shard.rtMax("cme.streams_built", streams_built);
-    shard.rtMax("cme.stream_requests", stream_requests);
-    shard.rtMax("cme.ratio_lookups", ratio_lookups);
-    shard.rtMax("cme.ratio_queries_solved", ratio_solved);
-    shard.rtMax("cme.points_evaluated", points_evaluated);
-    obs::Registry::instance().fold(shard);
+    std::vector<const cme::LoopLocality *> loops;
+    for (const auto &entry : bench.entries())
+        loops.push_back(&entry->locality);
+    cme::harvestMetrics(loops);
 }
 
 LoopRunResult

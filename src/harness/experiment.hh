@@ -159,11 +159,9 @@ std::vector<SuiteResult> runSuiteSweep(
     sim::SimParams sim_params, ParallelDriver &driver);
 
 /**
- * Snapshot the workbench's shared-cache tallies (StreamCache requests
- * and builds, CME memo lookups, solved queries and evaluated points)
- * into the obs::Registry as max-merged runtime gauges. No-op when
- * metrics are off. The suite runners call this after every sweep; call
- * it directly after hand-rolled runLoop() loops.
+ * cme::harvestMetrics() over the workbench's loops. The suite runners
+ * call this after every sweep; call it directly after hand-rolled
+ * runLoop() loops.
  */
 void harvestLocalityMetrics(const Workbench &bench);
 

@@ -92,6 +92,17 @@ SchedService::processBatch(std::vector<Request> &&requests)
                 [&](std::size_t i, sched::SchedContext &ctx) {
                     replies[i] = serveOne(requests[i], ctx);
                 });
+    if (obs::metricsOn()) {
+        // The loop contexts' CME work so far, like a Workbench's after
+        // a sweep (max-merged, so harvesting every batch is idempotent).
+        std::vector<const cme::LoopLocality *> loops;
+        {
+            std::lock_guard<std::mutex> lock(ctx_mu_);
+            for (const auto &entry : contexts_)
+                loops.push_back(&entry.second->locality);
+        }
+        cme::harvestMetrics(loops);
+    }
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
         batches_ += 1;

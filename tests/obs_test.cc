@@ -26,6 +26,9 @@
 #include "machine/presets.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "svc/service.hh"
+#include "text/format.hh"
+#include "workloads/workloads.hh"
 
 namespace mvp::obs
 {
@@ -273,6 +276,27 @@ TEST_F(ObsTest, SerialSweepReportsPoolUtilisation)
     EXPECT_NE(text.find("\nhist pool.items_per_worker count="),
               std::string::npos)
         << text;
+}
+
+TEST_F(ObsTest, ServiceReportsItsLoopContextsCmeWork)
+{
+    // The service's loop contexts hold CME analyses like a Workbench's
+    // entries; a batch folds their work into the runtime section.
+    const auto bench = workloads::benchmarkByName("tomcatv");
+    svc::SchedService service(1);
+    Registry::instance().enable();
+    const auto reply = service.processOne(svc::parseRequest(
+        text::printScenario({bench.loops.front(), makeTwoCluster()})));
+    ASSERT_EQ(reply.bytes().rfind("status ok\n", 0), 0u) << reply.bytes();
+
+    const std::string text = Registry::instance().textReport();
+    for (const char *name :
+         {"cme.ratio_queries_solved", "cme.ratio_lookups"}) {
+        const std::string head = std::string("\ngauge ") + name + " = ";
+        const auto at = text.find(head);
+        ASSERT_NE(at, std::string::npos) << name << '\n' << text;
+        EXPECT_GT(std::atoll(text.c_str() + at + head.size()), 0) << name;
+    }
 }
 
 TEST_F(ObsTest, ShardMergeAddsMaxesAndFolds)
