@@ -34,14 +34,6 @@ appendG(std::string &out, double v)
     out.append(buf, static_cast<std::size_t>(n));
 }
 
-bool
-parseDouble(const std::string &s, double *out)
-{
-    char *end = nullptr;
-    *out = std::strtod(s.c_str(), &end);
-    return end != nullptr && *end == '\0' && !s.empty();
-}
-
 const char *KNOWN_CONFIG_KEYS = "backend, exact-backend, locality, "
                                 "node-budget, threshold, time-budget-ms";
 
@@ -66,7 +58,9 @@ applyConfig(RequestOptions &opt, std::string_view key,
     }
     const std::string text(value);
     if (key == "threshold") {
-        if (!parseDouble(text, &opt.threshold))
+        char *end = nullptr;
+        opt.threshold = std::strtod(text.c_str(), &end);
+        if (text.empty() || *end != '\0')
             return "config threshold wants a number, got '" + text + "'";
         if (!std::isfinite(opt.threshold) || opt.threshold < 0.0 ||
             opt.threshold > 1.0)

@@ -127,7 +127,7 @@ appendLoop(std::string &out, const ir::LoopNest &nest)
  * field is a range-checked count, an int64 one a plain number. */
 struct MachineKey
 {
-    const char *name;
+    std::string_view name;
     std::variant<int MachineConfig::*, std::int64_t MachineConfig::*,
                  bool MachineConfig::*>
         field;
@@ -194,6 +194,19 @@ enum class Tok
     End,
 };
 
+// The grammar is ASCII: these are the C locale's character classes,
+// whatever the process locale is, with no call per character.
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+/** @p c is a letter from a to @p last, either case. */
+bool isLetterTo(char c, char last)
+{
+    return (c | 0x20) >= 'a' && (c | 0x20) <= last;
+}
+bool isAlpha(char c) { return isLetterTo(c, 'z'); }
+bool isAlnum(char c) { return isDigit(c) || isAlpha(c); }
+bool isHexDigit(char c) { return isDigit(c) || isLetterTo(c, 'f'); }
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 /** A token; its text views the lexed input, which outlives it. */
 struct Token
 {
@@ -221,14 +234,14 @@ class Lexer
     const Token &peek(std::size_t ahead = 0)
     {
         while (buffered_ <= ahead)
-            ahead_[buffered_++] = lexNext();
-        return ahead_[ahead];
+            ahead_[(head_ + buffered_++) % 2] = lexNext();
+        return ahead_[(head_ + ahead) % 2];
     }
 
     Token next()
     {
         const Token tok = peek();
-        ahead_[0] = ahead_[1];
+        head_ ^= 1;
         --buffered_;
         return tok;
     }
@@ -246,7 +259,7 @@ class Lexer
             if (c == '\n') {
                 ++line_;
                 ++pos_;
-            } else if (std::isspace(static_cast<unsigned char>(c))) {
+            } else if (isSpace(c)) {
                 ++pos_;
             } else if (c == '#') {
                 while (pos_ < text_.size() && text_[pos_] != '\n')
@@ -263,24 +276,18 @@ class Lexer
         const char c = text_[pos_];
         if (c == '"') {
             const auto end = text_.find('"', pos_ + 1);
-            if (end == std::string_view::npos ||
-                text_.find('\n', pos_) < end)
+            if (end == text_.npos || text_.find('\n', pos_) < end)
                 mvp_fatal(origin_, ":", line_, ": unterminated string");
             tok.kind = Tok::String;
             tok.text = text_.substr(pos_ + 1, end - pos_ - 1);
             pos_ = end + 1;
             return tok;
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            tok.kind = Tok::Number;
-            tok.number = lexNumber();
-            return tok;
-        }
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+        if (isAlpha(c) || c == '_') {
             std::size_t end = pos_;
-            while (end < text_.size() &&
-                   (std::isalnum(static_cast<unsigned char>(text_[end])) ||
-                    text_[end] == '_' || text_[end] == '.'))
+            while (end < text_.size() && (isAlnum(text_[end]) ||
+                                          text_[end] == '_' ||
+                                          text_[end] == '.'))
                 ++end;
             tok.text = text_.substr(pos_, end - pos_);
             // A lone underscore is the live-in operand, not a name.
@@ -288,12 +295,10 @@ class Lexer
             pos_ = end;
             return tok;
         }
-        if (c == '%') {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        if (isDigit(c) || c == '%') {
+            tok.kind = c == '%' ? Tok::OpRef : Tok::Number;
+            if (c == '%' && (++pos_ >= text_.size() || !isDigit(text_[pos_])))
                 mvp_fatal(origin_, ":", line_, ": '%' wants an op number");
-            tok.kind = Tok::OpRef;
             tok.number = lexNumber();
             return tok;
         }
@@ -324,11 +329,10 @@ class Lexer
         const int base = hexPrefix(pos_) ? 16 : 10;
         std::size_t digits = base == 16 ? pos_ + 2 : pos_;
         std::size_t end = digits;
-        while (end < text_.size() &&
-               std::isalnum(static_cast<unsigned char>(text_[end])))
+        while (end < text_.size() && isAlnum(text_[end]))
             ++end;
         if (base == 16 && end - digits > 2 && hexPrefix(digits) &&
-            std::isxdigit(static_cast<unsigned char>(text_[digits + 2])))
+            isHexDigit(text_[digits + 2]))
             digits += 2;
         std::int64_t value = 0;
         const char *last = text_.data() + end;
@@ -347,15 +351,16 @@ class Lexer
     const std::string &origin_;
     std::size_t pos_ = 0;
     int line_ = 1;
-    Token ahead_[2];
+    Token ahead_[2];             ///< ring of lexed, unconsumed tokens
+    std::size_t head_ = 0;       ///< ahead_ slot of the next token
     std::size_t buffered_ = 0;   ///< tokens lexed into ahead_
 };
 
 // ----------------------------------------------------------- parsing
 
-/** Names seen so far in a block, looked up by the token's view. */
+/** Names declared so far in a block: views into the parsed text. */
 template <class Id>
-using NameMap = std::map<std::string, Id, std::less<>>;
+using NameMap = std::map<std::string_view, Id>;
 
 /** Recursive-descent parser over the token stream. */
 class Parser
@@ -368,24 +373,24 @@ class Parser
 
     bool atEnd() { return lex_.peek().kind == Tok::End; }
 
-    bool atIdent(const char *word)
+    bool atIdent(std::string_view word)
     {
         return lex_.peek().kind == Tok::Ident && lex_.peek().text == word;
     }
 
-    void expectIdent(const char *word)
+    void expectIdent(std::string_view word)
     {
         if (!acceptIdent(word))
-            fail(std::string("expected '") + word + "'");
+            fail("expected '" + std::string(word) + "'");
     }
 
-    void expectPunct(const char *punct)
+    void expectPunct(std::string_view punct)
     {
         if (!acceptPunct(punct))
-            fail(std::string("expected '") + punct + "'");
+            fail("expected '" + std::string(punct) + "'");
     }
 
-    bool acceptPunct(const char *punct)
+    bool acceptPunct(std::string_view punct)
     {
         if (lex_.peek().kind != Tok::Punct || lex_.peek().text != punct)
             return false;
@@ -393,7 +398,7 @@ class Parser
         return true;
     }
 
-    bool acceptIdent(const char *word)
+    bool acceptIdent(std::string_view word)
     {
         if (!atIdent(word))
             return false;
@@ -499,8 +504,10 @@ class Parser
     {
         expectIdent("for");
         ir::LoopDim dim;
-        dim.name = expectText(Tok::Ident, "a loop-variable name");
-        if (iv_depth.count(dim.name))
+        const std::string_view name =
+            expectText(Tok::Ident, "a loop-variable name");
+        dim.name = name;
+        if (iv_depth.count(name))
             fail("duplicate loop variable '" + dim.name + "'");
         expectPunct("=");
         dim.lower = expectNumber("a lower bound");
@@ -508,15 +515,16 @@ class Parser
         dim.upper = expectNumber("an (exclusive) upper bound");
         if (acceptIdent("step"))
             dim.step = expectNumber("a step");
-        iv_depth.emplace(dim.name, nest.addLoop(dim));
+        iv_depth.emplace(name, nest.addLoop(std::move(dim)));
     }
 
     void parseArrayDecl(ir::LoopNest &nest, NameMap<ArrayId> &array_ids)
     {
         expectIdent("array");
         ir::ArrayDecl decl;
-        decl.name = expectText(Tok::Ident, "an array name");
-        if (array_ids.count(decl.name))
+        const std::string_view name = expectText(Tok::Ident, "an array name");
+        decl.name = name;
+        if (array_ids.count(name))
             fail("duplicate array '" + decl.name + "'");
         while (acceptPunct("[")) {
             decl.dims.push_back(expectNumber("an array extent"));
@@ -534,8 +542,7 @@ class Parser
         if (base < 0)
             fail("array '" + decl.name + "' has a negative base address");
         decl.base = static_cast<Addr>(base);
-        std::string name = decl.name;
-        array_ids.emplace(std::move(name), nest.addArray(std::move(decl)));
+        array_ids.emplace(name, nest.addArray(std::move(decl)));
     }
 
     ir::Opcode parseOpcode(std::string_view word)
