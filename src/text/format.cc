@@ -47,7 +47,10 @@ appendAffine(std::string &out, const ir::AffineExpr &expr,
     auto term = [&](std::int64_t value, std::string_view var) {
         if (value == 0)
             return;
-        const std::int64_t mag = value < 0 ? -value : value;
+        // Unsigned: the magnitude of INT64_MIN does not fit an int64.
+        const std::uint64_t mag =
+            value < 0 ? 0 - static_cast<std::uint64_t>(value)
+                      : static_cast<std::uint64_t>(value);
         if (out.size() == start)
             out += value < 0 ? "-" : "";
         else

@@ -148,6 +148,41 @@ TEST(TextParse, MachineDefaultsApplyForOmittedKeys)
     EXPECT_EQ(cfg.latMainMemory, MachineConfig{}.latMainMemory);
 }
 
+TEST(TextParse, NumbersReadAsStollReadsTheirWholeSpelling)
+{
+    // A number spans every alphanumeric character after its first
+    // digit and must convert as a whole, the way std::stoll reads it:
+    // base 16 after 0x, where a second 0x prefix is still accepted.
+    const auto extent = [](const std::string &spelling) {
+        return parseLoop("loop \"x\" { for i = 0 to 4 array A[" + spelling +
+                         "] elem=4 base=0 %0 = load A[i] }")
+            .array(0)
+            .dims[0];
+    };
+    EXPECT_EQ(extent("012"), 12);
+    EXPECT_EQ(extent("0x1f"), 31);
+    EXPECT_EQ(extent("0X1F"), 31);
+    EXPECT_EQ(extent("0x0x1f"), 31);
+    for (const char *bad : {"0x", "0x0x", "0xg", "12ab", "0b1",
+                            "9223372036854775808", "0x8000000000000000"})
+        EXPECT_EXIT((void)extent(bad), ::testing::ExitedWithCode(1),
+                    std::string("bad number '") + bad + "'")
+            << bad;
+}
+
+TEST(TextPrint, CoefficientOfInt64MinPrintsItsMagnitude)
+{
+    // -9223372036854775807*i - i sums to INT64_MIN, which a one-trip
+    // loop's subscript check lets through; its magnitude does not fit
+    // an int64, and negating it there was undefined.
+    const ir::LoopNest nest = parseLoop(
+        "loop \"x\" { for i = 0 to 1 array A[16] elem=4 base=0\n"
+        "%0 = load A[-9223372036854775807*i - i + 3] }");
+    EXPECT_NE(printLoop(nest).find("A[-9223372036854775808*i + 3]"),
+              std::string::npos)
+        << printLoop(nest);
+}
+
 // ------------------------------------------------------- diagnostics
 
 TEST(TextParseDeath, ReportsOriginAndLine)
