@@ -99,7 +99,8 @@ splitWords(std::string_view line, Words &words)
             ++j;
         if (j > i && count < words.size())
             words[count] = line.substr(i, j - i);
-        count += j > i ? 1 : 0;
+        if (j > i)
+            ++count;
         i = j;
     }
     return count;
