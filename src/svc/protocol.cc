@@ -78,12 +78,6 @@ applyConfig(RequestOptions &opt, std::string_view key,
            "' (known: " + KNOWN_CONFIG_KEYS + ")";
 }
 
-const char *
-boolWord(bool v)
-{
-    return v ? "true" : "false";
-}
-
 } // namespace
 
 std::size_t
@@ -186,6 +180,7 @@ renderReply(const Request &request, const sched::ScheduleResult &result)
 {
     const sched::SchedStats &st = result.stats;
     const sched::ModuloSchedule &sch = result.schedule;
+    const auto boolWord = [](bool v) { return v ? "true" : "false"; };
     std::string out;
     strappend(out, "status ok\nloop \"", request.scenario.loop.name(),
               "\"\nmachine \"", request.scenario.machine.name,
